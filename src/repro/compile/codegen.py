@@ -8,6 +8,11 @@ specialized Python function per plan, with
 
 * scan -> filter -> project chains fused into a single ``for`` loop,
 * hash-join build and probe sides as separate fused loops,
+* the executor's index access paths — an equality selection over a
+  stored relation loops over one bucket of the relation's cached key
+  index, and a join whose right input is a stored relation probes that
+  index instead of building a table (the same choices, through
+  :func:`~repro.plan.physical.stored_base_name`, as the interpreter),
 * dedup, set operations, and division as pipeline breakers, and
 * selection conditions and projection maps inlined as expressions
   whose attribute references are resolved to tuple indexes at codegen
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 import operator
 
+from ..plan.physical import lookup_keys, stored_base_name, theta_keys
 from ..relational import algebra as ra
 from ..relational.relation import Relation
 
@@ -251,10 +257,7 @@ class _KernelBuilder:
         """
         rel = self.fresh("rel")
         self.emit("%s = _db[%r]" % (rel, name))
-        self.emit(
-            "if %r not in set(%s.cached_index_patterns()):"
-            % (tuple(positions), rel)
-        )
+        self.emit("if not %s.has_key_index(%r):" % (rel, tuple(positions)))
         self.depth += 1
         self.emit("_built += 1")
         self.emit("_scanned += len(%s)" % rel)
@@ -262,6 +265,33 @@ class _KernelBuilder:
         idx = self.fresh("idx")
         self.emit("%s = %s._key_index(%r)" % (idx, rel, tuple(positions)))
         return idx
+
+    def index_lookup(self, name, lookup, schema, consume):
+        """Drive a loop over one index bucket (``IndexLookup``).
+
+        Charges like the interpreted operator: the index build on first
+        use, one probe, and the bucket's tuples as scanned.
+        """
+        positions, key, residual = lookup
+        idx = self.base_index(name, positions)
+        bucket = self.fresh("bkt")
+        self.emit("_probed += 1")
+        self.emit(
+            "%s = %s.get(%s, ())" % (bucket, idx, self.bind("key", key))
+        )
+        self.emit("_scanned += len(%s)" % bucket)
+        self.pipelines += 1
+        t = self.fresh("t")
+        self.emit("for %s in %s:" % (t, bucket))
+        self.depth += 1
+        if residual is None:
+            consume(t)
+        else:
+            self.emit("if %s:" % self.cond_expr(residual, schema, t))
+            self.depth += 1
+            consume(t)
+            self.depth -= 1
+        self.depth -= 1
 
     def built_index(self, node, positions):
         """Drain ``node`` once into a fresh hash table (a pipeline
@@ -301,6 +331,12 @@ class _KernelBuilder:
 
     def _produce_selection(self, node, consume):
         schema = node.child.schema(self.db_schema)
+        name = stored_base_name(node.child)
+        if name is not None:
+            lookup = lookup_keys(node.condition, schema)
+            if lookup is not None:
+                self.index_lookup(name, lookup, schema, consume)
+                return
 
         def filtered(var):
             self.emit(
@@ -348,8 +384,9 @@ class _KernelBuilder:
         right_schema = node.right.schema(self.db_schema)
         shared = left_schema.shared_attributes(right_schema)
         right_positions = tuple(right_schema.position(a) for a in shared)
-        if isinstance(node.right, ra.RelationRef):
-            idx = self.base_index(node.right.name, right_positions)
+        name = stored_base_name(node.right)
+        if name is not None:
+            idx = self.base_index(name, right_positions)
         else:
             idx = self.built_index(node.right, right_positions)
         left_positions = [left_schema.position(a) for a in shared]
@@ -381,15 +418,11 @@ class _KernelBuilder:
         self.produce(node.left, probe)
 
     def _produce_theta_join(self, node, consume):
-        from ..plan.physical import _split_equi_conjuncts
-
         left_schema = node.left.schema(self.db_schema)
         right_schema = node.right.schema(self.db_schema)
         out_schema = left_schema.concat(right_schema)
-        equi, residual = _split_equi_conjuncts(
-            node.condition,
-            set(left_schema.attributes),
-            set(right_schema.attributes),
+        left_positions, right_positions, residual = theta_keys(
+            node.condition, left_schema, right_schema
         )
 
         def joined(svar, tvar):
@@ -405,10 +438,12 @@ class _KernelBuilder:
             else:
                 consume(out)
 
-        if equi:
-            right_positions = [right_schema.position(b) for _, b in equi]
-            left_positions = [left_schema.position(a) for a, _ in equi]
-            idx = self.built_index(node.right, right_positions)
+        if right_positions:
+            name = stored_base_name(node.right)
+            if name is not None:
+                idx = self.base_index(name, right_positions)
+            else:
+                idx = self.built_index(node.right, right_positions)
 
             def probe(svar):
                 self.emit("_probed += 1")

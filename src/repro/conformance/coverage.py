@@ -21,7 +21,10 @@ from ..obs.metrics import MetricsRegistry
 #: Everything the relational workload generator is expected to reach.
 #: ``cond:*`` entries describe selection/theta conditions; ``theta:*``
 #: classify the cross-side conjunct bundle of a theta join;
-#: ``divide:multi-attr`` is division by an arity-2 divisor.
+#: ``divide:multi-attr`` is division by an arity-2 divisor;
+#: ``access:*`` are the index access paths the executors take on the
+#: canonical plan (equality lookups and index joins over stored
+#: relations).
 ALGEBRA_UNIVERSE = frozenset(
     [
         "node:selection",
@@ -53,6 +56,8 @@ ALGEBRA_UNIVERSE = frozenset(
         "theta:non-equi",
         "theta:multi-equi",
         "divide:multi-attr",
+        "access:index-lookup",
+        "access:index-join",
     ]
 )
 

@@ -30,6 +30,8 @@ from ..core.random_instances import (
     random_positive_program,
 )
 from ..datalog.ast import Atom, Literal, Rule, Variable
+from ..plan import canonicalize
+from ..plan.physical import lookup_keys, stored_base_name, theta_keys
 from ..relational import algebra as ra
 from ..relational.calculus import (
     AndF,
@@ -135,6 +137,34 @@ def _theta_shape(condition):
     if non_equi:
         shapes.append("theta:non-equi")
     return shapes
+
+
+def access_constructs(expr, db_schema):
+    """Index access paths the executors take on ``expr``'s canonical
+    plan: ``access:index-lookup`` for an equality selection over a
+    stored relation, ``access:index-join`` for a join probing a stored
+    right input's cached index (see :mod:`repro.plan.physical`)."""
+    out = []
+    stack = [canonicalize(expr, db_schema)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ra.Selection) and stored_base_name(node.child):
+            schema = node.child.schema(db_schema)
+            if lookup_keys(node.condition, schema) is not None:
+                out.append("access:index-lookup")
+                continue  # the lookup replaces the whole subtree
+        if isinstance(node, ra.NaturalJoin) and stored_base_name(node.right):
+            out.append("access:index-join")
+        if isinstance(node, ra.ThetaJoin) and stored_base_name(node.right):
+            keys = theta_keys(
+                node.condition,
+                node.left.schema(db_schema),
+                node.right.schema(db_schema),
+            )
+            if keys[1]:
+                out.append("access:index-join")
+        stack.extend(node.children())
+    return out
 
 
 def expression_constructs(expr):
@@ -260,7 +290,10 @@ def relational_case(seed, family="relational-differential", size=None):
         size=size if size is not None else rng.randint(1, 6),
     )
     payload = {"kind": "relational", "db": db, "expr": expr, "sql": None}
-    return Case(family, seed, payload, expression_constructs(expr))
+    constructs = expression_constructs(expr) + access_constructs(
+        expr, db.schema()
+    )
+    return Case(family, seed, payload, constructs)
 
 
 def sql_case(seed, family="relational-differential"):

@@ -46,7 +46,6 @@ from ..relational.codd import (
 from ..relational.database import Database, is_system_name
 from ..relational.dml import DMLResult, DMLStatement
 from ..relational.optimizer import optimize
-from ..relational.relation import Relation
 from ..relational.sql_frontend import parse_sql
 from ..storage.txn import TransactionManager
 
@@ -385,17 +384,14 @@ class MetatheoryWorkbench:
                 executed, target_rel
             )
             if txn is not None:
-                old = set(target_rel.tuples)
-                final = (old - set(delete_rows)) | set(insert_rows)
-                added = final - old
-                removed = old - final
+                relation, added, removed = target_rel.with_delta(
+                    insert_rows, delete_rows
+                )
                 if added or removed:
                     txn.stage(
-                        target, Relation(target_rel.schema, final),
-                        inserted=len(added), deleted=len(removed),
-                        kind=stmt.kind,
+                        target, relation, inserted=len(added),
+                        deleted=len(removed), kind=stmt.kind,
                     )
-                relation = txn.binding(target)
             else:
                 relation, added, removed = self.db.apply_delta(
                     target, insert_rows=insert_rows,

@@ -18,10 +18,24 @@ Datalog engines use) and tracks the largest single operator buffer:
   point.
 
 Physical operator selection (:func:`build_physical`) maps each canonical
-logical node to an operator; when a join's right input is a base
-relation, the join probes the relation's cached
-:meth:`~repro.relational.relation.Relation._key_index` instead of
-building its own table, so repeated queries share build work.
+logical node to an operator.  Two *access paths* replace scans over a
+stored base relation — reached directly or through any chain of
+``Rename`` nodes (SQL aliases), since renames keep attribute order:
+
+* an equality selection (``attr = const`` conjuncts) becomes an
+  :class:`IndexLookup`, one probe of the relation's cached
+  :meth:`~repro.relational.relation.Relation._key_index` plus a
+  residual filter;
+* a natural join or equi theta join whose right input is such a
+  relation probes that relation's cached index
+  (:class:`HashJoin` with a ``base`` index, :class:`IndexJoinOp`)
+  instead of draining it into a fresh table.
+
+Cached indexes are shared by every later query on the same binding and
+carried across writes by
+:meth:`~repro.relational.relation.Relation.with_delta`.  Virtual
+``sys_`` relations stay on scans: each lookup materializes a fresh
+relation, so an index on one would never be reused.
 
 Hot loops batch their accounting: scans and probes accumulate a local
 pending count and flush it to the Tally every :data:`_FLUSH_BLOCK`
@@ -37,7 +51,8 @@ from __future__ import annotations
 
 from ..errors import PlanError
 from ..relational import algebra as ra
-from ..relational.relation import Relation
+from ..relational.database import is_system_name
+from ..relational.relation import Relation, build_key_index
 
 #: Hot-loop accounting flush granularity (tuples per Tally update).
 _FLUSH_BLOCK = 256
@@ -70,6 +85,13 @@ class Tally:
         self.stats.tuples_materialized += 1
         if buffer_size > self.peak_buffer:
             self.peak_buffer = buffer_size
+
+    def filled(self, count):
+        """A buffer filled with ``count`` tuples in one go: ``count``
+        calls of :meth:`buffered` folded into one."""
+        self.stats.tuples_materialized += count
+        if count > self.peak_buffer:
+            self.peak_buffer = count
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +166,49 @@ class Scan(PhysicalOp):
 
     def describe(self):
         return "Scan(%s)" % self.relation.schema.name
+
+
+class IndexLookup(PhysicalOp):
+    """Equality selection over a stored relation: one index probe.
+
+    Probes the relation's cached key index on the ``attr = const``
+    positions with the constant key and filters the bucket by the
+    residual conjuncts.  Charges one probe plus the bucket's tuples as
+    scanned (and, on the index's first use, its build — see
+    :class:`_BaseIndex`).  ``schema`` is the renamed schema the
+    selection was written against.
+    """
+
+    __slots__ = ("relation", "condition", "_index", "_key", "_residual")
+
+    def __init__(self, relation, schema, condition, lookup, tally):
+        positions, key, residual = lookup
+        self.relation = relation
+        self.schema = schema
+        self.condition = condition
+        self._index = _BaseIndex(relation, positions, tally)
+        self._key = key
+        self._residual = (
+            residual.compile(schema) if residual is not None else None
+        )
+        self.tally = tally
+
+    def tuples(self):
+        bucket = self._index.mapping().get(self._key, ())
+        self.tally.probed()
+        self.tally.scanned(len(bucket))
+        residual = self._residual
+        for t in bucket:
+            if residual is None or residual(t):
+                yield t
+
+    def label(self):
+        return "IndexLookup(%s)[%s]" % (
+            self.relation.schema.name, self.condition,
+        )
+
+    def describe(self):
+        return "IndexLookup(%s)" % self.relation.schema.name
 
 
 class Select(PhysicalOp):
@@ -238,14 +303,14 @@ class _BaseIndex:
         self.tally = tally
 
     def mapping(self):
-        cached = self.positions in set(self.relation.cached_index_patterns())
-        index = self.relation._key_index(self.positions)
-        if not cached:
+        relation = self.relation
+        if not relation.has_key_index(self.positions):
             # First use builds the index with one pass over the relation;
-            # later queries (and the legacy evaluator) reuse it for free.
+            # later queries (and later versions of the relation, through
+            # Relation.with_delta) reuse it for free.
             self.tally.built()
-            self.tally.scanned(len(self.relation))
-        return index
+            self.tally.scanned(len(relation))
+        return relation._key_index(self.positions)
 
 
 class _BuiltIndex:
@@ -259,14 +324,10 @@ class _BuiltIndex:
         self.tally = tally
 
     def mapping(self):
-        index = {}
         self.tally.built()
-        count = 0
-        for t in self.child.tuples():
-            key = tuple(t[p] for p in self.positions)
-            index.setdefault(key, []).append(t)
-            count += 1
-            self.tally.buffered(count)
+        index = build_key_index(self.child.tuples(), self.positions)
+        # Every drained tuple (duplicates included) sits in one bucket.
+        self.tally.filled(sum(map(len, index.values())))
         return index
 
 
@@ -347,17 +408,11 @@ class ThetaJoinOp(PhysicalOp):
         self.right = right
         self.condition = condition
         self.schema = left.schema.concat(right.schema)
-        left_attrs = set(left.schema.attributes)
-        right_attrs = set(right.schema.attributes)
-        equi, residual = _split_equi_conjuncts(
-            condition, left_attrs, right_attrs
-        )
-        self._left_key_positions = [
-            left.schema.position(a) for a, _ in equi
-        ]
-        self._right_key_positions = [
-            right.schema.position(b) for _, b in equi
-        ]
+        (
+            self._left_key_positions,
+            self._right_key_positions,
+            residual,
+        ) = theta_keys(condition, left.schema, right.schema)
         self._residual = (
             residual.compile(self.schema) if residual is not None else None
         )
@@ -369,23 +424,10 @@ class ThetaJoinOp(PhysicalOp):
             index = _BuiltIndex(
                 self.right, self._right_key_positions, self.tally
             ).mapping()
-            left_positions = self._left_key_positions
-            tally = self.tally
-            pending = 0
-            try:
-                for s in self.left.tuples():
-                    key = tuple(s[p] for p in left_positions)
-                    pending += 1
-                    if pending == _FLUSH_BLOCK:
-                        tally.probed(pending)
-                        pending = 0
-                    for t in index.get(key, ()):
-                        combined = s + t
-                        if residual is None or residual(combined):
-                            yield combined
-            finally:
-                if pending:
-                    tally.probed(pending)
+            yield from _probe_pairs(
+                self.left, index, self._left_key_positions, residual,
+                self.tally,
+            )
         else:
             right_tuples = []
             for t in self.right.tuples():
@@ -408,6 +450,69 @@ class ThetaJoinOp(PhysicalOp):
             self.left.describe(),
             self.right.describe(),
         )
+
+
+class IndexJoinOp(PhysicalOp):
+    """Equi theta join whose right input is a stored relation.
+
+    Streams the left input and probes the right relation's cached key
+    index on the equi-key positions; the residual conjuncts filter the
+    joined pairs.  No operator runs on the right side — the index *is*
+    the right input — so there is no right child to drain or report.
+    """
+
+    __slots__ = ("left", "condition", "_index", "_left_key_positions",
+                 "_residual")
+
+    child_slots = ("left",)
+
+    def __init__(self, left, relation, right_schema, condition, keys,
+                 tally):
+        left_positions, right_positions, residual = keys
+        self.left = left
+        self.condition = condition
+        self.schema = left.schema.concat(right_schema)
+        self._index = _BaseIndex(relation, right_positions, tally)
+        self._left_key_positions = left_positions
+        self._residual = (
+            residual.compile(self.schema) if residual is not None else None
+        )
+        self.tally = tally
+
+    def tuples(self):
+        yield from _probe_pairs(
+            self.left, self._index.mapping(), self._left_key_positions,
+            self._residual, self.tally,
+        )
+
+    def label(self):
+        return "ThetaJoin:index[%s]" % (self.condition,)
+
+    def describe(self):
+        return "ThetaJoin:index(%s, %s)" % (
+            self.left.describe(),
+            self._index.relation.schema.name,
+        )
+
+
+def _probe_pairs(left, index, left_positions, residual, tally):
+    """Stream ``left``, probe ``index`` per tuple, yield the joined pairs
+    the residual accepts (probes charged in flush blocks)."""
+    pending = 0
+    try:
+        for s in left.tuples():
+            key = tuple(s[p] for p in left_positions)
+            pending += 1
+            if pending == _FLUSH_BLOCK:
+                tally.probed(pending)
+                pending = 0
+            for t in index.get(key, ()):
+                combined = s + t
+                if residual is None or residual(combined):
+                    yield combined
+    finally:
+        if pending:
+            tally.probed(pending)
 
 
 class ProductOp(PhysicalOp):
@@ -674,6 +779,113 @@ def _cross_equality(part, left_attrs, right_attrs):
     return None
 
 
+def theta_keys(condition, left_schema, right_schema):
+    """``(left_positions, right_positions, residual)`` of a theta join.
+
+    The key positions come from the cross-side equality conjuncts,
+    ordered by right position so every plan probing the same right
+    relation on the same attributes shares one cached index pattern.
+    Both are empty for a pure nested-loop condition.
+    """
+    equi, residual = _split_equi_conjuncts(
+        condition, set(left_schema.attributes), set(right_schema.attributes)
+    )
+    pairs = sorted(
+        (right_schema.position(b), left_schema.position(a)) for a, b in equi
+    )
+    return (
+        tuple(left for _right, left in pairs),
+        tuple(right for right, _left in pairs),
+        residual,
+    )
+
+
+def stored_base_name(expr):
+    """Name of the stored relation ``expr`` reads, or None.
+
+    ``expr`` qualifies when it is a :class:`RelationRef` under any chain
+    of renames (renames keep attribute order, so positions against the
+    renamed schema address the stored tuples directly) and does not
+    name a virtual ``sys_`` relation.
+    """
+    while isinstance(expr, ra.Rename):
+        expr = expr.child
+    if isinstance(expr, ra.RelationRef) and not is_system_name(expr.name):
+        return expr.name
+    return None
+
+
+def lookup_keys(condition, schema):
+    """Split a selection condition for an :class:`IndexLookup`.
+
+    Returns ``(positions, key, residual)`` — the ``attr = const``
+    conjuncts as sorted positions and their constant key, and the
+    remaining conjuncts (None when fully consumed) — or None when no
+    conjunct qualifies.  A constant qualifies only when it is hashable
+    and equal to itself: a NaN (never ``==`` to anything, yet found by
+    identity in a dict) or an unhashable value stays a scan predicate.
+    """
+    parts = (
+        list(condition.parts) if isinstance(condition, ra.And) else [condition]
+    )
+    keyed = {}
+    residual = []
+    for part in parts:
+        pair = _attr_const_equality(part, schema)
+        if pair is not None and pair[0] not in keyed:
+            keyed[pair[0]] = pair[1]
+        else:
+            residual.append(part)
+    if not keyed:
+        return None
+    positions = tuple(sorted(keyed))
+    rest = None
+    if residual:
+        rest = residual[0] if len(residual) == 1 else ra.And(*residual)
+    return positions, tuple(keyed[p] for p in positions), rest
+
+
+def _attr_const_equality(part, schema):
+    """``(position, value)`` for a probe-safe ``attr = const``, else None."""
+    if not isinstance(part, ra.Comparison) or part.op != "=":
+        return None
+    attr, const = part.left, part.right
+    if isinstance(attr, ra.Const):
+        attr, const = const, attr
+    if not (
+        isinstance(attr, ra.Attr)
+        and isinstance(const, ra.Const)
+        and attr.name in schema
+    ):
+        return None
+    value = const.value
+    try:
+        hash(value)
+        if not value == value:
+            return None
+    except (TypeError, ValueError):  # unhashable; no truth value
+        return None
+    return schema.position(attr.name), value
+
+
+def _stored_base(expr, db):
+    """``(relation, schema)`` for :func:`stored_base_name` inputs — the
+    stored relation and the renamed schema ``expr`` produces — else
+    None."""
+    name = stored_base_name(expr)
+    if name is None:
+        return None
+    renames = []
+    while isinstance(expr, ra.Rename):
+        renames.append(expr.mapping)
+        expr = expr.child
+    relation = db[name]
+    schema = relation.schema
+    for mapping in reversed(renames):
+        schema = schema.rename(mapping)
+    return relation, schema
+
+
 # ---------------------------------------------------------------------------
 # Physical operator selection
 # ---------------------------------------------------------------------------
@@ -695,6 +907,14 @@ def build_physical(expr, db, tally):
     if isinstance(expr, ra.ConstantRelation):
         return Scan(expr.relation, tally)
     if isinstance(expr, ra.Selection):
+        base = _stored_base(expr.child, db)
+        if base is not None:
+            relation, schema = base
+            lookup = lookup_keys(expr.condition, schema)
+            if lookup is not None:
+                return IndexLookup(
+                    relation, schema, expr.condition, lookup, tally
+                )
         return Select(build_physical(expr.child, db, tally), expr.condition, tally)
     if isinstance(expr, ra.Projection):
         return Project(
@@ -706,9 +926,9 @@ def build_physical(expr, db, tally):
         left = build_physical(expr.left, db, tally)
         # No shared attributes degenerates to a product through the
         # single empty-key bucket, exactly like Relation.natural_join.
-        if isinstance(expr.right, ra.RelationRef):
-            relation = db[expr.right.name]
-            schema = relation.schema
+        base = _stored_base(expr.right, db)
+        if base is not None:
+            relation, schema = base
             shared = left.schema.shared_attributes(schema)
             positions = tuple(schema.position(a) for a in shared)
             index = _BaseIndex(relation, positions, tally)
@@ -720,8 +940,17 @@ def build_physical(expr, db, tally):
             index = _BuiltIndex(right, positions, tally)
         return HashJoin(left, schema, index, tally)
     if isinstance(expr, ra.ThetaJoin):
+        left = build_physical(expr.left, db, tally)
+        base = _stored_base(expr.right, db)
+        if base is not None:
+            relation, schema = base
+            keys = theta_keys(expr.condition, left.schema, schema)
+            if keys[1]:
+                return IndexJoinOp(
+                    left, relation, schema, expr.condition, keys, tally
+                )
         return ThetaJoinOp(
-            build_physical(expr.left, db, tally),
+            left,
             build_physical(expr.right, db, tally),
             expr.condition,
             tally,

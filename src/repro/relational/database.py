@@ -128,6 +128,12 @@ class Database:
             undo[name] = self._relations.get(name, ABSENT)
             bindings[name] = relation
         self._relations = bindings
+        # Index lifetime: indexes live on the current binding only (the
+        # next version inherits them through Relation.with_delta), so
+        # undo images and retained versions never pin a superseded copy.
+        for name, old in undo.items():
+            if old is not ABSENT and old is not bindings.get(name):
+                old.drop_indexes()
         changed = list(changes) + [n for n in removed if n not in changes]
         vid = store.commit(bindings, changed)
         if journal:
@@ -198,9 +204,11 @@ class Database:
         """Apply a tuple-level delta to relation ``name``.
 
         Deletes apply first, then inserts (so an UPDATE's matched rows
-        can reappear transformed — or unchanged, as a no-op).  The
-        catalog census is maintained **incrementally** on both paths:
-        cost proportional to the delta, never a rescan.
+        can reappear transformed — or unchanged, as a no-op).  The new
+        binding comes from :meth:`Relation.with_delta`: only inserted
+        rows are validated, and cached key indexes are carried forward.
+        The catalog census is maintained **incrementally** on both
+        paths: cost proportional to the delta, never a rescan.
 
         Returns:
             ``(relation, added, removed)`` — the new binding plus the
@@ -210,18 +218,16 @@ class Database:
         self._check_reserved(name)
         if name not in self._relations:
             raise SchemaError("no relation named %r" % (name,))
-        old = self._relations[name]
-        insert_set = {tuple(row) for row in insert_rows}
-        delete_set = {tuple(row) for row in delete_rows}
-        final = (old.tuples - delete_set) | insert_set
-        added = final - old.tuples
-        removed = old.tuples - final
+        insert_rows = list(insert_rows)
+        delete_rows = list(delete_rows)
+        relation, added, removed = self._relations[name].with_delta(
+            insert_rows, delete_rows
+        )
         if not added and not removed:
-            return old, added, removed
-        relation = Relation(old.schema, final)
+            return relation, added, removed
         if kind is None:
-            kind = "delete" if not insert_set else (
-                "insert" if not delete_set else "update"
+            kind = "delete" if not insert_rows else (
+                "insert" if not delete_rows else "update"
             )
         self._commit_change(
             {name: relation}, kind=kind, txn=txn,

@@ -149,6 +149,10 @@ class Transaction:
             deleted=deleted, undo=previous, status="staged",
         )
         self._undo.append(entry)
+        if previous is not ABSENT and previous is not relation:
+            # The undo image keeps tuples only; the staged successor
+            # carries the indexes forward (see Relation.with_delta).
+            previous.drop_indexes()
         self._overlay[name] = relation
         self.writes.add(name)
         self.rows_inserted += inserted

@@ -77,7 +77,8 @@ class TestCoverageReachability:
             assert tracker.unseen(family) == [], family
 
     def test_algebra_compound_conditions_reached(self):
-        # The three construct groups the bias fix added, explicitly.
+        # The three construct groups the bias fix added, and both index
+        # access paths, explicitly.
         tracker = CoverageTracker()
         for seed in range(self.SWEEP):
             case = generate_case("relational-differential", seed)
@@ -89,8 +90,53 @@ class TestCoverageReachability:
             "theta:multi-equi",
             "theta:non-equi",
             "divide:multi-attr",
+            "access:index-lookup",
+            "access:index-join",
         ):
             assert counts.get(construct, 0) > 0, construct
+
+
+class TestAccessConstructs:
+    """``access:*`` labels follow the executors' access-path choice on
+    the canonical plan, not the surface syntax."""
+
+    def classify(self, expr):
+        from repro.conformance.workloads import access_constructs
+        from repro.relational.database import Database
+
+        db = Database.from_dict(
+            {"r": (("a", "b"), [(1, 2)]), "s": (("c", "d"), [(2, 3)])}
+        )
+        return sorted(set(access_constructs(expr, db.schema())))
+
+    def test_equality_selection_over_a_renamed_base_is_a_lookup(self):
+        from repro.relational import algebra as ra
+
+        expr = ra.Selection(
+            ra.Rename(ra.RelationRef("r"), {"a": "x"}),
+            ra.Comparison(ra.Attr("x"), "=", ra.Const(1)),
+        )
+        assert self.classify(expr) == ["access:index-lookup"]
+        nan = ra.Selection(
+            ra.RelationRef("r"),
+            ra.Comparison(ra.Attr("a"), "=", ra.Const(float("nan"))),
+        )
+        assert self.classify(nan) == []
+
+    def test_equi_join_onto_a_renamed_base_is_an_index_join(self):
+        from repro.relational import algebra as ra
+
+        right = ra.Rename(ra.RelationRef("s"), {"c": "y"})
+        equi = ra.ThetaJoin(
+            ra.RelationRef("r"), right,
+            ra.Comparison(ra.Attr("b"), "=", ra.Attr("y")),
+        )
+        assert self.classify(equi) == ["access:index-join"]
+        loop = ra.ThetaJoin(
+            ra.RelationRef("r"), right,
+            ra.Comparison(ra.Attr("b"), "<", ra.Attr("y")),
+        )
+        assert self.classify(loop) == []
 
 
 class TestCaseStructure:

@@ -54,14 +54,24 @@ class TestShape:
         assert result.result == wb.sql(THREE_TABLE_SQL)
         operators = result.operators()
         assert operators[0] == "Result"
-        assert sum(op.startswith("Scan(") for op in operators) == 3
-        assert any("Join" in op for op in operators)
+        # The aliased base relations on the right of each join are
+        # probed through their cached indexes: only the leftmost input
+        # is scanned, and an index join reports no right-side child.
+        assert [op for op in operators if op.startswith("Scan(")] == [
+            "Scan(emp)"
+        ]
+        joins = result.find("ThetaJoin:index[")
+        assert len(joins) == 2
+        assert all(len(join.children) == 1 for join in joins)
         assert result.report.rows == len(result.result) == 3
-        # Leaf scans report base-table cardinalities.
+        # The leaf scan reports the base-table cardinality; each index
+        # join probes once per left row and builds its index once.
         by_label = {r.label: r.rows for _, r in result.report.walk()}
         assert by_label["Scan(emp)"] == 3
-        assert by_label["Scan(dept)"] == 2
-        assert by_label["Scan(loc)"] == 2
+        for join in joins:
+            assert join.stats.index_probes == 3
+            assert join.stats.index_builds == 1
+            assert join.stats.tuples_materialized == 0
 
     def test_timing_is_inclusive_and_monotonic(self):
         wb = three_table_workbench()
@@ -89,10 +99,31 @@ class TestShape:
         wb = three_table_workbench()
         result = wb.explain_analyze(THREE_TABLE_SQL)
         scans = result.find("Scan(")
-        assert {s.label for s in scans} == {
-            "Scan(emp)", "Scan(dept)", "Scan(loc)",
+        assert {s.label for s in scans} == {"Scan(emp)"}
+        assert {j.label for j in result.find("ThetaJoin:index[")} == {
+            "ThetaJoin:index[emp.dept = dept.dept]",
+            "ThetaJoin:index[dept.loc = loc.loc]",
         }
         assert result.find("Nope") == []
+
+    def test_equality_selection_is_an_index_lookup(self):
+        wb = three_table_workbench()
+        text = "SELECT e.eid FROM emp e WHERE e.dept = 10 AND e.eid > 1"
+        result = wb.explain_analyze(text)
+        assert result.result == wb.sql(text, executor=False)
+        (lookup,) = result.find("IndexLookup(")
+        assert lookup.label == "IndexLookup(emp)[eid > 1 AND dept = 10]"
+        assert lookup.children == []
+        # One probe; the first use builds the index (a pass over emp)
+        # and the bucket's two tuples are scanned.
+        assert lookup.stats.index_probes == 1
+        assert lookup.stats.index_builds == 1
+        assert lookup.stats.facts_scanned == 3 + 2
+        assert lookup.rows == 1
+        again = wb.explain_analyze(text)
+        (lookup,) = again.find("IndexLookup(")
+        assert lookup.stats.index_builds == 0
+        assert lookup.stats.facts_scanned == 2
 
 
 class TestCachesAndStats:
@@ -115,13 +146,22 @@ class TestCachesAndStats:
         assert result.plan_cache_hit is False
 
     def test_explained_stats_equal_plain_stats(self):
+        # Separate databases: a run warms the base relations' cached
+        # indexes, and a cold run charges their builds.
         wb = three_table_workbench()
         plain_stats = EngineStatistics()
         wb.sql(THREE_TABLE_SQL, stats=plain_stats)
-        fresh = MetatheoryWorkbench(wb.db)
+        fresh = three_table_workbench()
         explained_stats = EngineStatistics()
         fresh.explain_analyze(THREE_TABLE_SQL, stats=explained_stats)
         assert explained_stats == plain_stats
+        assert plain_stats.index_builds == 2
+        # Warm runs agree too, and charge no builds.
+        warm_plain, warm_explained = EngineStatistics(), EngineStatistics()
+        wb.sql(THREE_TABLE_SQL, stats=warm_plain)
+        fresh.explain_analyze(THREE_TABLE_SQL, stats=warm_explained)
+        assert warm_explained == warm_plain
+        assert warm_plain.index_builds == 0
 
     def test_tracer_mirror_matches_report(self):
         tracer = Tracer()

@@ -2,10 +2,11 @@
 
 INSERT/DELETE/UPDATE are planned, optimized, cached, and executed like
 queries — every executor route produces the same delta — and the
-mutation side keeps the rest of the stack honest: lazy key indexes are
-not eagerly rebuilt, catalog statistics are maintained incrementally
-(no rescans), cache invalidation is surgical, and the flight recorder
-and EXPLAIN ANALYZE see DML as first-class citizens.
+mutation side keeps the rest of the stack honest: cached key indexes
+are carried forward to the new binding (and dropped from the old one),
+only inserted rows are validated, catalog statistics are maintained
+incrementally (no rescans), cache invalidation is surgical, and the
+flight recorder and EXPLAIN ANALYZE see DML as first-class citizens.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.relational.dml import (
     InsertStatement,
     UpdateStatement,
 )
+from repro.relational.relation import Relation
 from repro.relational.sql_frontend import parse_sql
 
 
@@ -146,6 +148,36 @@ class TestSemantics:
         with pytest.raises(SchemaError):
             wb.sql("INSERT INTO ghost VALUES (1)")
 
+    @pytest.mark.parametrize("text", [
+        "INSERT INTO item VALUES ('x', 'two')",
+        "UPDATE item SET qty = 'many' WHERE sku = 'a'",
+    ])
+    def test_invalid_row_raises_on_both_paths_and_commits_nothing(
+        self, text
+    ):
+        # Only inserted rows are validated (the surviving tuples were
+        # validated when they entered), on the autocommit and the
+        # transactional path alike; a rejected row leaves no version.
+        from repro.relational.schema import RelationSchema
+        from repro.relational.types import INTEGER, STRING
+
+        schema = RelationSchema("item", ("sku", "qty"), (STRING, INTEGER))
+        db = Database([Relation(schema, [("a", 1), ("b", 2)])])
+        wb = MetatheoryWorkbench(db, metrics=MetricsRegistry())
+        wb.db["item"]._key_index((0,))
+        store = wb.db.store()
+        vid, versions = store.vid, dict(store.relation_versions)
+        before = wb.db["item"]
+        with pytest.raises(SchemaError):
+            wb.sql(text)
+        with pytest.raises(SchemaError):
+            with wb.begin() as txn:
+                txn.sql(text)
+        assert txn.status == "aborted"
+        assert (store.vid, store.relation_versions) == (vid, versions)
+        assert wb.db["item"] is before
+        assert before.cached_index_patterns() == [(0,)]
+
 
 class TestExecutorRoutes:
     ROUTES = [
@@ -177,37 +209,120 @@ class TestExecutorRoutes:
         assert compiled.kernel_cache.stats()["codegens"] >= 1
 
 
-class TestLazyIndexes:
-    """The satellite regression: mutations must not eagerly rebuild
-    cached key indexes — the new binding starts cold and rebuilds
-    lazily on first use."""
+def _bucket_sets(index):
+    return {key: set(bucket) for key, bucket in index.items()}
 
-    def test_insert_does_not_eagerly_rebuild_key_indexes(self):
+
+class TestLazyIndexes:
+    """The index lifetime contract.  Key indexes are built lazily, on
+    first use by a read; a write carries every cached index forward to
+    the new binding by patching only the changed keys
+    (``Relation.with_delta``); and the superseded binding drops its
+    indexes, so undo images and retained versions hold tuples only."""
+
+    def test_insert_carries_key_indexes_forward(self):
         wb = make_wb()
         old = wb.db["emp"]
-        old._key_index((1,))  # warm an index on the current binding
-        assert old.cached_index_patterns() == [(1,)]
+        old_index = old._key_index((1,))  # warm an index
+        before = _bucket_sets(old_index)
         wb.db.insert("emp", [("dee", "it", 60)])
         fresh = wb.db["emp"]
         assert fresh is not old
-        assert fresh.cached_index_patterns() == []  # lazy, not rebuilt
+        assert fresh.cached_index_patterns() == [(1,)]  # patched, not cold
+        assert _bucket_sets(fresh._key_index((1,))) == _bucket_sets(
+            Relation(fresh.schema, fresh.tuples)._key_index((1,))
+        )
+        # The superseded binding forgot its indexes; the index object it
+        # had was never mutated (a reader holding it stays consistent).
+        assert old.cached_index_patterns() == []
+        assert _bucket_sets(old_index) == before
 
-    def test_dml_statement_leaves_the_new_binding_cold(self):
+    def test_dml_statement_carries_indexes_forward(self):
         wb = make_wb()
-        wb.db["emp"]._key_index((0,))
+        old = wb.db["emp"]
+        old._key_index((0,))
         wb.sql("UPDATE emp SET salary = 99 WHERE name = 'ann'")
-        assert wb.db["emp"].cached_index_patterns() == []
+        # The WHERE clause ran as an IndexLookup on (0,): the index was
+        # already warm, and it survives the write on the new binding.
+        assert wb.db["emp"].cached_index_patterns() == [(0,)]
+        assert wb.db["emp"]._key_index((0,))[("ann",)] == [
+            ("ann", "cs", 99)
+        ]
+        assert old.cached_index_patterns() == []
 
     def test_index_rebuilds_lazily_and_correctly_after_delta(self):
         wb = make_wb()
         wb.db["emp"]._key_index((1,))
         wb.sql("INSERT INTO emp VALUES ('dee', 'it', 60)")
         fresh = wb.db["emp"]
+        # A write never builds an index that no read asked for ...
+        assert fresh.cached_index_patterns() == [(1,)]
         index = fresh._key_index((1,))
         assert {row for row in index[("it",)]} == {
             ("cal", "it", 70), ("dee", "it", 60),
         }
-        assert fresh.cached_index_patterns() == [(1,)]
+        # ... and a pattern first used after the delta builds lazily.
+        salaries = fresh._key_index((2,))
+        assert salaries[(60,)] == [("dee", "it", 60)]
+        assert fresh.cached_index_patterns() == [(1,), (2,)]
+
+    def test_transaction_stages_carry_indexes_and_commit_drops_old(self):
+        wb = make_wb()
+        committed = wb.db["emp"]
+        committed._key_index((0,))
+        with wb.begin() as txn:
+            txn.sql("UPDATE emp SET salary = 1 WHERE name = 'ann'")
+            first = txn.binding("emp")
+            assert first.cached_index_patterns() == [(0,)]
+            txn.sql("INSERT INTO emp VALUES ('dee', 'it', 60)")
+            # The staged predecessor (the journal's undo image) is
+            # index-free; the staged successor carries the index.
+            assert first.cached_index_patterns() == []
+            assert txn.binding("emp").cached_index_patterns() == [(0,)]
+        assert wb.db["emp"].cached_index_patterns() == [(0,)]
+        assert committed.cached_index_patterns() == []
+        assert ("dee", "it", 60) in wb.db["emp"]._key_index((0,))[("dee",)]
+
+    def test_lifetime_bound_after_many_statements(self):
+        # Only the live binding may hold indexes: after 500 DML
+        # statements (autocommit and transactional, reads in between
+        # warming lookups and joins) no journal undo image and no
+        # retained version pins a superseded binding's indexes.
+        from repro.storage.journal import ABSENT
+
+        wb = make_wb()
+        for i in range(500):
+            if i % 5 == 4:
+                with wb.begin() as txn:
+                    txn.sql("UPDATE emp SET salary = %d WHERE name = 'ann'"
+                            % i)
+                    txn.sql("INSERT INTO emp VALUES ('t%d', 'it', %d)"
+                            % (i, i))
+            elif i % 5 == 3:
+                wb.sql("DELETE FROM emp WHERE name = 'p%d'" % (i - 3))
+            else:
+                wb.sql("INSERT INTO emp VALUES ('p%d', 'cs', %d)" % (i, i))
+            wb.sql(
+                "SELECT e.name, d.city FROM emp e, dept d "
+                "WHERE e.dept = d.dept AND e.name = 'p%d'" % i
+            )
+        live = wb.db["emp"]
+        assert live.cached_index_patterns()
+        store = wb.db.store()
+        undo_images = [
+            entry.undo for entry in store.journal.entries()
+            if entry.undo is not ABSENT
+        ]
+        assert undo_images
+        assert all(rel._indexes is None for rel in undo_images)
+        retained = [
+            relation
+            for version in store.versions()
+            for relation in version.bindings.values()
+            if relation is not wb.db[relation.schema.name]
+        ]
+        assert retained
+        assert all(rel._indexes is None for rel in retained)
 
 
 class TestCatalogMaintenance:
