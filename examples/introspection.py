@@ -101,7 +101,7 @@ def main():
 
     print("\n=== The flight recorder's slowest query ===")
     # Reports exist on the instrumented streaming path (relational
-    # queries); fixpoint/parallel routes record wall time only.
+    # queries); fixpoint/compiled routes record wall time only.
     slow = max(wb.history.slow_queries(), key=lambda r: r.wall_ms)
     print("  %r" % slow)
 

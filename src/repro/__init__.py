@@ -29,7 +29,6 @@ from . import (
     incomplete,
     metascience,
     opt,
-    parallel,
     plan,
     relational,
     storage,
@@ -37,13 +36,11 @@ from . import (
 )
 from .core.workbench import MetatheoryWorkbench
 from .errors import ReproError
-from .parallel import ParallelBackend
 
 __version__ = "1.0.0"
 
 __all__ = [
     "MetatheoryWorkbench",
-    "ParallelBackend",
     "ReproError",
     "acyclic",
     "complexity",
@@ -53,7 +50,6 @@ __all__ = [
     "incomplete",
     "metascience",
     "opt",
-    "parallel",
     "plan",
     "relational",
     "storage",

@@ -57,40 +57,36 @@ def run_conformance(
     divergences = []
     offset = 0
     total = 0
-    try:
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                break
+    while True:
+        if deadline is not None and time.monotonic() >= deadline:
+            break
+        if max_cases is not None and total >= max_cases:
+            break
+        for oracle in oracles:
             if max_cases is not None and total >= max_cases:
                 break
-            for oracle in oracles:
-                if max_cases is not None and total >= max_cases:
-                    break
-                case = oracle.generate(seed + offset)
-                tracker.observe(oracle.family, case.constructs)
-                # A crash in a check is itself a divergence (one
-                # evaluation path blew up on a legal workload) — record
-                # it and keep fuzzing rather than killing the run.
-                try:
-                    messages = oracle.check(case)
-                    crashed = False
-                except Exception as error:
-                    messages = ["oracle check raised: %r" % (error,)]
-                    crashed = True
-                per_family[oracle.family]["cases"] += 1
-                total += 1
-                if messages:
-                    per_family[oracle.family]["divergences"] += 1
-                    divergences.append(
-                        _record_divergence(
-                            oracle, case, messages, corpus_dir, shrink,
-                            crashed=crashed,
-                        )
+            case = oracle.generate(seed + offset)
+            tracker.observe(oracle.family, case.constructs)
+            # A crash in a check is itself a divergence (one
+            # evaluation path blew up on a legal workload) — record
+            # it and keep fuzzing rather than killing the run.
+            try:
+                messages = oracle.check(case)
+                crashed = False
+            except Exception as error:
+                messages = ["oracle check raised: %r" % (error,)]
+                crashed = True
+            per_family[oracle.family]["cases"] += 1
+            total += 1
+            if messages:
+                per_family[oracle.family]["divergences"] += 1
+                divergences.append(
+                    _record_divergence(
+                        oracle, case, messages, corpus_dir, shrink,
+                        crashed=crashed,
                     )
-            offset += 1
-    finally:
-        for oracle in oracles:
-            oracle.close()
+                )
+        offset += 1
 
     report = {
         "seed": seed,

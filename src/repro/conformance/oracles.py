@@ -6,12 +6,11 @@ this case).  Two oracle kinds:
 
 * **Differential** — run one workload through every applicable
   evaluation path and demand agreement: legacy tree walk vs. streaming
-  executor vs. fused compiled kernels vs. optimized plan vs. cost-gated
-  parallel backend; direct
+  executor vs. fused compiled kernels vs. optimized plan; direct
   calculus semantics vs. Codd-translated algebra; all four Datalog
   strategies under both physical configurations (plus the lowered
-  pipeline and the sharded semi-naive backend); 2PL / timestamp / OCC
-  scheduler outputs against the serializability predicates.
+  pipeline); 2PL / timestamp / OCC scheduler outputs against the
+  serializability predicates.
 * **Metamorphic** — apply a semantics-preserving rewrite and demand the
   result is unchanged: commuting and fusing selections, distributing
   selections over unions, set-operation and join commutativity,
@@ -77,7 +76,7 @@ class Divergence(Exception):
 
 
 class Oracle:
-    """Base oracle: a named family with generate/check/close."""
+    """Base oracle: a named family with generate/check."""
 
     family = None
 
@@ -87,9 +86,6 @@ class Oracle:
     def check(self, case):
         """Divergence messages for one case (empty list = conformant)."""
         raise NotImplementedError
-
-    def close(self):
-        """Release any long-lived resources (worker pools)."""
 
 
 def _relation_diff(label, left, right):
@@ -101,40 +97,14 @@ def _relation_diff(label, left, right):
     )
 
 
-class _ParallelMixin:
-    """Lazily-built shared parallel backend (2 workers, gate forced open)."""
-
-    _backend = None
-
-    def backend(self):
-        if self._backend is None:
-            from ..parallel import ParallelBackend
-
-            self._backend = ParallelBackend(
-                workers=2, cost_gate=0, round_gate=0, timeout=60.0
-            )
-        return self._backend
-
-    def close(self):
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
-
-
-class RelationalDifferentialOracle(_ParallelMixin, Oracle):
-    """Tree walk ≡ streaming executor ≡ compiled ≡ optimized (≡ parallel).
+class RelationalDifferentialOracle(Oracle):
+    """Tree walk ≡ streaming executor ≡ compiled ≡ optimized.
 
     The compiled leg resolves each canonical plan against a shared
     :class:`~repro.compile.KernelCache` and, when the generator accepts
     the shape, demands the fused kernel's result be *identical* to the
     streaming executor's; refused plans run interpreted-only and count
     in the cache's fallback counters (never silently skipped).
-
-    The parallel comparison runs on every fourth case (per seed) so a
-    budgeted fuzz run still spends most of its time on the cheap
-    comparisons; the gate-forced backend partitions every plan it
-    structurally can, falling back to serial execution otherwise —
-    both paths must agree with the serial executor.
     """
 
     family = "relational-differential"
@@ -183,15 +153,6 @@ class RelationalDifferentialOracle(_ParallelMixin, Oracle):
             messages.append(
                 _relation_diff("optimized plan vs tree walk", optimized, legacy)
             )
-
-        if case.seed % 4 == 0:
-            relation, _info = self.backend().execute_plan(canonical, db)
-            if relation != streamed:
-                messages.append(
-                    _relation_diff(
-                        "parallel backend vs executor", relation, streamed
-                    )
-                )
         return messages
 
 
@@ -233,13 +194,12 @@ class CalculusDifferentialOracle(Oracle):
 DATALOG_CONFIGS = ((True, True), (False, False))
 
 
-class DatalogDifferentialOracle(_ParallelMixin, Oracle):
-    """Naive ≡ semi-naive ≡ magic ≡ top-down ≡ lowered (≡ sharded).
+class DatalogDifferentialOracle(Oracle):
+    """Naive ≡ semi-naive ≡ magic ≡ top-down ≡ lowered.
 
     Magic sets and top-down tabling are positive-program strategies, so
     they join the comparison only when the program has no negation; the
-    lowered relational pipeline joins when the program is non-recursive;
-    the sharded semi-naive backend joins on every fourth positive case.
+    lowered relational pipeline joins when the program is non-recursive.
     """
 
     family = "datalog-differential"
@@ -275,15 +235,6 @@ class DatalogDifferentialOracle(_ParallelMixin, Oracle):
                 )
 
         positive = not program.has_negation()
-        if positive and case.seed % 4 == 0:
-            sharded = seminaive_evaluate(
-                program, edb, backend=self.backend()
-            )
-            if sharded != reference:
-                messages.append(
-                    "sharded semi-naive disagrees with naive reference model"
-                )
-
         for query in queries:
             expected = match_query(reference, query)
             if positive and query.predicate in program.idb_predicates():

@@ -49,6 +49,23 @@ from ..relational.optimizer import optimize
 from ..relational.sql_frontend import parse_sql
 from ..storage.txn import TransactionManager
 
+#: The accepted ``executor=`` values: the streaming executor (True), the
+#: legacy tree walk (False), and fused compiled kernels ("compiled").
+EXECUTORS = (True, False, "compiled")
+
+
+def _check_executor(executor):
+    """Reject an ``executor=`` value outside :data:`EXECUTORS`.
+
+    Any other truthy value would otherwise silently select the streaming
+    executor, so a typo like ``"complied"`` must fail loudly.
+    """
+    if executor not in EXECUTORS:
+        raise ValueError(
+            "unknown executor %r (use True, False or 'compiled')"
+            % (executor,)
+        )
+
 
 class MetatheoryWorkbench:
     """A database plus every classical way of querying and analyzing it.
@@ -65,9 +82,9 @@ class MetatheoryWorkbench:
       full per-operator OpReport tree);
     * the ``sys_`` system relations (``sys_metrics``, ``sys_spans``,
       ``sys_query_log``, ``sys_plan_cache``, ``sys_kernels``,
-      ``sys_catalog_stats``, ``sys_workers``, ``sys_transactions``,
-      ``sys_versions``) — registered on the database at construction
-      and queryable through every front-end.
+      ``sys_catalog_stats``, ``sys_transactions``, ``sys_versions``) —
+      registered on the database at construction and queryable through
+      every front-end.
 
     Mutation goes through the same machinery: SQL DML statements
     (:meth:`sql`) plan their relational side on the shared pipeline and
@@ -92,7 +109,6 @@ class MetatheoryWorkbench:
         self._parse_cache = {}
         self._cache_version = None
         self._cache_state = None
-        self._parallel_backends = {}
         self.txns = TransactionManager(
             self.db, workbench=self, tracer=self.tracer,
             metrics=self.metrics,
@@ -103,41 +119,6 @@ class MetatheoryWorkbench:
     def from_dict(cls, data):
         """Build from ``{name: (attributes, rows)}`` (see Database)."""
         return cls(Database.from_dict(data))
-
-    # -- parallel execution --------------------------------------------------
-
-    def parallel_backend(self, workers=None):
-        """The session's :class:`~repro.parallel.ParallelBackend`.
-
-        One backend (and hence one worker pool) is cached per worker
-        count, so repeated parallel queries reuse the same processes.
-        ``workers=None`` means the visible CPU count.
-        """
-        from ..parallel import ParallelBackend
-
-        if workers is None:
-            import os
-
-            workers = max(1, os.cpu_count() or 1)
-        workers = max(1, int(workers))
-        backend = self._parallel_backends.get(workers)
-        if backend is None:
-            backend = ParallelBackend(workers=workers)
-            self._parallel_backends[workers] = backend
-        return backend
-
-    def _resolve_parallel(self, executor, workers):
-        """Map the ``executor``/``workers`` arguments to a backend or None."""
-        if executor == "compiled":
-            return None
-        if executor == "parallel" or (executor and workers is not None):
-            return self.parallel_backend(workers)
-        return None
-
-    def close(self):
-        """Shut down any worker pools this workbench spawned."""
-        for backend in self._parallel_backends.values():
-            backend.close()
 
     # -- querying ------------------------------------------------------------
     #
@@ -218,8 +199,8 @@ class MetatheoryWorkbench:
                 capture["rules"] = cached[1].fired
         return cached[0], cached[1], hit, key
 
-    def _run_pipeline(self, expr, optimized, stats, parallel=None,
-                      capture=None, compiled=False, db=None, txn=None):
+    def _run_pipeline(self, expr, optimized, stats, capture=None,
+                      compiled=False, db=None, txn=None):
         self._sync_caches()
         base = self.db if db is None else db
         canonical = canonicalize(expr, base.schema())
@@ -246,14 +227,6 @@ class MetatheoryWorkbench:
             # Unsupported plan shape: interpret instead, loudly.
             self.metrics.counter("compile_fallbacks_total").inc()
             route = "compiled-fallback"
-        if parallel is not None:
-            self.plan_cache.note_route(key, "parallel")
-            if capture is not None:
-                capture["route"] = "parallel"
-            relation, _info = parallel.execute_plan(
-                plan, base, stats=stats, tracer=self.tracer
-            )
-            return relation
         route = route or "streaming"
         self.plan_cache.note_route(key, route)
         if capture is not None:
@@ -282,7 +255,7 @@ class MetatheoryWorkbench:
         return expr
 
     def sql(self, text, optimized=True, executor=True, stats=None,
-            workers=None, txn=None):
+            txn=None):
         """Run a SQL statement; returns a Relation (or a DMLResult).
 
         ``INSERT``/``DELETE``/``UPDATE`` statements run their relational
@@ -300,37 +273,35 @@ class MetatheoryWorkbench:
                 streaming executor (default); ``"compiled"`` generates a
                 fused Python kernel for the plan (interpreting, and
                 counting ``compile_fallbacks_total``, when the plan has
-                an unsupported shape); ``"parallel"`` additionally
-                hash-partitions large plans across a worker pool; False
-                reproduces the legacy tree-walk path bit for bit.
+                an unsupported shape); False reproduces the legacy
+                tree-walk path bit for bit.  Any other value raises
+                ValueError.
             stats: optional
                 :class:`~repro.datalog.stats.EngineStatistics` charged
                 with the executor's work.
-            workers: worker count for parallel execution (implies
-                ``executor="parallel"``; None = CPU count).
             txn: a live :class:`~repro.storage.txn.Transaction` (from
                 :meth:`begin`); the statement sees the transaction's
                 view and its writes stage in the transaction's overlay.
                 ``txn.sql(...)`` is the usual spelling.
         """
+        _check_executor(executor)
         if self.history.enabled and not self._recording:
             return self._recorded(
-                "sql", text, optimized, executor, stats, workers, txn=txn
+                "sql", text, optimized, executor, stats, txn=txn
             )
-        return self._sql(text, optimized, executor, stats, workers, txn=txn)
+        return self._sql(text, optimized, executor, stats, txn=txn)
 
-    def _sql(self, text, optimized, executor, stats, workers, capture=None,
+    def _sql(self, text, optimized, executor, stats, capture=None,
              txn=None):
         if executor or txn is not None:
             expr = self._cached_parse("sql", text, parse_sql, capture)
             if isinstance(expr, DMLStatement):
                 return self._dml(
-                    expr, optimized, executor, stats, workers,
-                    capture=capture, txn=txn,
+                    expr, optimized, executor, stats, capture=capture,
+                    txn=txn,
                 )
             return self._run_pipeline(
                 expr, optimized, stats,
-                parallel=self._resolve_parallel(executor, workers),
                 capture=capture, compiled=executor == "compiled",
                 db=txn.view() if txn is not None else None, txn=txn,
             )
@@ -338,15 +309,12 @@ class MetatheoryWorkbench:
             capture["route"] = "treewalk"
         expr = parse_sql(text)
         if isinstance(expr, DMLStatement):
-            return self._dml(
-                expr, optimized, executor, stats, workers, capture=capture
-            )
+            return self._dml(expr, optimized, executor, stats, capture=capture)
         if optimized:
             expr = optimize(expr, self.db)
         return evaluate(expr, self.db)
 
-    def _dml(self, stmt, optimized, executor, stats, workers, capture=None,
-             txn=None):
+    def _dml(self, stmt, optimized, executor, stats, capture=None, txn=None):
         """Run a DML statement: pipeline the relational side, apply the
         delta.
 
@@ -365,7 +333,6 @@ class MetatheoryWorkbench:
         with self.tracer.span("dml", kind=stmt.kind, target=target) as span:
             executed = self._run_pipeline(
                 stmt.source_expr(), optimized, stats,
-                parallel=self._resolve_parallel(executor, workers),
                 capture=capture, compiled=executor == "compiled",
                 db=db, txn=txn,
             )
@@ -437,21 +404,17 @@ class MetatheoryWorkbench:
         """
         return self.db.snapshot()
 
-    def algebra(self, expr, optimized=False, executor=True, stats=None,
-                workers=None):
+    def algebra(self, expr, optimized=False, executor=True, stats=None):
         """Evaluate a relational-algebra expression."""
+        _check_executor(executor)
         if self.history.enabled and not self._recording:
-            return self._recorded(
-                "algebra", expr, optimized, executor, stats, workers
-            )
-        return self._algebra(expr, optimized, executor, stats, workers)
+            return self._recorded("algebra", expr, optimized, executor, stats)
+        return self._algebra(expr, optimized, executor, stats)
 
-    def _algebra(self, expr, optimized, executor, stats, workers,
-                 capture=None):
+    def _algebra(self, expr, optimized, executor, stats, capture=None):
         if executor:
             return self._run_pipeline(
                 expr, optimized, stats,
-                parallel=self._resolve_parallel(executor, workers),
                 capture=capture, compiled=executor == "compiled",
             )
         if capture is not None:
@@ -461,7 +424,7 @@ class MetatheoryWorkbench:
         return evaluate(expr, self.db)
 
     def calculus(self, query, via="algebra", optimized=False, executor=True,
-                 stats=None, workers=None):
+                 stats=None):
         """Evaluate a safe calculus query.
 
         Args:
@@ -471,18 +434,17 @@ class MetatheoryWorkbench:
                 production path); "direct" uses active-domain enumeration
                 (the semantics oracle).
             optimized: run the algebraic optimizer (algebra path only).
-            executor: run the compiled algebra on the streaming executor
-                (default); False uses the legacy tree walk.
+            executor: as in :meth:`sql`.
             stats: optional EngineStatistics charged with executor work.
         """
+        _check_executor(executor)
         if self.history.enabled and not self._recording:
             return self._recorded(
-                "calculus", query, optimized, executor, stats, workers,
-                via=via,
+                "calculus", query, optimized, executor, stats, via=via,
             )
-        return self._calculus(query, via, optimized, executor, stats, workers)
+        return self._calculus(query, via, optimized, executor, stats)
 
-    def _calculus(self, query, via, optimized, executor, stats, workers,
+    def _calculus(self, query, via, optimized, executor, stats,
                   capture=None):
         if isinstance(query, str):
             from ..relational.calculus_parser import parse_calculus
@@ -496,7 +458,6 @@ class MetatheoryWorkbench:
         if executor:
             return self._run_pipeline(
                 expr, optimized, stats,
-                parallel=self._resolve_parallel(executor, workers),
                 capture=capture, compiled=executor == "compiled",
             )
         if capture is not None:
@@ -506,13 +467,8 @@ class MetatheoryWorkbench:
         return evaluate(expr, self.db)
 
     def run(self, query, kind=None, optimized=True, executor=True,
-            stats=None, workers=None):
+            stats=None):
         """Run a query in any front-end language; auto-detects the kind.
-
-        The one-call surface for parallel execution::
-
-            wb.run("SELECT ...", executor="parallel", workers=4)
-            wb.run("path(X,Z) :- ...", executor="parallel", workers=4)
 
         Relational kinds (SQL / algebra / calculus) return a
         :class:`~repro.relational.relation.Relation`; Datalog source is
@@ -525,40 +481,34 @@ class MetatheoryWorkbench:
             kind: force the front-end ("sql", "algebra", "calculus",
                 "datalog") instead of auto-detecting.
             optimized: run the algebraic optimizer (relational kinds).
-            executor: as in :meth:`sql` — ``"parallel"`` enables the
-                partitioned backend; queries below its cost gate still
-                run serially without spawning workers.
+            executor: as in :meth:`sql`.
             stats: optional EngineStatistics.
-            workers: worker count for parallel execution (implies
-                ``executor="parallel"``; None = CPU count).
         """
+        _check_executor(executor)
         if kind is None:
             kind = self._detect_kind(query)
         if kind == "sql":
             return self.sql(
-                query, optimized=optimized, executor=executor, stats=stats,
-                workers=workers,
+                query, optimized=optimized, executor=executor, stats=stats
             )
         if kind == "algebra":
             return self.algebra(
-                query, optimized=optimized, executor=executor, stats=stats,
-                workers=workers,
+                query, optimized=optimized, executor=executor, stats=stats
             )
         if kind == "calculus":
             return self.calculus(
-                query, optimized=optimized, executor=executor, stats=stats,
-                workers=workers,
+                query, optimized=optimized, executor=executor, stats=stats
             )
         if kind == "datalog":
             if self.history.enabled and not self._recording:
                 return self._recorded(
-                    "datalog", query, optimized, executor, stats, workers
+                    "datalog", query, optimized, executor, stats
                 )
-            return self._datalog_eval(query, executor, workers, stats)
+            return self._datalog_eval(query, executor, stats)
         raise ValueError("unknown query kind %r" % (kind,))
 
-    def _datalog_eval(self, source, executor, workers, stats, capture=None):
-        engine = self.datalog(source, executor=executor, workers=workers)
+    def _datalog_eval(self, source, executor, stats, capture=None):
+        engine = self.datalog(source, executor=executor)
         lowerable = bool(executor) and is_lowerable(engine.program)
         if capture is not None:
             if lowerable:
@@ -579,7 +529,7 @@ class MetatheoryWorkbench:
 
     # -- observability ------------------------------------------------------------
 
-    def _recorded(self, kind, query, optimized, executor, stats, workers,
+    def _recorded(self, kind, query, optimized, executor, stats,
                   via="algebra", txn=None):
         """Run one query under the flight recorder.
 
@@ -593,12 +543,11 @@ class MetatheoryWorkbench:
         if (
             self.history.slow_ms is not None
             and executor is True
-            and workers is None
             and kind != "datalog"
             and not (kind == "calculus" and via == "direct")
         ):
             # Arm the instrumented executor so a slow query's OpReport
-            # exists without a re-run.  Parallel/tree-walk/fixpoint
+            # exists without a re-run.  Tree-walk/compiled/fixpoint
             # routes have no per-operator reports; they record wall
             # time and counters only.
             capture["instrument"] = True
@@ -609,8 +558,8 @@ class MetatheoryWorkbench:
         result = None
         try:
             result = self._dispatch(
-                kind, query, optimized, executor, own_stats, workers, via,
-                capture, txn,
+                kind, query, optimized, executor, own_stats, via, capture,
+                txn,
             )
             return result
         except Exception as exc:
@@ -624,23 +573,20 @@ class MetatheoryWorkbench:
                 capture=capture, error=error,
             )
 
-    def _dispatch(self, kind, query, optimized, executor, stats, workers,
-                  via, capture, txn=None):
+    def _dispatch(self, kind, query, optimized, executor, stats, via,
+                  capture, txn=None):
         if kind == "sql":
             return self._sql(
-                query, optimized, executor, stats, workers, capture, txn=txn
+                query, optimized, executor, stats, capture, txn=txn
             )
         if kind == "algebra":
-            return self._algebra(
-                query, optimized, executor, stats, workers, capture
-            )
+            return self._algebra(query, optimized, executor, stats, capture)
         if kind == "calculus":
             return self._calculus(
-                query, via, optimized, executor, stats, workers, capture
+                query, via, optimized, executor, stats, capture
             )
         if kind == "datalog":
-            return self._datalog_eval(query, executor, workers, stats,
-                                      capture)
+            return self._datalog_eval(query, executor, stats, capture)
         raise ValueError("unknown query kind %r" % (kind,))
 
     def _detect_kind(self, query):
@@ -829,20 +775,20 @@ class MetatheoryWorkbench:
 
     # -- Datalog ------------------------------------------------------------------
 
-    def datalog(self, source, executor=True, workers=None):
+    def datalog(self, source, executor=True):
         """A Datalog engine whose EDB is this workbench's database.
 
         Any ``?-`` queries in the source are ignored here; use the
         returned engine's ``.query``.  Non-recursive programs run as
         algebra plans on the shared streaming executor by default;
-        ``executor=False`` forces the fixpoint machinery everywhere.
-        ``executor="parallel"`` (or an explicit ``workers=N``) attaches
-        the workbench's worker pool, sharding large semi-naive rounds.
+        ``executor=False`` forces the fixpoint machinery everywhere;
+        ``executor="compiled"`` runs the lowered plans as fused kernels.
 
         The EDB is the database's *user* relations; any ``sys_`` system
         relation named in a rule body is snapshotted in as well (and a
         ``sys_`` rule head raises — the namespace is read-only).
         """
+        _check_executor(executor)
         program, _queries = parse_program(source)
         store = materialize_system_facts(
             self.db, program, FactStore.from_database(self.db)
@@ -850,7 +796,6 @@ class MetatheoryWorkbench:
         return DatalogEngine(
             program, store,
             executor=bool(executor), tracer=self.tracer,
-            parallel=self._resolve_parallel(executor, workers),
             kernel_cache=(
                 self.kernel_cache if executor == "compiled" else None
             ),

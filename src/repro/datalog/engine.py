@@ -48,23 +48,16 @@ class DatalogEngine:
     each lowered predicate plan then runs as a fused compiled kernel
     when the generator supports it, interpreted otherwise (the cache
     counts the fallbacks).
-
-    ``parallel`` attaches a :class:`~repro.parallel.ParallelBackend`:
-    recursive programs evaluated semi-naively then shard each large
-    round's delta across the backend's worker pool (small strata and
-    rounds stay serial under the backend's cost gates).
     """
 
     def __init__(self, program, edb=None, indexed=True, planned=True,
-                 executor=True, tracer=None, parallel=None,
-                 kernel_cache=None):
+                 executor=True, tracer=None, kernel_cache=None):
         if not isinstance(program, Program):
             raise DatalogError("expected a Program, got %r" % (program,))
         self.program = program
         self.indexed = indexed
         self.planned = planned
         self.executor = executor
-        self.parallel = parallel
         self.kernel_cache = kernel_cache
         self.tracer = ensure_tracer(tracer)
         if edb is None:
@@ -81,12 +74,12 @@ class DatalogEngine:
 
     @classmethod
     def from_source(cls, source, edb=None, indexed=True, planned=True,
-                    executor=True, tracer=None, parallel=None):
+                    executor=True, tracer=None):
         """Parse program text (ignoring any ``?-`` lines) and wrap it."""
         program, _ = parse_program(source)
         return cls(
             program, edb, indexed=indexed, planned=planned,
-            executor=executor, tracer=tracer, parallel=parallel,
+            executor=executor, tracer=tracer,
         )
 
     # -- full evaluation ------------------------------------------------------
@@ -122,9 +115,6 @@ class DatalogEngine:
                 "unknown strategy %r (use one of %s)"
                 % (strategy, ", ".join(STRATEGIES))
             )
-        extra = {}
-        if self.parallel is not None and strategy == "seminaive":
-            extra["backend"] = self.parallel
         observed = stats is not None or self.tracer.enabled
         if self.executor and is_lowerable(self.program):
             # Non-recursive: one pass through the relational pipeline is
@@ -149,7 +139,6 @@ class DatalogEngine:
                 indexed=self.indexed,
                 planned=self.planned,
                 tracer=self.tracer,
-                **extra,
             )
         if strategy not in self._model_cache:
             self._model_cache[strategy] = evaluator(
@@ -157,7 +146,6 @@ class DatalogEngine:
                 self.edb,
                 indexed=self.indexed,
                 planned=self.planned,
-                **extra,
             )
         return self._model_cache[strategy]
 

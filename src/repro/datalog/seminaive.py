@@ -24,24 +24,17 @@ quantifies the scan reduction).
 
 from __future__ import annotations
 
-import itertools
-
 from ..obs.trace import NULL_TRACER
 from .analysis import rules_by_stratum
 from .ast import Literal
 from .facts import FactStore
 from .indexing import working_store
 from .matching import evaluate_rule
-from .stats import EngineStatistics
-
-#: Unique worker-state keys so overlapping strata (or overlapping
-#: engines sharing one pool) never collide.
-_SN_KEYS = itertools.count()
 
 
 def seminaive_evaluate(
     program, edb=None, stats=None, indexed=True, planned=True,
-    tracer=NULL_TRACER, backend=None,
+    tracer=NULL_TRACER,
 ):
     """Compute the stratified minimal model by semi-naive iteration.
 
@@ -50,34 +43,25 @@ def seminaive_evaluate(
     this on random programs); asymptotically cheaper on recursive
     programs.
 
-    With ``backend`` (a :class:`~repro.parallel.ParallelBackend`), large
-    strata run their differential rounds *sharded*: each round's delta
-    is hash-partitioned across the pool's workers, rule bodies are
-    matched per shard in parallel, and the derived facts are unioned —
-    correct for any split because differential firing is linear in the
-    delta literal.  Small strata and small rounds stay serial (the
-    backend's ``cost_gate`` / ``round_gate``).
-
     Returns:
         A :class:`FactStore` with EDB plus all derived facts.
     """
     store, _ = seminaive_iterations(
         program, edb, stats=stats, indexed=indexed, planned=planned,
-        tracer=tracer, backend=backend,
+        tracer=tracer,
     )
     return store
 
 
 def seminaive_iterations(
     program, edb=None, stats=None, indexed=True, planned=True,
-    tracer=NULL_TRACER, backend=None,
+    tracer=NULL_TRACER,
 ):
     """Semi-naive evaluation, also counting differential rounds.
 
     With a real ``tracer``, emits one span per stratum and one per
     differential round carrying the round's delta size (and counter
-    deltas, when ``stats`` is given); sharded rounds additionally emit
-    one child span per shard with the worker-measured elapsed time.
+    deltas, when ``stats`` is given).
 
     Returns:
         ``(store, rounds)``.
@@ -114,35 +98,6 @@ def seminaive_iterations(
             store.merge(delta)
             round_span.set(delta=delta.count())
 
-        # Shard this stratum's differential rounds when a backend is
-        # attached and the working store is big enough to pay for the
-        # fan-out.  Workers get a one-time snapshot of every predicate
-        # the rule bodies can read (a *cast*, replayed into respawns),
-        # then each completed round's delta so their stores track the
-        # parent's; the parent store stays authoritative for dedup.
-        key = None
-        if (
-            backend is not None
-            and backend.workers >= 2
-            and delta.count()
-            and store.count() >= backend.cost_gate
-        ):
-            key = "sn-%d" % next(_SN_KEYS)
-            body_predicates = {
-                item.atom.predicate
-                for rule in stratum_rules
-                for item in rule.body
-                if isinstance(item, Literal)
-            }
-            snapshot = FactStore()
-            for predicate in body_predicates:
-                snapshot.add_all(predicate, store.get(predicate))
-            backend.pool.reset_casts()
-            backend.pool.broadcast(
-                "sn_init",
-                (key, snapshot, tuple(stratum_rules), indexed, planned),
-            )
-
         # Differential rounds until the delta dries up.  Deltas stay
         # plain stores: the planner drives each differential firing off
         # the delta literal, so deltas are enumerated, never probed.
@@ -154,114 +109,31 @@ def seminaive_iterations(
             with tracer.span(
                 "iteration", stats=stats, round=stratum_rounds - 1
             ) as round_span:
-                if key is not None and delta.count() >= max(
-                    backend.round_gate, backend.workers
-                ):
-                    new_delta = _sharded_round(
-                        backend, key, stratum_rules, stratum_idb, delta,
-                        store, lookup, planned, stats, tracer,
-                    )
-                    round_span.set(sharded=True)
-                else:
-                    new_delta = FactStore()
-                    for rule in stratum_rules:
-                        for position, item in enumerate(rule.body):
-                            if not (
-                                isinstance(item, Literal) and item.positive
-                            ):
-                                continue
-                            predicate = item.atom.predicate
-                            if predicate not in stratum_idb:
-                                continue
-                            if not delta.count(predicate):
-                                continue
-                            derived = evaluate_rule(
-                                rule,
-                                lookup,
-                                delta_lookup=delta.get,
-                                delta_at=position,
-                                stats=stats,
-                                planned=planned,
-                            )
-                            for values in derived:
-                                if not store.contains(
-                                    rule.head.predicate, values
-                                ):
-                                    new_delta.add(rule.head.predicate, values)
+                new_delta = FactStore()
+                for rule in stratum_rules:
+                    for position, item in enumerate(rule.body):
+                        if not (isinstance(item, Literal) and item.positive):
+                            continue
+                        predicate = item.atom.predicate
+                        if predicate not in stratum_idb:
+                            continue
+                        if not delta.count(predicate):
+                            continue
+                        derived = evaluate_rule(
+                            rule,
+                            lookup,
+                            delta_lookup=delta.get,
+                            delta_at=position,
+                            stats=stats,
+                            planned=planned,
+                        )
+                        for values in derived:
+                            if not store.contains(rule.head.predicate, values):
+                                new_delta.add(rule.head.predicate, values)
                 store.merge(new_delta)
-                if key is not None and new_delta.count():
-                    backend.pool.broadcast("sn_merge", (key, new_delta))
                 round_span.set(delta=new_delta.count())
             delta = new_delta
-        if key is not None:
-            backend.pool.broadcast("sn_drop", key, replay=False)
-            backend.pool.reset_casts()
         stratum_span.set(rounds=stratum_rounds)
         tracer.end(stratum_span)
     return store, rounds
 
-
-def _sharded_round(
-    backend, key, stratum_rules, stratum_idb, delta, store, lookup,
-    planned, stats, tracer,
-):
-    """One differential round with the delta fanned out across the pool.
-
-    Each worker already holds the stratum's working store (casts); it
-    receives only this round's delta *shard* and returns the raw
-    ``(predicate, values)`` pairs its differential firings derive.  The
-    parent dedups against its authoritative store to form the next
-    delta.  Tasks whose worker hung or died re-fire serially right here
-    via the pool's fallback, so a fault costs time, never answers.
-    """
-    from ..parallel.partition import Partitioner
-
-    shards = Partitioner(backend.workers).split_facts(delta)
-    tasks = [("sn_fire", (key, shard)) for shard in shards if shard]
-
-    def fallback(kind, payload):
-        _key, shard_facts = payload
-        shard_delta = FactStore(shard_facts)
-        retry_stats = EngineStatistics()
-        derived = []
-        for rule in stratum_rules:
-            for position, item in enumerate(rule.body):
-                if not (isinstance(item, Literal) and item.positive):
-                    continue
-                predicate = item.atom.predicate
-                if predicate not in stratum_idb:
-                    continue
-                if not shard_delta.count(predicate):
-                    continue
-                for values in evaluate_rule(
-                    rule,
-                    lookup,
-                    delta_lookup=shard_delta.get,
-                    delta_at=position,
-                    stats=retry_stats,
-                    planned=planned,
-                ):
-                    derived.append((rule.head.predicate, values))
-        return derived, {"stats": retry_stats.as_dict()}
-
-    outcomes = backend.pool.run(tasks, fallback)
-    new_delta = FactStore()
-    for index, outcome in enumerate(outcomes):
-        for predicate, values in outcome.rows:
-            if not store.contains(predicate, values):
-                new_delta.add(predicate, values)
-        shard_stats = outcome.extra.get("stats")
-        if stats is not None and shard_stats:
-            stats.merge(EngineStatistics(**shard_stats))
-        if tracer.enabled:
-            span = tracer.begin(
-                "shard", index=index, mode=outcome.mode,
-                derived=len(outcome.rows),
-            )
-            tracer.end(span)
-            # The worker timed itself; the mirror span only saw the
-            # merge, so overwrite with the measured wall clock.
-            span.elapsed = outcome.elapsed
-            if shard_stats:
-                span.counters = shard_stats
-    return new_delta

@@ -14,7 +14,7 @@ Two layers close the loop and make that data *queryable*:
   the workbench (ring buffer, error capture, slow-query OpReports);
 * :mod:`repro.obs.introspect` — the ``sys_`` system relations
   (``sys_metrics``, ``sys_spans``, ``sys_query_log``,
-  ``sys_plan_cache``, ``sys_catalog_stats``, ``sys_workers``),
+  ``sys_plan_cache``, ``sys_catalog_stats``, ``sys_transactions``, ...),
   materialized on demand so every front-end can query the system about
   itself.
 

@@ -68,8 +68,8 @@ class QueryRecord:
             (None where the cache does not apply).
         plan_fingerprint: short hash of the plan-cache key, joinable
             against ``sys_plan_cache``; None off the pipeline path.
-        route: how the query executed ("streaming", "treewalk",
-            "parallel", "direct", "datalog:lowered", "datalog:fixpoint").
+        route: how the query executed ("streaming", "compiled",
+            "treewalk", "direct", "datalog:lowered", "datalog:fixpoint").
         slow: True when ``wall_ms`` crossed the armed threshold.
         instrumented: True when the run used the instrumented executor.
         report: the :class:`~repro.plan.explain.OpReport` tree attached

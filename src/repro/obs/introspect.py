@@ -4,7 +4,7 @@ The paper's thesis is that a field should be studied with its own tools
 — metatheory as "asking the big queries" about databases themselves.
 This module closes the loop inside the reproduction: the observability
 layer's operational exhaust (metrics, spans, the query log, the plan
-cache, catalog statistics, worker pools) is exposed as ordinary
+cache, catalog statistics, transactions) is exposed as ordinary
 relations in a reserved ``sys_`` namespace, materialized **on demand**
 from the live objects, so every front-end — SQL, algebra, calculus, and
 Datalog — can query the system about itself::
@@ -12,7 +12,7 @@ Datalog — can query the system about itself::
     wb.sql("SELECT name, value FROM sys_metrics WHERE value > 100")
     wb.run("hot(H, N) :- sys_query_log(Q, K, S, H, T, W, N, ...).")
 
-The nine system relations:
+The eight system relations:
 
 ==================  =====================================================
 ``sys_metrics``     one row per (series, statistic) from the workbench's
@@ -27,7 +27,6 @@ The nine system relations:
                     cached fallback verdicts)
 ``sys_catalog_stats``  the optimizer catalog's census, one row per
                     (relation, attribute)
-``sys_workers``     one row per parallel worker pool
 ``sys_transactions``  one row per live or finished transaction from the
                     transaction manager (:mod:`repro.storage.txn`)
 ``sys_versions``    the MVCC write journal, one row per relation version
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 
-#: Schemas of the nine system relations (static: one object per process).
+#: Schemas of the eight system relations (static: one object per process).
 SYS_METRICS = RelationSchema(
     "sys_metrics", ("name", "kind", "labels", "stat", "value")
 )
@@ -95,11 +94,6 @@ SYS_CATALOG_STATS = RelationSchema(
     "sys_catalog_stats", ("relation", "attribute", "rows",
                           "distinct_values")
 )
-SYS_WORKERS = RelationSchema(
-    "sys_workers",
-    ("pool", "workers", "started", "spawned", "respawns",
-     "tasks_dispatched", "serial_retries", "parallel_runs", "serial_runs"),
-)
 SYS_TRANSACTIONS = RelationSchema(
     "sys_transactions",
     ("txn", "cc", "status", "reads", "writes", "rows_inserted",
@@ -118,7 +112,6 @@ SYSTEM_SCHEMAS = (
     SYS_PLAN_CACHE,
     SYS_KERNELS,
     SYS_CATALOG_STATS,
-    SYS_WORKERS,
     SYS_TRANSACTIONS,
     SYS_VERSIONS,
 )
@@ -153,7 +146,6 @@ class SystemRelations:
         db.register_virtual(SYS_PLAN_CACHE, self.rows_plan_cache)
         db.register_virtual(SYS_KERNELS, self.rows_kernels)
         db.register_virtual(SYS_CATALOG_STATS, self.rows_catalog_stats)
-        db.register_virtual(SYS_WORKERS, self.rows_workers)
         db.register_virtual(SYS_TRANSACTIONS, self.rows_transactions)
         db.register_virtual(SYS_VERSIONS, self.rows_versions)
         return self
@@ -261,29 +253,6 @@ class SystemRelations:
                 continue
             rows.extend(stats.census_rows(name))
         return rows
-
-    def rows_workers(self):
-        """One row per cached parallel backend (pool id = worker count)."""
-        rows = []
-        for workers, backend in sorted(
-            self.wb._parallel_backends.items()
-        ):
-            stats = backend.stats()
-            rows.append(
-                (
-                    workers,
-                    stats["workers"],
-                    int(stats["started"]),
-                    stats["spawned"],
-                    stats["respawns"],
-                    stats["tasks_dispatched"],
-                    stats["serial_retries"],
-                    stats["parallel_runs"],
-                    stats["serial_runs"],
-                )
-            )
-        return rows
-
 
     def rows_transactions(self):
         """One row per transaction the manager has seen, begin order:

@@ -1,8 +1,8 @@
 """repro.opt: the unified cost-based optimizer.
 
-One optimization layer for the whole pipeline, replacing the three
-private planners that grew up in ``relational/optimizer.py``,
-``datalog/planner.py``, and ``parallel/partition.py``:
+One optimization layer for the whole pipeline, replacing the private
+planners that grew up in ``relational/optimizer.py`` and
+``datalog/planner.py``:
 
 * :mod:`repro.opt.catalog` — per-relation cardinalities and
   per-attribute distinct counts on :class:`~repro.relational.database.
@@ -10,8 +10,7 @@ private planners that grew up in ``relational/optimizer.py``,
 * :mod:`repro.opt.rules` / :mod:`repro.opt.rewrite` — named,
   individually-toggleable rewrite rules driven to fixpoint;
 * :mod:`repro.opt.cost` — the one cardinality model every consumer
-  shares (rewrites, join ordering, the Datalog body planner, the
-  parallel cost gate);
+  shares (rewrites, join ordering, the Datalog body planner);
 * :mod:`repro.opt.joins` — Selinger DP / greedy join ordering and
   Yannakakis semijoin routing for acyclic join-connected queries.
 
@@ -32,7 +31,6 @@ from .cost import (
     CostModel,
     Estimate,
     estimate_literal_matches,
-    estimate_plan_work,
 )
 from .joins import DP_THRESHOLD
 from .rewrite import RewriteEngine
@@ -209,7 +207,6 @@ __all__ = [
     "TableStats",
     "classic_optimizer",
     "estimate_literal_matches",
-    "estimate_plan_work",
     "optimize",
     "rule_names",
 ]

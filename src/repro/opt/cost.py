@@ -7,8 +7,7 @@ Everything in the library that needs a size guess now asks this module:
 * the legacy shim (:func:`repro.relational.optimizer.estimate_cardinality`)
   delegates to the *classical* profile (no catalog);
 * the Datalog rule-body planner orders literals by
-  :func:`estimate_literal_matches` over live relation sizes;
-* the parallel backend's cost gate calls :func:`estimate_plan_work`.
+  :func:`estimate_literal_matches` over live relation sizes.
 
 :class:`CostModel` has two profiles.  Without a catalog it reproduces the
 deliberately classical System R model bit for bit (true base counts,
@@ -266,37 +265,3 @@ def estimate_literal_matches(size, bound_count):
     """
     return size * (EQUALITY_SELECTIVITY ** bound_count)
 
-
-# ---------------------------------------------------------------------------
-# Parallel cost gate
-# ---------------------------------------------------------------------------
-
-
-def estimate_plan_work(expr, db):
-    """Cheap work estimate: total rows stored under the plan's leaves.
-
-    Deliberately simple — the parallel gate only needs to separate
-    "trivial" from "worth forking for", and leaf cardinality is known
-    without touching any data.  Unrecognized (extension) nodes fall back
-    to summing over ``children()`` — the conservative choice: an exotic
-    plan over large inputs should face the gate's threshold, not be
-    silently pinned to serial execution by a zero estimate.
-    """
-    if isinstance(expr, ra.RelationRef):
-        return len(db[expr.name])
-    if isinstance(expr, ra.ConstantRelation):
-        return len(expr.relation)
-    if isinstance(expr, (ra.Selection, ra.Projection, ra.Rename)):
-        return estimate_plan_work(expr.child, db)
-    left = getattr(expr, "left", None)
-    if left is not None:
-        return estimate_plan_work(left, db) + estimate_plan_work(
-            expr.right, db
-        )
-    child = getattr(expr, "child", None)
-    if child is not None:
-        return estimate_plan_work(child, db)
-    children = getattr(expr, "children", None)
-    if children is not None:
-        return sum(estimate_plan_work(c, db) for c in children())
-    return 0

@@ -69,7 +69,7 @@ class PlanCache:
         """Record which executor route last served this entry.
 
         ``sys_plan_cache`` exposes it as ``last_route`` ("streaming",
-        "compiled", "compiled-fallback", "parallel", ...), so wall-time
+        "compiled", "compiled-fallback", ...), so wall-time
         wins are attributable to kernels; ``kernel`` is the serving
         kernel's fingerprint when the route was compiled, joinable
         against ``sys_kernels``.  Unknown keys are ignored (the entry

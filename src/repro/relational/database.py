@@ -459,7 +459,7 @@ class Database:
         Copy-on-write makes even the bindings dict shareable: the copy
         holds the same dict until its first mutation swaps in a fresh
         one.  Virtual providers are *not* carried over: they are bound
-        to live session objects (tracers, caches, pools); a copy is
+        to live session objects (tracers, caches, transactions); a copy is
         plain data.
         """
         db = Database()

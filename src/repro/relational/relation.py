@@ -118,9 +118,9 @@ class Relation:
     # -- pickling ---------------------------------------------------------
 
     def __getstate__(self):
-        # Cached indexes are derived data and can be large; rebuild them
-        # lazily on the other side of the process boundary instead of
-        # shipping them (plan shards pickle Relations to pool workers).
+        # Cached indexes are derived data and can be large; pickling and
+        # ``copy`` keep only schema and tuples, and the copy rebuilds its
+        # indexes lazily on first probe.
         return (self.schema, self.tuples)
 
     def __setstate__(self, state):

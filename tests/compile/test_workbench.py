@@ -200,13 +200,3 @@ class TestObservability:
             " WHERE stat = 'value' AND name = 'kernel_cache_codegens'"
         )
         assert rows.tuples and all(v >= 1 for _n, v in rows.tuples)
-
-
-class TestParallelInteraction:
-    def test_compiled_never_routes_to_parallel_backend(self):
-        wb = make_wb()
-        # workers would normally imply the parallel backend; "compiled"
-        # must win and not spawn a pool.
-        result = wb.sql(SQL, executor="compiled")
-        assert wb._parallel_backends == {}
-        assert result == wb.sql(SQL)

@@ -33,7 +33,6 @@ class TestRoundTrip:
         case = oracle.generate(4)
         back = decode_case(encode_case(case))
         assert oracle.check(back) == oracle.check(case)
-        oracle.close()
 
     def test_rejects_unknown_format(self):
         case = generate_case("transactions-differential", 0)
@@ -72,8 +71,8 @@ class TestSeededRegressionCorpus:
 
     This is the tier-1 regression gate for the historical bug classes
     (magic/top-down program-text facts, the theta-join enumeration
-    filter, the parallel serial-retry fallback, the recovery
-    abort-restore model) — and for anything future fuzz runs persist.
+    filter, the recovery abort-restore model, the join-reorder column
+    order, the unrecorded DML target read) — and for anything future fuzz runs persist.
     """
 
     def test_corpus_is_seeded(self):
@@ -87,14 +86,10 @@ class TestSeededRegressionCorpus:
         oracles = {o.family: o for o in build_oracles()}
         start = time.monotonic()
         failures = {}
-        try:
-            for path, case, _messages in entries:
-                messages = replay(case, oracles)
-                if messages:
-                    failures[os.path.basename(path)] = messages
-        finally:
-            for oracle in oracles.values():
-                oracle.close()
+        for path, case, _messages in entries:
+            messages = replay(case, oracles)
+            if messages:
+                failures[os.path.basename(path)] = messages
         elapsed = time.monotonic() - start
         assert failures == {}
         assert elapsed < 5.0, "corpus replay must stay fast (tier-1)"

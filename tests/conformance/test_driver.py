@@ -64,7 +64,7 @@ class TestRunConformance:
         monkeypatch.setattr(physical.HashJoin, "tuples", dropping)
         report = run_conformance(
             seconds=None,
-            seed=1,  # seeds 1..N, skipping the %4==0 parallel path early
+            seed=1,
             max_cases=40,
             families=["relational-differential"],
             corpus_dir=str(tmp_path),

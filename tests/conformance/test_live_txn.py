@@ -21,9 +21,7 @@ SWEEP = 30
 
 @pytest.fixture(scope="module")
 def oracle():
-    built = LiveTransactionsOracle()
-    yield built
-    built.close()
+    return LiveTransactionsOracle()
 
 
 class TestGenerator:
@@ -70,8 +68,6 @@ class TestOracle:
     def test_registry_builds_the_family(self):
         built = build_oracles(["transactions-live"])
         assert [o.family for o in built] == ["transactions-live"]
-        for o in built:
-            o.close()
 
     def test_a_broken_runtime_is_caught(self, oracle, monkeypatch):
         """Sensitivity: silently dropping a committed write set must

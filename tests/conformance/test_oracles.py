@@ -18,10 +18,7 @@ SWEEP = 40
 
 @pytest.fixture(scope="module")
 def oracles():
-    built = build_oracles()
-    yield {oracle.family: oracle for oracle in built}
-    for oracle in built:
-        oracle.close()
+    return {oracle.family: oracle for oracle in build_oracles()}
 
 
 class TestRegistry:
@@ -40,8 +37,6 @@ class TestRegistry:
     def test_family_subset_selection(self):
         subset = build_oracles(["datalog-differential"])
         assert [oracle.family for oracle in subset] == ["datalog-differential"]
-        for oracle in subset:
-            oracle.close()
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -77,17 +72,14 @@ class TestFaultDetection:
 
         monkeypatch.setattr(physical.HashJoin, "tuples", dropping)
         oracle = RelationalDifferentialOracle()
-        try:
-            caught = 0
-            for seed in range(60):
-                case = oracle.generate(seed)
-                if case.payload.get("expr") is None:
-                    continue
-                if oracle.check(case):
-                    caught += 1
-            assert caught > 0
-        finally:
-            oracle.close()
+        caught = 0
+        for seed in range(60):
+            case = oracle.generate(seed)
+            if case.payload.get("expr") is None:
+                continue
+            if oracle.check(case):
+                caught += 1
+        assert caught > 0
 
     def test_datalog_oracle_catches_dropped_program_facts(self, monkeypatch):
         # Re-break the historical magic/top-down bug class: make the
@@ -105,12 +97,9 @@ class TestFaultDetection:
             "repro.conformance.oracles.magic_evaluate", stripping
         )
         oracle = DatalogDifferentialOracle()
-        try:
-            caught = 0
-            for seed in range(60):
-                case = oracle.generate(seed)
-                if oracle.check(case):
-                    caught += 1
-            assert caught > 0
-        finally:
-            oracle.close()
+        caught = 0
+        for seed in range(60):
+            case = oracle.generate(seed)
+            if oracle.check(case):
+                caught += 1
+        assert caught > 0

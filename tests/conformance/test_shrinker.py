@@ -13,10 +13,7 @@ from repro.conformance import (
     oracle_predicate,
     shrink_case,
 )
-from repro.conformance.oracles import (
-    RelationalDifferentialOracle,
-    TransactionsDifferentialOracle,
-)
+from repro.conformance.oracles import RelationalDifferentialOracle
 from repro.conformance.workloads import generate_case
 from repro.relational import algebra as ra
 
@@ -91,7 +88,6 @@ class TestShrinkGuards:
 
 class TestShrinkSchedule:
     def test_shrinks_to_witness_ops(self):
-        oracle = TransactionsDifferentialOracle()
         case = generate_case("transactions-differential", 5)
         schedule = case.payload["schedule"]
 
@@ -105,7 +101,6 @@ class TestShrinkSchedule:
 
         shrunk = shrink_case(case, pred)
         assert len(shrunk.payload["schedule"].ops) <= 2
-        oracle.close()
 
 
 class TestShrinkerDemo:
@@ -126,33 +121,28 @@ class TestShrinkerDemo:
         monkeypatch.setattr(physical.HashJoin, "tuples", dropping)
         oracle = RelationalDifferentialOracle()
         pred = oracle_predicate(oracle)
-        try:
-            failing = None
-            for seed in range(200):
-                if seed % 4 == 0:
-                    continue  # skip the parallel-backend comparison path
-                case = oracle.generate(seed)
-                if case.payload.get("expr") is None:
-                    continue
-                if pred(case):
-                    failing = case
-                    break
-            assert failing is not None, "fault injection found no case"
+        failing = None
+        for seed in range(200):
+            case = oracle.generate(seed)
+            if case.payload.get("expr") is None:
+                continue
+            if pred(case):
+                failing = case
+                break
+        assert failing is not None, "fault injection found no case"
 
-            shrunk = shrink_case(failing, pred)
-            assert case_size(shrunk) <= case_size(failing)
-            assert len(shrunk.payload["db"]) <= 3
-            assert shrunk.payload["db"].total_tuples() <= 6
-            assert expression_depth(shrunk.payload["expr"]) <= 3
-            assert pred(shrunk), "shrunk case no longer reproduces"
+        shrunk = shrink_case(failing, pred)
+        assert case_size(shrunk) <= case_size(failing)
+        assert len(shrunk.payload["db"]) <= 3
+        assert shrunk.payload["db"].total_tuples() <= 6
+        assert expression_depth(shrunk.payload["expr"]) <= 3
+        assert pred(shrunk), "shrunk case no longer reproduces"
 
-            # Serialize, reload: still red under the fault...
-            data = encode_case(shrunk)
-            reloaded = decode_case(data)
-            assert oracle.check(reloaded), "serialized repro lost the bug"
+        # Serialize, reload: still red under the fault...
+        data = encode_case(shrunk)
+        reloaded = decode_case(data)
+        assert oracle.check(reloaded), "serialized repro lost the bug"
 
-            # ...and green once the fault is removed.
-            monkeypatch.setattr(physical.HashJoin, "tuples", original)
-            assert oracle.check(reloaded) == []
-        finally:
-            oracle.close()
+        # ...and green once the fault is removed.
+        monkeypatch.setattr(physical.HashJoin, "tuples", original)
+        assert oracle.check(reloaded) == []

@@ -91,6 +91,55 @@ class TestWorkbench:
         assert wb.is_acyclic()
         assert wb.full_join() == wb.full_join(method="naive")
 
+    @pytest.mark.parametrize("executor", ["parallel", "complied"])
+    def test_unknown_executor_rejected_everywhere(self, workbench, executor):
+        from repro.relational import RelationRef
+
+        txn = workbench.begin()
+        calls = [
+            lambda: workbench.sql("SELECT p FROM parent", executor=executor),
+            lambda: workbench.algebra(
+                RelationRef("parent"), executor=executor
+            ),
+            lambda: workbench.calculus(
+                "{(p) | exists c . parent(p, c)}", executor=executor
+            ),
+            lambda: workbench.run("SELECT p FROM parent", executor=executor),
+            lambda: workbench.run(
+                "anc(X,Y) :- parent(X,Y).", executor=executor
+            ),
+            lambda: workbench.datalog(
+                "anc(X,Y) :- parent(X,Y).", executor=executor
+            ),
+            lambda: txn.sql("SELECT p FROM parent", executor=executor),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="'compiled'"):
+                call()
+        txn.rollback()
+
+
+class TestPackageImport:
+    def test_import_loads_no_process_pool(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro; "
+            "print(sorted({'multiprocessing', 'repro.parallel'} "
+            "& set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
+
 
 class TestEquivalenceHarness:
     def test_codd_experiment_confirms(self):

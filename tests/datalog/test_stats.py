@@ -45,9 +45,8 @@ class TestArithmetic:
         assert a.iterations == 1
 
     def test_chain_merge_equals_shard_sum(self):
-        # The parallel backend folds per-shard counter dicts into one
-        # EngineStatistics; chained merges must equal the fieldwise sum,
-        # whatever the merge order.
+        # Chained merges must equal the fieldwise sum, whatever the
+        # merge order.
         shards = [
             EngineStatistics(facts_scanned=i, index_probes=2 * i, iterations=1)
             for i in range(1, 5)

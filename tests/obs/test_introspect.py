@@ -326,17 +326,6 @@ class TestSystemTables:
         assert person_pid[2] == 3  # rows
         assert person_pid[3] == 3  # distinct pids
 
-    def test_sys_workers_reports_cached_backends(self):
-        wb = make_wb()
-        assert wb.db["sys_workers"].tuples == set()
-        wb.parallel_backend(workers=1)
-        wb.sql("SELECT name FROM person", executor="parallel", workers=1)
-        (row,) = wb.db["sys_workers"].tuples
-        pool, workers, started = row[0], row[1], row[2]
-        assert (pool, workers) == (1, 1)
-        assert started == 0  # below the cost gate: no process spawned
-        assert row[8] >= 1  # serial_runs
-
     def test_render_labels_is_sorted_and_stable(self):
         assert render_labels({"b": 2, "a": 1}) == "a=1,b=2"
         assert render_labels({}) == ""

@@ -1,4 +1,4 @@
-"""The unified cost model: classical profile, catalog profile, gates.
+"""The unified cost model: classical and catalog profiles, literal costs.
 
 The estimation-quality suite pins how close the estimates are to the
 truth on workloads where the model's uniformity assumptions hold
@@ -10,7 +10,7 @@ as ``est=`` next to actual rows.
 import pytest
 
 from repro.opt import CostModel, EQUALITY_SELECTIVITY, RANGE_SELECTIVITY
-from repro.opt.cost import estimate_literal_matches, estimate_plan_work
+from repro.opt.cost import estimate_literal_matches
 from repro.relational import (
     Database,
     NaturalJoin,
@@ -169,26 +169,3 @@ class TestLiteralMatches:
             1000, 1
         )
 
-
-class TestPlanWork:
-    def test_sums_leaf_rows(self, db):
-        join = NaturalJoin(RelationRef("big"), RelationRef("small"))
-        assert estimate_plan_work(join, db) == 52
-        wrapped = Projection(Selection(join, eq("a", 1)), ("a",))
-        assert estimate_plan_work(wrapped, db) == 52
-
-    def test_extension_node_falls_back_to_children(self, db):
-        """Regression: unrecognized fragments used to estimate 0 and
-        slide under the parallel cost gate unconditionally."""
-
-        class Exotic:
-            def children(self):
-                return [RelationRef("big"), RelationRef("small")]
-
-        assert estimate_plan_work(Exotic(), db) == 52
-
-    def test_opaque_node_is_zero(self, db):
-        class Opaque:
-            pass
-
-        assert estimate_plan_work(Opaque(), db) == 0

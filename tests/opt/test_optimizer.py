@@ -225,12 +225,9 @@ class TestSingleCostSurface:
 
     def test_planner_and_gate_import_from_opt(self):
         from repro.datalog import planner
-        from repro.parallel import backend, partition
         from repro.opt import cost
 
         assert (
             planner.estimate_literal_matches
             is cost.estimate_literal_matches
         )
-        assert partition.estimate_plan_work is cost.estimate_plan_work
-        assert backend.estimate_plan_work is cost.estimate_plan_work

@@ -50,9 +50,8 @@ class TestConstruction:
         assert r.active_domain() == {1, "x"}
 
     def test_pickle_round_trips_without_cached_indexes(self):
-        # Plan shards ship Relations to worker processes; the pickle must
-        # carry schema + tuples but drop the derived index cache, which
-        # rebuilds lazily on the other side.
+        # The pickle must carry schema + tuples but drop the derived
+        # index cache, which rebuilds lazily on the other side.
         import pickle
 
         r = rel("r", ("a", "b"), [(1, 2), (3, 4)])
