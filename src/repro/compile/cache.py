@@ -1,6 +1,10 @@
-"""The kernel cache: compile once per (plan, schema) pair.
+"""The kernel cache: compile once per (template, schema) pair.
 
-Keyed by the canonical :func:`~repro.plan.logical.plan_key` plus the
+Callers resolve *templates* (:func:`~repro.plan.logical.parameterize`)
+and pass the lifted values to :meth:`CompiledKernel.execute
+<repro.compile.codegen.CompiledKernel.execute>`, so statements that
+differ only in a literal share one kernel.  Keyed by the template's
+:func:`~repro.plan.logical.plan_key` plus the
 schema sub-token of just the relations the plan references, so a kernel
 survives arbitrary *content* changes (it re-fetches relations by name
 at call time) **and** schema changes to relations it never touches; it
@@ -21,7 +25,7 @@ never under-reports.
 from __future__ import annotations
 
 from ..plan.cache import PlanCache
-from ..plan.logical import plan_key
+from ..plan.logical import parameterize, plan_key
 from ..relational.algebra import relation_names
 from .codegen import CompileFallback, compile_plan
 
@@ -95,7 +99,8 @@ class KernelCache:
         return PlanCache.fingerprint(key[0])
 
     def resolve(self, plan, db):
-        """The kernel for a canonical plan, compiling on first sight.
+        """The kernel for a canonical plan or template, compiling on
+        first sight.
 
         Returns:
             ``(kernel, None)`` when the plan compiled (now or earlier),
@@ -205,7 +210,8 @@ class KernelCache:
 
 
 def execute_compiled(plan, db, stats=None, cache=None):
-    """Compile (or fetch) a kernel for a canonical plan and run it.
+    """Compile (or fetch) the kernel of a canonical plan's template and
+    run it on the plan's values.
 
     Mirrors :func:`~repro.plan.executor.execute_physical`'s signature
     and return shape.
@@ -213,10 +219,11 @@ def execute_compiled(plan, db, stats=None, cache=None):
     Raises:
         CompileFallback: when the plan has an unsupported shape.
     """
+    template, values = parameterize(plan)
     if cache is None:
-        kernel = compile_plan(plan, db.schema())
-        return kernel.execute(db, stats)
-    kernel, reason = cache.resolve(plan, db)
-    if kernel is None:
-        raise CompileFallback(reason)
-    return kernel.execute(db, stats)
+        kernel = compile_plan(template, db.schema())
+    else:
+        kernel, reason = cache.resolve(template, db)
+        if kernel is None:
+            raise CompileFallback(reason)
+    return kernel.execute(db, stats, values)

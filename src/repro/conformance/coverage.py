@@ -24,7 +24,8 @@ from ..obs.metrics import MetricsRegistry
 #: ``divide:multi-attr`` is division by an arity-2 divisor;
 #: ``access:*`` are the index access paths the executors take on the
 #: canonical plan (equality lookups and index joins over stored
-#: relations).
+#: relations); ``template:lifted`` marks a canonical plan with at least
+#: one literal lifted into a template parameter.
 ALGEBRA_UNIVERSE = frozenset(
     [
         "node:selection",
@@ -58,6 +59,7 @@ ALGEBRA_UNIVERSE = frozenset(
         "divide:multi-attr",
         "access:index-lookup",
         "access:index-join",
+        "template:lifted",
     ]
 )
 

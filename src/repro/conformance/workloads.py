@@ -30,7 +30,7 @@ from ..core.random_instances import (
     random_positive_program,
 )
 from ..datalog.ast import Atom, Literal, Rule, Variable
-from ..plan import canonicalize
+from ..plan import canonicalize, parameterize
 from ..plan.physical import lookup_keys, stored_base_name, theta_keys
 from ..relational import algebra as ra
 from ..relational.calculus import (
@@ -42,6 +42,7 @@ from ..relational.calculus import (
     OrF,
     RelAtom,
 )
+from ..relational.sql_frontend import parse_sql
 from ..transactions.workload import WorkloadConfig, generate_schedule
 
 
@@ -167,6 +168,15 @@ def access_constructs(expr, db_schema):
     return out
 
 
+def template_constructs(expr, db_schema):
+    """``template:lifted`` when the canonical plan lifts at least one
+    literal into a parameter slot — the cases whose template leg serves
+    a sibling with different values (see
+    :func:`~repro.plan.logical.parameterize`)."""
+    _template, values = parameterize(canonicalize(expr, db_schema))
+    return ["template:lifted"] if values else []
+
+
 def expression_constructs(expr):
     """Construct labels of an algebra expression (tree walk)."""
     out = []
@@ -290,8 +300,10 @@ def relational_case(seed, family="relational-differential", size=None):
         size=size if size is not None else rng.randint(1, 6),
     )
     payload = {"kind": "relational", "db": db, "expr": expr, "sql": None}
-    constructs = expression_constructs(expr) + access_constructs(
-        expr, db.schema()
+    constructs = (
+        expression_constructs(expr)
+        + access_constructs(expr, db.schema())
+        + template_constructs(expr, db.schema())
     )
     return Case(family, seed, payload, constructs)
 
@@ -380,6 +392,7 @@ def sql_case(seed, family="relational-differential"):
             block(),
         )
         constructs.append("sql:set-op")
+    constructs += template_constructs(parse_sql(text), schema)
     payload = {"kind": "relational", "db": db, "expr": None, "sql": text}
     return Case(family, seed, payload, constructs)
 

@@ -246,8 +246,9 @@ def lowered_evaluate(program, edb=None, stats=None, tracer=NULL_TRACER,
     fact.  Work is charged to ``stats`` by the streaming executor.
 
     With a ``kernel_cache``, each predicate's plan runs as a fused
-    compiled kernel when the generator supports its shape; refused
-    plans run interpreted and count in the cache's fallback counters.
+    compiled kernel of its template (rules that differ only in constants
+    share one) when the generator supports its shape; refused plans run
+    interpreted and count in the cache's fallback counters.
 
     Raises:
         DatalogError: for recursive programs.
@@ -256,7 +257,7 @@ def lowered_evaluate(program, edb=None, stats=None, tracer=NULL_TRACER,
     # EngineStatistics counters from this package, so a module-level
     # import would close an import cycle through the package __init__s.
     from ..plan.executor import execute_physical
-    from ..plan.logical import canonicalize
+    from ..plan.logical import canonicalize, parameterize
 
     store = edb.copy() if edb is not None else FactStore()
     for predicate, values in program.facts():
@@ -290,9 +291,10 @@ def lowered_evaluate(program, edb=None, stats=None, tracer=NULL_TRACER,
                 plan = canonicalize(expr, db_schema)
                 kernel = None
                 if kernel_cache is not None:
-                    kernel, _reason = kernel_cache.resolve(plan, db)
+                    template, values = parameterize(plan)
+                    kernel, _reason = kernel_cache.resolve(template, db)
                 if kernel is not None:
-                    result, _tally = kernel.execute(db, stats)
+                    result, _tally = kernel.execute(db, stats, values)
                 else:
                     result, _tally = execute_physical(plan, db, stats)
                 span.set(rows=len(result))

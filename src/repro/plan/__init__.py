@@ -11,7 +11,11 @@ pipeline:
   nodes (SQL's deferred name resolution, the Codd translation's
   positional rename) are resolved into the six-plus-derived core algebra
   operators, and :func:`~repro.plan.logical.plan_key` turns the
-  canonical tree into a hashable cache key.
+  canonical tree into a hashable cache key;
+  :func:`~repro.plan.logical.parameterize` lifts a plan's literals into
+  typed parameter slots, so the caches key on one template per
+  statement shape and :func:`~repro.plan.logical.bind` puts the values
+  back at execution time.
 * :mod:`~repro.plan.physical` — physical operator selection: streaming
   select/project/rename, hash natural- and theta-joins that probe
   :class:`~repro.relational.relation.Relation`'s cached key indexes,
@@ -21,8 +25,8 @@ pipeline:
   (:func:`~repro.plan.executor.execute`) plus the tree-walk work meter
   (:func:`~repro.plan.executor.measure_treewalk`) used as the
   differential oracle and benchmark baseline.
-* :mod:`~repro.plan.cache` — the canonical-plan-keyed plan cache the
-  workbench uses to skip parse/optimize on repeated queries.
+* :mod:`~repro.plan.cache` — the template-keyed plan cache the
+  workbench uses to skip optimization on repeated statement shapes.
 * :mod:`~repro.plan.explain` — EXPLAIN ANALYZE: the instrumented twin
   of the executor (:func:`~repro.plan.explain.run_explained`), which
   annotates every physical operator with rows, wall-clock time, and
@@ -38,13 +42,14 @@ The legacy materialize-everything tree-walk
 from .cache import PlanCache
 from .executor import execute, execute_physical, measure_treewalk
 from .explain import ExplainResult, OpReport, explain_datalog, run_explained
-from .logical import canonicalize, is_canonical, plan_key
+from .logical import bind, canonicalize, is_canonical, parameterize, plan_key
 from .physical import build_physical
 
 __all__ = [
     "ExplainResult",
     "OpReport",
     "PlanCache",
+    "bind",
     "build_physical",
     "canonicalize",
     "execute",
@@ -52,6 +57,7 @@ __all__ = [
     "explain_datalog",
     "is_canonical",
     "measure_treewalk",
+    "parameterize",
     "plan_key",
     "run_explained",
 ]

@@ -13,7 +13,8 @@ expression and returns its output schema; :func:`evaluate` runs it against a
 
 Selection conditions form their own small AST (:class:`Comparison`,
 :class:`And`, :class:`Or`, :class:`Not` over :class:`Attr`/:class:`Const`
-operands) so that the optimizer can reason about them symbolically.
+operands, and the :class:`Param` slots of plan templates) so that the
+optimizer can reason about them symbolically.
 """
 
 from __future__ import annotations
@@ -101,6 +102,47 @@ class Const(Operand):
 
     def __str__(self):
         return repr(self.value)
+
+
+class Param(Operand):
+    """A typed parameter slot of a plan template.
+
+    :func:`~repro.plan.logical.parameterize` lifts constants into
+    parameters so that statements differing only in a literal share one
+    cached plan and kernel; execution binds the slot's value back in
+    (:func:`~repro.plan.logical.bind`).  Two parameters are equal when
+    slot *and* type agree, so ``cid = 42`` and ``cid = '42'`` never
+    share a template.  An unbound parameter has no value: resolving one
+    raises.
+    """
+
+    __slots__ = ("slot", "type")
+
+    def __init__(self, slot, type_):
+        self.slot = slot
+        self.type = type_
+
+    def resolve(self, schema):
+        raise AlgebraError("unbound parameter %s" % self)
+
+    def attributes(self):
+        return set()
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Param)
+            and other.slot == self.slot
+            and other.type is self.type
+        )
+
+    def __hash__(self):
+        return hash(("Param", self.slot, self.type))
+
+    def __repr__(self):
+        return "Param(%d, %s)" % (self.slot, self.type.__name__)
+
+    def __str__(self):
+        return "$%d:%s" % (self.slot, self.type.__name__)
 
 
 def _as_operand(value):

@@ -81,6 +81,66 @@ class TestFaultDetection:
                 caught += 1
         assert caught > 0
 
+    def test_template_leg_catches_stale_values(self, monkeypatch):
+        # A plan cache that serves a template with the values of the
+        # statement that planned it, instead of the current statement's.
+        from repro.core.workbench import MetatheoryWorkbench
+
+        original = MetatheoryWorkbench._plan_for
+        first = {}
+
+        def stale(self, canonical, optimized, capture=None):
+            *rest, key, values = original(self, canonical, optimized, capture)
+            return (*rest, key, first.setdefault((id(self), key), values))
+
+        monkeypatch.setattr(MetatheoryWorkbench, "_plan_for", stale)
+        oracle = RelationalDifferentialOracle()
+        caught = [
+            seed for seed in range(40) if any(
+                message.startswith("template (sibling")
+                for message in oracle.check(oracle.generate(seed))
+            )
+        ]
+        assert caught
+
+    def test_template_leg_catches_a_value_aware_estimator(self):
+        # σ[a = v](r) joined to two more relations: an estimator that
+        # reads v can reorder the joins of the concrete plan only.
+        from repro.opt.cost import CostModel
+        from repro.plan import canonicalize, parameterize
+        from repro.relational import algebra as ra
+        from repro.relational.database import Database
+
+        db = Database.from_dict({
+            "r": (("a", "b"), [(i % 5, i) for i in range(30)]),
+            "s": (("b", "c"), [(i, i % 3) for i in range(20)]),
+            "u": (("c", "d"), [(i % 3, i) for i in range(25)]),
+        })
+        expr = ra.NaturalJoin(
+            ra.NaturalJoin(
+                ra.Selection(
+                    ra.RelationRef("r"),
+                    ra.Comparison(ra.Attr("a"), "=", ra.Const(1)),
+                ),
+                ra.RelationRef("s"),
+            ),
+            ra.RelationRef("u"),
+        )
+        template, values = parameterize(canonicalize(expr, db.schema()))
+        leg = RelationalDifferentialOracle._template_leg
+        assert leg(0, db, template, values) == []
+        original = CostModel._equality_selectivity
+
+        def value_aware(self, condition, source):
+            if ra.Const(1) in (condition.left, condition.right):
+                return 0.9
+            return original(self, condition, source)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CostModel, "_equality_selectivity", value_aware)
+            messages = leg(0, db, template, values)
+        assert any("optimized template" in m for m in messages), messages
+
     def test_datalog_oracle_catches_dropped_program_facts(self, monkeypatch):
         # Re-break the historical magic/top-down bug class: make the
         # magic rewrite ignore program-text facts by stripping them.
