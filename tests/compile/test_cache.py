@@ -221,6 +221,6 @@ class TestExecuteCompiled:
     def test_kernel_source_is_inspectable(self):
         db = small_db()
         kernel = compile_plan(join_plan(db), db.schema())
-        assert "def kernel(_db, _tally):" in kernel.source
+        assert "def kernel(_db, _tally, _params):" in kernel.source
         assert kernel.pipelines >= 1
         assert "pipelines" in repr(kernel)
