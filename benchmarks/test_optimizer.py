@@ -123,8 +123,8 @@ def path4_workload():
 
 #: (label, builder, expected join methods under the routing cost gate).
 WORKLOADS = (
-    ("star fact 10k", star_workload, ("dp", "greedy")),
-    ("chain dangling middle", chain_workload, ("dp", "greedy")),
+    ("star fact 10k", star_workload, ("greedy",)),
+    ("chain dangling middle", chain_workload, ("greedy",)),
     ("path-4 selective ends", path4_workload, ("yannakakis",)),
 )
 
@@ -246,6 +246,6 @@ def test_yannakakis_routing_smoke():
     db, expr = chain_workload()
     wb = MetatheoryWorkbench(db)
     explained = wb.explain_analyze(expr)
-    assert explained.optimizer.join_method in ("dp", "greedy")
+    assert explained.optimizer.join_method == "greedy"
     assert "route-yannakakis" not in explained.optimizer.fired
     assert explained.result == wb.run(expr, optimized=False)

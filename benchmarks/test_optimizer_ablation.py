@@ -4,7 +4,8 @@
 necessitated new model development, synthesis, analysis, and
 experiments."  This bench is the analysis-by-experiment for our own
 optimizer's design choices (DESIGN.md backlog): the same query evaluated
-under none / cascade+pushdown / +join formation / +greedy reordering.
+under none / cascade+pushdown / +join formation / +greedy reordering,
+each stage a rule subset of :class:`repro.opt.Optimizer`.
 
 Shape claims asserted: every stage preserves results; selection pushdown
 delivers the dominant win on the select-over-product query; reordering
@@ -14,6 +15,7 @@ helps the chain join.  Table in results/optimizer_ablation.txt.
 import random
 import time
 
+from repro.opt import Optimizer, rule_names
 from repro.relational import (
     Database,
     NaturalJoin,
@@ -26,11 +28,6 @@ from repro.relational import (
     same_content,
 )
 from repro.relational.algebra import And, Attr, Comparison, Const
-from repro.relational.optimizer import (
-    form_joins,
-    push_selections,
-    reorder_joins,
-)
 
 from .conftest import format_table, write_artifact
 
@@ -66,6 +63,18 @@ def chain_database(rows=250, seed=1):
     )
 
 
+#: The ablation stages, each adding rules to the one before.
+PUSHDOWN = ("split-selections", "push-selections")
+JOINS = PUSHDOWN + ("form-joins",)
+ORDERING = JOINS + ("order-joins",)
+
+
+def only(rules, expr, db):
+    """``expr`` optimized by just ``rules`` (in pipeline order)."""
+    disabled = tuple(name for name in rule_names() if name not in rules)
+    return Optimizer(disable=disabled).optimize(expr, db)
+
+
 def timed(fn, *args, repeat=3):
     best = None
     result = None
@@ -91,11 +100,10 @@ def ablation_rows():
         ),
         ("a", "c"),
     )
-    schema = star.schema()
     variants1 = [
         ("star/none", query1),
-        ("star/pushdown", push_selections(query1, schema)),
-        ("star/pushdown+joins", form_joins(push_selections(query1, schema), schema)),
+        ("star/pushdown", only(PUSHDOWN, query1, star)),
+        ("star/pushdown+joins", only(JOINS, query1, star)),
     ]
     reference = evaluate(query1, star)
     for label, expr in variants1:
@@ -112,7 +120,7 @@ def ablation_rows():
     reference2 = evaluate(query2, chain)
     variants2 = [
         ("chain/none", query2),
-        ("chain/reordered", reorder_joins(query2, chain)),
+        ("chain/reordered", only(ORDERING, query2, chain)),
     ]
     for label, expr in variants2:
         seconds, result = timed(evaluate, expr, chain)

@@ -24,6 +24,7 @@ from repro.datalog.lowering import lower_program
 from repro.datalog.parser import parse_program
 from repro.datalog.stats import EngineStatistics
 from repro.obs import MetricsRegistry
+from repro.opt import optimize
 from repro.plan import canonicalize, execute_physical, measure_treewalk
 from repro.relational import (
     Database,
@@ -35,7 +36,6 @@ from repro.relational import (
     gt,
     lt,
 )
-from repro.relational.optimizer import optimize
 from repro.relational.sql_frontend import parse_sql
 
 from .conftest import format_table, write_artifact, write_metrics

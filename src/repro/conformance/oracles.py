@@ -59,7 +59,7 @@ from .workloads import derive_seed, generate_case
 import random
 
 #: One shared full-pipeline optimizer (the workbench default): catalog
-#: statistics, every rewrite rule, DP/greedy ordering, Yannakakis
+#: statistics, every rewrite rule, greedy ordering, Yannakakis
 #: routing.  The differential leg runs whatever plans it emits.
 _FULL_PIPELINE = Optimizer()
 

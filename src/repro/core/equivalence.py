@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 
+from ..opt import optimize
 from ..relational import algebra as ra
 from ..relational.algebra import evaluate
 from ..relational.calculus import (
@@ -36,7 +37,6 @@ from ..relational.calculus import (
     is_safe_range,
 )
 from ..relational.codd import calculus_to_algebra
-from ..relational.optimizer import optimize
 
 
 class ExperimentReport:

@@ -45,12 +45,12 @@ from ..relational.codd import (
 )
 from ..relational.database import Database, is_system_name
 from ..relational.dml import DMLResult, DMLStatement
-from ..relational.optimizer import optimize
 from ..relational.sql_frontend import parse_sql
 from ..storage.txn import TransactionManager
 
 #: The accepted ``executor=`` values: the streaming executor (True), the
-#: legacy tree walk (False), and fused compiled kernels ("compiled").
+#: materializing tree walk (False), and fused compiled kernels
+#: ("compiled").  All three run the same cached plan.
 EXECUTORS = (True, False, "compiled")
 
 #: Statement texts the parse cache keeps, evicted first in, first out
@@ -128,8 +128,8 @@ class MetatheoryWorkbench:
     #
     # Every relational entry point compiles into one pipeline:
     # front-end -> canonical logical plan -> optimizer -> physical plan ->
-    # streaming executor.  ``executor=False`` falls back to the legacy
-    # materialize-everything tree walk (the differential oracle),
+    # streaming executor.  ``executor=False`` runs the same cached plan on
+    # the materialize-everything tree walk (the differential oracle),
     # mirroring the ``indexed=False`` opt-out of the Datalog layer.
 
     def _sync_caches(self):
@@ -177,9 +177,9 @@ class MetatheoryWorkbench:
         Cache entries are ``(template plan, OptimizationInfo | None)``
         keyed on the template's structure, the optimized flag, *and* the
         optimizer's configuration token — changing the enabled rule set
-        or cost profile must never serve a stale plan.  A miss optimizes
-        the template itself, so every later statement of the same shape
-        is a hit; callers bind the returned values at execution time.
+        must never serve a stale plan.  A miss optimizes the template
+        itself, so every later statement of the same shape is a hit;
+        callers bind the returned values at execution time.
 
         ``capture``, when given, receives the cache outcome, the key's
         fingerprint (joinable against ``sys_plan_cache``), and the fired
@@ -212,7 +212,7 @@ class MetatheoryWorkbench:
         return cached[0], cached[1], hit, key, values
 
     def _run_pipeline(self, expr, optimized, stats, capture=None,
-                      compiled=False, db=None, txn=None):
+                      executor=True, db=None, txn=None):
         self._sync_caches()
         base = self.db if db is None else db
         canonical = canonicalize(expr, base.schema())
@@ -227,7 +227,12 @@ class MetatheoryWorkbench:
             canonical, optimized, capture
         )
         route = None
-        if compiled:
+        if not executor:
+            self.plan_cache.note_route(key, "treewalk")
+            if capture is not None:
+                capture["route"] = "treewalk"
+            return evaluate(bind(plan, values), base)
+        if executor == "compiled":
             kernel, _reason = self.kernel_cache.resolve(plan, base)
             if kernel is not None:
                 relation, _tally = kernel.execute(base, stats, values)
@@ -288,9 +293,9 @@ class MetatheoryWorkbench:
                 streaming executor (default); ``"compiled"`` generates a
                 fused Python kernel for the plan (interpreting, and
                 counting ``compile_fallbacks_total``, when the plan has
-                an unsupported shape); False reproduces the legacy
-                tree-walk path bit for bit.  Any other value raises
-                ValueError.
+                an unsupported shape); False runs the same cached plan
+                on the materializing tree walk (the differential
+                oracle).  Any other value raises ValueError.
             stats: optional
                 :class:`~repro.datalog.stats.EngineStatistics` charged
                 with the executor's work.
@@ -308,49 +313,52 @@ class MetatheoryWorkbench:
 
     def _sql(self, text, optimized, executor, stats, capture=None,
              txn=None):
-        if executor or txn is not None:
-            expr = self._cached_parse("sql", text, parse_sql, capture)
-            if isinstance(expr, DMLStatement):
-                return self._dml(
-                    expr, optimized, executor, stats, capture=capture,
-                    txn=txn,
-                )
-            return self._run_pipeline(
-                expr, optimized, stats,
-                capture=capture, compiled=executor == "compiled",
-                db=txn.view() if txn is not None else None, txn=txn,
-            )
-        if capture is not None:
-            capture["route"] = "treewalk"
-        expr = parse_sql(text)
+        expr = self._cached_parse("sql", text, parse_sql, capture)
         if isinstance(expr, DMLStatement):
-            return self._dml(expr, optimized, executor, stats, capture=capture)
-        if optimized:
-            expr = optimize(expr, self.db)
-        return evaluate(expr, self.db)
+            return self._dml(
+                expr, optimized, executor, stats, capture=capture, txn=txn,
+            )
+        return self._run_pipeline(
+            expr, optimized, stats, capture=capture, executor=executor,
+            db=txn.view() if txn is not None else None, txn=txn,
+        )
 
     def _dml(self, stmt, optimized, executor, stats, capture=None, txn=None):
         """Run a DML statement: pipeline the relational side, apply the
-        delta.
+        delta (see :meth:`_apply_dml`)."""
+        result = self._apply_dml(
+            stmt,
+            lambda db: self._run_pipeline(
+                stmt.source_expr(), optimized, stats, capture=capture,
+                executor=executor, db=db, txn=txn,
+            ),
+            self.tracer,
+            txn=txn,
+        )
+        if capture is not None:
+            capture["route"] = "dml:%s:%s" % (
+                stmt.kind, capture.get("route") or "streaming"
+            )
+        return result
 
-        Autocommit (no ``txn``) applies through
-        :meth:`~repro.relational.database.Database.apply_delta` — one
-        journaled version, incremental catalog maintenance.  Inside a
-        transaction the delta stages in the overlay instead and commits
-        (or rolls back) with the transaction.  There is no tree-walk
-        twin for mutation; ``executor=False`` still plans through the
-        pipeline.
+    def _apply_dml(self, stmt, execute, tracer, txn=None):
+        """The one tail of every DML path, EXPLAIN ANALYZE included.
+
+        ``execute(db)`` runs the statement's relational side (the INSERT
+        source, the matched-row scan of a WHERE) against ``db`` and
+        returns its relation.  Autocommit (no ``txn``) applies the delta
+        through :meth:`~repro.relational.database.Database.apply_delta`
+        — one journaled version, incremental catalog maintenance.  Inside
+        a transaction the delta stages in the overlay instead and commits
+        (or rolls back) with the transaction.  Every path records the
+        ``dml`` span and the ``dml_statements_total`` and
+        ``dml_rows_total`` counters, and returns a
+        :class:`~repro.relational.dml.DMLResult`.
         """
-        if not executor:
-            executor = True
         db = txn.view() if txn is not None else self.db
         target = stmt.target
-        with self.tracer.span("dml", kind=stmt.kind, target=target) as span:
-            executed = self._run_pipeline(
-                stmt.source_expr(), optimized, stats,
-                capture=capture, compiled=executor == "compiled",
-                db=db, txn=txn,
-            )
+        with tracer.span("dml", kind=stmt.kind, target=target) as span:
+            executed = execute(db)
             if txn is not None:
                 # The delta is computed against the target's current
                 # content (set semantics: a duplicate INSERT or identity
@@ -385,10 +393,6 @@ class MetatheoryWorkbench:
             )
         self.metrics.counter("dml_statements_total", kind=stmt.kind).inc()
         self.metrics.counter("dml_rows_total").inc(len(added) + len(removed))
-        if capture is not None:
-            capture["route"] = "dml:%s:%s" % (
-                stmt.kind, capture.get("route") or "streaming"
-            )
         return DMLResult(
             stmt.kind, target, matched, len(added), len(removed), relation
         )
@@ -427,16 +431,9 @@ class MetatheoryWorkbench:
         return self._algebra(expr, optimized, executor, stats)
 
     def _algebra(self, expr, optimized, executor, stats, capture=None):
-        if executor:
-            return self._run_pipeline(
-                expr, optimized, stats,
-                capture=capture, compiled=executor == "compiled",
-            )
-        if capture is not None:
-            capture["route"] = "treewalk"
-        if optimized:
-            expr = optimize(expr, self.db)
-        return evaluate(expr, self.db)
+        return self._run_pipeline(
+            expr, optimized, stats, capture=capture, executor=executor,
+        )
 
     def calculus(self, query, via="algebra", optimized=False, executor=True,
                  stats=None):
@@ -470,16 +467,9 @@ class MetatheoryWorkbench:
                 capture["route"] = "direct"
             return evaluate_query(query, self.db)
         expr = calculus_to_algebra(query, self.db.schema())
-        if executor:
-            return self._run_pipeline(
-                expr, optimized, stats,
-                capture=capture, compiled=executor == "compiled",
-            )
-        if capture is not None:
-            capture["route"] = "treewalk"
-        if optimized:
-            expr = optimize(expr, self.db)
-        return evaluate(expr, self.db)
+        return self._run_pipeline(
+            expr, optimized, stats, capture=capture, executor=executor,
+        )
 
     def run(self, query, kind=None, optimized=True, executor=True,
             stats=None):
@@ -705,12 +695,7 @@ class MetatheoryWorkbench:
         result.parse_cache_hit = parse_cache_hit
         result.optimizer = info
         result.kernel = self._kernel_status(plan)
-        annotate_estimates(
-            result.report,
-            plan,
-            self.db,
-            self.optimizer.context(self.db).cost,
-        )
+        annotate_estimates(result.report, plan, self.db)
         return result
 
     def _explain_dml(self, stmt, optimized, stats, tracer, parse_cache_hit):
@@ -718,40 +703,32 @@ class MetatheoryWorkbench:
 
         ANALYZE executes: the relational side runs instrumented (the
         OpReport tree covers the INSERT source or the matched-row scan)
-        and the delta **is applied**, so ``result`` is the same
-        :class:`~repro.relational.dml.DMLResult` the plain statement
-        returns, alongside the plan/kernel fingerprints.
+        and the delta **is applied** through the same tail as the plain
+        statement, so ``result`` is the same
+        :class:`~repro.relational.dml.DMLResult` it returns, alongside the
+        plan/kernel fingerprints.
         """
-        source = stmt.source_expr()
-        canonical = canonicalize(source, self.db.schema())
+        canonical = canonicalize(stmt.source_expr(), self.db.schema())
         plan, info, plan_cache_hit, _key, values = self._plan_for(
             canonical, optimized
         )
-        explained = run_explained(
-            bind(plan, values), self.db, stats=stats, tracer=tracer,
-            kind="dml:%s" % stmt.kind,
-        )
-        insert_rows, delete_rows, matched = stmt.delta(
-            explained.result, self.db[stmt.target]
-        )
-        relation, added, removed = self.db.apply_delta(
-            stmt.target, insert_rows=insert_rows, delete_rows=delete_rows,
-            kind=stmt.kind,
-        )
+        explained = None
+
+        def execute(db):
+            nonlocal explained
+            explained = run_explained(
+                bind(plan, values), db, stats=stats, tracer=tracer,
+                kind="dml:%s" % stmt.kind,
+            )
+            return explained.result
+
+        result = self._apply_dml(stmt, execute, tracer)
+        explained.result = result
         explained.plan_cache_hit = plan_cache_hit
         explained.parse_cache_hit = parse_cache_hit
         explained.optimizer = info
         explained.kernel = self._kernel_status(plan)
-        annotate_estimates(
-            explained.report,
-            plan,
-            self.db,
-            self.optimizer.context(self.db).cost,
-        )
-        explained.result = DMLResult(
-            stmt.kind, stmt.target, matched, len(added), len(removed),
-            relation,
-        )
+        annotate_estimates(explained.report, plan, self.db)
         return explained
 
     def _kernel_status(self, plan):

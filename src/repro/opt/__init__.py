@@ -1,8 +1,6 @@
 """repro.opt: the unified cost-based optimizer.
 
-One optimization layer for the whole pipeline, replacing the private
-planners that grew up in ``relational/optimizer.py`` and
-``datalog/planner.py``:
+One optimization layer, in one configuration, for the whole pipeline:
 
 * :mod:`repro.opt.catalog` — per-relation cardinalities and
   per-attribute distinct counts on :class:`~repro.relational.database.
@@ -11,15 +9,12 @@ planners that grew up in ``relational/optimizer.py`` and
   individually-toggleable rewrite rules driven to fixpoint;
 * :mod:`repro.opt.cost` — the one cardinality model every consumer
   shares (rewrites, join ordering, the Datalog body planner);
-* :mod:`repro.opt.joins` — Selinger DP / greedy join ordering and
+* :mod:`repro.opt.joins` — greedy join ordering and cost-gated
   Yannakakis semijoin routing for acyclic join-connected queries.
 
-The front door is :class:`Optimizer` (configurable rule set, DP
-threshold, catalog use) or the module-level :func:`optimize` with the
-default profile.  ``repro.relational.optimizer`` remains as a thin
-deprecated shim over the :data:`CLASSIC_RULES` profile, which reproduces
-the historical pipeline (cascade → pushdown → join formation → greedy
-reordering with fixed selectivities) bit for bit.
+The front door is :class:`Optimizer` — every rule, catalog estimates,
+greedy ordering; ``disable=`` switches single rules off for the
+rule-toggle oracle — or the module-level :func:`optimize`.
 """
 
 from __future__ import annotations
@@ -32,22 +27,11 @@ from .cost import (
     Estimate,
     estimate_literal_matches,
 )
-from .joins import DP_THRESHOLD
 from .rewrite import RewriteEngine
 from .rules import Context, get_rules, rule_names
 
 #: The full default pipeline, in order.
 DEFAULT_RULES = rule_names()
-
-#: The historical ``relational/optimizer.py`` pipeline: selection
-#: cascade + pushdown, join formation, greedy reordering, classical
-#: fixed selectivities (dp_threshold=0 ⇒ greedy), no catalog.
-CLASSIC_RULES = (
-    "split-selections",
-    "push-selections",
-    "form-joins",
-    "order-joins",
-)
 
 
 class OptimizationInfo:
@@ -62,7 +46,7 @@ class OptimizationInfo:
 
     @property
     def join_method(self):
-        """"yannakakis", "dp", "greedy", or None when no tree was
+        """"yannakakis", "greedy", or None when no tree was
         enumerated."""
         return self.notes.get("join_method")
 
@@ -103,66 +87,32 @@ class OptimizationInfo:
 
 
 class Optimizer:
-    """The configurable front door: rewrite + enumerate + cost.
+    """The front door: rewrite + enumerate + cost.
 
     Args:
-        rules: iterable of rule names to enable (default: all, pipeline
-            order is always the registry order).
-        disable: names to subtract from ``rules`` — the handle the
-            rule-toggle metamorphic oracle uses.
-        dp_threshold: max join-tree leaves for exact DP ordering
-            (0 disables DP entirely; greedy everywhere).
-        use_catalog: consult :meth:`Database.catalog` statistics for
-            selectivities (False reproduces the classical fixed
-            selectivity model).
-        yannakakis_threshold: minimum estimated net tuple savings
-            before an acyclic join tree routes through the Yannakakis
-            semijoin program (see ``opt.joins._routing_pays``); None
-            disables the gate and routes every qualifying tree.
+        disable: rule names to switch off — the handle the rule-toggle
+            metamorphic oracle uses.  Every other rule runs, in
+            registry order.
 
     Raises:
         ValueError: on unknown rule names.
     """
 
-    __slots__ = ("rules", "dp_threshold", "use_catalog",
-                 "yannakakis_threshold", "_engine")
+    __slots__ = ("rules", "_engine")
 
-    def __init__(self, rules=None, disable=(), dp_threshold=DP_THRESHOLD,
-                 use_catalog=True, yannakakis_threshold=0.0):
-        wanted = set(rules) if rules is not None else set(DEFAULT_RULES)
+    def __init__(self, disable=()):
         dropped = set(disable)
-        unknown = (wanted | dropped) - set(rule_names())
+        unknown = dropped - set(rule_names())
         if unknown:
             raise ValueError(
                 "unknown optimizer rules: %s" % ", ".join(sorted(unknown))
             )
-        # Normalized to registry order: the pipeline order is fixed, so
-        # the enabled set is the only real configuration.
-        self.rules = tuple(
-            n for n in rule_names() if n in wanted and n not in dropped
-        )
-        self.dp_threshold = dp_threshold
-        self.use_catalog = bool(use_catalog)
-        self.yannakakis_threshold = yannakakis_threshold
+        self.rules = tuple(n for n in rule_names() if n not in dropped)
         self._engine = RewriteEngine(get_rules(self.rules))
 
     def config_token(self):
         """Hashable fingerprint for plan-cache keys."""
-        return (self.rules, self.dp_threshold, self.use_catalog,
-                self.yannakakis_threshold)
-
-    def context(self, db=None, db_schema=None):
-        """A fresh rule :class:`~repro.opt.rules.Context` for one run."""
-        catalog = (
-            db.catalog() if (db is not None and self.use_catalog) else None
-        )
-        return Context(
-            db=db,
-            db_schema=db_schema,
-            cost=CostModel(catalog),
-            dp_threshold=self.dp_threshold,
-            yannakakis_threshold=self.yannakakis_threshold,
-        )
+        return self.rules
 
     def optimize(self, expr, db=None):
         """Optimize a plan; returns the rewritten expression."""
@@ -171,33 +121,24 @@ class Optimizer:
 
     def optimize_info(self, expr, db=None):
         """Optimize and report: ``(plan, OptimizationInfo)``."""
-        ctx = self.context(db)
+        ctx = Context(db)
         plan = self._engine.run(expr, ctx)
         return plan, OptimizationInfo(ctx.fired, ctx.notes, self.rules)
 
     def __repr__(self):
-        return "Optimizer(rules=%d, dp<=%d, catalog=%s)" % (
-            len(self.rules), self.dp_threshold, self.use_catalog
-        )
-
-
-def classic_optimizer():
-    """The historical pipeline as an Optimizer (the shim's engine)."""
-    return Optimizer(rules=CLASSIC_RULES, dp_threshold=0, use_catalog=False)
+        return "Optimizer(rules=%d)" % len(self.rules)
 
 
 def optimize(expr, db=None):
-    """Optimize with the full default profile (module-level convenience)."""
+    """Optimize with every rule enabled (module-level convenience)."""
     return Optimizer().optimize(expr, db)
 
 
 __all__ = [
-    "CLASSIC_RULES",
     "Catalog",
     "Context",
     "CostModel",
     "DEFAULT_RULES",
-    "DP_THRESHOLD",
     "EQUALITY_SELECTIVITY",
     "Estimate",
     "OptimizationInfo",
@@ -205,7 +146,6 @@ __all__ = [
     "RANGE_SELECTIVITY",
     "RewriteEngine",
     "TableStats",
-    "classic_optimizer",
     "estimate_literal_matches",
     "optimize",
     "rule_names",

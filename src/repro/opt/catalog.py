@@ -23,6 +23,8 @@ them through the same :mod:`repro.opt.cost` selectivity model.
 
 from __future__ import annotations
 
+from ..relational.database import is_system_name
+
 
 class TableStats:
     """Statistics for one relation: row count + per-attribute censuses.
@@ -125,10 +127,12 @@ class Catalog:
     def stats(self, name):
         """The :class:`TableStats` for relation ``name`` (scan-on-demand).
 
-        Returns None for names not in the database (the cost model falls
-        back to its classical defaults).
+        Returns None for names not in the database and for ``sys_``
+        relations: those are materialized afresh on every lookup, so a
+        census would rerun their provider on each estimate and pin a
+        stale snapshot (the cost model treats them as unknown).
         """
-        if name not in self.db:
+        if is_system_name(name) or name not in self.db:
             return None
         relation = self.db[name]
         entry = self._entries.get(name)

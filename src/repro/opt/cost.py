@@ -1,30 +1,28 @@
 """The one cost surface: cardinality estimation for every consumer.
 
-Everything in the library that needs a size guess now asks this module:
+Everything in the library that needs a size guess asks this module:
 
 * the rewrite/enumeration pipeline (:mod:`repro.opt.joins`) costs join
-  orders with :class:`CostModel`;
-* the legacy shim (:func:`repro.relational.optimizer.estimate_cardinality`)
-  delegates to the *classical* profile (no catalog);
+  orders and the Yannakakis gate with :class:`CostModel`;
+* EXPLAIN ANALYZE prints the same model's estimates as ``est=``;
 * the Datalog rule-body planner orders literals by
   :func:`estimate_literal_matches` over live relation sizes.
 
-:class:`CostModel` has two profiles.  Without a catalog it reproduces the
-deliberately classical System R model bit for bit (true base counts,
-1/10 equality selectivity, 1/3 ranges, joins divide by the larger side)
-— the shim's pinned tests depend on those exact numbers.  With a
-:class:`~repro.opt.catalog.Catalog` it replaces the fixed selectivities
-with distinct-count arithmetic: an equality against a constant keeps
-``1/V(R, a)`` of the rows, an equi-join divides by the larger distinct
-count of the join attribute, and distinct counts are propagated through
-operators so estimates stay grounded as plans deepen.
+:class:`CostModel` reads the database's
+:class:`~repro.opt.catalog.Catalog`: an equality against a constant
+keeps ``1/V(R, a)`` of the rows, an equi-join divides by the larger
+distinct count of each join attribute, and distinct counts are
+propagated through operators so estimates stay grounded as plans
+deepen.  The classical System R constants (1/10 per equality, 1/3 per
+range) remain as the fallbacks where no distinct count is known.
 """
 
 from __future__ import annotations
 
 from ..relational import algebra as ra
 
-#: Default selectivity of an equality predicate (classical System R value).
+#: Selectivity of an equality predicate whose operands have no known
+#: distinct count (classical System R value).
 EQUALITY_SELECTIVITY = 0.1
 #: Default selectivity of a range predicate.
 RANGE_SELECTIVITY = 1.0 / 3.0
@@ -51,18 +49,10 @@ class Estimate:
 
 
 class CostModel:
-    """Cardinality estimation over canonical (and extension) plans.
+    """Cardinality estimation over canonical (and extension) plans,
+    from the statistics of ``db.catalog()``."""
 
-    Args:
-        catalog: a :class:`~repro.opt.catalog.Catalog` for
-            statistics-backed selectivities, or None for the classical
-            fixed-selectivity profile.
-    """
-
-    __slots__ = ("catalog",)
-
-    def __init__(self, catalog=None):
-        self.catalog = catalog
+    __slots__ = ()
 
     # -- public surface ------------------------------------------------------
 
@@ -151,8 +141,8 @@ class CostModel:
     def selectivity(self, condition, source):
         """Fraction of ``source`` rows a condition keeps.
 
-        ``source`` is the child's :class:`Estimate` — the catalog profile
-        reads distinct counts from it; the classical profile ignores it.
+        ``source`` is the child's :class:`Estimate`; equalities read
+        its distinct counts.
         """
         if isinstance(condition, ra.Comparison):
             return self._comparison_selectivity(condition, source)
@@ -179,8 +169,6 @@ class CostModel:
         return RANGE_SELECTIVITY
 
     def _equality_selectivity(self, condition, source):
-        if self.catalog is None:
-            return EQUALITY_SELECTIVITY
         distincts = []
         for operand in (condition.left, condition.right):
             if isinstance(operand, ra.Attr):
@@ -194,36 +182,24 @@ class CostModel:
     # -- node helpers --------------------------------------------------------
 
     def _base(self, name, db):
-        if self.catalog is not None:
-            stats = self.catalog.stats(name)
-            if stats is not None:
-                return Estimate(
-                    stats.rows,
-                    {a: float(d) for a, d in stats.distincts().items()},
-                )
-        try:
-            relation = db[name]
-        except Exception:
+        stats = db.catalog().stats(name) if db is not None else None
+        if stats is None:
+            # Unknown names and sys_ relations, which the catalog never
+            # materializes to plan.
             return Estimate(1.0)
-        return Estimate(len(relation))
+        return Estimate(
+            stats.rows, {a: float(d) for a, d in stats.distincts().items()}
+        )
 
     def _join(self, expr, db):
         left = self.estimate(expr.left, db)
         right = self.estimate(expr.right, db)
-        shared = set(left.distinct) & set(right.distinct)
-        if self.catalog is not None:
-            # No shared attributes means the join *is* the cross
-            # product — estimating it as such is what steers the DP
-            # enumerator away from cross-product orders.
-            rows = left.rows * right.rows
-            for attribute in shared:
-                divisor = max(
-                    left.distinct[attribute], right.distinct[attribute], 1.0
-                )
-                rows /= divisor
-        else:
-            rows = (
-                left.rows * right.rows / max(left.rows, right.rows, 1.0)
+        # No shared attributes means the join *is* the cross product, and
+        # it is estimated as one.
+        rows = left.rows * right.rows
+        for attribute in set(left.distinct) & set(right.distinct):
+            rows /= max(
+                left.distinct[attribute], right.distinct[attribute], 1.0
             )
         distinct = {}
         for a, d in left.distinct.items():
@@ -237,12 +213,9 @@ class CostModel:
         right = self.estimate(expr.right, db)
         distinct = dict(left.distinct)
         distinct.update(right.distinct)
-        if self.catalog is not None:
-            combined = Estimate(left.rows * right.rows, distinct)
-            selectivity = self.selectivity(expr.condition, combined)
-            return Estimate(combined.rows * selectivity, distinct).clamped()
-        rows = left.rows * right.rows / max(left.rows, right.rows, 1.0)
-        return Estimate(rows, distinct).clamped()
+        combined = Estimate(left.rows * right.rows, distinct)
+        selectivity = self.selectivity(expr.condition, combined)
+        return Estimate(combined.rows * selectivity, distinct).clamped()
 
 
 # ---------------------------------------------------------------------------

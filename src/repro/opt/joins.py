@@ -16,9 +16,10 @@ Two enumeration passes close the optimizer pipeline:
   work on routed plans unmodified.
 
 * :func:`order_joins_pass` — remaining join trees are ordered by the
-  shared cost model: exact Selinger-style dynamic programming over
-  connected sub-plans below :data:`DP_THRESHOLD` leaves, the classical
-  greedy pairwise heuristic above it.
+  shared cost model with the greedy pairwise heuristic: repeatedly join
+  the pair with the smallest estimated result.  On random 3-6 relation
+  joins it did less work in total than exact Selinger dynamic
+  programming (EXPERIMENTS.md, "One optimizer configuration").
 
 Both passes restore the original output column order with a permutation
 projection when enumeration changed it (natural joins list left
@@ -28,16 +29,11 @@ that would break union compatibility — a conformance-fuzzer regression).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from ..acyclic.gyo import is_alpha_acyclic
 from ..acyclic.hypergraph import Hypergraph
 from ..acyclic.jointree import JoinTree
 from ..errors import HypergraphError
 from ..relational import algebra as ra
-
-#: Below this many join leaves, enumeration is exact (Selinger DP).
-DP_THRESHOLD = 7
 
 
 def flatten_joins(expr):
@@ -190,7 +186,7 @@ _SEMIJOIN_SWEEP_FACTOR = 2.0
 
 
 def _routing_pays(expr, leaves, ctx):
-    """Cost gate: route only when estimated savings clear the threshold.
+    """Cost gate: route only when estimated savings exceed the sweeps.
 
     The win of a Yannakakis program is the intermediate volume it never
     materializes: the sum of estimated rows across the tree's internal
@@ -200,18 +196,14 @@ def _routing_pays(expr, leaves, ctx):
     intermediates are barely larger than their result, lose wall time
     to the extra passes (``BENCH_optimizer.json`` records the
     regressions), so the rewrite must *pay for its sweeps* in saved
-    tuples first.  A ``yannakakis_threshold`` of None disables the gate
-    (the pre-gate behavior: route whatever qualifies structurally).
+    tuples first.
     """
-    threshold = ctx.yannakakis_threshold
-    if threshold is None:
-        return True
     volume = _join_volume(expr, ctx)
     root_rows = ctx.cost.rows(expr, ctx.db)
     sweep_cost = _SEMIJOIN_SWEEP_FACTOR * sum(
         ctx.cost.rows(leaf, ctx.db) for leaf in leaves
     )
-    return (volume - root_rows) - sweep_cost > threshold
+    return (volume - root_rows) - sweep_cost > 0
 
 
 def _join_volume(expr, ctx):
@@ -248,66 +240,6 @@ def greedy_order(leaves, ctx):
     return parts[0]
 
 
-def selinger_dp(leaves, attr_sets, ctx):
-    """Exact bushy join ordering by dynamic programming over subsets.
-
-    ``best[S]`` holds the cheapest plan joining exactly the leaves in
-    ``S``, costed as the total estimated rows of every intermediate
-    result (the classic Selinger objective).  Splits that share an
-    attribute are preferred; cross products are admitted only for
-    subsets with no connected split, so disconnected queries still plan.
-    """
-    n = len(leaves)
-    indices = range(n)
-    best = {}
-    for i in indices:
-        best[frozenset([i])] = (
-            0.0,
-            leaves[i],
-            ctx.cost.rows(leaves[i], ctx.db),
-        )
-    for size in range(2, n + 1):
-        for subset in combinations(indices, size):
-            key = frozenset(subset)
-            candidates = []
-            seen_connected = False
-            for r in range(1, size // 2 + 1):
-                for left_part in combinations(subset, r):
-                    left_key = frozenset(left_part)
-                    right_key = key - left_key
-                    if left_key not in best or right_key not in best:
-                        continue
-                    left_attrs = frozenset().union(
-                        *(attr_sets[i] for i in left_key)
-                    )
-                    right_attrs = frozenset().union(
-                        *(attr_sets[i] for i in right_key)
-                    )
-                    connected = bool(left_attrs & right_attrs)
-                    candidates.append(
-                        (connected, left_key, right_key)
-                    )
-                    seen_connected = seen_connected or connected
-            chosen = None
-            for connected, left_key, right_key in candidates:
-                if seen_connected and not connected:
-                    continue
-                left_cost, left_expr, left_rows = best[left_key]
-                right_cost, right_expr, right_rows = best[right_key]
-                # Build the bigger side on the left: the executor
-                # streams the left input and indexes the right.
-                if left_rows >= right_rows:
-                    candidate = ra.NaturalJoin(left_expr, right_expr)
-                else:
-                    candidate = ra.NaturalJoin(right_expr, left_expr)
-                rows = ctx.cost.rows(candidate, ctx.db)
-                total = left_cost + right_cost + rows
-                if chosen is None or total < chosen[0]:
-                    chosen = (total, candidate, rows)
-            best[key] = chosen
-    return best[frozenset(indices)][1]
-
-
 def _join_shape(expr):
     """The join tree's shape over leaf identities — detects both
     reordering and reassociation (bushy vs left-deep)."""
@@ -317,8 +249,8 @@ def _join_shape(expr):
 
 
 def order_joins_pass(expr, ctx):
-    """Cost-based ordering of natural-join trees (the ``order-joins``
-    rule): exact DP below the threshold, greedy above it.
+    """Greedy cost-based ordering of natural-join trees (the
+    ``order-joins`` rule).
 
     Skips trees containing semijoin leaves — those were just emitted by
     ``route-yannakakis`` and their join phase is already ordered along
@@ -336,14 +268,7 @@ def order_joins_pass(expr, ctx):
         ctx.db_schema if ctx.db_schema is not None else ctx.db.schema()
     )
     original = expr.schema(db_schema).attributes
-    attr_sets = _leaf_schemas(leaves, db_schema)
-    threshold = ctx.dp_threshold
-    if attr_sets is not None and len(leaves) <= threshold:
-        joined = selinger_dp(leaves, attr_sets, ctx)
-        method = "dp"
-    else:
-        joined = greedy_order(leaves, ctx)
-        method = "greedy"
+    joined = greedy_order(leaves, ctx)
     if joined.schema(db_schema).attributes != original:
         joined = ra.Projection(joined, original)
     stripped = (
@@ -352,7 +277,7 @@ def order_joins_pass(expr, ctx):
     if _join_shape(stripped) == _join_shape(expr):
         return expr
     ctx.fire("order-joins")
-    ctx.note("join_method", method)
+    ctx.note("join_method", "greedy")
     ctx.note(
         "join_order",
         tuple(_leaf_label(leaf) for leaf in flatten_joins(stripped)),

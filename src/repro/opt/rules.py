@@ -22,7 +22,7 @@ The registry order is the pipeline order:
 6.  ``form-joins``        — σ[cross-equality](A × B) → theta join
 7.  ``merge-selections``  — σ[a](σ[b](E)) → σ[a∧b](E)
 8.  ``route-yannakakis``  — acyclic join trees → semijoin program
-9.  ``order-joins``       — cost-based join ordering (DP / greedy)
+9.  ``order-joins``       — greedy cost-based join ordering
 
 Rules 8-9 live in :mod:`repro.opt.joins` (they are enumeration passes,
 not algebraic identities) but register here so they toggle uniformly.
@@ -47,27 +47,20 @@ class Context:
         fired: ``{rule name: application count}`` for this run.
         notes: free-form facts recorded by enumeration passes (e.g. the
             chosen join method and order), surfaced by EXPLAIN.
-        yannakakis_threshold: minimum estimated tuple savings (net of
-            the semijoin sweeps' own cost) before a join tree routes
-            through Yannakakis; None disables the gate (always route).
     """
 
-    __slots__ = ("db", "db_schema", "cost", "fired", "notes", "dp_threshold",
-                 "yannakakis_threshold")
+    __slots__ = ("db", "db_schema", "cost", "fired", "notes")
 
-    def __init__(self, db=None, db_schema=None, cost=None, dp_threshold=7,
-                 yannakakis_threshold=0.0):
+    def __init__(self, db=None, db_schema=None):
         self.db = db
         self.db_schema = (
             db_schema
             if db_schema is not None
             else (db.schema() if db is not None else None)
         )
-        self.cost = cost if cost is not None else CostModel()
+        self.cost = CostModel()
         self.fired = {}
         self.notes = {}
-        self.dp_threshold = dp_threshold
-        self.yannakakis_threshold = yannakakis_threshold
 
     def fire(self, name):
         self.fired[name] = self.fired.get(name, 0) + 1
@@ -79,9 +72,8 @@ class Context:
 def rebuild(expr, recurse):
     """Apply ``recurse`` to children; rebuild only if something changed.
 
-    Unknown (extension) nodes are returned untouched — front-end trees
-    passed through the legacy ``executor=False`` path keep their custom
-    nodes intact, exactly as the old optimizer tolerated them.
+    Unknown (extension) nodes are returned untouched, so a plan that
+    still holds front-end nodes optimizes around them.
     """
     if isinstance(expr, (ra.Selection, ra.Projection, ra.Rename)):
         child = recurse(expr.child)

@@ -33,10 +33,11 @@ pipeline:
   per-operator counters, and mirrors the finished tree into a
   :class:`~repro.obs.trace.Tracer`.
 
-The legacy materialize-everything tree-walk
+The materialize-everything tree walk
 (:func:`~repro.relational.algebra.evaluate`) stays available behind
-``executor=False`` on every workbench entry point, mirroring the
-``indexed=False`` opt-out discipline of the Datalog physical layer.
+``executor=False`` on every workbench entry point, where it runs the
+same cached plan as the executor, mirroring the ``indexed=False``
+opt-out discipline of the Datalog physical layer.
 """
 
 from .cache import PlanCache

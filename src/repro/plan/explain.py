@@ -27,6 +27,7 @@ import time
 
 from ..datalog.stats import EngineStatistics
 from ..obs.trace import NULL_TRACER
+from ..opt.cost import CostModel
 from ..relational.relation import Relation
 from .physical import Tally, _BuiltIndex, build_physical
 
@@ -346,7 +347,7 @@ def run_explained(plan, db, stats=None, tracer=NULL_TRACER, kind=None):
     return result
 
 
-def annotate_estimates(report, plan, db, cost_model):
+def annotate_estimates(report, plan, db):
     """Attach estimated cardinalities (``est=``) to an OpReport tree.
 
     Pairs the physical report tree with the logical plan it was built
@@ -359,6 +360,8 @@ def annotate_estimates(report, plan, db, cost_model):
     EXPLAIN shows exactly the numbers the optimizer planned with, next
     to the actual rows the run produced.
     """
+    cost_model = CostModel()
+
     def visit(op_report, expr):
         try:
             op_report.est_rows = cost_model.rows(expr, db)

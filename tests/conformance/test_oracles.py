@@ -105,16 +105,18 @@ class TestFaultDetection:
 
     def test_template_leg_catches_a_value_aware_estimator(self):
         # σ[a = v](r) joined to two more relations: an estimator that
-        # reads v can reorder the joins of the concrete plan only.
+        # reads v can reorder the joins of the concrete plan only.  a is
+        # a key, so the template's σ keeps one row and greedy joins it
+        # to s first; at 0.9 selectivity s ⋈ u is cheaper.
         from repro.opt.cost import CostModel
         from repro.plan import canonicalize, parameterize
         from repro.relational import algebra as ra
         from repro.relational.database import Database
 
         db = Database.from_dict({
-            "r": (("a", "b"), [(i % 5, i) for i in range(30)]),
-            "s": (("b", "c"), [(i, i % 3) for i in range(20)]),
-            "u": (("c", "d"), [(i % 3, i) for i in range(25)]),
+            "r": (("a", "b"), [(i, i % 10) for i in range(300)]),
+            "s": (("b", "c"), [(i % 10, i % 5) for i in range(20)]),
+            "u": (("c", "d"), [(i % 5, i) for i in range(25)]),
         })
         expr = ra.NaturalJoin(
             ra.NaturalJoin(

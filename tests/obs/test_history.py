@@ -120,6 +120,16 @@ class TestWorkbenchRecording:
         assert treewalk.route == "treewalk"
         assert direct.route == "direct"
 
+    def test_treewalk_runs_the_cached_plan(self):
+        wb = make_wb(history=True)
+        query = "SELECT name FROM person WHERE pid > 1"
+        assert wb.sql(query) == wb.sql(query, executor=False)
+        first, treewalk = wb.history.records()
+        assert treewalk.route == "treewalk"
+        assert treewalk.plan_cache_hit == 1
+        assert treewalk.parse_cache_hit == 1
+        assert treewalk.plan_fingerprint == first.plan_fingerprint
+
     def test_enable_disable_toggle(self):
         wb = make_wb()
         wb.sql("SELECT name FROM person")

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.opt import Catalog, TableStats
-from repro.relational import Database, Relation, RelationSchema
+from repro.core.workbench import MetatheoryWorkbench
+from repro.obs.metrics import MetricsRegistry
+from repro.opt import Catalog, Optimizer, TableStats
+from repro.relational import (
+    Database,
+    NaturalJoin,
+    Relation,
+    RelationRef,
+    RelationSchema,
+)
+from repro.relational.database import is_system_name
 
 
 @pytest.fixture
@@ -111,3 +120,58 @@ class TestIncrementalInsert:
         catalog = Catalog(db)
         first = catalog.stats("r")
         assert catalog.stats("r") is first
+
+
+class TestSystemRelations:
+    """A ``sys_`` relation is a fresh snapshot on every lookup: planning
+    and EXPLAIN must not materialize it, and the catalog keeps none."""
+
+    @pytest.fixture
+    def session(self):
+        calls = []
+
+        def provider():
+            calls.append(1)
+            return [(i, "ok") for i in range(4)]
+
+        wb = MetatheoryWorkbench(
+            Database.from_dict(
+                {
+                    "emp": (("eid", "dept"), [(i, i % 2) for i in range(6)]),
+                    "dept": (("dept", "name"), [(0, "a"), (1, "b")]),
+                }
+            ),
+            metrics=MetricsRegistry(),
+        )
+        wb.db.register_virtual(
+            RelationSchema("sys_probe", ("eid", "status")), provider
+        )
+        return wb, calls
+
+    def test_optimizing_never_runs_the_provider(self, session):
+        wb, calls = session
+        expr = NaturalJoin(
+            NaturalJoin(RelationRef("emp"), RelationRef("sys_probe")),
+            RelationRef("dept"),
+        )
+        catalog = wb.db.catalog()
+        Optimizer().optimize(expr, wb.db)
+        assert calls == []
+        assert catalog.stats("sys_probe") is None
+        assert not any(is_system_name(name) for name in catalog._entries)
+
+    def test_explain_runs_the_provider_only_to_execute(self, session):
+        wb, calls = session
+        catalog = wb.db.catalog()
+        catalog.stats("emp")
+        rescans = catalog.rescans
+        query = (
+            "SELECT e.eid, p.status FROM emp e, sys_probe p "
+            "WHERE e.eid = p.eid"
+        )
+        for run in (1, 2):  # a plan-cache miss, then a hit
+            explained = wb.explain_analyze(query)
+            assert len(explained.result) == 4
+            assert len(calls) == run
+        assert catalog.rescans == rescans
+        assert not any(is_system_name(name) for name in catalog._entries)

@@ -1,4 +1,4 @@
-"""The unified cost model: classical and catalog profiles, literal costs.
+"""The unified cost model: catalog estimates and literal costs.
 
 The estimation-quality suite pins how close the estimates are to the
 truth on workloads where the model's uniformity assumptions hold
@@ -9,7 +9,7 @@ as ``est=`` next to actual rows.
 
 import pytest
 
-from repro.opt import CostModel, EQUALITY_SELECTIVITY, RANGE_SELECTIVITY
+from repro.opt import CostModel
 from repro.opt.cost import estimate_literal_matches
 from repro.relational import (
     Database,
@@ -21,7 +21,6 @@ from repro.relational import (
     Union,
     eq,
     evaluate,
-    gt,
 )
 from repro.relational.algebra import Attr, Comparison, Const
 
@@ -36,28 +35,11 @@ def db():
     )
 
 
-def classical():
-    return CostModel(None)
-
-
-class TestClassicalProfile:
-    """The fixed-selectivity model the legacy optimizer pinned."""
-
-    def test_base_and_selection(self, db):
-        model = classical()
-        assert model.rows(RelationRef("big"), db) == 50.0
-        selected = Selection(RelationRef("big"), eq("a", 1))
-        assert model.rows(selected, db) == 50 * EQUALITY_SELECTIVITY
-        ranged = Selection(RelationRef("big"), gt("a", 1))
-        assert model.rows(ranged, db) == 50 * RANGE_SELECTIVITY
-
-    def test_join_divides_by_larger_side(self, db):
-        model = classical()
-        join = NaturalJoin(RelationRef("big"), RelationRef("small"))
-        assert model.rows(join, db) == 50 * 2 / 50
+class TestCatalogProfile:
+    """Distinct-count arithmetic over the catalog's statistics."""
 
     def test_product_union_projection(self, db):
-        model = classical()
+        model = CostModel()
         product = Product(RelationRef("big"), RelationRef("small"))
         assert model.rows(product, db) == 100.0
         union = Union(RelationRef("big"), RelationRef("big"))
@@ -65,24 +47,8 @@ class TestClassicalProfile:
         projected = Projection(RelationRef("big"), ("a",))
         assert model.rows(projected, db) == 50.0
 
-    def test_constant_comparison_uses_default(self, db):
-        # No catalog: attr=attr and attr=const are both 1/10.
-        model = classical()
-        selected = Selection(
-            RelationRef("big"),
-            Comparison(Attr("a"), "=", Attr("b")),
-        )
-        assert model.rows(selected, db) == 5.0
-
-
-class TestCatalogProfile:
-    """Distinct-count arithmetic replaces the fixed selectivities."""
-
-    def statistics_model(self, db):
-        return CostModel(db.catalog())
-
     def test_equality_uses_distinct_count(self, db):
-        model = self.statistics_model(db)
+        model = CostModel()
         selected = Selection(RelationRef("big"), eq("b", 3))
         # V(big, b) = 10, so est = 50/10 — and the data is uniform, so
         # the estimate is exact.
@@ -90,7 +56,7 @@ class TestCatalogProfile:
         assert len(evaluate(selected, db)) == 5
 
     def test_attr_attr_equality_uses_larger_distinct(self, db):
-        model = self.statistics_model(db)
+        model = CostModel()
         selected = Selection(
             RelationRef("big"), Comparison(Attr("a"), "=", Attr("b"))
         )
@@ -109,7 +75,7 @@ class TestCatalogProfile:
                 ),
             }
         )
-        model = CostModel(db.catalog())
+        model = CostModel()
         join = NaturalJoin(RelationRef("users"), RelationRef("orders"))
         estimate = model.rows(join, db)
         actual = len(evaluate(join, db))
@@ -117,7 +83,7 @@ class TestCatalogProfile:
         assert estimate == actual == 120
 
     def test_distinct_counts_clamped_to_rows(self, db):
-        model = self.statistics_model(db)
+        model = CostModel()
         selected = Selection(RelationRef("big"), eq("b", 3))
         estimate = model.estimate(selected, db)
         assert all(d <= estimate.rows for d in estimate.distinct.values())
@@ -129,7 +95,7 @@ class TestCatalogProfile:
         rows = [(i, "hot") for i in range(40)]
         rows += [(40 + i, "cold%d" % i) for i in range(10)]
         db = Database.from_dict({"t": (("k", "v"), rows)})
-        model = CostModel(db.catalog())
+        model = CostModel()
         for value, count in [("hot", 40), ("cold0", 1)]:
             selected = Selection(RelationRef("t"), eq("v", value))
             estimate = model.rows(selected, db)
@@ -143,14 +109,14 @@ class TestExtensionNodes:
             def children(self):
                 return [RelationRef("big"), RelationRef("small")]
 
-        assert classical().rows(Exotic(), db) == 50.0
+        assert CostModel().rows(Exotic(), db) == 50.0
 
     def test_leaf_unknown_node_defaults_to_one(self, db):
         class Leaf:
             def children(self):
                 return []
 
-        assert classical().rows(Leaf(), db) == 1.0
+        assert CostModel().rows(Leaf(), db) == 1.0
 
 
 class TestLiteralMatches:

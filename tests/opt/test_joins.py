@@ -1,4 +1,4 @@
-"""Join enumeration: Selinger DP, greedy fallback, Yannakakis routing."""
+"""Join enumeration: greedy ordering and cost-gated Yannakakis routing."""
 
 import pytest
 
@@ -34,6 +34,21 @@ def chain_join():
     )
 
 
+def dumbbell_db():
+    """A chain whose middle relation is mostly dangling: only b ∈ {0,1}
+    has partners in r and only c ∈ {18,19} in t, so semijoin reduction
+    strips s to 4 rows before any join, while every join-at-a-time
+    order materializes a large half-reduced intermediate first.  The
+    intermediates dwarf the inputs, so routing clears the cost gate."""
+    return Database.from_dict(
+        {
+            "r": (("a", "b"), [(i, i % 2) for i in range(100)]),
+            "s": (("b", "c"), [(b, c) for b in range(20) for c in range(20)]),
+            "t": (("c", "d"), [(18 + i % 2, i) for i in range(50)]),
+        }
+    )
+
+
 def triangle_db():
     """r(a,b) ⋈ s(b,c) ⋈ u(c,a): a cyclic join (no join tree exists)."""
     return Database.from_dict(
@@ -52,13 +67,10 @@ def info_for(expr, db, **kwargs):
 
 
 class TestYannakakisRouting:
-    # Routing structure tests relax the cost gate (yannakakis_threshold
-    # =None): the fixtures are deliberately tiny, and the gate exists
-    # precisely to keep tiny joins un-routed (see TestRoutingGate).
     def test_acyclic_chain_routes(self):
-        db = chain_db()
+        db = dumbbell_db()
         expr = chain_join()
-        plan, info = info_for(expr, db, yannakakis_threshold=None)
+        plan, info = info_for(expr, db)
         assert info.join_method == "yannakakis"
         assert info.fired.get("route-yannakakis") == 1
         assert set(info.join_order) == {"r", "s", "t"}
@@ -67,8 +79,8 @@ class TestYannakakisRouting:
         assert result == baseline  # exact: column order preserved too
 
     def test_routed_plan_contains_semijoins(self):
-        db = chain_db()
-        plan, _info = info_for(chain_join(), db, yannakakis_threshold=None)
+        db = dumbbell_db()
+        plan, _info = info_for(chain_join(), db)
         def count(node):
             if isinstance(node, Semijoin):
                 return 1 + count(node.left) + count(node.right)
@@ -118,33 +130,26 @@ class TestYannakakisRouting:
         plan, info = info_for(
             chain_join(), db, disable=("route-yannakakis",)
         )
-        assert info.join_method in ("dp", "greedy")
+        assert info.join_method == "greedy"
         assert evaluate(plan, db) == evaluate(chain_join(), db)
 
 
 class TestOrdering:
-    def order_of(self, db, expr, **kwargs):
-        _plan, info = info_for(expr, db, disable=("route-yannakakis",),
-                               **kwargs)
-        return info
-
-    def test_dp_below_threshold(self):
-        info = self.order_of(chain_db(), chain_join())
-        assert info.join_method == "dp"
+    def test_greedy_orders_the_tree(self):
+        _plan, info = info_for(
+            chain_join(), chain_db(), disable=("route-yannakakis",)
+        )
+        assert info.join_method == "greedy"
         assert set(info.join_order) == {"r", "s", "t"}
 
-    def test_greedy_above_threshold(self):
-        info = self.order_of(chain_db(), chain_join(), dp_threshold=2)
-        assert info.join_method == "greedy"
-
-    def test_dp_starts_from_small_relations(self):
+    def test_greedy_starts_from_small_relations(self):
         # s ⋈ t is far cheaper than r ⋈ s: the chosen plan must join
         # the two small relations innermost, not extend r ⋈ s.
         db = chain_db(sizes=(40, 8, 2))
         plan, info = info_for(
             chain_join(), db, disable=("route-yannakakis",)
         )
-        assert info.join_method == "dp"
+        assert info.join_method == "greedy"
 
         def innermost_pairs(node, out):
             if isinstance(node, NaturalJoin):
@@ -171,15 +176,15 @@ class TestOrdering:
         assert evaluate(plan, db) == evaluate(expr, db)
 
     def test_selection_wrapped_leaves_still_order(self):
+        # σ[a = 1](r) keeps one row, so greedy joins it to s before t.
         db = chain_db()
         expr = NaturalJoin(
-            NaturalJoin(
-                Selection(RelationRef("r"), eq("a", 1)), RelationRef("s")
-            ),
-            RelationRef("t"),
+            NaturalJoin(RelationRef("s"), RelationRef("t")),
+            Selection(RelationRef("r"), eq("a", 1)),
         )
         plan, info = info_for(expr, db, disable=("route-yannakakis",))
-        assert info.join_method == "dp"
+        assert info.join_method == "greedy"
+        assert info.join_order == ("t", "s", "r")
         assert evaluate(plan, db) == evaluate(expr, db)
 
     def test_already_optimal_order_is_identity(self):
@@ -206,29 +211,9 @@ class TestMaterializationWin:
         """The tentpole's acceptance shape: on a selective acyclic
         chain, the routed plan's intermediates stay smaller than the
         unrouted cost-ordered plan's."""
-        # A "dumbbell" chain: the middle relation is mostly dangling
-        # (only b ∈ {0,1} has partners in r, only c ∈ {18,19} in t),
-        # so semijoin reduction strips s to 4 rows before any join,
-        # while every join-at-a-time order materializes a large
-        # half-reduced intermediate first.
-        db = Database.from_dict(
-            {
-                "r": (
-                    ("a", "b"),
-                    [(i, i % 2) for i in range(50)],
-                ),
-                "s": (
-                    ("b", "c"),
-                    [(b, c) for b in range(20) for c in range(20)],
-                ),
-                "t": (
-                    ("c", "d"),
-                    [(18 + i % 2, i) for i in range(50)],
-                ),
-            }
-        )
+        db = dumbbell_db()
         expr = chain_join()
-        routed, info = info_for(expr, db, yannakakis_threshold=None)
+        routed, info = info_for(expr, db)
         unrouted, _ = info_for(expr, db, disable=("route-yannakakis",))
         assert info.join_method == "yannakakis"
 
@@ -302,7 +287,7 @@ class TestRoutingGate:
         db, expr = self.small_star()
         plan, info = info_for(expr, db)
         assert "route-yannakakis" not in info.fired
-        assert info.join_method in ("dp", "greedy")
+        assert info.join_method == "greedy"
         assert evaluate(plan, db) == evaluate(expr, db)
 
     def test_small_chain_stays_unrouted(self):
@@ -315,16 +300,3 @@ class TestRoutingGate:
         assert info.fired.get("route-yannakakis") == 1
         assert info.join_method == "yannakakis"
         assert evaluate(plan, db) == evaluate(expr, db)
-
-    def test_none_threshold_disables_gate(self):
-        db, expr = self.small_star()
-        _plan, info = info_for(expr, db, yannakakis_threshold=None)
-        assert info.fired.get("route-yannakakis") == 1
-
-    def test_threshold_is_in_config_token(self):
-        # A cached plan keyed without the threshold would survive a
-        # reconfiguration; the token must distinguish the two.
-        assert (
-            Optimizer().config_token()
-            != Optimizer(yannakakis_threshold=None).config_token()
-        )

@@ -1,25 +1,13 @@
-"""The Optimizer front door, the legacy shim, and workbench integration."""
+"""The Optimizer front door and workbench integration."""
 
 import ast
 import os
 
 import pytest
 
-from repro.core.random_instances import (
-    random_algebra_expression,
-    random_database,
-)
 from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog.stats import EngineStatistics
-from repro.opt import (
-    CLASSIC_RULES,
-    DEFAULT_RULES,
-    Optimizer,
-    classic_optimizer,
-    optimize,
-    rule_names,
-)
-from repro.plan import canonicalize, execute
+from repro.opt import DEFAULT_RULES, Optimizer, optimize, rule_names
 from repro.relational import (
     Database,
     NaturalJoin,
@@ -28,8 +16,6 @@ from repro.relational import (
     eq,
     evaluate,
 )
-from repro.relational import optimizer as legacy
-from repro.relational.relation import same_content
 
 
 @pytest.fixture
@@ -53,19 +39,14 @@ class TestFrontDoor:
     def test_default_enables_every_rule(self):
         assert Optimizer().rules == DEFAULT_RULES == rule_names()
 
-    def test_explicit_rules_keep_pipeline_order(self):
-        optimizer = Optimizer(rules=("order-joins", "split-selections"))
-        assert optimizer.rules == ("split-selections", "order-joins")
-
     def test_config_token_distinguishes_profiles(self):
         tokens = {
             Optimizer().config_token(),
             Optimizer(disable=("order-joins",)).config_token(),
-            Optimizer(dp_threshold=3).config_token(),
-            Optimizer(use_catalog=False).config_token(),
-            classic_optimizer().config_token(),
+            Optimizer(disable=("route-yannakakis",)).config_token(),
         }
-        assert len(tokens) == 5
+        assert len(tokens) == 3
+        assert Optimizer().config_token() == Optimizer().config_token()
 
     def test_module_level_optimize(self, db):
         expr = Selection(acyclic_chain(), eq("d", 1))
@@ -79,42 +60,6 @@ class TestFrontDoor:
         assert info.fired
         assert "rules_fired" in info.as_dict()
         assert info.summary()
-
-
-class TestShim:
-    """``relational/optimizer.py`` is now a delegating profile of opt."""
-
-    def test_classic_profile_constant(self):
-        assert legacy.CLASSIC_PROFILE == CLASSIC_RULES
-
-    def test_shim_optimize_equals_classic_engine(self, db):
-        expr = Selection(acyclic_chain(), eq("d", 1))
-        canonical = canonicalize(expr, db.schema())
-        via_shim = legacy.optimize(canonical, db)
-        via_classic = classic_optimizer().optimize(canonical, db)
-        assert evaluate(via_shim, db) == evaluate(via_classic, db)
-
-    def test_differential_fuzz_old_equals_new(self):
-        """The satellite differential: on the random-algebra fuzzer,
-        the classic profile, the full pipeline, and the unoptimized
-        evaluation all agree."""
-        for seed in range(30):
-            fuzz_db = random_database(
-                num_relations=3, arity=2, rows=7, domain_size=5, seed=seed
-            )
-            expr = random_algebra_expression(fuzz_db, seed=seed, size=5)
-            baseline = evaluate(expr, fuzz_db)
-            canonical = canonicalize(expr, fuzz_db.schema())
-            schema = fuzz_db.schema()
-            for optimizer in (classic_optimizer(), Optimizer()):
-                plan = canonicalize(
-                    optimizer.optimize(canonical, fuzz_db), schema
-                )
-                result = execute(plan, fuzz_db)
-                assert same_content(result, baseline), (
-                    seed,
-                    optimizer.config_token(),
-                )
 
 
 class TestWorkbenchIntegration:
@@ -146,7 +91,9 @@ class TestWorkbenchIntegration:
         workload has to make the unoptimized plan buffer: a right-deep
         tree forces a hash-join build over the derived ``s ⋈ t``, which
         is mostly dangling with respect to ``r`` — the regime the
-        semijoin reduction exists for.
+        semijoin reduction exists for.  ``t`` repeats each ``c`` value
+        100 times, so the estimated ``s ⋈ t`` dwarfs the inputs and the
+        rewrite clears the routing cost gate.
         """
         wb = MetatheoryWorkbench(
             Database.from_dict(
@@ -156,14 +103,9 @@ class TestWorkbenchIntegration:
                         ("b", "c"),
                         [(b, c) for b in range(50) for c in range(50)],
                     ),
-                    "t": (("c", "d"), [(i, i) for i in range(5)]),
+                    "t": (("c", "d"), [(i % 5, i) for i in range(500)]),
                 }
-            ),
-            # The catalog's equi-join model cannot see how dangling s
-            # is (semijoin estimates predict no reduction), so this
-            # small fixture fails the routing cost gate; relax it — the
-            # gate has its own regression tests in test_joins.
-            optimizer=Optimizer(yannakakis_threshold=None),
+            )
         )
         expr = NaturalJoin(
             RelationRef("r"),
@@ -195,9 +137,9 @@ class TestWorkbenchIntegration:
 class TestSingleCostSurface:
     """No private cardinality estimators outside ``repro/opt/``."""
 
-    #: Modules allowed to *define* an ``estimate_*`` callable: the
-    #: legacy shim's public API, which must delegate to repro.opt.
-    ALLOWED = {("relational/optimizer.py", "estimate_cardinality")}
+    #: Modules allowed to *define* an ``estimate_*`` callable outside
+    #: ``repro/opt/``.
+    ALLOWED = set()
 
     def test_no_estimators_outside_opt(self):
         import repro

@@ -1,9 +1,9 @@
-"""Differential property: executor ≡ legacy tree walk ≡ optimized plan.
+"""Differential property: executor ≡ tree walk ≡ optimized plan.
 
 Hypothesis drives seeds into the deterministic random-expression
 generator (every core operator, schema-valid by construction) and the
 random-database generator; for every pair the streaming executor must
-reproduce the legacy tree walk bit for bit, and the optimized canonical
+reproduce the tree walk bit for bit, and the optimized canonical
 plan must agree up to column order.  This is the acceptance-criterion
 oracle for the whole pipeline, the analogue of the Datalog
 cross-engine differential suite one layer down.
@@ -17,9 +17,11 @@ from repro.core.random_instances import (
     random_algebra_expression,
     random_database,
 )
+from repro.core.workbench import MetatheoryWorkbench
+from repro.obs.metrics import MetricsRegistry
+from repro.opt import optimize
 from repro.plan import canonicalize, execute
 from repro.relational.algebra import evaluate
-from repro.relational.optimizer import optimize
 from repro.relational.relation import same_content
 
 
@@ -42,6 +44,29 @@ def test_executor_matches_treewalk_and_optimizer(db_seed, expr_seed, size):
 
     optimized = optimize(canonicalize(expr, db.schema()), db)
     assert same_content(execute(optimized, db), legacy), expr
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db_seed=st.integers(min_value=0, max_value=10**6),
+    expr_seed=st.integers(min_value=0, max_value=10**6),
+    size=st.integers(min_value=1, max_value=5),
+)
+def test_treewalk_route_runs_the_cached_plan(db_seed, expr_seed, size):
+    """``executor=False`` walks the optimized, bound template the
+    executor runs, and still equals the tree walk of the raw expression
+    exactly, column order included."""
+    db = random_database(
+        num_relations=3, rows=8, domain_size=5, seed=db_seed
+    )
+    expr = random_algebra_expression(db, seed=expr_seed, size=size)
+    raw = evaluate(expr, db)
+    wb = MetatheoryWorkbench(db, metrics=MetricsRegistry())
+    walked = wb.algebra(expr, optimized=True, executor=False)
+    assert walked == raw, expr
+    assert walked.schema.attributes == raw.schema.attributes
+    assert wb.algebra(expr, optimized=True) == walked
+    assert wb.plan_cache.stats()["hits"] == 1
 
 
 def test_executor_experiment_confirms():

@@ -14,6 +14,7 @@ import pytest
 from repro.core.workbench import MetatheoryWorkbench
 from repro.errors import ParseError, SchemaError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.opt.catalog import TableStats
 from repro.relational.database import Database
 from repro.relational.dml import (
@@ -412,6 +413,32 @@ class TestObservability:
         assert wb.metrics.counter(
             "dml_statements_total", kind="delete"
         ).value == 1
+
+    def test_explain_analyze_records_dml_like_the_plain_path(self):
+        statements = (
+            "INSERT INTO emp VALUES ('dee', 'it', 60)",
+            "UPDATE emp SET salary = 1 WHERE dept = 'cs'",
+            "DELETE FROM emp WHERE dept = 'it'",
+        )
+        recorded = []
+        for run in ("sql", "explain_analyze"):
+            tracer = Tracer()
+            wb = make_wb(tracer=tracer)
+            for text in statements:
+                getattr(wb, run)(text)
+            recorded.append((
+                [
+                    wb.metrics.counter("dml_statements_total", kind=kind).value
+                    for kind in ("insert", "update", "delete")
+                ],
+                wb.metrics.counter("dml_rows_total").value,
+                [
+                    (span.attributes["kind"], span.attributes["rows_matched"])
+                    for span in tracer.spans("dml")
+                ],
+            ))
+        assert recorded[0] == recorded[1]
+        assert recorded[0][0] == [1, 1, 1]
 
     def test_explain_analyze_applies_the_delta_and_reports(self):
         wb = make_wb()

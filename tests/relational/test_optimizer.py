@@ -1,7 +1,12 @@
-"""Tests for the algebraic optimizer."""
+"""The optimizer's rewrites on relational algebra: the rules of
+:mod:`repro.opt` applied one at a time, the cost model's estimates, and
+the whole pipeline."""
 
 import pytest
 
+from repro.opt import Context, CostModel, optimize
+from repro.opt.joins import order_joins_pass
+from repro.opt.rules import form_joins, push_selections, split_selections
 from repro.relational import (
     Database,
     NaturalJoin,
@@ -17,14 +22,6 @@ from repro.relational import (
     gt,
 )
 from repro.relational.algebra import And, Attr, Comparison, Const
-from repro.relational.optimizer import (
-    cascade_selections,
-    estimate_cardinality,
-    form_joins,
-    optimize,
-    push_selections,
-    reorder_joins,
-)
 
 
 @pytest.fixture
@@ -41,12 +38,22 @@ def db():
     )
 
 
+def pushdown(expr, db):
+    """Selection cascade + pushdown, the classical rewrite pair."""
+    ctx = Context(db)
+    return push_selections(split_selections(expr, ctx), ctx)
+
+
+def estimate(expr, db):
+    return CostModel().rows(expr, db)
+
+
 class TestCascade:
     def test_and_splits(self, db):
         expr = Selection(
             RelationRef("big"), And(eq("a", 1), gt("b", 0))
         )
-        cascaded = cascade_selections(expr)
+        cascaded = split_selections(expr, Context())
         assert isinstance(cascaded, Selection)
         assert isinstance(cascaded.child, Selection)
         assert evaluate(cascaded, db) == evaluate(expr, db)
@@ -57,7 +64,7 @@ class TestPushdown:
         expr = Selection(
             Union(RelationRef("big"), RelationRef("big")), eq("a", 1)
         )
-        pushed = push_selections(expr, db.schema())
+        pushed = pushdown(expr, db)
         assert isinstance(pushed, Union)
         assert evaluate(pushed, db) == evaluate(expr, db)
 
@@ -65,7 +72,7 @@ class TestPushdown:
         expr = Selection(
             Projection(RelationRef("big"), ("a",)), eq("a", 1)
         )
-        pushed = push_selections(expr, db.schema())
+        pushed = pushdown(expr, db)
         assert isinstance(pushed, Projection)
         assert evaluate(pushed, db) == evaluate(expr, db)
 
@@ -75,14 +82,14 @@ class TestPushdown:
         )
         # Condition on a projected-away attribute can't be pushed.
         blocked = Selection(Projection(RelationRef("big"), ("b",)), eq("b", 1))
-        pushed = push_selections(blocked, db.schema())
+        pushed = pushdown(blocked, db)
         assert evaluate(pushed, db) == evaluate(blocked, db)
 
     def test_through_rename_rewrites_attrs(self, db):
         expr = Selection(
             Rename(RelationRef("big"), {"a": "x"}), eq("x", 1)
         )
-        pushed = push_selections(expr, db.schema())
+        pushed = pushdown(expr, db)
         assert isinstance(pushed, Rename)
         assert evaluate(pushed, db) == evaluate(expr, db)
 
@@ -91,7 +98,7 @@ class TestPushdown:
             NaturalJoin(RelationRef("big"), RelationRef("small")),
             eq("a", 1),
         )
-        pushed = push_selections(expr, db.schema())
+        pushed = pushdown(expr, db)
         assert isinstance(pushed, NaturalJoin)
         assert isinstance(pushed.left, Selection)
         assert evaluate(pushed, db) == evaluate(expr, db)
@@ -104,7 +111,7 @@ class TestPushdown:
             ),
             eq("bb", "b"),
         )
-        pushed = push_selections(expr, db.schema())
+        pushed = pushdown(expr, db)
         assert isinstance(pushed, Selection)  # cannot sink: spans sides
         assert evaluate(pushed, db) == evaluate(expr, db)
 
@@ -115,7 +122,7 @@ class TestPushdown:
             ),
             eq("a", 1),
         )
-        pushed = push_selections(expr, db.schema())
+        pushed = pushdown(expr, db)
         assert evaluate(pushed, db) == evaluate(expr, db)
 
 
@@ -128,7 +135,7 @@ class TestJoinFormation:
             ),
             Comparison(Attr("bb"), "=", Attr("b")),
         )
-        formed = form_joins(expr, db.schema())
+        formed = form_joins(expr, Context(db))
         assert isinstance(formed, ThetaJoin)
         assert evaluate(formed, db) == evaluate(expr, db)
 
@@ -140,33 +147,35 @@ class TestJoinFormation:
             ),
             Comparison(Attr("a"), "=", Attr("bb")),
         )
-        formed = form_joins(expr, db.schema())
+        formed = form_joins(expr, Context(db))
         assert isinstance(formed, Selection)
 
 
 class TestEstimation:
     def test_base_relation(self, db):
-        assert estimate_cardinality(RelationRef("big"), db) == 50.0
+        assert estimate(RelationRef("big"), db) == 50.0
 
     def test_selection_reduces(self, db):
+        # V(big, a) = 50: an equality keeps 1/50 of the rows.
         expr = Selection(RelationRef("big"), eq("a", 1))
-        assert estimate_cardinality(expr, db) == pytest.approx(5.0)
+        assert estimate(expr, db) == pytest.approx(1.0)
 
     def test_range_selection(self, db):
         expr = Selection(RelationRef("big"), gt("a", 1))
-        assert estimate_cardinality(expr, db) == pytest.approx(50 / 3)
+        assert estimate(expr, db) == pytest.approx(50 / 3)
 
     def test_join_estimate(self, db):
+        # Divides by the larger distinct count of b: max(10, 2).
         expr = NaturalJoin(RelationRef("big"), RelationRef("small"))
-        est = estimate_cardinality(expr, db)
-        assert est == pytest.approx(50 * 2 / 50)
+        est = estimate(expr, db)
+        assert est == pytest.approx(50 * 2 / 10)
 
     def test_product_estimate(self, db):
         expr = Product(
             Rename(RelationRef("big"), {"b": "bb", "a": "aa"}),
             RelationRef("small"),
         )
-        assert estimate_cardinality(expr, db) == 100.0
+        assert estimate(expr, db) == 100.0
 
 
 class TestReordering:
@@ -175,7 +184,7 @@ class TestReordering:
             NaturalJoin(RelationRef("big"), RelationRef("small")),
             RelationRef("tiny"),
         )
-        reordered = reorder_joins(expr, db)
+        reordered = order_joins_pass(expr, Context(db))
         from repro.relational import same_content
 
         assert same_content(evaluate(reordered, db), evaluate(expr, db))
@@ -189,7 +198,7 @@ class TestReordering:
             NaturalJoin(RelationRef("big"), RelationRef("small")),
             RelationRef("tiny"),
         )
-        reordered = reorder_joins(expr, db)
+        reordered = order_joins_pass(expr, Context(db))
         assert (
             reordered.schema(db.schema()).attributes
             == expr.schema(db.schema()).attributes
