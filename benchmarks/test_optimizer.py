@@ -2,17 +2,16 @@
 
 The claim for ``repro.opt``: on acyclic multi-joins, ``wb.run`` picks a
 plan that materializes fewer tuples than the unoptimized run, at equal
-results.  Three workloads exercise the acyclic shapes — a star, a
-3-relation chain, and a 4-relation path — and each records tuples
-materialized and best-of-N wall clock for both runs.
+results, and is no slower.  Three workloads exercise the acyclic shapes
+— a star, a 3-relation chain, and a 4-relation path — and each records
+tuples materialized and the best of N interleaved wall-clock runs for
+both plans.  Every workload orders its joins greedily.
 
-The Yannakakis routing is cost-gated: the star and chain workloads are
-small enough that the semijoin program's own sweeps would cost more
-wall time than the tuples they save (earlier revisions of
-``BENCH_optimizer.json`` recorded exactly that regression), so the gate
-keeps them on cost-ordered hash joins and only the path-4 workload —
-whose intermediates dwarf its inputs — routes through Yannakakis.  The
-bench pins both sides of that decision.
+The optimizer once routed path-4 through a Yannakakis semijoin program
+behind a cost gate.  That plan materialized fewer tuples and ran slower
+than the unoptimized one (43.7 against 32.2 ms in the last routed
+``BENCH_optimizer.json``), and a tuple-count gate could not see it.  So
+the wall-time gate sits beside the materialization gate.
 
 Honesty note on the metric: the streaming executor charges
 ``tuples_materialized`` only for tuples an operator *buffers* (hash-join
@@ -22,9 +21,13 @@ nothing regardless of how bad its intermediates are, and no optimizer
 can beat it on this counter.  The bench poses each query in the
 association a user might naturally write (right-deep), where the
 unoptimized executor must materialize every derived build side; the
-optimizer is free to pick any shape.  Wall time is recorded but not
-gated — these inputs are sized for CI, where timing noise would
-dominate.
+optimizer is free to pick any shape.
+
+Honesty note on the wall-time gate: the star and chain plans do nearly
+the same work optimized or not, so their best-of-15 ratio is timer
+noise around 1.0 (0.58 to 1.03 in 16 runs on a shared 2-vCPU host).
+:data:`NOISE` lets the optimized plan be up to 10 % slower before the
+gate fails; the routed path-4 plan it replaces was 36 % slower.
 
 Artifacts: ``results/optimizer_pipeline.txt`` + ``_metrics.json`` and,
 as a machine-readable summary, ``BENCH_optimizer.json`` at the repo
@@ -45,16 +48,26 @@ from .conftest import format_table, write_artifact, write_metrics
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def timed(fn, repeats=5):
-    """Best-of-N wall clock (seconds) plus the last result."""
-    best, result = None, None
+#: Interleaved timing rounds per workload; each plan keeps its best.
+REPEATS = 15
+
+#: How much slower than the unoptimized plan's best the optimized
+#: plan's best may be before the wall-time gate fails (timer noise).
+NOISE = 0.10
+
+
+def interleaved_best(first, second, repeats=REPEATS):
+    """Best wall clock (seconds) of each of two callables, timed in
+    alternation so both see the same machine state."""
+    best = [None, None]
     for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
+        for slot, fn in enumerate((first, second)):
+            started = time.perf_counter()
+            fn()
+            elapsed = time.perf_counter() - started
+            if best[slot] is None or elapsed < best[slot]:
+                best[slot] = elapsed
+    return best
 
 
 def star_workload():
@@ -121,11 +134,11 @@ def path4_workload():
     return db, expr
 
 
-#: (label, builder, expected join methods under the routing cost gate).
+#: (label, builder).
 WORKLOADS = (
-    ("star fact 10k", star_workload, ("greedy",)),
-    ("chain dangling middle", chain_workload, ("greedy",)),
-    ("path-4 selective ends", path4_workload, ("yannakakis",)),
+    ("star fact 10k", star_workload),
+    ("chain dangling middle", chain_workload),
+    ("path-4 selective ends", path4_workload),
 )
 
 
@@ -133,32 +146,28 @@ def run_workload(build):
     db, expr = build()
     wb = MetatheoryWorkbench(db)
 
+    # EXPLAIN ANALYZE plans the optimized template, so the timed runs
+    # measure execution, not the one-off optimization pass.
     explained = wb.explain_analyze(expr)
     join_method = explained.optimizer.join_method
 
     optimized_stats = EngineStatistics()
     unoptimized_stats = EngineStatistics()
-    # Warm the plan cache first so wall time measures execution, not
-    # the one-off optimization pass.
-    optimized_seconds, optimized = timed(
-        lambda: wb.run(expr, stats=optimized_stats)
-    )
-    unoptimized_seconds, unoptimized = timed(
-        lambda: wb.run(expr, optimized=False, stats=unoptimized_stats)
-    )
+    optimized = wb.run(expr, stats=optimized_stats)
+    unoptimized = wb.run(expr, optimized=False, stats=unoptimized_stats)
     assert optimized == unoptimized
-    repeats = 5  # stats accumulate across the timing repeats
+    optimized_seconds, unoptimized_seconds = interleaved_best(
+        lambda: wb.run(expr), lambda: wb.run(expr, optimized=False)
+    )
     return {
         "rows": len(optimized),
         "join_method": join_method,
         "optimized": {
-            "tuples_materialized": optimized_stats.tuples_materialized
-            // repeats,
+            "tuples_materialized": optimized_stats.tuples_materialized,
             "seconds": optimized_seconds,
         },
         "unoptimized": {
-            "tuples_materialized": unoptimized_stats.tuples_materialized
-            // repeats,
+            "tuples_materialized": unoptimized_stats.tuples_materialized,
             "seconds": unoptimized_seconds,
         },
     }
@@ -166,10 +175,7 @@ def run_workload(build):
 
 def test_optimizer_materialization(benchmark):
     results = benchmark.pedantic(
-        lambda: {
-            label: run_workload(build)
-            for label, build, _expected in WORKLOADS
-        },
+        lambda: {label: run_workload(build) for label, build in WORKLOADS},
         rounds=1,
         iterations=1,
     )
@@ -213,39 +219,28 @@ def test_optimizer_materialization(benchmark):
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    # The headline gates: the cost gate keeps the small star/chain on
-    # ordered hash joins, path-4 still routes through Yannakakis, and
-    # the optimized run always materializes fewer tuples.
-    expected_methods = {
-        label: expected for label, _build, expected in WORKLOADS
-    }
+    # The headline gates: every workload orders its joins greedily,
+    # and the optimized run materializes fewer tuples and is no slower
+    # (within NOISE) than the unoptimized one.
     for label, outcome in results.items():
-        assert outcome["join_method"] in expected_methods[label], (
-            label, outcome,
-        )
+        assert outcome["join_method"] == "greedy", (label, outcome)
         assert (
             outcome["optimized"]["tuples_materialized"]
             < outcome["unoptimized"]["tuples_materialized"]
         ), (label, outcome)
+        assert (
+            outcome["optimized"]["seconds"]
+            <= (1 + NOISE) * outcome["unoptimized"]["seconds"]
+        ), (label, outcome)
 
 
-def test_yannakakis_routing_smoke():
-    """Fast standalone smoke: the gated routing is visible end to end.
-
-    The large path-4 workload clears the cost gate and shows up as
-    Yannakakis in EXPLAIN; the small chain stays on ordered hash joins.
-    """
+def test_greedy_path4_smoke():
+    """Fast standalone smoke: path-4 orders its joins greedily end to
+    end, runs no semijoin, and answers like the unoptimized run."""
     db, expr = path4_workload()
     wb = MetatheoryWorkbench(db)
     explained = wb.explain_analyze(expr)
-    assert explained.optimizer.join_method == "yannakakis"
-    assert "route-yannakakis" in explained.optimizer.fired
-    assert "yannakakis" in explained.render()
-    assert explained.result == wb.run(expr, optimized=False)
-
-    db, expr = chain_workload()
-    wb = MetatheoryWorkbench(db)
-    explained = wb.explain_analyze(expr)
     assert explained.optimizer.join_method == "greedy"
-    assert "route-yannakakis" not in explained.optimizer.fired
+    assert "join=greedy" in explained.render()
+    assert not explained.find("Semijoin")
     assert explained.result == wb.run(expr, optimized=False)

@@ -29,7 +29,6 @@ production queries take.
 
 from __future__ import annotations
 
-from ..datalog.engine import DatalogEngine
 from ..datalog.lowering import is_lowerable, lowered_evaluate
 from ..datalog.magic import magic_evaluate, match_query
 from ..datalog.naive import naive_evaluate
@@ -59,8 +58,8 @@ from .workloads import derive_seed, generate_case
 import random
 
 #: One shared full-pipeline optimizer (the workbench default): catalog
-#: statistics, every rewrite rule, greedy ordering, Yannakakis
-#: routing.  The differential leg runs whatever plans it emits.
+#: statistics, every rewrite rule, greedy ordering.  The differential
+#: leg runs whatever plans it emits.
 _FULL_PIPELINE = Optimizer()
 
 #: One shared kernel cache for the compiled-execution leg.  Shared
@@ -281,12 +280,38 @@ class CalculusDifferentialOracle(Oracle):
 DATALOG_CONFIGS = ((True, True), (False, False))
 
 
+#: The executor routes of the datalog-differential session leg.
+SESSION_ROUTES = (True, "compiled")
+
+
+def _session_models(program, edb):
+    """``wb.run`` of the program's text on each of
+    :data:`SESSION_ROUTES`, over a workbench that stores the EDB.
+
+    Each relation's attributes are ``c{n-1}..c0``, the default names
+    reversed, so a lowering that read stored names as positions would
+    disagree with the reference.
+    """
+    names = {
+        p: tuple("c%d" % i for i in reversed(range(edb.arity(p))))
+        for p in edb.predicates()
+        if edb.arity(p) is not None
+    }
+    wb = _fresh_workbench(edb.to_database(names))
+    return [
+        (executor, wb.run(str(program), kind="datalog", executor=executor))
+        for executor in SESSION_ROUTES
+    ]
+
+
 class DatalogDifferentialOracle(Oracle):
-    """Naive ≡ semi-naive ≡ magic ≡ top-down ≡ lowered.
+    """Naive ≡ semi-naive ≡ magic ≡ top-down ≡ lowered ≡ ``wb.run``.
 
     Magic sets and top-down tabling are positive-program strategies, so
     they join the comparison only when the program has no negation; the
     lowered relational pipeline joins when the program is non-recursive.
+    The session leg runs the program's text through a workbench that
+    stores the EDB, on the streaming and the compiled route.
     """
 
     family = "datalog-differential"
@@ -314,11 +339,17 @@ class DatalogDifferentialOracle(Oracle):
                     )
 
         if is_lowerable(program):
-            lowered = lowered_evaluate(program, edb)
+            lowered = lowered_evaluate(program, edb.to_database())
             if lowered != reference:
                 messages.append(
                     "lowered relational pipeline disagrees with naive "
                     "reference model"
+                )
+        for executor, model in _session_models(program, edb):
+            if model != reference:
+                messages.append(
+                    "wb.run(executor=%r) disagrees with naive reference "
+                    "model" % (executor,)
                 )
 
         positive = not program.has_negation()

@@ -21,14 +21,19 @@ from ..acyclic.gyo import is_alpha_acyclic
 from ..acyclic.hypergraph import Hypergraph
 from ..acyclic.yannakakis import naive_join, yannakakis_join
 from ..compile import KernelCache
+from ..datalog.analysis import check_stored_arities
 from ..datalog.engine import DatalogEngine
 from ..datalog.facts import FactStore
-from ..datalog.lowering import is_lowerable
+from ..datalog.lowering import is_lowerable, lowered_evaluate
 from ..datalog.parser import parse_program
 from ..datalog.stats import EngineStatistics
 from ..dependencies.design import DesignTool
 from ..obs.history import make_history
-from ..obs.introspect import install_introspection, materialize_system_facts
+from ..obs.introspect import (
+    install_introspection,
+    materialize_system_facts,
+    reject_system_heads,
+)
 from ..obs.metrics import REGISTRY
 from ..obs.trace import ensure_tracer
 from ..opt import Optimizer
@@ -38,6 +43,7 @@ from ..plan.explain import annotate_estimates, explain_datalog, run_explained
 from ..plan.logical import bind, canonicalize, parameterize, plan_key
 from ..relational.algebra import evaluate, relation_names
 from ..relational.calculus import evaluate_query
+from ..relational.calculus_parser import parse_calculus
 from ..relational.codd import (
     algebra_to_calculus,
     calculus_to_algebra,
@@ -459,9 +465,9 @@ class MetatheoryWorkbench:
     def _calculus(self, query, via, optimized, executor, stats,
                   capture=None):
         if isinstance(query, str):
-            from ..relational.calculus_parser import parse_calculus
-
-            query = parse_calculus(query)
+            query = self._cached_parse(
+                "calculus", query, parse_calculus, capture
+            )
         if via == "direct":
             if capture is not None:
                 capture["route"] = "direct"
@@ -509,28 +515,53 @@ class MetatheoryWorkbench:
                 return self._recorded(
                     "datalog", query, optimized, executor, stats
                 )
-            return self._datalog_eval(query, executor, stats)
+            return self._datalog_eval(query, optimized, executor, stats)
         raise ValueError("unknown query kind %r" % (kind,))
 
-    def _datalog_eval(self, source, executor, stats, capture=None):
-        engine = self.datalog(source, executor=executor)
-        lowerable = bool(executor) and is_lowerable(engine.program)
+    def _datalog_eval(self, source, optimized, executor, stats,
+                      capture=None):
+        program, _queries = self._cached_parse(
+            "datalog", source, parse_program, capture
+        )
+        if executor and is_lowerable(program):
+            return self._lowered(program, optimized, executor, stats, capture)
         if capture is not None:
-            if lowerable:
-                capture["route"] = (
-                    "datalog:compiled"
-                    if engine.kernel_cache is not None
-                    else "datalog:lowered"
-                )
-            else:
-                capture["route"] = "datalog:fixpoint"
-        fallbacks_before = self.kernel_cache.fallback_runs
-        try:
-            return engine.evaluate(stats=stats)
-        finally:
-            fallen = self.kernel_cache.fallback_runs - fallbacks_before
-            if fallen:
-                self.metrics.counter("compile_fallbacks_total").inc(fallen)
+            capture["route"] = "datalog:fixpoint"
+        return self._engine(program, executor, optimized).evaluate(
+            stats=stats
+        )
+
+    def _lowered(self, program, optimized, executor, stats, capture=None,
+                 db=None):
+        """The model of a non-recursive program: each IDB predicate's
+        plan runs through :meth:`_run_pipeline` like a SQL statement
+        (plan cache, optimizer, executor route), over this session's
+        relations (or the snapshot ``db`` of them)."""
+        reject_system_heads(program)
+        base = self.db if db is None else db
+        hits = []
+
+        def execute(_predicate, expr, run_stats):
+            step = {} if capture is not None else None
+            relation = self._run_pipeline(
+                expr, optimized, run_stats, capture=step, executor=executor,
+                db=db,
+            )
+            if step is not None:
+                hits.append(step["plan_cache_hit"])
+            return relation
+
+        model = lowered_evaluate(
+            program, base, execute=execute, stats=stats, tracer=self.tracer,
+        )
+        if capture is not None:
+            capture["route"] = (
+                "datalog:compiled" if executor == "compiled"
+                else "datalog:lowered"
+            )
+            if hits:
+                capture["plan_cache_hit"] = all(hits)
+        return model
 
     # -- observability ------------------------------------------------------------
 
@@ -591,7 +622,9 @@ class MetatheoryWorkbench:
                 query, via, optimized, executor, stats, capture
             )
         if kind == "datalog":
-            return self._datalog_eval(query, executor, stats, capture)
+            return self._datalog_eval(
+                query, optimized, executor, stats, capture
+            )
         raise ValueError("unknown query kind %r" % (kind,))
 
     def _detect_kind(self, query):
@@ -650,20 +683,25 @@ class MetatheoryWorkbench:
         if kind is None:
             kind = self._detect_kind(query)
 
+        self._sync_caches()
+        parse_cache_hit = None
         if kind == "datalog":
-            program, _queries = parse_program(query)
-            edb = materialize_system_facts(
-                self.db, program, FactStore.from_database(self.db)
+            parse_cache_hit = ("datalog", query) in self._parse_cache
+            program, _queries = self._cached_parse(
+                "datalog", query, parse_program
             )
-            return explain_datalog(
+            reject_system_heads(program)
+            result = explain_datalog(
                 program,
-                edb=edb,
+                self.db,
+                plan_for=lambda canonical: self._plan_for(
+                    canonical, optimized
+                ),
                 stats=stats,
                 tracer=tracer,
             )
-
-        self._sync_caches()
-        parse_cache_hit = None
+            result.parse_cache_hit = parse_cache_hit
+            return result
         if kind == "sql":
             parse_cache_hit = ("sql", query) in self._parse_cache
             expr = self._cached_parse("sql", query, parse_sql)
@@ -673,8 +711,6 @@ class MetatheoryWorkbench:
                 )
         elif kind == "calculus":
             if isinstance(query, str):
-                from ..relational.calculus_parser import parse_calculus
-
                 parse_cache_hit = ("calculus", query) in self._parse_cache
                 query = self._cached_parse("calculus", query, parse_calculus)
             expr = calculus_to_algebra(query, self.db.schema())
@@ -761,8 +797,6 @@ class MetatheoryWorkbench:
         Accepts a Query object or calculus text.
         """
         if isinstance(query, str):
-            from ..relational.calculus_parser import parse_calculus
-
             query = parse_calculus(query)
         return check_codd_equivalence(query, self.db)
 
@@ -777,25 +811,44 @@ class MetatheoryWorkbench:
 
         Any ``?-`` queries in the source are ignored here; use the
         returned engine's ``.query``.  Non-recursive programs run as
-        algebra plans on the shared streaming executor by default;
-        ``executor=False`` forces the fixpoint machinery everywhere;
-        ``executor="compiled"`` runs the lowered plans as fused kernels.
+        algebra plans on this session's pipeline by default, like
+        :meth:`run`; ``executor=False`` forces the fixpoint machinery
+        everywhere; ``executor="compiled"`` runs the lowered plans as
+        fused kernels.
 
-        The EDB is the database's *user* relations; any ``sys_`` system
-        relation named in a rule body is snapshotted in as well (and a
-        ``sys_`` rule head raises — the namespace is read-only).
+        The EDB is the database's *user* relations as of this call, on
+        every strategy; any ``sys_`` system relation named in a rule
+        body is snapshotted in as well (and a ``sys_`` rule head raises
+        — the namespace is read-only).
         """
         _check_executor(executor)
-        program, _queries = parse_program(source)
+        program, _queries = self._cached_parse(
+            "datalog", source, parse_program
+        )
+        return self._engine(program, executor)
+
+    def _engine(self, program, executor, optimized=True):
+        # The engine checks the arities its facts show; an empty stored
+        # relation shows none, so check the schema's here.
+        schema = self.db.schema()
+        check_stored_arities(
+            program, {name: schema[name].arity for name in self.db.names()}
+        )
         store = materialize_system_facts(
             self.db, program, FactStore.from_database(self.db)
         )
+        session = None
+        if executor:
+            # The lowered plans read the same state the EDB copied.
+            pinned = self.db.snapshot().db
+
+            def session(program, stats):
+                return self._lowered(
+                    program, optimized, executor, stats, db=pinned
+                )
         return DatalogEngine(
-            program, store,
-            executor=bool(executor), tracer=self.tracer,
-            kernel_cache=(
-                self.kernel_cache if executor == "compiled" else None
-            ),
+            program, store, executor=bool(executor), tracer=self.tracer,
+            session=session,
         )
 
     # -- schema analysis ----------------------------------------------------------

@@ -16,7 +16,7 @@ Implements the classical program-analysis toolkit:
 
 from __future__ import annotations
 
-from ..errors import StratificationError
+from ..errors import DatalogError, StratificationError
 
 
 class DependencyGraph:
@@ -138,6 +138,25 @@ def is_recursive(program, predicate=None):
         if predicate is None or predicate in component:
             return True
     return False
+
+
+def check_stored_arities(program, stored):
+    """Reject a program that uses a stored predicate with another arity.
+
+    ``stored`` maps predicate names to the arity of their stored facts
+    (None when unknown, as for an empty fact set).  Without this check
+    the engines would silently truncate or widen the stored tuples.
+
+    Raises:
+        DatalogError: naming the predicate and both arities.
+    """
+    for predicate, arity in program.arities().items():
+        held = stored.get(predicate)
+        if held is not None and held != arity:
+            raise DatalogError(
+                "predicate %r has arity %d in the program but its stored "
+                "facts have arity %d" % (predicate, arity, held)
+            )
 
 
 def is_linear(program, predicate):

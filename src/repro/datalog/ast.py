@@ -419,9 +419,11 @@ class Program:
         for rule in self.rules:
             if not isinstance(rule, Rule):
                 raise DatalogError("Program holds Rules, got %r" % (rule,))
-        self._check_arities()
+        self.arities()
 
-    def _check_arities(self):
+    def arities(self):
+        """``{predicate: arity}`` over every atom; a program uses each
+        predicate with one arity (checked at construction)."""
         arities = {}
         for rule in self.rules:
             atoms = [rule.head] + [
@@ -434,6 +436,7 @@ class Program:
                         "predicate %r used with arities %d and %d"
                         % (atom.predicate, seen, atom.arity)
                     )
+        return arities
 
     def idb_predicates(self):
         """Predicates defined by some rule head (the intensional database)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from ..errors import DatalogError
 from ..obs.trace import ensure_tracer
+from .analysis import check_stored_arities
 from .ast import Atom, Program
 from .facts import FactStore
 from .lowering import is_lowerable, lowered_evaluate
@@ -40,25 +41,30 @@ class DatalogEngine:
     planner, both on by default); the defaults reproduce the seed's
     *semantics* while changing its physical plan.  ``executor`` routes
     *non-recursive* programs through the shared relational pipeline
-    (lowered to algebra plans, run on the streaming executor) for the
-    bottom-up strategies; recursive programs always use the fixpoint
-    machinery, and ``executor=False`` forces it everywhere.
+    (lowered to algebra plans over ``edb.to_database()``, run on the
+    streaming executor) for the bottom-up strategies; recursive programs
+    always use the fixpoint machinery, and ``executor=False`` forces it
+    everywhere.
 
-    ``kernel_cache`` attaches a :class:`~repro.compile.KernelCache`:
-    each lowered predicate plan then runs as a fused compiled kernel
-    when the generator supports it, interpreted otherwise (the cache
-    counts the fallbacks).
+    ``session``, when given, replaces that lowered run:
+    ``session(program, stats)`` returns the model computed on a
+    workbench's own pipeline (see
+    :meth:`~repro.core.workbench.MetatheoryWorkbench.datalog`).
+
+    Raises:
+        DatalogError: when the program uses an EDB predicate with an
+            arity other than its stored facts'.
     """
 
     def __init__(self, program, edb=None, indexed=True, planned=True,
-                 executor=True, tracer=None, kernel_cache=None):
+                 executor=True, tracer=None, session=None):
         if not isinstance(program, Program):
             raise DatalogError("expected a Program, got %r" % (program,))
         self.program = program
         self.indexed = indexed
         self.planned = planned
         self.executor = executor
-        self.kernel_cache = kernel_cache
+        self.session = session
         self.tracer = ensure_tracer(tracer)
         if edb is None:
             self.edb = FactStore()
@@ -68,6 +74,9 @@ class DatalogEngine:
             self.edb = FactStore(edb)
         else:
             self.edb = FactStore.from_database(edb)
+        check_stored_arities(
+            program, {p: self.edb.arity(p) for p in self.edb.predicates()}
+        )
         self._model_cache = {}
 
     # -- constructors -------------------------------------------------------
@@ -121,15 +130,9 @@ class DatalogEngine:
             # the whole fixpoint, whatever bottom-up strategy was asked
             # for.  Recursion falls through to the iterating engines.
             if observed:
-                return lowered_evaluate(
-                    self.program, self.edb, stats=stats, tracer=self.tracer,
-                    kernel_cache=self.kernel_cache,
-                )
+                return self._lowered(stats)
             if "plan" not in self._model_cache:
-                self._model_cache["plan"] = lowered_evaluate(
-                    self.program, self.edb,
-                    kernel_cache=self.kernel_cache,
-                )
+                self._model_cache["plan"] = self._lowered(None)
             return self._model_cache["plan"]
         if observed:
             return evaluator(
@@ -148,6 +151,14 @@ class DatalogEngine:
                 planned=self.planned,
             )
         return self._model_cache[strategy]
+
+    def _lowered(self, stats):
+        if self.session is not None:
+            return self.session(self.program, stats)
+        return lowered_evaluate(
+            self.program, self.edb.to_database(), stats=stats,
+            tracer=self.tracer,
+        )
 
     # -- queries ---------------------------------------------------------------
 

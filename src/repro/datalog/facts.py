@@ -13,7 +13,13 @@ from ..errors import DatalogError
 
 
 class FactStore:
-    """A mutable map ``predicate -> set of ground tuples``."""
+    """A mutable map ``predicate -> set of ground tuples``.
+
+    A predicate may be bound to an immutable tuple set it shares with a
+    relation or another store (:meth:`share`, :meth:`from_database`,
+    :meth:`copy`); the store copies that set on its first write, so
+    sharing never lets a write reach the source.
+    """
 
     __slots__ = ("_facts",)
 
@@ -29,7 +35,10 @@ class FactStore:
     def add(self, predicate, values):
         """Insert one ground tuple; returns True if it was new."""
         values = tuple(values)
-        existing = self._facts.setdefault(predicate, set())
+        existing = self._facts.get(predicate)
+        if existing is None:
+            self._facts[predicate] = {values}
+            return True
         if values in existing:
             return False
         if existing:
@@ -39,8 +48,15 @@ class FactStore:
                     "predicate %r used with arities %d and %d"
                     % (predicate, len(sample), len(values))
                 )
+        if type(existing) is frozenset:
+            existing = self._facts[predicate] = set(existing)
         existing.add(values)
         return True
+
+    def share(self, predicate, tuples):
+        """Bind ``predicate`` to ``tuples`` without copying a frozenset
+        (the first write to the predicate copies it)."""
+        self._facts[predicate] = frozenset(tuples)
 
     def add_all(self, predicate, tuples):
         """Insert many tuples; returns the number actually new."""
@@ -83,16 +99,18 @@ class FactStore:
         return sum(len(s) for s in self._facts.values())
 
     def copy(self):
-        store = FactStore()
-        store._facts = {p: set(s) for p, s in self._facts.items()}
-        return store
+        return self.restrict(self._facts)
 
     def restrict(self, predicates):
-        """A copy containing only the given predicates."""
-        store = FactStore()
+        """A copy containing only the given predicates (of this store's
+        class; shared sets stay shared)."""
+        store = type(self)()
         for predicate in predicates:
-            if predicate in self._facts:
-                store._facts[predicate] = set(self._facts[predicate])
+            tuples = self._facts.get(predicate)
+            if tuples is not None:
+                store._facts[predicate] = (
+                    tuples if type(tuples) is frozenset else set(tuples)
+                )
         return store
 
     def active_domain(self):
@@ -106,14 +124,17 @@ class FactStore:
 
     @classmethod
     def from_database(cls, db):
-        """Ingest a :class:`~repro.relational.database.Database`."""
+        """Ingest a :class:`~repro.relational.database.Database`'s user
+        relations, sharing their tuple sets."""
         store = cls()
         for name in db.names():
-            store._facts[name] = set(db[name].tuples)
+            store.share(name, db[name].tuples)
         return store
 
     def to_database(self, attribute_names=None):
         """Export as a relational Database.
+
+        An empty predicate has no known arity and is left out.
 
         Args:
             attribute_names: optional ``{predicate: (attr, ...)}``;
@@ -127,9 +148,11 @@ class FactStore:
         db = Database()
         for predicate in self.predicates():
             tuples = self._facts[predicate]
-            arity = len(next(iter(tuples))) if tuples else 0
+            if not tuples:
+                continue
             attrs = attribute_names.get(
-                predicate, tuple("c%d" % i for i in range(arity))
+                predicate,
+                tuple("c%d" % i for i in range(len(next(iter(tuples))))),
             )
             schema = RelationSchema(predicate, attrs)
             # system=True: a store may hold sys_ snapshots (introspect).

@@ -121,20 +121,6 @@ class IndexedFactStore(FactStore):
         """Position patterns currently indexed for ``predicate``."""
         return sorted(self._indexes.get(predicate, ()))
 
-    # -- copies (indexes are rebuilt lazily, never shared) ---------------
-
-    def copy(self):
-        store = IndexedFactStore()
-        store._facts = {p: set(s) for p, s in self._facts.items()}
-        return store
-
-    def restrict(self, predicates):
-        store = IndexedFactStore()
-        for predicate in predicates:
-            if predicate in self._facts:
-                store._facts[predicate] = set(self._facts[predicate])
-        return store
-
 
 def working_store(edb=None, indexed=True):
     """The engines' working-store constructor.

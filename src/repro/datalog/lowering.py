@@ -3,18 +3,27 @@
 The classical result (Papadimitriou's §6 territory): non-recursive
 Datalog is exactly the positive-existential fragment of relational
 algebra, and stratified non-recursive Datalog with negation adds
-antijoins.  This module makes the inclusion executable — each IDB
-predicate of a non-recursive program compiles to one algebra expression
-(a union of select/project/rename/join/antijoin plans, one per rule),
-which then runs on the shared streaming executor like any SQL or
-calculus query.
+antijoins.  This module makes the inclusion executable: each IDB
+predicate of a non-recursive program lowers to one algebra expression
+over the stored relations of a database (a union of
+select/project/rename/join/antijoin plans, one per rule), which then
+runs on the shared pipeline like any SQL or calculus query.
 
-Recursion genuinely needs the fixpoint machinery, so
-:func:`is_lowerable` gates the translation and the engine falls back to
-the bottom-up evaluators for recursive programs.
+* An EDB atom reads its stored relation through a positional rename, so
+  the stored attribute names never matter.
+* An IDB atom unfolds into its predicate's own expression.  The program
+  is non-recursive, so unfolding ends.
+* Program-text facts join their predicate's union as a constant
+  relation, and a stored relation that is also a rule head keeps its
+  stored rows.
+* An EDB predicate the database lacks is an empty relation.
 
-The attribute convention matches :meth:`FactStore.to_database`: every
-predicate's relation has columns ``c0..c{n-1}``.
+Recursion genuinely needs the fixpoint machinery, so :func:`is_lowerable`
+gates the translation and the engines fall back to the bottom-up
+evaluators for recursive programs.
+
+Every predicate's expression has the columns ``c0..c{n-1}``, the
+convention of :meth:`FactStore.to_database`.
 """
 
 from __future__ import annotations
@@ -22,11 +31,10 @@ from __future__ import annotations
 from ..errors import DatalogError
 from ..obs.trace import NULL_TRACER
 from ..relational import algebra as ra
-from ..relational.database import Database
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
-from .analysis import is_recursive, predicate_sccs
-from .ast import Comparison, Constant, Variable
+from .analysis import check_stored_arities, is_recursive
+from .ast import Constant, Variable
 from .facts import FactStore
 
 
@@ -39,44 +47,47 @@ def _columns(arity):
     return tuple("c%d" % i for i in range(arity))
 
 
-def lower_atom(atom):
+def _constant_relation(predicate, arity, rows=()):
+    return ra.ConstantRelation(
+        Relation(
+            RelationSchema(predicate, _columns(arity)), rows, validate=False
+        )
+    )
+
+
+def lower_atom(atom, expr, attributes):
     """One body atom as an algebra expression whose attributes are the
     atom's variables (first occurrences, in term order).
 
-    Constants become selections; a repeated variable becomes an equality
-    selection between its positional handles.  This is the same recipe
-    Codd's calculus translation uses for calculus atoms.
+    ``expr`` holds the atom's predicate and ``attributes`` names its
+    columns by position.  Constants become selections; a repeated
+    variable becomes an equality selection between its positions.  This
+    is the same recipe Codd's calculus translation uses for calculus
+    atoms.
     """
-    handles = tuple("__p%d" % i for i in range(atom.arity))
-    columns = _columns(atom.arity)
-    mapping = dict(zip(columns, handles))
-    expr = ra.Rename(ra.RelationRef(atom.predicate), mapping)
     keep = []
     variables = []
-    first_handle = {}
-    for i, term in enumerate(atom.terms):
+    first = {}
+    for attribute, term in zip(attributes, atom.terms):
         if isinstance(term, Constant):
             expr = ra.Selection(
                 expr,
-                ra.Comparison(ra.Attr(handles[i]), "=", ra.Const(term.value)),
+                ra.Comparison(ra.Attr(attribute), "=", ra.Const(term.value)),
             )
-        elif term.name in first_handle:
+        elif term.name in first:
             expr = ra.Selection(
                 expr,
                 ra.Comparison(
-                    ra.Attr(first_handle[term.name]),
-                    "=",
-                    ra.Attr(handles[i]),
+                    ra.Attr(first[term.name]), "=", ra.Attr(attribute)
                 ),
             )
         else:
-            first_handle[term.name] = handles[i]
-            keep.append(handles[i])
+            first[term.name] = attribute
+            keep.append(attribute)
             variables.append(term.name)
-    expr = ra.Projection(expr, tuple(keep))
-    rename = {
-        h: v for h, v in zip(keep, variables) if h != v
-    }
+    if len(keep) < len(attributes):
+        expr = ra.Projection(expr, tuple(keep))
+    rename = {a: v for a, v in zip(keep, variables) if a != v}
     return ra.Rename(expr, rename) if rename else expr
 
 
@@ -91,19 +102,21 @@ def _comparison_condition(comparison):
     )
 
 
-def lower_rule(rule):
+def lower_rule(rule, source):
     """One rule as an algebra expression with attributes ``c0..ck-1``
     (the head's columns).
 
-    Positive literals natural-join on shared variables; ``X = c``
-    comparisons on unbound variables become singleton products (they
-    *bind*, per the safety rules); remaining comparisons and negated
-    literals become selections and antijoins over the bound body.
+    ``source(atom)`` gives ``(expression, attributes)`` for a body atom's
+    predicate (see :func:`lower_atom`).  Positive literals natural-join
+    on shared variables; ``X = c`` comparisons on unbound variables
+    become singleton products (they *bind*, per the safety rules);
+    remaining comparisons and negated literals become selections and
+    antijoins over the bound body.
     """
     expr = None
     bound = set()
     for literal in rule.positive_literals():
-        atom_expr = lower_atom(literal.atom)
+        atom_expr = lower_atom(literal.atom, *source(literal.atom))
         expr = (
             atom_expr if expr is None else ra.NaturalJoin(expr, atom_expr)
         )
@@ -133,7 +146,9 @@ def lower_rule(rule):
         expr = ra.Selection(expr, _comparison_condition(comparison))
 
     for literal in rule.negative_literals():
-        expr = ra.Antijoin(expr, lower_atom(literal.atom))
+        expr = ra.Antijoin(
+            expr, lower_atom(literal.atom, *source(literal.atom))
+        )
 
     # Head shaping: one column per head position, then rename to c0..ck-1.
     columns = []
@@ -188,27 +203,71 @@ def _binding_equality(comparison, bound):
     return None
 
 
-def lower_predicate(program, predicate):
-    """All rules for one IDB predicate, unioned into a single plan."""
-    rules = program.rules_for(predicate)
-    if not rules:
-        raise DatalogError(
-            "predicate %r has no proper rules to lower" % (predicate,)
-        )
-    expr = lower_rule(rules[0])
-    for rule in rules[1:]:
-        expr = ra.Union(expr, lower_rule(rule))
-    return expr
+class _Lowering:
+    """The expressions of one program's predicates over one schema."""
+
+    def __init__(self, program, db_schema):
+        self.program = program
+        self.db_schema = db_schema
+        self.idb = program.idb_predicates()
+        self.facts = {}
+        for predicate, values in program.facts():
+            self.facts.setdefault(predicate, []).append(values)
+        self.memo = {}
+
+    def relation(self, predicate, arity):
+        """Everything the program knows of ``predicate``, with columns
+        ``c0..c{arity-1}``: its rules, stored rows and text facts."""
+        expr = self.memo.get(predicate)
+        if expr is not None:
+            return expr
+        parts = [
+            lower_rule(rule, self.source)
+            for rule in self.program.rules_for(predicate)
+        ]
+        if predicate in self.db_schema:
+            attributes = self.db_schema[predicate].attributes
+            mapping = {
+                a: c for a, c in zip(attributes, _columns(arity)) if a != c
+            }
+            stored = ra.RelationRef(predicate)
+            parts.append(ra.Rename(stored, mapping) if mapping else stored)
+        if predicate in self.facts:
+            parts.append(
+                _constant_relation(predicate, arity, self.facts[predicate])
+            )
+        expr = parts[0] if parts else _constant_relation(predicate, arity)
+        for part in parts[1:]:
+            expr = ra.Union(expr, part)
+        self.memo[predicate] = expr
+        return expr
+
+    def source(self, atom):
+        """``(expression, attributes)`` for a body atom's predicate: a
+        stored relation read as it is, anything else as
+        :meth:`relation`."""
+        predicate = atom.predicate
+        if (
+            predicate in self.db_schema
+            and predicate not in self.idb
+            and predicate not in self.facts
+        ):
+            return (
+                ra.RelationRef(predicate),
+                self.db_schema[predicate].attributes,
+            )
+        return self.relation(predicate, atom.arity), _columns(atom.arity)
 
 
-def lower_program(program):
-    """Lowered plans for every IDB predicate, dependencies first.
+def lower_program(program, db_schema):
+    """Lowered plans for every IDB predicate, in name order.
+
+    Each plan reads only the relations of ``db_schema`` and literals,
+    and holds the predicate's whole extension (columns ``c0..``), so the
+    plans can run in any order.
 
     Returns:
-        A list of ``(predicate, expression)`` pairs; evaluating them in
-        order respects the program's data flow (and its stratification —
-        non-recursive programs are always stratifiable with one
-        predicate per stratum).
+        A list of ``(predicate, expression)`` pairs.
 
     Raises:
         DatalogError: for recursive programs (not lowerable).
@@ -218,92 +277,92 @@ def lower_program(program):
             "recursive programs cannot be lowered to algebra; "
             "use the fixpoint engines"
         )
-    idb = program.idb_predicates()
-    ordered = []
-    for component in predicate_sccs(program):
-        for predicate in sorted(component):
-            if predicate in idb:
-                ordered.append((predicate, lower_predicate(program, predicate)))
-    return ordered
+    lowering = _Lowering(program, db_schema)
+    arities = program.arities()
+    return [
+        (predicate, lowering.relation(predicate, arities[predicate]))
+        for predicate in sorted(program.idb_predicates())
+    ]
 
 
-def _program_arities(program):
-    arities = {}
-    for rule in program:
-        arities[rule.head.predicate] = rule.head.arity
-        for literal in rule.body:
-            if hasattr(literal, "atom"):
-                arities[literal.atom.predicate] = literal.atom.arity
-    return arities
-
-
-def lowered_evaluate(program, edb=None, stats=None, tracer=NULL_TRACER,
-                     kernel_cache=None):
-    """The minimal model of a non-recursive program, via algebra plans.
-
-    Semantics match :func:`~repro.datalog.naive.naive_evaluate`: the
-    result holds the EDB, program-text facts, and every derived IDB
-    fact.  Work is charged to ``stats`` by the streaming executor.
-
-    With a ``kernel_cache``, each predicate's plan runs as a fused
-    compiled kernel of its template (rules that differ only in constants
-    share one) when the generator supports its shape; refused plans run
-    interpreted and count in the cache's fallback counters.
-
-    Raises:
-        DatalogError: for recursive programs.
-    """
+def _interpret(db, db_schema):
+    """The default ``execute`` of :func:`lowered_evaluate`: the
+    canonical plan on the streaming executor."""
     # Imported here, not at module top: repro.plan.executor needs the
     # EngineStatistics counters from this package, so a module-level
     # import would close an import cycle through the package __init__s.
     from ..plan.executor import execute_physical
-    from ..plan.logical import canonicalize, parameterize
+    from ..plan.logical import canonicalize
 
-    store = edb.copy() if edb is not None else FactStore()
-    for predicate, values in program.facts():
-        store.add(predicate, values)
-
-    arities = _program_arities(program)
-    for predicate, tuples in ((p, store.get(p)) for p in store.predicates()):
-        if tuples:
-            arities.setdefault(predicate, len(next(iter(tuples))))
-
-    db = Database()
-    for predicate, arity in sorted(arities.items()):
-        # system=True: the scratch EDB may legitimately hold snapshots
-        # of sys_ relations (see repro.obs.introspect).
-        db.add(
-            Relation(
-                RelationSchema(predicate, _columns(arity)),
-                store.get(predicate),
-                validate=False,
-            ),
-            system=True,
+    def execute(_predicate, expr, stats):
+        relation, _tally = execute_physical(
+            canonicalize(expr, db_schema), db, stats
         )
+        return relation
 
+    return execute
+
+
+def _base_model(program, db):
+    """The model before derivation, sharing the stored tuple sets: every
+    user relation, each virtual relation a rule body reads, and the
+    program-text facts."""
+    model = FactStore()
+    for name in db.names():
+        model.share(name, db[name].tuples)
+    for rule in program:
+        for predicate, _positive in rule.body_predicates():
+            if predicate not in model and predicate in db:
+                model.share(predicate, db[predicate].tuples)
+    for predicate, values in program.facts():
+        model.add(predicate, values)
+    return model
+
+
+def lowered_evaluate(program, db, execute=None, stats=None,
+                     tracer=NULL_TRACER):
+    """The minimal model of a non-recursive program over ``db``, via
+    algebra plans.
+
+    Semantics match :func:`~repro.datalog.naive.naive_evaluate` on the
+    database's relations as the EDB: the result holds every user
+    relation, the virtual relations rule bodies read, program-text
+    facts, and every derived IDB fact.  It shares the stored tuple sets
+    instead of copying them; writing to it never reaches ``db``.
+
+    Args:
+        program: a non-recursive :class:`~repro.datalog.ast.Program`.
+        db: the :class:`~repro.relational.database.Database` the plans
+            read.  An engine with no session passes
+            ``FactStore.to_database()`` of its EDB.
+        execute: ``execute(predicate, expression, stats)`` runs one
+            predicate's plan and returns its Relation; the workbench
+            passes its own pipeline (plan cache, optimizer, executor
+            route).  Defaults to the canonical plan on the streaming
+            executor.
+        stats: optional EngineStatistics, passed to ``execute``.
+        tracer: records a ``datalog_lowered`` span with one
+            ``predicate`` span per plan.
+
+    Raises:
+        DatalogError: for recursive programs, and for an atom whose
+            arity differs from its stored relation's.
+    """
     db_schema = db.schema()
+    check_stored_arities(
+        program, {name: db_schema[name].arity for name in db_schema}
+    )
+    plans = lower_program(program, db_schema)
+    if execute is None:
+        execute = _interpret(db, db_schema)
+    model = _base_model(program, db)
     with tracer.span("datalog_lowered", stats=stats) as program_span:
-        plans = lower_program(program)
         for predicate, expr in plans:
             with tracer.span(
                 "predicate", stats=stats, predicate=predicate
             ) as span:
-                plan = canonicalize(expr, db_schema)
-                kernel = None
-                if kernel_cache is not None:
-                    template, values = parameterize(plan)
-                    kernel, _reason = kernel_cache.resolve(template, db)
-                if kernel is not None:
-                    result, _tally = kernel.execute(db, stats, values)
-                else:
-                    result, _tally = execute_physical(plan, db, stats)
+                result = execute(predicate, expr, stats)
                 span.set(rows=len(result))
-            store.add_all(predicate, result.tuples)
-            db.replace(
-                Relation(
-                    db[predicate].schema, store.get(predicate), validate=False
-                ),
-                system=True,
-            )
+            model.share(predicate, result.tuples)
         program_span.set(predicates=len(plans))
-    return store
+    return model

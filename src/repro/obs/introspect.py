@@ -63,6 +63,7 @@ __all__ = [
     "install_introspection",
     "is_system_name",
     "materialize_system_facts",
+    "reject_system_heads",
 ]
 
 
@@ -275,18 +276,9 @@ def install_introspection(workbench):
     return SystemRelations(workbench).install()
 
 
-def materialize_system_facts(db, program, store):
-    """Snapshot referenced ``sys_`` relations into a Datalog EDB.
-
-    ``FactStore.from_database`` deliberately ignores virtual relations
-    (a Datalog run should not pay to materialize eight system tables it
-    never mentions); this helper adds exactly the ``sys_`` predicates
-    the program's rule bodies reference.  Heads are checked first: the
-    namespace is read-only, so deriving *into* it is an error.
-
-    Returns the store, for chaining.
-    """
-    referenced = set()
+def reject_system_heads(program):
+    """Raise DatalogError when a rule derives into a ``sys_`` relation:
+    the namespace is read-only."""
     for rule in program.rules:
         if is_system_name(rule.head.predicate):
             raise DatalogError(
@@ -294,10 +286,26 @@ def materialize_system_facts(db, program, store):
                 "namespace; derive into an ordinary predicate instead"
                 % (rule.head.predicate,)
             )
+
+
+def materialize_system_facts(db, program, store):
+    """Snapshot referenced ``sys_`` relations into a Datalog EDB.
+
+    ``FactStore.from_database`` deliberately ignores virtual relations
+    (a Datalog run should not pay to materialize eight system tables it
+    never mentions); this helper adds exactly the ``sys_`` predicates
+    the program's rule bodies reference.  Heads are checked first
+    (:func:`reject_system_heads`).
+
+    Returns the store, for chaining.
+    """
+    reject_system_heads(program)
+    referenced = set()
+    for rule in program.rules:
         for predicate, _positive in rule.body_predicates():
             if is_system_name(predicate):
                 referenced.add(predicate)
     for predicate in sorted(referenced):
         if predicate in db:
-            store.add_all(predicate, db[predicate].tuples)
+            store.share(predicate, db[predicate].tuples)
     return store

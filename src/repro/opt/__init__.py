@@ -9,8 +9,7 @@ One optimization layer, in one configuration, for the whole pipeline:
   individually-toggleable rewrite rules driven to fixpoint;
 * :mod:`repro.opt.cost` — the one cardinality model every consumer
   shares (rewrites, join ordering, the Datalog body planner);
-* :mod:`repro.opt.joins` — greedy join ordering and cost-gated
-  Yannakakis semijoin routing for acyclic join-connected queries.
+* :mod:`repro.opt.joins` — greedy cost-based join ordering.
 
 The front door is :class:`Optimizer` — every rule, catalog estimates,
 greedy ordering; ``disable=`` switches single rules off for the
@@ -46,8 +45,7 @@ class OptimizationInfo:
 
     @property
     def join_method(self):
-        """"yannakakis", "greedy", or None when no tree was
-        enumerated."""
+        """"greedy", or None when no join tree was reordered."""
         return self.notes.get("join_method")
 
     @property

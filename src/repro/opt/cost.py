@@ -3,7 +3,7 @@
 Everything in the library that needs a size guess asks this module:
 
 * the rewrite/enumeration pipeline (:mod:`repro.opt.joins`) costs join
-  orders and the Yannakakis gate with :class:`CostModel`;
+  orders with :class:`CostModel`;
 * EXPLAIN ANALYZE prints the same model's estimates as ``est=``;
 * the Datalog rule-body planner orders literals by
   :func:`estimate_literal_matches` over live relation sizes.

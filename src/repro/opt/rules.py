@@ -21,11 +21,10 @@ The registry order is the pipeline order:
 5.  ``prune-projections`` — collapse π∘π, drop identity π, push π into joins
 6.  ``form-joins``        — σ[cross-equality](A × B) → theta join
 7.  ``merge-selections``  — σ[a](σ[b](E)) → σ[a∧b](E)
-8.  ``route-yannakakis``  — acyclic join trees → semijoin program
-9.  ``order-joins``       — greedy cost-based join ordering
+8.  ``order-joins``       — greedy cost-based join ordering
 
-Rules 8-9 live in :mod:`repro.opt.joins` (they are enumeration passes,
-not algebraic identities) but register here so they toggle uniformly.
+Rule 8 lives in :mod:`repro.opt.joins` (it is an enumeration pass, not
+an algebraic identity) but registers here so it toggles uniformly.
 """
 
 from __future__ import annotations
@@ -487,7 +486,7 @@ class Rule:
 
 
 def _registry():
-    from .joins import order_joins_pass, route_yannakakis
+    from .joins import order_joins_pass
 
     return (
         Rule("split-selections", split_selections),
@@ -497,7 +496,6 @@ def _registry():
         Rule("prune-projections", prune_projections, fixpoint=True),
         Rule("form-joins", form_joins),
         Rule("merge-selections", merge_selections),
-        Rule("route-yannakakis", route_yannakakis),
         Rule("order-joins", order_joins_pass),
     )
 

@@ -404,83 +404,62 @@ def _emit(tracer, report):
         span.counters = counters
 
 
-def explain_datalog(program, edb=None, stats=None, tracer=NULL_TRACER):
+def explain_datalog(program, db, plan_for, stats=None, tracer=NULL_TRACER):
     """EXPLAIN ANALYZE a non-recursive Datalog program, predicate by
     predicate.
 
-    Mirrors :func:`~repro.datalog.lowering.lowered_evaluate` — same
-    store-building, same dependency order, same answers — but each
-    predicate's algebra plan runs instrumented, and the per-predicate
-    trees are collected under one ``Program`` root report.
+    Runs :func:`~repro.datalog.lowering.lowered_evaluate` over ``db``
+    with each predicate's plan instrumented, and collects the
+    per-predicate trees under one ``Program`` root report.
+
+    Args:
+        program: a non-recursive Datalog program.
+        db: the database the plans read.
+        plan_for: ``plan_for(canonical)`` returning the
+            ``(template, info, hit, key, values)`` of a plan cache (the
+            workbench's ``_plan_for``).
+        stats: optional EngineStatistics charged with the run's work.
+        tracer: optional tracer for the lowering and operator spans.
 
     Returns:
-        An :class:`ExplainResult` whose ``result`` is the derived
-        :class:`~repro.datalog.facts.FactStore` (EDB + IDB), and whose
-        report tree has one ``Datalog(predicate)`` child per lowered
-        predicate.
+        An :class:`ExplainResult` whose ``result`` is the model
+        (a :class:`~repro.datalog.facts.FactStore`), whose report tree
+        has one ``Datalog(predicate)`` child per lowered predicate, and
+        whose ``plan_cache_hit`` is True when every plan was cached.
 
     Raises:
         DatalogError: for recursive programs (not lowerable).
     """
-    from ..datalog.facts import FactStore
-    from ..datalog.lowering import (
-        _columns,
-        _program_arities,
-        lower_program,
-    )
-    from ..relational.database import Database
-    from ..relational.schema import RelationSchema
-    from .logical import canonicalize
+    from ..datalog.lowering import lowered_evaluate
+    from .logical import bind, canonicalize
 
-    store = edb.copy() if edb is not None else FactStore()
-    for predicate, values in program.facts():
-        store.add(predicate, values)
-
-    arities = _program_arities(program)
-    for predicate in store.predicates():
-        tuples = store.get(predicate)
-        if tuples:
-            arities.setdefault(predicate, len(next(iter(tuples))))
-
-    db = Database()
-    for predicate, arity in sorted(arities.items()):
-        # system=True: the scratch EDB may hold sys_ snapshots.
-        db.add(
-            Relation(
-                RelationSchema(predicate, _columns(arity)),
-                store.get(predicate),
-                validate=False,
-            ),
-            system=True,
-        )
-
+    db_schema = db.schema()
     root = OpReport("Program")
     totals = EngineStatistics()
-    elapsed = 0.0
-    db_schema = db.schema()
-    with tracer.span("datalog_program") as program_span:
-        for predicate, expr in lower_program(program):
-            plan = canonicalize(expr, db_schema)
-            sub = run_explained(
-                plan, db, tracer=tracer, kind="datalog"
-            )
-            predicate_report = OpReport("Datalog(%s)" % predicate)
-            predicate_report.rows = len(sub.result)
-            predicate_report.elapsed = sub.elapsed
-            predicate_report.children.append(sub.report)
-            root.children.append(predicate_report)
-            totals.merge(sub.stats)
-            elapsed += sub.elapsed
-            store.add_all(predicate, sub.result.tuples)
-            db.replace(
-                Relation(
-                    db[predicate].schema, store.get(predicate), validate=False
-                ),
-                system=True,
-            )
-        program_span.set(predicates=len(root.children))
-    root.rows = store.count()
-    root.elapsed = elapsed
+    hits = []
+
+    def execute(predicate, expr, _stats):
+        template, _info, hit, _key, values = plan_for(
+            canonicalize(expr, db_schema)
+        )
+        hits.append(hit)
+        sub = run_explained(
+            bind(template, values), db, tracer=tracer, kind="datalog"
+        )
+        predicate_report = OpReport("Datalog(%s)" % predicate)
+        predicate_report.rows = len(sub.result)
+        predicate_report.elapsed = sub.elapsed
+        predicate_report.children.append(sub.report)
+        root.children.append(predicate_report)
+        totals.merge(sub.stats)
+        return sub.result
+
+    model = lowered_evaluate(program, db, execute=execute, tracer=tracer)
+    root.rows = model.count()
+    root.elapsed = sum(child.elapsed for child in root.children)
     if stats is not None:
         stats.merge(totals)
-    return ExplainResult(store, root, elapsed, totals, kind="datalog")
+    return ExplainResult(
+        model, root, root.elapsed, totals, kind="datalog",
+        plan_cache_hit=all(hits) if hits else None,
+    )

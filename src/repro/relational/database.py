@@ -150,7 +150,7 @@ class Database:
 
         ``system=True`` is the internal escape hatch for scratch
         databases that legitimately materialize ``sys_`` snapshots
-        (Datalog lowering); user code must not pass it.
+        (``FactStore.to_database``); user code must not pass it.
         """
         if not isinstance(relation, Relation):
             raise RelationError("expected Relation, got %r" % (relation,))
@@ -166,10 +166,9 @@ class Database:
         self._invalidate_stats(name)
         return relation
 
-    def replace(self, relation, system=False):
+    def replace(self, relation):
         """Register or overwrite the relation named by its schema."""
-        if not system:
-            self._check_reserved(relation.schema.name)
+        self._check_reserved(relation.schema.name)
         self._commit_change({relation.schema.name: relation}, kind="replace")
         self._invalidate_stats(relation.schema.name)
         return relation

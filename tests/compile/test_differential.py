@@ -23,7 +23,12 @@ skipped comparison.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import CompileFallback, KernelCache, compile_plan
+from repro.compile import (
+    CompileFallback,
+    KernelCache,
+    compile_plan,
+    execute_compiled,
+)
 from repro.conformance.corpus import load_corpus
 from repro.conformance.oracles import RelationalDifferentialOracle
 from repro.conformance.workloads import generate_case
@@ -112,11 +117,25 @@ def test_conformance_workload_parity():
 def test_nonrecursive_datalog_parity():
     """Lowered evaluation with a kernel cache ≡ without, model + work.
 
-    ``lowered_evaluate`` builds a fresh scratch database per call, so
-    both legs start index-cold and the counters must match exactly with
-    no warming.
+    Each leg runs over a fresh ``to_database()`` of the EDB, so both
+    start index-cold and the counters must match exactly with no
+    warming.
     """
     cache = KernelCache()
+
+    def compiled_leg(db):
+        schema = db.schema()
+
+        def execute(_predicate, expr, stats):
+            plan = canonicalize(expr, schema)
+            try:
+                relation, _tally = execute_compiled(plan, db, stats, cache)
+            except CompileFallback:
+                relation, _tally = execute_physical(plan, db, stats)
+            return relation
+
+        return execute
+
     lowerable = 0
     for seed in range(80):
         case = generate_case("datalog-differential", seed)
@@ -126,10 +145,13 @@ def test_nonrecursive_datalog_parity():
         lowerable += 1
         edb = case.payload["edb"]
         interp_stats = EngineStatistics()
-        interp = lowered_evaluate(program, edb, stats=interp_stats)
+        interp = lowered_evaluate(
+            program, edb.to_database(), stats=interp_stats
+        )
         compiled_stats = EngineStatistics()
+        db = edb.to_database()
         compiled = lowered_evaluate(
-            program, edb, stats=compiled_stats, kernel_cache=cache
+            program, db, execute=compiled_leg(db), stats=compiled_stats
         )
         assert compiled == interp, seed
         assert compiled_stats.as_dict() == interp_stats.as_dict(), seed

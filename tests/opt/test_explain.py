@@ -49,13 +49,14 @@ class TestEstimateAnnotations:
         explained = wb.explain_analyze(chain())
         rendered = explained.render()
         assert "Optimizer:" in rendered
-        assert "route-yannakakis" in rendered
+        assert "order-joins" in rendered
+        assert "join=greedy" in rendered
 
     def test_as_dict_carries_optimizer_and_estimates(self, wb):
         payload = wb.explain_analyze(chain()).as_dict()
         optimizer = payload["optimizer"]
         assert optimizer["rules_fired"]
-        assert optimizer["join_method"] == "yannakakis"
+        assert optimizer["join_method"] == "greedy"
         assert optimizer["rules_enabled"]
 
         def walk(node):

@@ -1,4 +1,9 @@
-"""Join enumeration: greedy ordering and cost-gated Yannakakis routing."""
+"""Join enumeration: greedy ordering, the only join enumeration.
+
+The optimizer no longer rewrites acyclic joins into Yannakakis semijoin
+programs (DESIGN.md §4f): every shape here keeps its natural joins and
+its answers.
+"""
 
 import pytest
 
@@ -37,9 +42,8 @@ def chain_join():
 def dumbbell_db():
     """A chain whose middle relation is mostly dangling: only b ∈ {0,1}
     has partners in r and only c ∈ {18,19} in t, so semijoin reduction
-    strips s to 4 rows before any join, while every join-at-a-time
-    order materializes a large half-reduced intermediate first.  The
-    intermediates dwarf the inputs, so routing clears the cost gate."""
+    would strip s to 4 rows before any join.  The former cost gate
+    routed this shape through Yannakakis."""
     return Database.from_dict(
         {
             "r": (("a", "b"), [(i, i % 2) for i in range(100)]),
@@ -66,31 +70,23 @@ def info_for(expr, db, **kwargs):
     return plan, info
 
 
+def semijoins(plan):
+    """Semijoin nodes anywhere in a plan."""
+    if isinstance(plan, Semijoin):
+        return 1 + semijoins(plan.left) + semijoins(plan.right)
+    return sum(semijoins(child) for child in plan.children())
+
+
 class TestYannakakisRouting:
-    def test_acyclic_chain_routes(self):
+    """No join shape is routed through a semijoin program any more."""
+
+    def test_acyclic_chain_is_not_routed(self):
         db = dumbbell_db()
         expr = chain_join()
         plan, info = info_for(expr, db)
-        assert info.join_method == "yannakakis"
-        assert info.fired.get("route-yannakakis") == 1
-        assert set(info.join_order) == {"r", "s", "t"}
-        result = evaluate(plan, db)
-        baseline = evaluate(expr, db)
-        assert result == baseline  # exact: column order preserved too
-
-    def test_routed_plan_contains_semijoins(self):
-        db = dumbbell_db()
-        plan, _info = info_for(chain_join(), db)
-        def count(node):
-            if isinstance(node, Semijoin):
-                return 1 + count(node.left) + count(node.right)
-            total = 0
-            for attr in ("child", "left", "right"):
-                sub = getattr(node, attr, None)
-                if sub is not None:
-                    total += count(sub)
-            return total
-        assert count(plan) >= 4  # full reduction: up + down sweeps
+        assert info.join_method in ("greedy", None)
+        assert semijoins(plan) == 0
+        assert evaluate(plan, db) == evaluate(expr, db)
 
     def test_cyclic_join_is_not_routed(self):
         db = triangle_db()
@@ -98,16 +94,15 @@ class TestYannakakisRouting:
             NaturalJoin(RelationRef("r"), RelationRef("s")),
             RelationRef("u"),
         )
-        plan, info = info_for(expr, db)
-        assert info.join_method != "yannakakis"
-        assert "route-yannakakis" not in info.fired
+        plan, _info = info_for(expr, db)
+        assert semijoins(plan) == 0
         assert evaluate(plan, db) == evaluate(expr, db)
 
     def test_two_way_join_is_not_routed(self):
         db = chain_db()
         expr = NaturalJoin(RelationRef("r"), RelationRef("s"))
-        _plan, info = info_for(expr, db)
-        assert "route-yannakakis" not in info.fired
+        plan, _info = info_for(expr, db)
+        assert semijoins(plan) == 0
 
     def test_disconnected_join_is_not_routed(self):
         db = Database.from_dict(
@@ -121,24 +116,14 @@ class TestYannakakisRouting:
             NaturalJoin(RelationRef("p"), RelationRef("q")),
             RelationRef("v"),
         )
-        plan, info = info_for(expr, db)
-        assert "route-yannakakis" not in info.fired
+        plan, _info = info_for(expr, db)
+        assert semijoins(plan) == 0
         assert evaluate(plan, db) == evaluate(expr, db)
-
-    def test_routing_can_be_disabled(self):
-        db = chain_db()
-        plan, info = info_for(
-            chain_join(), db, disable=("route-yannakakis",)
-        )
-        assert info.join_method == "greedy"
-        assert evaluate(plan, db) == evaluate(chain_join(), db)
 
 
 class TestOrdering:
     def test_greedy_orders_the_tree(self):
-        _plan, info = info_for(
-            chain_join(), chain_db(), disable=("route-yannakakis",)
-        )
+        _plan, info = info_for(chain_join(), chain_db())
         assert info.join_method == "greedy"
         assert set(info.join_order) == {"r", "s", "t"}
 
@@ -146,9 +131,7 @@ class TestOrdering:
         # s ⋈ t is far cheaper than r ⋈ s: the chosen plan must join
         # the two small relations innermost, not extend r ⋈ s.
         db = chain_db(sizes=(40, 8, 2))
-        plan, info = info_for(
-            chain_join(), db, disable=("route-yannakakis",)
-        )
+        plan, info = info_for(chain_join(), db)
         assert info.join_method == "greedy"
 
         def innermost_pairs(node, out):
@@ -172,7 +155,7 @@ class TestOrdering:
     def test_ordered_plan_preserves_column_order(self):
         db = chain_db()
         expr = chain_join()
-        plan, _info = info_for(expr, db, disable=("route-yannakakis",))
+        plan, _info = info_for(expr, db)
         assert evaluate(plan, db) == evaluate(expr, db)
 
     def test_selection_wrapped_leaves_still_order(self):
@@ -182,7 +165,7 @@ class TestOrdering:
             NaturalJoin(RelationRef("s"), RelationRef("t")),
             Selection(RelationRef("r"), eq("a", 1)),
         )
-        plan, info = info_for(expr, db, disable=("route-yannakakis",))
+        plan, info = info_for(expr, db)
         assert info.join_method == "greedy"
         assert info.join_order == ("t", "s", "r")
         assert evaluate(plan, db) == evaluate(expr, db)
@@ -201,41 +184,15 @@ class TestOrdering:
             NaturalJoin(RelationRef("x"), RelationRef("y")),
             RelationRef("z"),
         )
-        plan, info = info_for(expr, db, disable=("route-yannakakis",))
+        plan, info = info_for(expr, db)
         if "order-joins" not in info.fired:
             assert flatten_joins(plan) == flatten_joins(expr)
 
 
-class TestMaterializationWin:
-    def test_yannakakis_materializes_fewer_tuples(self):
-        """The tentpole's acceptance shape: on a selective acyclic
-        chain, the routed plan's intermediates stay smaller than the
-        unrouted cost-ordered plan's."""
-        db = dumbbell_db()
-        expr = chain_join()
-        routed, info = info_for(expr, db)
-        unrouted, _ = info_for(expr, db, disable=("route-yannakakis",))
-        assert info.join_method == "yannakakis"
-
-        def materialized(plan):
-            total = 0
-            stack = [plan]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, (NaturalJoin, Semijoin)):
-                    total += len(evaluate(node, db))
-                for attr in ("child", "left", "right"):
-                    sub = getattr(node, attr, None)
-                    if sub is not None:
-                        stack.append(sub)
-            return total
-
-        assert evaluate(routed, db) == evaluate(unrouted, db)
-        assert materialized(routed) < materialized(unrouted)
-
-
 class TestRoutingGate:
-    """The cost gate: Yannakakis must pay for its sweeps in savings."""
+    """The shapes the former routing cost gate decided on: a small
+    star and chain it left alone, and a large path-4 it routed.  All
+    three now order greedily."""
 
     def small_star(self):
         # BENCH_optimizer's star shape in miniature: a 10k-row fact with
@@ -286,17 +243,17 @@ class TestRoutingGate:
     def test_small_star_stays_unrouted(self):
         db, expr = self.small_star()
         plan, info = info_for(expr, db)
-        assert "route-yannakakis" not in info.fired
+        assert semijoins(plan) == 0
         assert info.join_method == "greedy"
         assert evaluate(plan, db) == evaluate(expr, db)
 
     def test_small_chain_stays_unrouted(self):
-        _plan, info = info_for(chain_join(), chain_db())
-        assert "route-yannakakis" not in info.fired
+        plan, _info = info_for(chain_join(), chain_db())
+        assert semijoins(plan) == 0
 
-    def test_large_path4_still_routes(self):
+    def test_large_path4_orders_greedily(self):
         db, expr = self.path4()
         plan, info = info_for(expr, db)
-        assert info.fired.get("route-yannakakis") == 1
-        assert info.join_method == "yannakakis"
+        assert info.join_method == "greedy"
+        assert semijoins(plan) == 0
         assert evaluate(plan, db) == evaluate(expr, db)

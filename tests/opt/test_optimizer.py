@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.core.workbench import MetatheoryWorkbench
-from repro.datalog.stats import EngineStatistics
 from repro.opt import DEFAULT_RULES, Optimizer, optimize, rule_names
 from repro.relational import (
     Database,
@@ -43,7 +42,7 @@ class TestFrontDoor:
         tokens = {
             Optimizer().config_token(),
             Optimizer(disable=("order-joins",)).config_token(),
-            Optimizer(disable=("route-yannakakis",)).config_token(),
+            Optimizer(disable=("form-joins",)).config_token(),
         }
         assert len(tokens) == 3
         assert Optimizer().config_token() == Optimizer().config_token()
@@ -65,9 +64,9 @@ class TestFrontDoor:
 class TestWorkbenchIntegration:
     def test_optimizer_is_a_constructor_knob(self, db):
         wb = MetatheoryWorkbench(
-            db, optimizer=Optimizer(disable=("route-yannakakis",))
+            db, optimizer=Optimizer(disable=("order-joins",))
         )
-        assert "route-yannakakis" not in wb.optimizer.rules
+        assert "order-joins" not in wb.optimizer.rules
 
     def test_plan_cache_keys_on_optimizer_config(self, db):
         wb = MetatheoryWorkbench(db)
@@ -81,52 +80,6 @@ class TestWorkbenchIntegration:
         wb.run(expr)
         stats = wb.plan_cache.stats()
         assert stats["misses"] > first["misses"]
-
-    def test_run_routes_acyclic_joins_through_yannakakis(self):
-        """The acceptance smoke test: an acyclic multi-join through
-        ``wb.run`` routes through Yannakakis, visibly, and materializes
-        fewer tuples than the unoptimized run.
-
-        The streaming executor only charges *buffered* tuples, so the
-        workload has to make the unoptimized plan buffer: a right-deep
-        tree forces a hash-join build over the derived ``s ⋈ t``, which
-        is mostly dangling with respect to ``r`` — the regime the
-        semijoin reduction exists for.  ``t`` repeats each ``c`` value
-        100 times, so the estimated ``s ⋈ t`` dwarfs the inputs and the
-        rewrite clears the routing cost gate.
-        """
-        wb = MetatheoryWorkbench(
-            Database.from_dict(
-                {
-                    "r": (("a", "b"), [(i, i) for i in range(5)]),
-                    "s": (
-                        ("b", "c"),
-                        [(b, c) for b in range(50) for c in range(50)],
-                    ),
-                    "t": (("c", "d"), [(i % 5, i) for i in range(500)]),
-                }
-            )
-        )
-        expr = NaturalJoin(
-            RelationRef("r"),
-            NaturalJoin(RelationRef("s"), RelationRef("t")),
-        )
-
-        explained = wb.explain_analyze(expr)
-        assert explained.optimizer is not None
-        assert explained.optimizer.join_method == "yannakakis"
-        assert "route-yannakakis" in explained.optimizer.fired
-        assert "yannakakis" in explained.render()
-
-        optimized_stats = EngineStatistics()
-        plain_stats = EngineStatistics()
-        optimized = wb.run(expr, stats=optimized_stats)
-        plain = wb.run(expr, optimized=False, stats=plain_stats)
-        assert optimized == plain
-        assert (
-            optimized_stats.tuples_materialized
-            < plain_stats.tuples_materialized
-        )
 
     def test_optimized_and_unoptimized_agree(self, db):
         wb = MetatheoryWorkbench(db)

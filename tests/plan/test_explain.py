@@ -227,17 +227,16 @@ class TestFrontEnds:
 
 class TestExplainDatalog:
     def test_agrees_with_lowered_evaluate(self):
-        from repro.plan import explain_datalog
-
-        program, _ = parse_program(
-            """
+        source = """
             reach2(X, Z) :- edge(X, Y), edge(Y, Z).
             popular(Y) :- edge(X, Y), edge(Z, Y), X != Z.
             """
-        )
+        program, _ = parse_program(source)
         edb = FactStore({"edge": [(1, 2), (2, 3), (3, 4), (1, 3)]})
-        plain = lowered_evaluate(program, edb)
-        explained = explain_datalog(program, edb)
+        plain = lowered_evaluate(program, edb.to_database())
+        explained = MetatheoryWorkbench(edb.to_database()).explain_analyze(
+            source
+        )
         assert explained.result == plain
         assert explained.report.rows == plain.count()
         # The program root sums its predicate subtrees.

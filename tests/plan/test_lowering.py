@@ -3,27 +3,30 @@
 These tests pin the lowering contracts: SQL text, calculus via Codd, and
 non-recursive Datalog all canonicalize to core-operator-only trees; the
 same logical query arriving through different front-ends hits the same
-plan-cache entry; and ``executor=False`` reproduces the legacy paths bit
-for bit.
+plan-cache entry; ``executor=False`` reproduces the legacy paths bit
+for bit; and a workbench runs lowered Datalog on its own pipeline, with
+the fixpoint engines as the oracle.
 """
 
 import pytest
 
 from repro.core.workbench import MetatheoryWorkbench
-from repro.datalog.engine import DatalogEngine
+from repro.datalog.engine import STRATEGIES, DatalogEngine
+from repro.datalog.facts import FactStore
 from repro.datalog.lowering import (
     is_lowerable,
     lower_program,
-    lower_rule,
     lowered_evaluate,
 )
 from repro.datalog.naive import naive_evaluate
-from repro.datalog.parser import parse_program, parse_rule
+from repro.datalog.parser import parse_program
 from repro.errors import DatalogError, PlanError
 from repro.plan import canonicalize, is_canonical, plan_key
 from repro.relational import algebra as ra
 from repro.relational.codd import calculus_to_algebra
 from repro.relational.calculus_parser import parse_calculus
+from repro.relational.database import Database
+from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.sql_frontend import parse_sql
 
 
@@ -211,34 +214,35 @@ class TestLegacyEquality:
         assert wb.algebra(expr) == wb.algebra(expr, executor=False)
 
 
+#: A session schema whose attribute names are not positional.
+EDGE_SCHEMA = DatabaseSchema([RelationSchema("edge", ("src", "dst"))])
+
+
 class TestDatalogLowering:
     def test_single_rule_plan_shape(self):
-        """A one-atom rule lowers to rename-project-rename-scan."""
-        rule = parse_rule("out(X) :- edge(X, Y).")
+        """A one-atom rule lowers to a positional rename of the stored
+        relation, then project and rename to the head's columns."""
+        program, _ = parse_program("out(X) :- edge(X, Y).")
         expected = ra.Rename(
             ra.Projection(
-                ra.Rename(
-                    ra.RelationRef("edge"), {"c0": "__p0", "c1": "__p1"}
-                ),
-                ("__p0", "__p1"),
+                ra.Rename(ra.RelationRef("edge"), {"src": "X", "dst": "Y"}),
+                ("X",),
             ),
-            {"__p0": "X", "__p1": "Y"},
+            {"X": "c0"},
         )
-        expected = ra.Rename(
-            ra.Projection(expected, ("X",)), {"X": "c0"}
-        )
-        assert plan_key(lower_rule(rule)) == plan_key(expected)
+        plans = dict(lower_program(program, EDGE_SCHEMA))
+        assert plan_key(plans["out"]) == plan_key(expected)
 
     def test_multi_rule_predicate_unions(self):
         program, _ = parse_program(
             "out(X) :- p(X).\nout(X) :- q(X).\n"
         )
-        plans = dict(lower_program(program))
+        plans = dict(lower_program(program, DatabaseSchema()))
         assert isinstance(plans["out"], ra.Union)
 
     def test_negation_lowers_to_antijoin(self):
         program, _ = parse_program("out(X) :- p(X), not q(X).")
-        plans = dict(lower_program(program))
+        plans = dict(lower_program(program, DatabaseSchema()))
 
         def has_antijoin(node):
             if isinstance(node, ra.Antijoin):
@@ -254,7 +258,7 @@ class TestDatalogLowering:
         )
         assert not is_lowerable(program)
         with pytest.raises(DatalogError):
-            lower_program(program)
+            lower_program(program, EDGE_SCHEMA)
 
     @pytest.mark.parametrize("source", [
         # constants in body and head
@@ -279,7 +283,7 @@ class TestDatalogLowering:
         )
         assert is_lowerable(program)
         reference = naive_evaluate(program, None)
-        lowered = lowered_evaluate(program, None)
+        lowered = lowered_evaluate(program, Database())
         for predicate in set(reference.predicates()) | set(
             lowered.predicates()
         ):
@@ -321,3 +325,180 @@ class TestDatalogLowering:
             "in_sd(E) :- works(E, D), located(D, sd).", executor=False
         )
         assert legacy.query("in_sd(X)") == {("ann",), ("cal",)}
+
+
+def session_workbench():
+    """Attribute names that are not positions, a 3-ary relation, and a
+    stored relation that a program may also derive into."""
+    return MetatheoryWorkbench.from_dict({
+        "edge": (("dst", "src"), [(2, 1), (3, 2), (3, 3), (4, 3)]),
+        "fact": (("k1", "k2", "m"), [(1, 2, 10), (2, 3, 20), (3, 3, 30)]),
+        "tag": (("node", "label"), [(1, "a"), (3, "c")]),
+    })
+
+
+def fixpoint_model(wb, source):
+    """The oracle: the same text on the fixpoint engines."""
+    return wb.run(source, executor=False)
+
+
+class TestSessionDatalog:
+    """wb.run lowers non-recursive programs onto the session's relations;
+    every answer must equal the fixpoint engines' model."""
+
+    @pytest.mark.parametrize("source", [
+        # an EDB predicate the session lacks is empty, not an error
+        "out(X) :- edge(X, Y), not missing(X).\nnone(X) :- missing(X).",
+        # program-text facts for an EDB and an IDB predicate
+        "edge(9, 8).\nextra(7).\nextra(X) :- edge(X, Y).",
+        # IDB over IDB, and negation over an IDB predicate
+        "hop(X, Z) :- edge(X, Y), edge(Y, Z).\n"
+        "far(X) :- hop(X, Z), tag(Z, L).\n"
+        "near(X) :- edge(X, Y), not far(X).",
+        # head constants and repeated head variables
+        "marked(X, 1, X) :- tag(X, L).\npair(Y, Y) :- edge(X, Y).",
+        # 0-ary predicates, in a head and in a body
+        "nonempty :- edge(X, Y).\nseen(X) :- nonempty, tag(X, L).",
+        # a stored relation that is also a rule head keeps its rows
+        "tag(X, \"derived\") :- edge(X, 3).",
+        # constants, repeated body variables, comparisons, a 3-ary atom
+        "cut(K, M) :- fact(K, K2, M), M < 25.\n"
+        "loop(X) :- edge(X, X).\nbig(K) :- fact(K, K, M), M > 5.",
+    ])
+    @pytest.mark.parametrize("executor", [True, "compiled"])
+    def test_model_matches_fixpoint(self, source, executor):
+        wb = session_workbench()
+        program, _ = parse_program(source)
+        assert is_lowerable(program)
+        model = wb.run(source, executor=executor)
+        assert model == fixpoint_model(wb, source)
+        assert model == naive_evaluate(
+            program, FactStore.from_database(wb.db)
+        )
+
+    def test_routes_are_recorded(self):
+        wb = MetatheoryWorkbench(session_workbench().db, history=True)
+        wb.run("out(X) :- edge(X, Y).")
+        assert wb.history.last().route == "datalog:lowered"
+        wb.run("out(X) :- edge(X, Y).", executor="compiled")
+        assert wb.history.last().route == "datalog:compiled"
+
+    def test_sys_predicate_in_a_body(self):
+        wb = session_workbench()
+        wb.sql("SELECT src FROM edge")
+        source = "cached(F) :- sys_plan_cache(I, F, H, R, K, T)."
+        model = wb.run(source)
+        assert model.get("cached")
+        assert model.get("sys_plan_cache")
+        with pytest.raises(DatalogError):
+            wb.run("sys_plan_cache(X) :- edge(X, Y).")
+
+    def test_literal_variant_hits_the_plan_cache_and_one_kernel(self):
+        wb = session_workbench()
+        first = wb.run("q(K, M) :- fact(K, K2, M), M < 15.",
+                       executor="compiled")
+        misses = wb.plan_cache.stats()["misses"]
+        second = wb.run("q(K, M) :- fact(K, K2, M), M < 25.",
+                        executor="compiled")
+        assert first.get("q") == {(1, 10)}
+        assert second.get("q") == {(1, 10), (2, 20)}
+        assert wb.plan_cache.stats()["misses"] == misses
+        assert wb.plan_cache.stats()["hits"] >= 1
+        assert len(wb.sql("SELECT plan_fingerprint FROM sys_kernels")) == 1
+
+    def test_dml_between_runs_is_seen(self):
+        wb = session_workbench()
+        source = "out(X) :- edge(X, 1)."
+        assert wb.run(source).get("out") == {(2,)}
+        wb.sql("INSERT INTO edge VALUES (5, 1)")
+        model = wb.run(source)
+        assert model.get("out") == {(2,), (5,)}
+        assert (5, 1) in model.get("edge")
+
+    def test_mutating_the_model_leaves_the_session_unchanged(self):
+        wb = session_workbench()
+        before = wb.db["edge"].tuples
+        model = wb.run("out(X) :- edge(X, Y).")
+        model.add("edge", (7, 7))
+        model.add("out", (7,))
+        assert wb.db["edge"].tuples == before
+        assert (7, 7) not in wb.run("out(X) :- edge(X, Y).").get("edge")
+
+    def test_explain_twice_hits_and_matches_run(self):
+        wb = session_workbench()
+        source = "hop(X, Z) :- edge(X, Y), edge(Y, Z), Z < 4."
+        first = wb.explain_analyze(source)
+        assert first.plan_cache_hit is False
+        again = wb.explain_analyze(source)
+        assert again.plan_cache_hit is True
+        assert again.parse_cache_hit is True
+        assert again.result == wb.run(source)
+        assert [c.label for c in again.report.children] == ["Datalog(hop)"]
+
+    def test_engine_from_workbench_runs_on_the_session(self):
+        wb = session_workbench()
+        engine = wb.datalog("out(X) :- edge(X, 3).", executor="compiled")
+        wb.sql("INSERT INTO edge VALUES (5, 3)")
+        # Every strategy reads the state of the wb.datalog call.
+        for strategy in STRATEGIES:
+            assert engine.query("out(X)", strategy=strategy) == {(3,), (4,)}
+        assert len(wb.kernel_cache) == 1
+
+
+class TestParseOnce:
+    """A repeated Datalog or calculus text parses once per session."""
+
+    @pytest.mark.parametrize("text, parser", [
+        ("out(X) :- edge(X, Y).", "repro.core.workbench.parse_program"),
+        ("{(x) | exists y . edge(x, y)}",
+         "repro.core.workbench.parse_calculus"),
+    ])
+    def test_second_run_hits_the_parse_cache(self, text, parser,
+                                             monkeypatch):
+        wb = MetatheoryWorkbench(session_workbench().db, history=True)
+        wb.run(text)
+        assert wb.history.last().parse_cache_hit == 0
+
+        def refuse(*_args):
+            raise AssertionError("parsed a cached text again")
+
+        monkeypatch.setattr(parser, refuse)
+        wb.run(text)
+        assert wb.history.last().parse_cache_hit == 1
+
+
+class TestArityMismatch:
+    """An atom whose arity differs from its stored relation's is an
+    error on every route and strategy, never a silent truncation."""
+
+    DATA = {"fact": (("a", "b", "c"), [(1, 2, 3), (4, 5, 6)])}
+
+    @pytest.mark.parametrize("executor", [True, False, "compiled"])
+    @pytest.mark.parametrize("source", [
+        "q(K, M) :- fact(K, M).",
+        "q(K, M) :- fact(K, M).\nq(K, M) :- q(M, K).",
+    ])
+    def test_workbench_routes_raise(self, executor, source):
+        wb = MetatheoryWorkbench.from_dict(self.DATA)
+        with pytest.raises(DatalogError, match="'fact'.* 2 .* 3"):
+            wb.run(source, executor=executor)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_standalone_strategies_raise(self, strategy):
+        with pytest.raises(DatalogError, match="'fact'.* 2 .* 3"):
+            engine = DatalogEngine.from_source(
+                "q(K, M) :- fact(K, M).",
+                edb={"fact": [(1, 2, 3), (4, 5, 6)]},
+            )
+            engine.query("q(K, M)", strategy=strategy)
+
+    @pytest.mark.parametrize("executor", [True, False, "compiled"])
+    def test_empty_stored_relation_raises_too(self, executor):
+        wb = MetatheoryWorkbench.from_dict({"e": (("a", "b"), [])})
+        with pytest.raises(DatalogError, match="'e'.* 1 .* 2"):
+            wb.run("q(X) :- e(X).", executor=executor)
+
+    def test_rule_head_over_a_stored_relation_raises(self):
+        wb = MetatheoryWorkbench.from_dict(self.DATA)
+        with pytest.raises(DatalogError, match="'fact'"):
+            wb.run("fact(X) :- fact(X, Y, Z).")
