@@ -39,11 +39,9 @@ def main():
     print("=== Autocommit DML through the plan pipeline ===")
     result = wb.sql("INSERT INTO account VALUES ('dee', 'la', 50)")
     print("insert:", result)
-    result = wb.sql(
-        "UPDATE account SET balance = 0 WHERE owner = 'bob'",
-        executor="compiled",
-    )
-    print("update (compiled):", result)
+    # The matched-row scan is planned, cached and compiled like a query.
+    result = wb.sql("UPDATE account SET balance = 0 WHERE owner = 'bob'")
+    print("update:", result)
     print("accounts:", sorted(wb.db["account"].tuples))
 
     print("\n=== A snapshot pins the past while writers move on ===")

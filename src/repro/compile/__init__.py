@@ -4,10 +4,10 @@ The produce/consume code generator (:mod:`.codegen`) turns a canonical
 logical plan into one specialized Python function — pipelines fused
 into plain loops, conditions and projections inlined, work counters
 batched — and the :class:`KernelCache` (:mod:`.cache`) compiles each
-(plan, schema) pair exactly once.  The workbench exposes it all as
-``executor="compiled"`` on every front-end, falling back to the
-interpreted streaming executor (and counting it) on any plan shape the
-generator refuses.
+(plan, schema) pair exactly once.  It is the workbench's default route
+(``executor=True``) on every front-end from a plan shape's second run
+on; the first run, and any plan shape the generator refuses (counted),
+run on the interpreted streaming executor.
 """
 
 from .cache import KernelCache, execute_compiled

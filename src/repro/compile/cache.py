@@ -9,7 +9,10 @@ schema sub-token of just the relations the plan references, so a kernel
 survives arbitrary *content* changes (it re-fetches relations by name
 at call time) **and** schema changes to relations it never touches; it
 is invalidated the moment a schema it resolved attribute positions
-against changes.  The 12-hex fingerprint
+against changes.  The part of the key that walks the plan
+(:meth:`KernelCache.lookup_for`) is computed once per plan and passed
+back in, so a repeated statement's lookup reads only the schema it runs
+on.  The 12-hex fingerprint
 shown in ``sys_kernels`` and EXPLAIN ANALYZE derives from the plan key
 alone; ``sys_plan_cache`` records it per entry (``kernel_fingerprint``)
 whenever a compiled kernel serves a cached plan, so the two relations
@@ -20,6 +23,12 @@ once is refused from the cache thereafter without re-walking it, and
 every fallback *resolution* (first or cached) counts in
 ``fallback_runs`` so the workbench's ``compile_fallbacks_total`` metric
 never under-reports.
+
+The workbench resolves *tiered*: a plan compiles on its second miss,
+not its first, so a statement shape that runs once (an ``INSERT …
+VALUES`` row is one) never pays for code generation.  The first miss
+only sights the key, in a first-in first-out set of at most
+:data:`SIGHTINGS` keys.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from ..plan.cache import PlanCache
 from ..plan.logical import parameterize, plan_key
 from ..relational.algebra import relation_names
 from .codegen import CompileFallback, compile_plan
+
+#: Keys a tiered resolution remembers having missed once.  A key that
+#: leaves the set before its second miss is sighted afresh.
+SIGHTINGS = 1024
 
 
 class _FallbackEntry:
@@ -47,7 +60,8 @@ class KernelCache:
     cache; ``codegens`` counts actual code generation runs (the
     zero-codegen-on-repeat test pins this); ``fallbacks`` counts
     distinct refused plans and ``fallback_runs`` every resolution that
-    ended in a fallback, cached or not.
+    ended in a fallback, cached or not; ``sightings`` counts the misses
+    of tiered resolutions that compiled nothing (a plan's first sight).
     """
 
     __slots__ = (
@@ -58,7 +72,9 @@ class KernelCache:
         "codegens",
         "fallbacks",
         "fallback_runs",
+        "sightings",
         "_entries",
+        "_sighted",
     )
 
     def __init__(self, capacity=256):
@@ -69,26 +85,48 @@ class KernelCache:
         self.codegens = 0
         self.fallbacks = 0
         self.fallback_runs = 0
+        self.sightings = 0
         self._entries = {}
+        self._sighted = {}
 
     def __len__(self):
         return len(self._entries)
 
     @staticmethod
-    def key_for(plan, db):
+    def lookup_for(plan):
+        """What a lookup needs of ``plan`` itself: its
+        :func:`~repro.plan.logical.plan_key` and the sorted names of the
+        relations it reads.
+
+        Both walk the plan, so a caller that runs one plan many times
+        computes this once and passes it to :meth:`resolve` (the
+        workbench keeps it on the plan-cache entry).
+        """
+        return plan_key(plan), tuple(sorted(relation_names(plan)))
+
+    @staticmethod
+    def key_for(plan, db, schema=None, lookup=None):
         """``(plan_key, referenced-relations sub-schema-token)``.
 
         Narrowing the schema token to the plan's own relations means an
         unrelated ``add``/``remove``/reshape elsewhere in the database
         cannot orphan this kernel — mutation-heavy sessions keep their
-        compiled read paths hot.
+        compiled read paths hot.  A caller holding ``db.schema()`` and
+        the plan's :meth:`lookup_for` passes them, and the key then
+        costs one dictionary lookup per relation the plan reads.
+        Attributes come from the schema, never from ``db[name]``, which
+        would materialize a virtual ``sys_`` relation.
         """
-        schema = db.schema()
+        if schema is None:
+            schema = db.schema()
+        if lookup is None:
+            lookup = KernelCache.lookup_for(plan)
+        pkey, names = lookup
         return (
-            plan_key(plan),
+            pkey,
             tuple(
                 (name, schema[name].attributes)
-                for name in sorted(relation_names(plan))
+                for name in names
                 if name in schema
             ),
         )
@@ -98,15 +136,24 @@ class KernelCache:
         """12-hex kernel fingerprint (from the plan key alone)."""
         return PlanCache.fingerprint(key[0])
 
-    def resolve(self, plan, db):
-        """The kernel for a canonical plan or template, compiling on
-        first sight.
+    def resolve(self, plan, db, schema=None, lookup=None, tiered=False):
+        """The kernel for a canonical plan or template, compiling on a
+        miss.
+
+        ``schema`` and ``lookup`` are as in :meth:`key_for`: the kernel
+        always matches the schema of the ``db`` it will run on
+        (transaction views and pinned snapshots included).  With
+        ``tiered`` (the workbench's policy) only a plan's second miss
+        compiles; the first sights its key and returns ``(None, None)``.
 
         Returns:
             ``(kernel, None)`` when the plan compiled (now or earlier),
-            ``(None, reason)`` when it falls back to interpretation.
+            ``(None, reason)`` when it falls back to interpretation, and
+            ``(None, None)`` on a tiered first sight.
         """
-        key = self.key_for(plan, db)
+        if schema is None:
+            schema = db.schema()
+        key = self.key_for(plan, db, schema, lookup)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
@@ -116,9 +163,16 @@ class KernelCache:
                 return None, entry.reason
             return entry, None
         self.misses += 1
+        if tiered and key not in self._sighted:
+            if len(self._sighted) >= SIGHTINGS:
+                del self._sighted[next(iter(self._sighted))]
+            self._sighted[key] = None
+            self.sightings += 1
+            return None, None
+        self._sighted.pop(key, None)
         try:
             kernel = compile_plan(
-                plan, db.schema(), fingerprint=self.fingerprint(key)
+                plan, schema, fingerprint=self.fingerprint(key)
             )
         except CompileFallback as exc:
             self.fallbacks += 1
@@ -189,6 +243,7 @@ class KernelCache:
             "codegens": self.codegens,
             "fallbacks": self.fallbacks,
             "fallback_runs": self.fallback_runs,
+            "sightings": self.sightings,
             "size": len(self._entries),
         }
 
@@ -201,6 +256,8 @@ class KernelCache:
     def clear(self):
         """Drop all entries and reset every counter (schema changed)."""
         self._entries.clear()
+        self._sighted.clear()
+        self.sightings = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0

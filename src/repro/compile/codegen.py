@@ -40,10 +40,14 @@ interpreted operator pulls a *single* right tuple and stops, so its
 reproduce without re-implementing early termination — it stays
 interpreted.
 
-Equality comparisons inline as ``==``/``!=`` (no value produced by the
-front-ends raises :class:`TypeError` from equality); ordered
-comparisons go through tiny guarded helpers that mirror the
-interpreted ``TypeError -> False`` contract per comparison.
+Comparisons inline as Python operators.  Equality never raises for a
+value the front-ends produce; an ordered comparison of, say, an int
+with a str raises :class:`TypeError`, where the interpreter's
+contract reads False for that one comparison.  So a condition holding
+an ordered comparison computes its truth value inside a ``try:`` and,
+on ``TypeError``, re-tests the whole condition with guarded helpers
+that apply the contract per comparison (under ``not`` and ``or``
+too).  Rows of one type never reach a helper.
 """
 
 from __future__ import annotations
@@ -80,6 +84,23 @@ _ORDERED_HELPERS = {
     ">": ("_gt", _guarded(operator.gt)),
     ">=": ("_ge", _guarded(operator.ge)),
 }
+
+#: Python's spelling of each comparison operator.
+_INLINE_OPS = {
+    "=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+
+
+def _has_ordered(condition):
+    """True when ``condition`` holds an ordered comparison."""
+    if isinstance(condition, ra.Comparison):
+        return condition.op in _ORDERED_HELPERS
+    if isinstance(condition, (ra.And, ra.Or)):
+        return any(_has_ordered(part) for part in condition.parts)
+    if isinstance(condition, ra.Not):
+        return _has_ordered(condition.part)
+    return False
+
 
 _SIMPLE_CONST_TYPES = (int, float, str, bytes, bool, type(None))
 
@@ -205,39 +226,63 @@ class _KernelBuilder:
             "unsupported operand %s" % type(operand).__name__
         )
 
-    def cond_expr(self, condition, schema, var):
+    def cond_expr(self, condition, schema, var, guarded=False):
+        """Source for ``condition`` over the tuple in ``var``.
+
+        ``guarded`` routes ordered comparisons through the
+        ``TypeError -> False`` helpers; otherwise every comparison is
+        its bare operator.
+        """
         if isinstance(condition, ra.Comparison):
             left = self.operand_expr(condition.left, schema, var)
             right = self.operand_expr(condition.right, schema, var)
-            if condition.op == "=":
-                return "(%s == %s)" % (left, right)
-            if condition.op == "!=":
-                return "(%s != %s)" % (left, right)
-            helper = _ORDERED_HELPERS.get(condition.op)
-            if helper is None:
+            op = _INLINE_OPS.get(condition.op)
+            if op is None:
                 raise CompileFallback(
                     "unsupported comparison %r" % (condition.op,)
                 )
-            name, fn = helper
-            self.env[name] = fn
-            return "%s(%s, %s)" % (name, left, right)
-        if isinstance(condition, ra.And):
-            if not condition.parts:
-                return "True"
-            return "(%s)" % " and ".join(
-                self.cond_expr(p, schema, var) for p in condition.parts
-            )
-        if isinstance(condition, ra.Or):
-            if not condition.parts:
-                return "False"
-            return "(%s)" % " or ".join(
-                self.cond_expr(p, schema, var) for p in condition.parts
+            helper = _ORDERED_HELPERS.get(condition.op)
+            if guarded and helper is not None:
+                name, fn = helper
+                self.env[name] = fn
+                return "%s(%s, %s)" % (name, left, right)
+            return "(%s %s %s)" % (left, op, right)
+        if isinstance(condition, (ra.And, ra.Or)):
+            # Both constructors reject an empty part list.
+            joiner = " and " if isinstance(condition, ra.And) else " or "
+            return "(%s)" % joiner.join(
+                self.cond_expr(p, schema, var, guarded)
+                for p in condition.parts
             )
         if isinstance(condition, ra.Not):
-            return "(not %s)" % self.cond_expr(condition.part, schema, var)
+            return "(not %s)" % self.cond_expr(
+                condition.part, schema, var, guarded
+            )
         raise CompileFallback(
             "unsupported condition %s" % type(condition).__name__
         )
+
+    def emit_filter(self, condition, schema, var):
+        """Emit ``if <condition>:`` over ``var`` and indent into it.
+
+        A condition with an ordered comparison first assigns its inline
+        truth value inside a ``try:``; on ``TypeError`` it re-tests the
+        whole condition with the guarded helpers.  The consuming code
+        stays outside the ``try``, so its own errors are never caught.
+        """
+        test = self.cond_expr(condition, schema, var)
+        if _has_ordered(condition):
+            flag = self.fresh("ok")
+            self.emit("try:")
+            self.emit("    %s = %s" % (flag, test))
+            self.emit("except TypeError:")
+            self.emit(
+                "    %s = %s"
+                % (flag, self.cond_expr(condition, schema, var, True))
+            )
+            test = flag
+        self.emit("if %s:" % test)
+        self.depth += 1
 
     # -- scans and index builds ------------------------------------------
 
@@ -304,8 +349,7 @@ class _KernelBuilder:
         if residual is None:
             consume(t)
         else:
-            self.emit("if %s:" % self.cond_expr(residual, schema, t))
-            self.depth += 1
+            self.emit_filter(residual, schema, t)
             consume(t)
             self.depth -= 1
         self.depth -= 1
@@ -356,10 +400,7 @@ class _KernelBuilder:
                 return
 
         def filtered(var):
-            self.emit(
-                "if %s:" % self.cond_expr(node.condition, schema, var)
-            )
-            self.depth += 1
+            self.emit_filter(node.condition, schema, var)
             consume(var)
             self.depth -= 1
 
@@ -446,10 +487,7 @@ class _KernelBuilder:
             out = self.fresh("t")
             self.emit("%s = %s + %s" % (out, svar, tvar))
             if residual is not None:
-                self.emit(
-                    "if %s:" % self.cond_expr(residual, out_schema, out)
-                )
-                self.depth += 1
+                self.emit_filter(residual, out_schema, out)
                 consume(out)
                 self.depth -= 1
             else:

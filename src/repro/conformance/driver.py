@@ -9,7 +9,10 @@ regression file rather than a seed number in a log.
 
 The run report is JSON (printed to stdout or ``--report FILE``):
 cases run per family, wall-clock, per-construct coverage with the
-unseen-construct audit, and every divergence with its shrunk size.
+unseen-construct audit, every divergence with its shrunk size, and the
+``kernels`` counts (``codegens``, ``fallbacks``, ``fallback_runs``) of
+the direct compiled leg and of the session legs' workbenches, which
+show how much of the corpus compiles.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import time
 
 from .corpus import encode_case, save_case
 from .coverage import CoverageTracker
-from .oracles import ORACLE_FAMILIES, build_oracles
+from .oracles import ORACLE_FAMILIES, build_oracles, kernel_leg_counts
 from .shrinker import (
     case_size,
     crash_predicate,
@@ -48,6 +51,7 @@ def run_conformance(
     """
     oracles = build_oracles(families)
     tracker = CoverageTracker(registry=registry)
+    kernels_before = kernel_leg_counts()
     deadline = time.monotonic() + seconds if seconds is not None else None
     start = time.monotonic()
 
@@ -96,6 +100,13 @@ def run_conformance(
         "families": per_family,
         "divergences": divergences,
         "coverage": tracker.report(),
+        "kernels": {
+            leg: {
+                name: count - kernels_before[leg][name]
+                for name, count in counts.items()
+            }
+            for leg, counts in kernel_leg_counts().items()
+        },
     }
     return report
 

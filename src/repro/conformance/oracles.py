@@ -69,6 +69,33 @@ _FULL_PIPELINE = Optimizer()
 #: silent, so a sweep report can show how much of the corpus compiled.
 _KERNEL_CACHE = KernelCache(capacity=512)
 
+#: The kernel counts a sweep reports: kernels generated, distinct plans
+#: refused, and runs that fell back.
+_KERNEL_COUNTS = ("codegens", "fallbacks", "fallback_runs")
+
+#: The same counts summed over the session legs' workbenches (the
+#: template leg and the Datalog ``wb.run`` leg), which each resolve
+#: through a kernel cache of their own.
+_SESSION_KERNELS = dict.fromkeys(_KERNEL_COUNTS, 0)
+
+
+def kernel_leg_counts():
+    """Running kernel counts of the direct compiled leg (``compiled``)
+    and of the session legs (``session``); a sweep reports the
+    difference over its run."""
+    stats = _KERNEL_CACHE.stats()
+    return {
+        "compiled": {name: stats[name] for name in _KERNEL_COUNTS},
+        "session": dict(_SESSION_KERNELS),
+    }
+
+
+def _count_session_kernels(wb):
+    """Add a session leg's kernel counts to :data:`_SESSION_KERNELS`."""
+    stats = wb.kernel_cache.stats()
+    for name in _KERNEL_COUNTS:
+        _SESSION_KERNELS[name] += stats[name]
+
 
 class Divergence(Exception):
     """Raised internally by checks; the oracle turns it into a message."""
@@ -105,13 +132,16 @@ class RelationalDifferentialOracle(Oracle):
     to the streaming executor's; refused plans run interpreted-only and
     count in the cache's fallback counters (never silently skipped).
 
-    The template leg runs the case and a *sibling* — the same plan with
-    every lifted literal replaced by another active-domain value of its
-    type — through one workbench, on the streaming and the compiled
-    route, so the sibling is served from the case's cached template and
-    kernel; each answer must match the tree walk of its own plan.  It
-    also pins value independence: the optimized template, bound to
-    either value tuple, must key equal to the optimized concrete plan.
+    The template leg runs the case twice and then a *sibling* — the
+    same plan with every lifted literal replaced by another
+    active-domain value of its type — through one workbench on its
+    default route.  The case's first run interprets and its second
+    compiles the template's kernel, so the sibling is served from the
+    case's cached template and kernel; each answer must match the tree
+    walk of its own plan.  It also pins value independence: the
+    optimized template, bound to either value tuple, must key equal to
+    the optimized concrete plan.  The streaming executor keeps its own
+    leg too: the direct ``execute()`` against the tree walk.
     """
 
     family = "relational-differential"
@@ -169,13 +199,26 @@ class RelationalDifferentialOracle(Oracle):
     @staticmethod
     def _template_leg(seed, db, template, values):
         messages = []
+        expected = evaluate(bind(template, values), db)
+        # The case's first run interprets and sights its kernel, the
+        # second compiles it, and the sibling runs that kernel.
+        runs = [
+            ("case, first run", values, expected),
+            ("case, second run", values, expected),
+        ]
         if values:
-            siblings = (values, _sibling_values(seed, db, values))
+            # With nothing lifted the template is the concrete plan,
+            # whose optimization the optimized-vs-tree-walk leg already
+            # checks, and there is no sibling.
+            sibling = _sibling_values(seed, db, values)
+            runs.append(
+                ("sibling", sibling, evaluate(bind(template, sibling), db))
+            )
             schema = db.schema()
             optimized = canonicalize(
                 _FULL_PIPELINE.optimize(template, db), schema
             )
-            for bound in siblings:
+            for bound in (values, sibling):
                 direct = canonicalize(
                     _FULL_PIPELINE.optimize(bind(template, bound), db), schema
                 )
@@ -184,29 +227,28 @@ class RelationalDifferentialOracle(Oracle):
                         "optimized template bound to %r differs from the "
                         "optimized concrete plan" % (bound,)
                     )
-        else:
-            # Nothing lifted: the template is the concrete plan, whose
-            # optimization the optimized-vs-tree-walk leg already checks.
-            siblings = (values,)
         wb = _fresh_workbench(db)
-        for label, bound in zip(("case", "sibling"), siblings):
-            plan = bind(template, bound)
-            expected = evaluate(plan, db)
-            for executor in (True, "compiled"):
-                served = wb.algebra(plan, optimized=True, executor=executor)
-                if not same_content(served, expected):
-                    messages.append(
-                        _relation_diff(
-                            "template (%s, executor=%r) vs tree walk"
-                            % (label, executor),
-                            served,
-                            expected,
-                        )
+        for label, bound, answer in runs:
+            served = wb.algebra(bind(template, bound), optimized=True)
+            if not same_content(served, answer):
+                messages.append(
+                    _relation_diff(
+                        "template (%s) vs tree walk" % (label,),
+                        served,
+                        answer,
                     )
+                )
+        _count_session_kernels(wb)
         if wb.plan_cache.stats()["misses"] != 1:
             messages.append(
                 "the sibling did not share the case's template: %d plan "
                 "cache misses" % wb.plan_cache.stats()["misses"]
+            )
+        kernels = wb.kernel_cache.stats()
+        if kernels["codegens"] + kernels["fallbacks"] > 1:
+            messages.append(
+                "the sibling did not share the case's kernel: %d codegens"
+                % kernels["codegens"]
             )
         return messages
 
@@ -280,13 +322,10 @@ class CalculusDifferentialOracle(Oracle):
 DATALOG_CONFIGS = ((True, True), (False, False))
 
 
-#: The executor routes of the datalog-differential session leg.
-SESSION_ROUTES = (True, "compiled")
-
-
 def _session_models(program, edb):
-    """``wb.run`` of the program's text on each of
-    :data:`SESSION_ROUTES`, over a workbench that stores the EDB.
+    """``wb.run`` of the program's text on the default route, twice, over
+    a workbench that stores the EDB: the first run interprets each
+    lowered plan on the streaming executor, the second runs its kernel.
 
     Each relation's attributes are ``c{n-1}..c0``, the default names
     reversed, so a lowering that read stored names as positions would
@@ -298,10 +337,13 @@ def _session_models(program, edb):
         if edb.arity(p) is not None
     }
     wb = _fresh_workbench(edb.to_database(names))
-    return [
-        (executor, wb.run(str(program), kind="datalog", executor=executor))
-        for executor in SESSION_ROUTES
+    text = str(program)
+    models = [
+        (label, wb.run(text, kind="datalog"))
+        for label in ("first run", "second run")
     ]
+    _count_session_kernels(wb)
+    return models
 
 
 class DatalogDifferentialOracle(Oracle):
@@ -310,8 +352,9 @@ class DatalogDifferentialOracle(Oracle):
     Magic sets and top-down tabling are positive-program strategies, so
     they join the comparison only when the program has no negation; the
     lowered relational pipeline joins when the program is non-recursive.
-    The session leg runs the program's text through a workbench that
-    stores the EDB, on the streaming and the compiled route.
+    The session leg runs the program's text twice through a workbench
+    that stores the EDB, on its default route: the first run interprets
+    the lowered plans, the second runs their compiled kernels.
     """
 
     family = "datalog-differential"
@@ -345,11 +388,11 @@ class DatalogDifferentialOracle(Oracle):
                     "lowered relational pipeline disagrees with naive "
                     "reference model"
                 )
-        for executor, model in _session_models(program, edb):
+        for label, model in _session_models(program, edb):
             if model != reference:
                 messages.append(
-                    "wb.run(executor=%r) disagrees with naive reference "
-                    "model" % (executor,)
+                    "wb.run (%s) disagrees with naive reference model"
+                    % (label,)
                 )
 
         positive = not program.has_negation()

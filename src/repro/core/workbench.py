@@ -37,7 +37,7 @@ from ..obs.introspect import (
 from ..obs.metrics import REGISTRY
 from ..obs.trace import ensure_tracer
 from ..opt import Optimizer
-from ..plan.cache import PlanCache
+from ..plan.cache import CachedPlan, PlanCache
 from ..plan.executor import execute_physical
 from ..plan.explain import annotate_estimates, explain_datalog, run_explained
 from ..plan.logical import bind, canonicalize, parameterize, plan_key
@@ -54,9 +54,14 @@ from ..relational.dml import DMLResult, DMLStatement
 from ..relational.sql_frontend import parse_sql
 from ..storage.txn import TransactionManager
 
-#: The accepted ``executor=`` values: the streaming executor (True), the
-#: materializing tree walk (False), and fused compiled kernels
-#: ("compiled").  All three run the same cached plan.
+#: The accepted ``executor=`` values.  True, the default, runs each
+#: cached plan's compiled kernel from the plan's second run on; the
+#: first run, and a plan the code generator refuses, run on the
+#: streaming executor.  False walks the same plan as a materializing
+#: tree (the differential oracle).  ``"compiled"`` is a synonym of
+#: True, accepted only because the end-to-end benchmark
+#: (``benchmarks/e2e``) passes it; it goes with that benchmark's next
+#: change.
 EXECUTORS = (True, False, "compiled")
 
 #: Statement texts the parse cache keeps, evicted first in, first out
@@ -65,16 +70,19 @@ PARSE_CACHE_SIZE = 1024
 
 
 def _check_executor(executor):
-    """Reject an ``executor=`` value outside :data:`EXECUTORS`.
+    """The route of an ``executor=`` value: True (kernels) or False
+    (tree walk).
 
-    Any other truthy value would otherwise silently select the streaming
-    executor, so a typo like ``"complied"`` must fail loudly.
+    A value outside :data:`EXECUTORS` raises ValueError: any other
+    truthy value would otherwise silently select the kernels, so a typo
+    like ``"complied"`` must fail loudly.
     """
     if executor not in EXECUTORS:
         raise ValueError(
             "unknown executor %r (use True, False or 'compiled')"
             % (executor,)
         )
+    return bool(executor)
 
 
 class MetatheoryWorkbench:
@@ -133,10 +141,12 @@ class MetatheoryWorkbench:
     # -- querying ------------------------------------------------------------
     #
     # Every relational entry point compiles into one pipeline:
-    # front-end -> canonical logical plan -> optimizer -> physical plan ->
-    # streaming executor.  ``executor=False`` runs the same cached plan on
-    # the materialize-everything tree walk (the differential oracle),
-    # mirroring the ``indexed=False`` opt-out of the Datalog layer.
+    # front-end -> canonical logical plan -> optimizer -> cached plan ->
+    # compiled kernel (the streaming executor for a shape's first run and
+    # for a plan the code generator refuses).  ``executor=False`` runs
+    # the same cached plan on the materialize-everything tree walk (the
+    # differential oracle), mirroring the ``indexed=False`` opt-out of
+    # the Datalog layer.
 
     def _sync_caches(self):
         """Surgically invalidate caches for relations that changed.
@@ -180,7 +190,7 @@ class MetatheoryWorkbench:
 
         The canonical plan splits into its template and the values
         lifted out of it (:func:`~repro.plan.logical.parameterize`).
-        Cache entries are ``(template plan, OptimizationInfo | None)``
+        Cache entries are :class:`~repro.plan.cache.CachedPlan` values
         keyed on the template's structure, the optimized flag, *and* the
         optimizer's configuration token — changing the enabled rule set
         must never serve a stale plan.  A miss optimizes the template
@@ -192,7 +202,8 @@ class MetatheoryWorkbench:
         optimizer rules — the flight recorder's per-query breadcrumbs.
 
         Returns:
-            ``(plan, info, hit, key, values)``.
+            ``(entry, hit, key, values)``, ``entry`` a
+            :class:`~repro.plan.cache.CachedPlan`.
         """
         template, values = parameterize(canonical)
         key = (
@@ -200,28 +211,41 @@ class MetatheoryWorkbench:
             bool(optimized),
             self.optimizer.config_token() if optimized else None,
         )
-        cached = self.plan_cache.get(key)
-        hit = cached is not None
-        if cached is None:
+        entry = self.plan_cache.get(key)
+        hit = entry is not None
+        if entry is None:
             if optimized:
                 plan, info = self.optimizer.optimize_info(template, self.db)
                 plan = canonicalize(plan, self.db.schema())
             else:
                 plan, info = template, None
-            cached = (plan, info)
-            self.plan_cache.put(key, cached)
+            entry = CachedPlan(plan, info, KernelCache.lookup_for(plan))
+            self.plan_cache.put(key, entry)
         if capture is not None:
             capture["plan_cache_hit"] = hit
             capture["plan_fingerprint"] = PlanCache.fingerprint(key)
-            if cached[1] is not None:
-                capture["rules"] = cached[1].fired
-        return cached[0], cached[1], hit, key, values
+            if entry.info is not None:
+                capture["rules"] = entry.info.fired
+        return entry, hit, key, values
 
     def _run_pipeline(self, expr, optimized, stats, capture=None,
                       executor=True, db=None, txn=None):
+        """Plan ``expr`` through the caches and run it on ``db`` (the
+        session's database by default) on the route ``executor`` names.
+
+        ``executor=True`` runs the plan's kernel.  The kernel cache
+        resolves tiered: a plan shape's first run interprets on the
+        streaming executor (route "cold") and its second compiles, so a
+        shape that runs once never pays for code generation.  A plan the
+        code generator refuses interprets too, counting
+        ``compile_fallbacks_total``.  The armed flight recorder runs the
+        instrumented streaming twin instead; ``executor=False`` walks
+        the plan.
+        """
         self._sync_caches()
         base = self.db if db is None else db
-        canonical = canonicalize(expr, base.schema())
+        schema = base.schema()
+        canonical = canonicalize(expr, schema)
         if txn is not None:
             # Declare the statement's read set before executing: the
             # concurrency-control check and the Op.read record both
@@ -229,46 +253,52 @@ class MetatheoryWorkbench:
             for name in sorted(relation_names(canonical)):
                 if not is_system_name(name):
                     txn.read(name)
-        plan, _info, _hit, key, values = self._plan_for(
+        entry, _hit, key, values = self._plan_for(
             canonical, optimized, capture
         )
-        route = None
         if not executor:
-            self.plan_cache.note_route(key, "treewalk")
-            if capture is not None:
-                capture["route"] = "treewalk"
-            return evaluate(bind(plan, values), base)
-        if executor == "compiled":
-            kernel, _reason = self.kernel_cache.resolve(plan, base)
-            if kernel is not None:
-                relation, _tally = kernel.execute(base, stats, values)
-                self.plan_cache.note_route(
-                    key, "compiled", kernel=kernel.fingerprint
-                )
-                if capture is not None:
-                    capture["route"] = "compiled"
-                    capture["kernel"] = kernel.fingerprint
-                return relation
-            # Unsupported plan shape: interpret instead, loudly.
-            self.metrics.counter("compile_fallbacks_total").inc()
-            route = "compiled-fallback"
-        route = route or "streaming"
-        self.plan_cache.note_route(key, route)
+            self._note_route(key, "treewalk", capture)
+            return evaluate(bind(entry.plan, values), base)
+        if capture is not None and capture.get("instrument"):
+            # The flight recorder is armed: run the instrumented twin
+            # (identical answers, pinned by the differential suite) so a
+            # slow query's OpReport already exists.
+            self._note_route(key, "streaming", capture)
+            explained = run_explained(
+                bind(entry.plan, values), base, stats=stats,
+                tracer=self.tracer,
+            )
+            capture["report"] = explained.report
+            capture["instrumented"] = True
+            return explained.result
+        kernel, reason = self.kernel_cache.resolve(
+            entry.plan, base, schema, entry.kernel_lookup, tiered=True
+        )
+        if kernel is None:
+            if reason is None:
+                route = "cold"
+            else:
+                # The code generator refused the plan: interpret it,
+                # loudly.
+                self.metrics.counter("compile_fallbacks_total").inc()
+                route = "compiled-fallback"
+            self._note_route(key, route, capture)
+            relation, _tally = execute_physical(
+                bind(entry.plan, values), base, stats
+            )
+            return relation
+        self._note_route(key, "compiled", capture, kernel=kernel.fingerprint)
+        relation, _tally = kernel.execute(base, stats, values)
+        return relation
+
+    def _note_route(self, key, route, capture, kernel=None):
+        """Record the route that served a plan-cache entry, on the entry
+        (``sys_plan_cache.last_route``) and in the recorder's capture."""
+        self.plan_cache.note_route(key, route, kernel=kernel)
         if capture is not None:
             capture["route"] = route
-            if capture.get("instrument"):
-                # The flight recorder is armed: run the instrumented
-                # twin (identical answers, pinned by the differential
-                # suite) so a slow query's OpReport already exists.
-                explained = run_explained(
-                    bind(plan, values), base, stats=stats,
-                    tracer=self.tracer,
-                )
-                capture["report"] = explained.report
-                capture["instrumented"] = True
-                return explained.result
-        relation, _tally = execute_physical(bind(plan, values), base, stats)
-        return relation
+            if kernel is not None:
+                capture["kernel"] = kernel
 
     def _cached_parse(self, kind, text, parse, capture=None):
         key = (kind, text)
@@ -287,21 +317,22 @@ class MetatheoryWorkbench:
         ``INSERT``/``DELETE``/``UPDATE`` statements run their relational
         side (the INSERT source, the matched-row scan of a WHERE) through
         the same plan pipeline as queries — planned, optimized, cached,
-        and executable on any route including ``executor="compiled"`` —
-        then commit the tuple delta through the versioned store.  They
-        return a :class:`~repro.relational.dml.DMLResult`.
+        and compiled — then commit the tuple delta through the versioned
+        store.  They return a :class:`~repro.relational.dml.DMLResult`.
 
         Args:
             text: the SQL text.
             optimized: run the algebraic optimizer over the canonical
                 plan.
-            executor: compile through the shared pipeline and run on the
-                streaming executor (default); ``"compiled"`` generates a
-                fused Python kernel for the plan (interpreting, and
-                counting ``compile_fallbacks_total``, when the plan has
-                an unsupported shape); False runs the same cached plan
-                on the materializing tree walk (the differential
-                oracle).  Any other value raises ValueError.
+            executor: True (default) runs the cached plan's fused
+                Python kernel, compiled on the plan shape's second run
+                and cached per shape; the first run, and a plan the code
+                generator refuses (counted in
+                ``compile_fallbacks_total``), run on the streaming
+                executor.  ``"compiled"`` is a synonym of True.  False
+                runs the same cached plan on the materializing tree walk
+                (the differential oracle).  Any other value raises
+                ValueError.
             stats: optional
                 :class:`~repro.datalog.stats.EngineStatistics` charged
                 with the executor's work.
@@ -310,7 +341,7 @@ class MetatheoryWorkbench:
                 view and its writes stage in the transaction's overlay.
                 ``txn.sql(...)`` is the usual spelling.
         """
-        _check_executor(executor)
+        executor = _check_executor(executor)
         if self.history.enabled and not self._recording:
             return self._recorded(
                 "sql", text, optimized, executor, stats, txn=txn
@@ -342,9 +373,7 @@ class MetatheoryWorkbench:
             txn=txn,
         )
         if capture is not None:
-            capture["route"] = "dml:%s:%s" % (
-                stmt.kind, capture.get("route") or "streaming"
-            )
+            capture["route"] = "dml:%s:%s" % (stmt.kind, capture["route"])
         return result
 
     def _apply_dml(self, stmt, execute, tracer, txn=None):
@@ -431,7 +460,7 @@ class MetatheoryWorkbench:
 
     def algebra(self, expr, optimized=False, executor=True, stats=None):
         """Evaluate a relational-algebra expression."""
-        _check_executor(executor)
+        executor = _check_executor(executor)
         if self.history.enabled and not self._recording:
             return self._recorded("algebra", expr, optimized, executor, stats)
         return self._algebra(expr, optimized, executor, stats)
@@ -455,7 +484,7 @@ class MetatheoryWorkbench:
             executor: as in :meth:`sql`.
             stats: optional EngineStatistics charged with executor work.
         """
-        _check_executor(executor)
+        executor = _check_executor(executor)
         if self.history.enabled and not self._recording:
             return self._recorded(
                 "calculus", query, optimized, executor, stats, via=via,
@@ -495,7 +524,7 @@ class MetatheoryWorkbench:
             executor: as in :meth:`sql`.
             stats: optional EngineStatistics.
         """
-        _check_executor(executor)
+        executor = _check_executor(executor)
         if kind is None:
             kind = self._detect_kind(query)
         if kind == "sql":
@@ -539,7 +568,7 @@ class MetatheoryWorkbench:
         relations (or the snapshot ``db`` of them)."""
         reject_system_heads(program)
         base = self.db if db is None else db
-        hits = []
+        steps = []
 
         def execute(_predicate, expr, run_stats):
             step = {} if capture is not None else None
@@ -548,19 +577,23 @@ class MetatheoryWorkbench:
                 db=db,
             )
             if step is not None:
-                hits.append(step["plan_cache_hit"])
+                steps.append(step)
             return relation
 
         model = lowered_evaluate(
             program, base, execute=execute, stats=stats, tracer=self.tracer,
         )
         if capture is not None:
-            capture["route"] = (
-                "datalog:compiled" if executor == "compiled"
-                else "datalog:lowered"
+            # A refused or cold predicate names the program's route.
+            routes = {step["route"] for step in steps}
+            capture["route"] = "datalog:%s" % next(
+                (r for r in ("compiled-fallback", "cold") if r in routes),
+                "compiled",
             )
-            if hits:
-                capture["plan_cache_hit"] = all(hits)
+            if steps:
+                capture["plan_cache_hit"] = all(
+                    s["plan_cache_hit"] for s in steps
+                )
         return model
 
     # -- observability ------------------------------------------------------------
@@ -578,14 +611,14 @@ class MetatheoryWorkbench:
         capture = {}
         if (
             self.history.slow_ms is not None
-            and executor is True
+            and executor
             and kind != "datalog"
             and not (kind == "calculus" and via == "direct")
         ):
-            # Arm the instrumented executor so a slow query's OpReport
-            # exists without a re-run.  Tree-walk/compiled/fixpoint
-            # routes have no per-operator reports; they record wall
-            # time and counters only.
+            # Arm the instrumented streaming twin in place of the kernel
+            # so a slow query's OpReport exists without a re-run.  The
+            # tree walk and the fixpoint engines have no per-operator
+            # reports; they record wall time and counters only.
             capture["instrument"] = True
         own_stats = stats if stats is not None else EngineStatistics()
         self._recording = True
@@ -720,18 +753,18 @@ class MetatheoryWorkbench:
             raise ValueError("unknown query kind %r" % (kind,))
 
         canonical = canonicalize(expr, self.db.schema())
-        plan, info, plan_cache_hit, _key, values = self._plan_for(
+        entry, plan_cache_hit, _key, values = self._plan_for(
             canonical, optimized
         )
         result = run_explained(
-            bind(plan, values), self.db, stats=stats, tracer=tracer,
+            bind(entry.plan, values), self.db, stats=stats, tracer=tracer,
             kind=kind,
         )
         result.plan_cache_hit = plan_cache_hit
         result.parse_cache_hit = parse_cache_hit
-        result.optimizer = info
-        result.kernel = self._kernel_status(plan)
-        annotate_estimates(result.report, plan, self.db)
+        result.optimizer = entry.info
+        result.kernel = self._kernel_status(entry.plan)
+        annotate_estimates(result.report, entry.plan, self.db)
         return result
 
     def _explain_dml(self, stmt, optimized, stats, tracer, parse_cache_hit):
@@ -745,7 +778,7 @@ class MetatheoryWorkbench:
         plan/kernel fingerprints.
         """
         canonical = canonicalize(stmt.source_expr(), self.db.schema())
-        plan, info, plan_cache_hit, _key, values = self._plan_for(
+        entry, plan_cache_hit, _key, values = self._plan_for(
             canonical, optimized
         )
         explained = None
@@ -753,7 +786,7 @@ class MetatheoryWorkbench:
         def execute(db):
             nonlocal explained
             explained = run_explained(
-                bind(plan, values), db, stats=stats, tracer=tracer,
+                bind(entry.plan, values), db, stats=stats, tracer=tracer,
                 kind="dml:%s" % stmt.kind,
             )
             return explained.result
@@ -762,9 +795,9 @@ class MetatheoryWorkbench:
         explained.result = result
         explained.plan_cache_hit = plan_cache_hit
         explained.parse_cache_hit = parse_cache_hit
-        explained.optimizer = info
-        explained.kernel = self._kernel_status(plan)
-        annotate_estimates(explained.report, plan, self.db)
+        explained.optimizer = entry.info
+        explained.kernel = self._kernel_status(entry.plan)
+        annotate_estimates(explained.report, entry.plan, self.db)
         return explained
 
     def _kernel_status(self, plan):
@@ -772,7 +805,8 @@ class MetatheoryWorkbench:
 
         Peeks the kernel cache without compiling: ``status`` is
         "compiled", "fallback" (with the refusal reason), or "cold"
-        when no ``executor="compiled"`` run has seen this plan yet.
+        when no run has compiled this plan yet (EXPLAIN ANALYZE itself
+        runs the instrumented streaming twin, never a kernel).
         """
         entry, fingerprint = self.kernel_cache.peek(plan, self.db)
         if entry is None:
@@ -811,17 +845,16 @@ class MetatheoryWorkbench:
 
         Any ``?-`` queries in the source are ignored here; use the
         returned engine's ``.query``.  Non-recursive programs run as
-        algebra plans on this session's pipeline by default, like
-        :meth:`run`; ``executor=False`` forces the fixpoint machinery
-        everywhere; ``executor="compiled"`` runs the lowered plans as
-        fused kernels.
+        algebra plans on this session's pipeline (its plan cache and
+        kernels) by default, like :meth:`run`; ``executor=False`` forces
+        the fixpoint machinery everywhere.
 
         The EDB is the database's *user* relations as of this call, on
         every strategy; any ``sys_`` system relation named in a rule
         body is snapshotted in as well (and a ``sys_`` rule head raises
         — the namespace is read-only).
         """
-        _check_executor(executor)
+        executor = _check_executor(executor)
         program, _queries = self._cached_parse(
             "datalog", source, parse_program
         )
@@ -847,7 +880,7 @@ class MetatheoryWorkbench:
                     program, optimized, executor, stats, db=pinned
                 )
         return DatalogEngine(
-            program, store, executor=bool(executor), tracer=self.tracer,
+            program, store, executor=executor, tracer=self.tracer,
             session=session,
         )
 

@@ -111,14 +111,28 @@ def strongly_connected_components(graph):
     return result
 
 
+def _components(program):
+    """``(graph, sccs)`` of a program, computed once per program.
+
+    A :class:`~repro.datalog.ast.Program` is immutable, and the
+    workbench's parse cache hands the same one to every run of a text,
+    so the analysis is kept on the program.
+    """
+    if program._sccs is None:
+        graph = DependencyGraph(program)
+        program._sccs = (
+            graph, strongly_connected_components(graph.depends_on)
+        )
+    return program._sccs
+
+
 def predicate_sccs(program):
     """SCCs of the program's predicate dependency graph.
 
     Emitted dependencies-first: evaluating the components in list order
     respects the program's data flow.
     """
-    graph = DependencyGraph(program)
-    return strongly_connected_components(graph.depends_on)
+    return list(_components(program)[1])
 
 
 def is_recursive(program, predicate=None):
@@ -127,8 +141,7 @@ def is_recursive(program, predicate=None):
     A predicate is recursive when it belongs to a dependency cycle —
     either a component of size > 1 or a self-loop.
     """
-    graph = DependencyGraph(program)
-    components = strongly_connected_components(graph.depends_on)
+    graph, components = _components(program)
     for component in components:
         cyclic = len(component) > 1 or any(
             node in graph.depends_on.get(node, ()) for node in component
@@ -167,8 +180,7 @@ def is_linear(program, predicate):
     Linear programs admit the simplest magic-set and transitive-closure
     optimizations.
     """
-    graph = DependencyGraph(program)
-    components = strongly_connected_components(graph.depends_on)
+    _graph, components = _components(program)
     component_of = {}
     for component in components:
         for node in component:

@@ -410,12 +410,18 @@ class Rule:
 
 
 class Program:
-    """An ordered collection of rules (facts included as bodyless rules)."""
+    """An ordered collection of rules (facts included as bodyless rules).
 
-    __slots__ = ("rules",)
+    Immutable; its dependency analysis
+    (:func:`~repro.datalog.analysis.predicate_sccs`) is computed on first
+    use and kept in ``_sccs``.
+    """
+
+    __slots__ = ("rules", "_sccs")
 
     def __init__(self, rules=()):
         self.rules = tuple(rules)
+        self._sccs = None
         for rule in self.rules:
             if not isinstance(rule, Rule):
                 raise DatalogError("Program holds Rules, got %r" % (rule,))

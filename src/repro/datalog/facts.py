@@ -134,7 +134,10 @@ class FactStore:
     def to_database(self, attribute_names=None):
         """Export as a relational Database.
 
-        An empty predicate has no known arity and is left out.
+        An empty predicate has no known arity and is left out.  The
+        database is built whole (:meth:`Database.bound
+        <repro.relational.database.Database.bound>`): exporting commits
+        nothing.
 
         Args:
             attribute_names: optional ``{predicate: (attr, ...)}``;
@@ -145,7 +148,7 @@ class FactStore:
         from ..relational.schema import RelationSchema
 
         attribute_names = attribute_names or {}
-        db = Database()
+        relations = []
         for predicate in self.predicates():
             tuples = self._facts[predicate]
             if not tuples:
@@ -155,9 +158,8 @@ class FactStore:
                 tuple("c%d" % i for i in range(len(next(iter(tuples))))),
             )
             schema = RelationSchema(predicate, attrs)
-            # system=True: a store may hold sys_ snapshots (introspect).
-            db.add(Relation(schema, tuples, validate=False), system=True)
-        return db
+            relations.append(Relation(schema, tuples, validate=False))
+        return Database.bound(relations)
 
     # -- dunder -----------------------------------------------------------------
 

@@ -5,7 +5,10 @@ raw algebra) and the non-recursive fragment of Datalog compile into one
 pipeline:
 
     front-end  ->  canonical logical plan  ->  optimizer  ->
-    physical plan  ->  streaming Volcano-style executor
+    cached plan  ->  compiled kernel (:mod:`repro.compile`)
+
+The streaming Volcano-style executor defined here runs a plan the code
+generator refuses, and is EXPLAIN ANALYZE's instrumented twin.
 
 * :mod:`~repro.plan.logical` — canonicalization: front-end extension
   nodes (SQL's deferred name resolution, the Codd translation's
@@ -26,7 +29,8 @@ pipeline:
   (:func:`~repro.plan.executor.measure_treewalk`) used as the
   differential oracle and benchmark baseline.
 * :mod:`~repro.plan.cache` — the template-keyed plan cache the
-  workbench uses to skip optimization on repeated statement shapes.
+  workbench uses to skip optimization (and the kernel lookup's plan
+  walk) on repeated statement shapes.
 * :mod:`~repro.plan.explain` — EXPLAIN ANALYZE: the instrumented twin
   of the executor (:func:`~repro.plan.explain.run_explained`), which
   annotates every physical operator with rows, wall-clock time, and

@@ -15,6 +15,24 @@ source of truth.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+
+class CachedPlan(NamedTuple):
+    """One entry of the workbench's plan cache.
+
+    ``plan`` is the optimized template, ``info`` its
+    :class:`~repro.opt.OptimizationInfo` (None when unoptimized), and
+    ``kernel_lookup`` the template's
+    :meth:`~repro.compile.KernelCache.lookup_for`, so a compiled run
+    walks the plan once per entry, not once per statement.  All three go
+    when the entry does.
+    """
+
+    plan: object
+    info: object
+    kernel_lookup: tuple
+
 
 class PlanCache:
     """A bounded FIFO-evicting mapping with hit/miss/eviction counters.
@@ -68,11 +86,12 @@ class PlanCache:
     def note_route(self, key, route, kernel=None):
         """Record which executor route last served this entry.
 
-        ``sys_plan_cache`` exposes it as ``last_route`` ("streaming",
-        "compiled", "compiled-fallback", ...), so wall-time
-        wins are attributable to kernels; ``kernel`` is the serving
-        kernel's fingerprint when the route was compiled, joinable
-        against ``sys_kernels``.  Unknown keys are ignored (the entry
+        ``sys_plan_cache`` exposes it as ``last_route`` ("compiled",
+        "cold" for a shape's interpreted first run, "compiled-fallback",
+        "streaming" under the armed flight recorder, "treewalk"), so
+        wall-time wins are attributable to kernels; ``kernel`` is the
+        serving kernel's fingerprint when the route was compiled,
+        joinable against ``sys_kernels``.  Unknown keys are ignored (the entry
         may have been evicted between resolve and run).
         """
         if key in self._entries:

@@ -416,8 +416,8 @@ def explain_datalog(program, db, plan_for, stats=None, tracer=NULL_TRACER):
         program: a non-recursive Datalog program.
         db: the database the plans read.
         plan_for: ``plan_for(canonical)`` returning the
-            ``(template, info, hit, key, values)`` of a plan cache (the
-            workbench's ``_plan_for``).
+            ``(entry, hit, key, values)`` of a plan cache, ``entry.plan``
+            the template (the workbench's ``_plan_for``).
         stats: optional EngineStatistics charged with the run's work.
         tracer: optional tracer for the lowering and operator spans.
 
@@ -439,12 +439,10 @@ def explain_datalog(program, db, plan_for, stats=None, tracer=NULL_TRACER):
     hits = []
 
     def execute(predicate, expr, _stats):
-        template, _info, hit, _key, values = plan_for(
-            canonicalize(expr, db_schema)
-        )
+        entry, hit, _key, values = plan_for(canonicalize(expr, db_schema))
         hits.append(hit)
         sub = run_explained(
-            bind(template, values), db, tracer=tracer, kind="datalog"
+            bind(entry.plan, values), db, tracer=tracer, kind="datalog"
         )
         predicate_report = OpReport("Datalog(%s)" % predicate)
         predicate_report.rows = len(sub.result)

@@ -76,6 +76,24 @@ class Database:
             db.add(Relation(schema, rows))
         return db
 
+    @classmethod
+    def bound(cls, relations):
+        """A scratch database holding ``relations``, committed nowhere.
+
+        The relations are its initial state: no store version and no
+        journal entry (:meth:`add` commits one version per relation), as
+        a database built whole has no history to keep.  Like
+        ``add(..., system=True)`` it admits ``sys_`` names: a scratch
+        database may hold system snapshots (``FactStore.to_database``).
+        """
+        db = cls()
+        for relation in relations:
+            name = relation.schema.name
+            if name in db._relations:
+                raise SchemaError("duplicate relation name %r" % (name,))
+            db._relations[name] = relation
+        return db
+
     # -- access ----------------------------------------------------------------
 
     def _check_reserved(self, name):
@@ -150,7 +168,8 @@ class Database:
 
         ``system=True`` is the internal escape hatch for scratch
         databases that legitimately materialize ``sys_`` snapshots
-        (``FactStore.to_database``); user code must not pass it.
+        (``FactStore.to_database`` builds through :meth:`bound`); user
+        code must not pass it.
         """
         if not isinstance(relation, Relation):
             raise RelationError("expected Relation, got %r" % (relation,))

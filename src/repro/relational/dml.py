@@ -5,7 +5,7 @@ text.  Each statement carries the *relational* side of the mutation as
 an ordinary :class:`~repro.relational.algebra.AlgebraExpr` — the
 ``INSERT … SELECT`` source, or the matched-row scan a ``WHERE`` clause
 induces — which the workbench plans, optimizes, caches, and executes
-exactly like a query (including ``executor="compiled"``).  The statement
+exactly like a query (compiled on its shape's second run).  The statement
 then turns the executed relation into a tuple delta
 (:meth:`DMLStatement.delta`) that ``Database.apply_delta`` commits.
 

@@ -14,6 +14,7 @@ from repro.compile import (
     compile_plan,
     execute_compiled,
 )
+from repro.compile.cache import SIGHTINGS
 from repro.datalog.stats import EngineStatistics
 from repro.plan import canonicalize
 from repro.plan.executor import execute_physical
@@ -159,6 +160,46 @@ class TestResolve:
         # The oldest entry is gone: resolving it again re-generates.
         cache.resolve(plans[0], db)
         assert cache.stats()["codegens"] == 4
+
+    def test_tiered_resolution_compiles_on_the_second_miss(self):
+        db = small_db()
+        cache = KernelCache()
+        plan = join_plan(db)
+        assert cache.resolve(plan, db, tiered=True) == (None, None)
+        stats = cache.stats()
+        assert (stats["sightings"], stats["misses"]) == (1, 1)
+        assert stats["codegens"] == 0
+        kernel, reason = cache.resolve(plan, db, tiered=True)
+        assert kernel is not None and reason is None
+        assert cache.resolve(plan, db, tiered=True) == (kernel, None)
+        stats = cache.stats()
+        assert (stats["sightings"], stats["codegens"]) == (1, 1)
+        assert (stats["misses"], stats["hits"]) == (2, 1)
+
+    def test_sightings_are_bounded(self):
+        # Shapes that each run once sight at most SIGHTINGS keys; the
+        # oldest is forgotten, and its next miss is a first sight again.
+        db = small_db()
+        cache = KernelCache()
+        plans = [
+            canonicalize(
+                ra.Selection(
+                    ra.RelationRef("r"),
+                    ra.Comparison(ra.Attr("a"), "=", ra.Const(i)),
+                ),
+                db.schema(),
+            )
+            for i in range(SIGHTINGS + 5)
+        ]
+        for plan in plans:
+            assert cache.resolve(plan, db, tiered=True) == (None, None)
+        assert SIGHTINGS == 1024
+        assert len(cache._sighted) == SIGHTINGS
+        assert cache.stats()["sightings"] == SIGHTINGS + 5
+        assert cache.resolve(plans[0], db, tiered=True) == (None, None)
+        assert cache.resolve(plans[-1], db, tiered=True)[0] is not None
+        assert len(cache._sighted) == SIGHTINGS - 1
+        assert cache.stats()["codegens"] == 1
 
 
 class TestIntrospectionSurface:

@@ -1,21 +1,30 @@
-"""``executor="compiled"`` end to end: every front-end, observably.
+"""Compiled kernels end to end: every front-end, observably.
 
-The workbench contract for compiled execution: identical results to the
-streaming executor on every front-end, ``"compiled"`` visible as the
-route in the query history and ``sys_plan_cache``, kernel status in
-EXPLAIN ANALYZE and ``sys_kernels``, fallbacks counted in the
-``compile_fallbacks_total`` metric (and routed ``"compiled-fallback"``),
-and zero code generation on a repeated query.
+The workbench contract for compiled execution, the default route
+(``executor=True``, spelled ``"compiled"`` too): a plan shape's first
+run interprets (route ``"cold"``) and its second compiles; identical
+results to the tree walk and the streaming executor on every front-end,
+``"compiled"`` visible as the route in the query history and
+``sys_plan_cache``, kernel status in EXPLAIN ANALYZE and
+``sys_kernels``, fallbacks run on the streaming executor and counted in
+the ``compile_fallbacks_total`` metric (and routed
+``"compiled-fallback"``), and zero code generation on a repeated query.
 """
 
 import pytest
 
 from repro.core.workbench import MetatheoryWorkbench
+from repro.datalog.stats import EngineStatistics
+from repro.datalog.lowering import lowered_evaluate
+from repro.datalog.parser import parse_program
 from repro.obs.metrics import MetricsRegistry
+from repro.plan import canonicalize
+from repro.plan.executor import execute_physical
 from repro.relational import algebra as ra
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.relational.sql_frontend import parse_sql
 
 
 def make_wb(**kwargs):
@@ -43,12 +52,32 @@ SQL = (
 )
 
 
+def streamed(wb, expr):
+    """The interpreter's answer for ``expr`` over ``wb``'s database."""
+    relation, _tally = execute_physical(
+        canonicalize(expr, wb.db.schema()), wb.db
+    )
+    return relation
+
+
+def twice(wb, run):
+    """Run a query twice: the first run interprets (route "cold"), the
+    second compiles.  Returns both answers and both routes."""
+    first = run()
+    cold = wb.history.last().route
+    second = run()
+    return first, second, (cold, wb.history.last().route)
+
+
 class TestFrontEnds:
     def test_sql_compiled_matches_streaming(self):
         wb = make_wb(history=True)
-        compiled = wb.sql(SQL, executor="compiled")
-        assert wb.history.last().route == "compiled"
-        assert compiled == wb.sql(SQL)
+        cold, compiled, routes = twice(
+            wb, lambda: wb.sql(SQL, executor="compiled")
+        )
+        assert routes == ("cold", "compiled")
+        assert compiled == cold == wb.sql(SQL, executor=False)
+        assert compiled == streamed(wb, parse_sql(SQL))
 
     def test_algebra_compiled_matches_streaming(self):
         wb = make_wb(history=True)
@@ -56,24 +85,34 @@ class TestFrontEnds:
             ra.NaturalJoin(ra.RelationRef("person"), ra.RelationRef("likes")),
             ("name", "item"),
         )
-        compiled = wb.run(expr, executor="compiled")
-        assert wb.history.last().route == "compiled"
-        assert compiled == wb.run(expr)
+        cold, compiled, routes = twice(
+            wb, lambda: wb.run(expr, executor="compiled")
+        )
+        assert routes == ("cold", "compiled")
+        assert compiled == cold == wb.run(expr, executor=False)
+        assert compiled == streamed(wb, expr)
 
     def test_calculus_compiled_matches_streaming(self):
         wb = make_wb(history=True)
         query = "{(n) | exists p . person(p, n)}"
-        compiled = wb.calculus(query, executor="compiled")
-        assert wb.history.last().route == "compiled"
-        assert compiled == wb.calculus(query)
+        cold, compiled, routes = twice(
+            wb, lambda: wb.calculus(query, executor="compiled")
+        )
+        assert routes == ("cold", "compiled")
+        assert compiled == cold == wb.calculus(query, executor=False)
+        assert compiled == wb.calculus(query, via="direct")
 
     def test_datalog_compiled_matches_lowered(self):
         wb = make_wb(history=True)
         source = "pair(N, I) :- person(P, N), likes(P, I)."
-        compiled = wb.run(source, executor="compiled")
-        assert wb.history.last().route == "datalog:compiled"
-        baseline = make_wb().run(source)
-        assert compiled == baseline
+        _cold, compiled, routes = twice(
+            wb, lambda: wb.run(source, executor="compiled")
+        )
+        assert routes == ("datalog:cold", "datalog:compiled")
+        program, _queries = parse_program(source)
+        # The standalone lowering runs the streaming executor.
+        assert compiled == lowered_evaluate(program, make_wb().db)
+        assert compiled == wb.run(source, executor=False)
 
     def test_optimized_and_unoptimized_compiled_agree(self):
         wb = make_wb()
@@ -90,6 +129,8 @@ class TestKernelReuse:
     def test_repeat_query_does_zero_codegen(self):
         wb = make_wb()
         wb.sql(SQL, executor="compiled")
+        assert wb.kernel_cache.stats()["codegens"] == 0  # sighted only
+        wb.sql(SQL, executor="compiled")
         codegens = wb.kernel_cache.stats()["codegens"]
         assert codegens >= 1
         wb.sql(SQL, executor="compiled")
@@ -101,7 +142,8 @@ class TestKernelReuse:
         # Surgical coherence: adding a relation the query never reads
         # leaves its compiled kernel hot.
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        for _ in range(2):  # the second run compiles
+            wb.sql(SQL, executor="compiled")
         codegens = wb.kernel_cache.stats()["codegens"]
         assert len(wb.kernel_cache) >= 1
         wb.db.add(Relation(RelationSchema("extra", ("x",)), [(1,)]))
@@ -114,7 +156,8 @@ class TestKernelReuse:
         # ... but reshaping a relation the query reads drops the kernel
         # (attribute positions were compiled in) and recompiles.
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        for _ in range(2):
+            wb.sql(SQL, executor="compiled")
         codegens = wb.kernel_cache.stats()["codegens"]
         wb.db.remove("likes")
         wb.db.add(
@@ -123,7 +166,8 @@ class TestKernelReuse:
                 [(i % 30, "i%d" % (i % 7), i) for i in range(60)],
             )
         )
-        wb.sql(SQL, executor="compiled")
+        for _ in range(2):  # the new shape is sighted afresh
+            wb.sql(SQL, executor="compiled")
         assert wb.kernel_cache.stats()["codegens"] > codegens
 
 
@@ -138,16 +182,18 @@ class TestFallback:
     def test_fallback_runs_interpreted_and_counts(self):
         wb = make_wb(history=True)
         expr = self.fallback_expr()
-        result = wb.run(expr, executor="compiled", optimized=False)
-        assert wb.history.last().route == "compiled-fallback"
+        _cold, result, routes = twice(
+            wb, lambda: wb.run(expr, executor="compiled", optimized=False)
+        )
+        assert routes == ("cold", "compiled-fallback")
         assert wb.metrics.value("compile_fallbacks_total") == 1
-        assert result == wb.run(expr, optimized=False)
+        assert result == wb.run(expr, optimized=False, executor=False)
 
     def test_fallback_metric_counts_every_run(self):
         wb = make_wb()
         expr = self.fallback_expr()
-        wb.run(expr, executor="compiled", optimized=False)
-        wb.run(expr, executor="compiled", optimized=False)
+        for _ in range(3):  # cold, then refused twice
+            wb.run(expr, executor="compiled", optimized=False)
         assert wb.metrics.value("compile_fallbacks_total") == 2
         assert wb.kernel_cache.stats()["fallbacks"] == 1  # cached verdict
 
@@ -159,6 +205,8 @@ class TestObservability:
         assert explained.kernel["status"] == "cold"
         assert "Kernel: cold" in explained.render()
 
+        wb.sql(SQL, executor="compiled")
+        assert wb.explain_analyze(SQL).kernel["status"] == "cold"
         wb.sql(SQL, executor="compiled")
         explained = wb.explain_analyze(SQL)
         kernel = explained.kernel
@@ -176,7 +224,8 @@ class TestObservability:
             ra.RelationRef("person"),
             ra.Rename(ra.RelationRef("likes"), {"pid": "p2", "item": "it2"}),
         )
-        wb.run(expr, executor="compiled", optimized=False)
+        for _ in range(2):
+            wb.run(expr, executor="compiled", optimized=False)
         explained = wb.explain_analyze(expr, optimized=False)
         assert explained.kernel["status"] == "fallback"
         assert "semijoin" in explained.kernel["reason"]
@@ -184,7 +233,8 @@ class TestObservability:
 
     def test_sys_kernels_joins_sys_plan_cache(self):
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        for _ in range(2):
+            wb.sql(SQL, executor="compiled")
         joined = wb.sql(
             "SELECT kernels.status, cache.last_route FROM sys_kernels"
             " kernels, sys_plan_cache cache WHERE"
@@ -194,9 +244,157 @@ class TestObservability:
 
     def test_sys_metrics_publishes_kernel_cache(self):
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        for _ in range(2):
+            wb.sql(SQL, executor="compiled")
         rows = wb.sql(
             "SELECT name, value FROM sys_metrics"
             " WHERE stat = 'value' AND name = 'kernel_cache_codegens'"
         )
         assert rows.tuples and all(v >= 1 for _n, v in rows.tuples)
+
+
+def refuse_streaming(monkeypatch):
+    """Make the workbench's streaming executor raise: whatever still
+    answers ran on a kernel."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the streaming executor ran")
+
+    monkeypatch.setattr("repro.core.workbench.execute_physical", refuse)
+
+
+class TestDefaultRoute:
+    """``executor=True`` runs the cached plan's kernel from a shape's
+    second run on; the streaming executor runs only for a shape's first
+    run, for a plan the code generator refuses, and for the armed flight
+    recorder's instrumented twin."""
+
+    def test_default_route_compiles_on_the_second_run(self, monkeypatch):
+        wb = make_wb(history=True)
+        first = wb.sql(SQL)
+        assert wb.history.last().route == "cold"
+        stats = wb.kernel_cache.stats()
+        assert (stats["sightings"], stats["codegens"]) == (1, 0)
+        assert len(wb.db["sys_kernels"]) == 0
+        refuse_streaming(monkeypatch)
+        second = wb.sql(SQL)
+        assert wb.history.last().route == "compiled"
+        third = wb.sql(SQL)
+        assert third == second == first == wb.sql(SQL, executor=False)
+        assert wb.kernel_cache.stats()["codegens"] == 1
+        [(_i, fingerprint, status, _p, hits)] = wb.db["sys_kernels"].tuples
+        assert (status, hits) == ("compiled", 1)
+        [row] = wb.db["sys_plan_cache"].tuples
+        assert row[4:] == ("treewalk", fingerprint)  # the last run
+        assert wb.metrics.counter("compile_fallbacks_total").value == 0
+
+    def test_refused_plan_runs_on_the_streaming_executor(self):
+        wb = make_wb(history=True)
+        expr = TestFallback().fallback_expr()
+        _cold, result, routes = twice(
+            wb, lambda: wb.run(expr, optimized=False)
+        )
+        assert routes == ("cold", "compiled-fallback")
+        assert wb.metrics.value("compile_fallbacks_total") == 1
+        assert result == wb.run(expr, optimized=False, executor=False)
+        assert [row[2] for row in wb.db["sys_kernels"].tuples] == [
+            "fallback"
+        ]
+
+    def test_armed_recorder_still_reports_operators(self):
+        wb = make_wb(slow_query_ms=0)
+        for _ in range(2):
+            result = wb.sql(SQL)
+            record = wb.history.last()
+            assert record.route == "streaming"
+            assert record.instrumented and record.slow
+            assert record.report is not None
+            assert record.report.rows == len(result)
+        assert result == wb.sql(SQL, executor=False)
+        stats = wb.kernel_cache.stats()  # the twin ran instead
+        assert (stats["sightings"], len(wb.kernel_cache)) == (0, 0)
+
+    def test_dml_in_a_transaction_sees_its_own_view(self, monkeypatch):
+        wb = make_wb(history=True)
+        query = "SELECT item FROM likes WHERE pid = %d"
+        delete = "DELETE FROM likes WHERE pid = %d"
+        wb.sql(query % 98)  # both shapes' first runs
+        wb.sql(delete % 98)
+        refuse_streaming(monkeypatch)
+        before = wb.sql(query % 3).tuples
+        assert before == {("i3",), ("i5",)}
+        with wb.begin() as txn:
+            txn.sql(delete % 3)
+            assert wb.history.last().route == "dml:delete:compiled"
+            assert txn.sql(query % 3).tuples == set()
+            assert wb.history.last().route == "compiled"
+            assert wb.sql(query % 3).tuples == before  # not committed
+        assert wb.sql(query % 3).tuples == set()
+
+    def test_datalog_engine_reads_its_pinned_snapshot(self, monkeypatch):
+        wb = make_wb()
+        text = "fan(N) :- person(P, N), likes(P, i3)."
+        engine = wb.datalog(text)
+        before = engine.evaluate().get("fan")  # the plan's first run
+        wb.sql("INSERT INTO likes VALUES (29, 'i3')")
+        wb.sql("DELETE FROM likes WHERE pid = 3")
+        refuse_streaming(monkeypatch)
+        assert engine.evaluate(stats=EngineStatistics()).get("fan") == before
+        assert len(wb.kernel_cache) == 1  # compiled on its second run
+        fresh = wb.datalog(text).evaluate(stats=EngineStatistics())
+        assert fresh.get("fan") == (before | {("n29",)}) - {("n3",)}
+        assert len(wb.kernel_cache) == 1  # same shape, same kernel
+
+
+class TestLookupCost:
+    """The default route pays no second walk of the plan per statement:
+    the kernel lookup lives on the plan-cache entry, and the schema the
+    pipeline built for canonicalization serves it."""
+
+    def counting(self, monkeypatch, target, name):
+        calls = []
+        original = getattr(target, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, counted)
+        return calls
+
+    def test_repeat_statement_walks_neither_plan_nor_schema(
+        self, monkeypatch
+    ):
+        from repro.compile import cache
+
+        wb = make_wb()
+        text = (
+            "SELECT person.name FROM person, likes WHERE"
+            " person.pid = likes.pid AND likes.item = 'i%d'"
+        )
+        for run in (1, 2):  # the second run compiles
+            wb.sql(text % run)
+        walks = self.counting(monkeypatch, cache, "plan_key")
+        schemas = self.counting(monkeypatch, Database, "schema")
+        for run in range(3, 6):
+            wb.sql(text % run)
+        assert walks == []
+        assert len(schemas) == 3  # one per run, for canonicalize
+        stats = wb.kernel_cache.stats()
+        assert (stats["codegens"], stats["hits"]) == (1, 3)
+
+    def test_lookup_follows_the_schema_of_the_database_run_on(self):
+        # One plan over two databases whose referenced relation has
+        # another attribute order: the cached lookup still keys each
+        # kernel on the shape it runs on.
+        from repro.compile import KernelCache
+
+        one = Database.from_dict({"r": (("a", "b"), [(1, 2)])})
+        two = Database.from_dict({"r": (("b", "a"), [(2, 1)])})
+        plan = ra.Projection(ra.RelationRef("r"), ("a",))
+        cache = KernelCache()
+        lookup = KernelCache.lookup_for(plan)
+        for db in (one, two, one):
+            kernel, _reason = cache.resolve(plan, db, db.schema(), lookup)
+            assert kernel.execute(db)[0].tuples == {(1,)}
+        assert cache.stats()["codegens"] == 2
+        assert cache.stats()["hits"] == 1

@@ -8,10 +8,14 @@ import pytest
 
 import repro.plan.physical as physical
 from repro.conformance import ORACLE_FAMILIES, build_oracles
+import repro.conformance.oracles as oracles_module
+from repro.compile.codegen import CompiledKernel
 from repro.conformance.oracles import (
     DatalogDifferentialOracle,
     RelationalDifferentialOracle,
+    kernel_leg_counts,
 )
+from repro.datalog.lowering import is_lowerable
 
 SWEEP = 40
 
@@ -165,3 +169,100 @@ class TestFaultDetection:
             if oracle.check(case):
                 caught += 1
         assert caught > 0
+
+
+def _dropping_kernels(monkeypatch):
+    """Make every compiled kernel drop one tuple of its answer."""
+    from repro.relational.relation import Relation
+
+    original = CompiledKernel.execute
+
+    def dropping(self, db, stats=None, params=()):
+        relation, tally = original(self, db, stats, params)
+        kept = sorted(relation.tuples, key=repr)[1:]
+        return Relation(relation.schema, kept, validate=False), tally
+
+    monkeypatch.setattr(CompiledKernel, "execute", dropping)
+
+
+def _lowerable_cases(oracle, seeds):
+    for seed in seeds:
+        case = oracle.generate(seed)
+        program = case.payload["program"]
+        if is_lowerable(program) and program.idb_predicates():
+            yield case
+
+
+class TestSessionLegsRunKernels:
+    """The session legs run each plan on the default route twice, so
+    their second run is a compiled kernel, not only the streaming
+    executor."""
+
+    def test_datalog_session_leg_records_a_codegen(self):
+        oracle = DatalogDifferentialOracle()
+        case = next(_lowerable_cases(oracle, range(60)))
+        before = kernel_leg_counts()["session"]
+        assert oracle.check(case) == []
+        after = kernel_leg_counts()["session"]
+        assert after["codegens"] > before["codegens"]
+
+    def test_template_leg_runs_the_sibling_on_the_case_kernel(
+        self, monkeypatch
+    ):
+        from repro.plan import canonicalize, parameterize
+        from repro.relational import algebra as ra
+        from repro.relational.database import Database
+
+        db = Database.from_dict({
+            "r": (("a", "b"), [(i, i % 4) for i in range(20)]),
+            "s": (("b", "c"), [(i % 4, i) for i in range(8)]),
+        })
+        expr = ra.NaturalJoin(
+            ra.Selection(
+                ra.RelationRef("r"),
+                ra.Comparison(ra.Attr("a"), "<", ra.Const(7)),
+            ),
+            ra.RelationRef("s"),
+        )
+        template, values = parameterize(canonicalize(expr, db.schema()))
+        assert values
+        benches = []
+        fresh = oracles_module._fresh_workbench
+
+        def recording(source):
+            benches.append(fresh(source))
+            return benches[-1]
+
+        monkeypatch.setattr(oracles_module, "_fresh_workbench", recording)
+        leg = RelationalDifferentialOracle._template_leg
+        assert leg(0, db, template, values) == []
+        stats = benches[0].kernel_cache.stats()
+        assert (stats["sightings"], stats["codegens"], stats["hits"]) == (
+            1, 1, 1,
+        )
+
+    def test_a_broken_kernel_is_caught_on_the_second_run(self, monkeypatch):
+        _dropping_kernels(monkeypatch)
+        datalog = DatalogDifferentialOracle()
+        messages = [
+            message
+            for case in _lowerable_cases(datalog, range(60))
+            for message in datalog.check(case)
+        ]
+        # Two predicates of one plan shape share a kernel within the
+        # first run, so only the second run is sure to be compiled.
+        assert any(m.startswith("wb.run (second run)") for m in messages)
+
+        relational = RelationalDifferentialOracle()
+        messages = [
+            message
+            for seed in range(40)
+            for message in relational.check(relational.generate(seed))
+        ]
+        assert any(
+            m.startswith("template (case, second run)") for m in messages
+        )
+        assert any(m.startswith("template (sibling)") for m in messages)
+        assert not any(
+            m.startswith("template (case, first run)") for m in messages
+        )

@@ -312,8 +312,13 @@ class TestSystemTables:
             for entry, _fp, _opt, hits, _route, _kernel in rows
         ] == [(0, 1), (1, 0)]
         assert all(opt == 1 for _e, _fp, opt, _h, _r, _k in rows)
-        assert all(row[4] == "streaming" for row in rows)
-        assert all(row[5] is None for row in rows)  # no compiled runs
+        # The default route compiles a plan on its second run and names
+        # the kernel; a plan run once stays cold.
+        assert [(row[4], row[5] is None) for row in rows] == [
+            ("compiled", False), ("cold", True),
+        ]
+        [kernel] = wb.db["sys_kernels"].tuples
+        assert rows[0][5] == kernel[1]
 
     def test_sys_catalog_stats_census_user_relations_only(self):
         wb = make_wb()

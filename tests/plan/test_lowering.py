@@ -20,6 +20,7 @@ from repro.datalog.lowering import (
 )
 from repro.datalog.naive import naive_evaluate
 from repro.datalog.parser import parse_program
+from repro.datalog.stats import EngineStatistics
 from repro.errors import DatalogError, PlanError
 from repro.plan import canonicalize, is_canonical, plan_key
 from repro.relational import algebra as ra
@@ -377,11 +378,17 @@ class TestSessionDatalog:
         )
 
     def test_routes_are_recorded(self):
+        # "compiled" is a synonym of the default route: one label.  The
+        # first run of a plan shape interprets; the second compiles.
         wb = MetatheoryWorkbench(session_workbench().db, history=True)
         wb.run("out(X) :- edge(X, Y).")
-        assert wb.history.last().route == "datalog:lowered"
+        assert wb.history.last().route == "datalog:cold"
         wb.run("out(X) :- edge(X, Y).", executor="compiled")
         assert wb.history.last().route == "datalog:compiled"
+        wb.run("out(X) :- edge(X, Y).")
+        assert wb.history.last().route == "datalog:compiled"
+        wb.run("out(X) :- edge(X, Y).", executor=False)
+        assert wb.history.last().route == "datalog:fixpoint"
 
     def test_sys_predicate_in_a_body(self):
         wb = session_workbench()
@@ -442,6 +449,10 @@ class TestSessionDatalog:
         # Every strategy reads the state of the wb.datalog call.
         for strategy in STRATEGIES:
             assert engine.query("out(X)", strategy=strategy) == {(3,), (4,)}
+        # The lowered plan's second run compiles it in the session's
+        # kernel cache (the single-use INSERT never compiles).
+        model = engine.evaluate(stats=EngineStatistics())
+        assert model.get("out") == {(3,), (4,)}
         assert len(wb.kernel_cache) == 1
 
 
@@ -465,6 +476,60 @@ class TestParseOnce:
         monkeypatch.setattr(parser, refuse)
         wb.run(text)
         assert wb.history.last().parse_cache_hit == 1
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to record its calls; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestAnalysisOnce:
+    """Work that depends only on the program or its EDB is done once."""
+
+    def test_sccs_are_computed_once_per_program(self, monkeypatch):
+        from repro.datalog import analysis
+
+        calls = counting(
+            monkeypatch, analysis, "strongly_connected_components"
+        )
+        wb = session_workbench()
+        text = "hop(X, Z) :- edge(X, Y), edge(Y, Z).\nfar(X) :- hop(X, 4)."
+        models = [wb.run(text) for _ in range(3)]
+        models.append(wb.datalog(text).evaluate(stats=EngineStatistics()))
+        assert len(calls) == 1
+        assert all(model == models[0] for model in models)
+
+    def test_standalone_lowered_runs_commit_nothing(self, monkeypatch):
+        from repro.storage.journal import WriteJournal
+        from repro.storage.mvcc import MVCCStore
+
+        commits = counting(monkeypatch, MVCCStore, "commit")
+        appends = counting(monkeypatch, WriteJournal, "append")
+        engine = DatalogEngine.from_source(
+            "out(X, Z) :- edge(X, Y), edge(Y, Z), not tag(Z), size(X).",
+            edb={
+                "edge": [(1, 2), (2, 3), (3, 4)],
+                "tag": [(4,)],
+                "size": [(1,), (2,)],
+            },
+        )
+        models = [
+            engine.evaluate(stats=EngineStatistics()) for _ in range(3)
+        ]
+        assert (commits, appends) == ([], [])
+        assert models[0].get("out") == {(1, 3)}
+        assert all(model == models[0] for model in models)
+        assert models[0] == DatalogEngine(
+            engine.program, engine.edb, executor=False
+        ).evaluate()
 
 
 class TestArityMismatch:

@@ -197,11 +197,15 @@ class TestExecutorRoutes:
         assert wb.db["emp"].tuples == {("cal", "it", 70)}
 
     def test_compiled_insert_select_matches_streaming(self):
+        # The tree walk is the oracle of the default (compiled) route.
         streaming, compiled = make_wb(), make_wb()
         text = (
             "INSERT INTO dept SELECT name, dept FROM emp WHERE salary > 75"
         )
-        a = streaming.sql(text)
+        a = streaming.sql(text, executor=False)
+        # The template's first run (no salary is over 1000) interprets;
+        # its second compiles.
+        compiled.sql(text.replace("75", "1000"), executor="compiled")
         b = compiled.sql(text, executor="compiled")
         assert (a.rows_inserted, a.rows_deleted) == (
             b.rows_inserted, b.rows_deleted,
@@ -371,8 +375,9 @@ class TestCacheCoherence:
 
     def test_same_shape_dml_keeps_compiled_kernels(self):
         wb = make_wb()
-        wb.sql("SELECT name FROM emp WHERE salary > 75",
-               executor="compiled")
+        for _ in range(2):  # the second run compiles
+            wb.sql("SELECT name FROM emp WHERE salary > 75",
+                   executor="compiled")
         codegens = wb.kernel_cache.stats()["codegens"]
         wb.sql("INSERT INTO emp VALUES ('dee', 'it', 99)")
         out = wb.sql("SELECT name FROM emp WHERE salary > 75",
@@ -380,6 +385,7 @@ class TestCacheCoherence:
         assert ("dee",) in out.tuples
         # The insert changed data, not shape: the kernel is reused.
         assert wb.kernel_cache.stats()["codegens"] == codegens
+        assert wb.kernel_cache.stats()["hits"] == 1
 
     def test_dml_plans_are_themselves_cached(self):
         wb = make_wb()
@@ -397,10 +403,12 @@ class TestObservability:
         wb.sql("INSERT INTO emp VALUES ('dee', 'it', 60)")
         record = wb.history.last()
         assert record.kind == "sql"
-        assert record.route == "dml:insert:streaming"
+        assert record.route == "dml:insert:cold"  # a shape's first run
         assert record.plan_fingerprint
         assert record.rows == 1  # rows_affected is the cardinality
         wb.sql("DELETE FROM emp WHERE dept = 'it'", executor="compiled")
+        assert wb.history.last().route == "dml:delete:cold"
+        wb.sql("DELETE FROM emp WHERE dept = 'hr'", executor="compiled")
         assert wb.history.last().route == "dml:delete:compiled"
 
     def test_metrics_count_statements_and_rows(self):
@@ -456,8 +464,9 @@ class TestObservability:
 
     def test_explain_analyze_sees_warm_caches(self):
         wb = make_wb()
-        wb.sql("DELETE FROM emp WHERE name = 'nobody'",
-               executor="compiled")
+        for _ in range(2):  # the second run compiles
+            wb.sql("DELETE FROM emp WHERE name = 'nobody'",
+                   executor="compiled")
         explained = wb.explain_analyze(
             "DELETE FROM emp WHERE name = 'nobody'"
         )
