@@ -13,7 +13,7 @@ than the unoptimized one (43.7 against 32.2 ms in the last routed
 ``BENCH_optimizer.json``), and a tuple-count gate could not see it.  So
 the wall-time gate sits beside the materialization gate.
 
-Honesty note on the metric: the streaming executor charges
+Honesty note on the metric: a compiled kernel charges
 ``tuples_materialized`` only for tuples an operator *buffers* (hash-join
 build sides, dedup sets, the final result) — streamed-through tuples
 are free.  A left-deep join over base relations therefore buffers almost

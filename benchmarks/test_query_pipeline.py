@@ -1,9 +1,9 @@
-"""Tree walk vs streaming executor: the cost of materializing everything.
+"""Tree walk vs compiled kernels: the cost of materializing everything.
 
 The shared pipeline's claim (DESIGN.md §4b.1) is about *intermediates*:
-a Volcano-style executor only buffers what an operator genuinely has to
-hold (hash build sides, dedup sets, the result), while the legacy tree
-walk materializes every node's full output.  This bench measures both
+a fused kernel only buffers what an operator genuinely has to hold
+(hash build sides, dedup sets, the result), while the legacy tree walk
+materializes every node's full output.  This bench measures both
 cost models on the *same optimized logical plan* — star and chain SQL
 joins, a selective theta join, and a lowered non-recursive Datalog
 program — using the same EngineStatistics counters, and asserts the
@@ -92,7 +92,7 @@ isolated_pair(X, Z) :- reach2(X, Z), not edge(X, Z).
 
 
 def measure_sql(db, sql_text):
-    """(result_size, treewalk stats, executor stats) on one optimized plan."""
+    """(result_size, treewalk stats, kernel stats) on one optimized plan."""
     plan = canonicalize(
         optimize(canonicalize(parse_sql(sql_text), db.schema()), db),
         db.schema(),
@@ -139,8 +139,8 @@ def test_pipeline_materialization(capsys):
 
     # A selective filter sitting above a big inequality join: the tree
     # walk materializes the full join output before the filter sees it;
-    # the executor streams tuples through, buffering only the loop
-    # join's right side and the final result.
+    # the kernel streams tuples through, buffering only the loop join's
+    # right side and the final result.
     theta_db = Database(
         [
             Relation(
@@ -228,10 +228,10 @@ def test_pipeline_materialization(capsys):
         table_rows,
     )
     text = (
-        "Tree walk vs streaming executor on identical optimized plans\n"
+        "Tree walk vs compiled kernels on identical optimized plans\n"
         "(tuples_materialized: every node's output for the tree walk;\n"
         "operator buffers only — build sides, dedup sets, result — for\n"
-        "the executor)\n\n" + table
+        "the kernel)\n\n" + table
     )
     write_artifact("query_pipeline.txt", text)
     write_metrics("query_pipeline_metrics.json", registry)

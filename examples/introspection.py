@@ -100,8 +100,8 @@ def main():
         print("  %s.%s: %d rows, %d distinct" % row)
 
     print("\n=== The flight recorder's slowest query ===")
-    # Reports exist on the instrumented streaming path (relational
-    # queries); fixpoint/compiled routes record wall time only.
+    # Reports come from each kernel's instrumented variant (relational
+    # queries); the fixpoint engines record wall time only.
     slow = max(wb.history.slow_queries(), key=lambda r: r.wall_ms)
     print("  %r" % slow)
 

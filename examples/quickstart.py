@@ -57,7 +57,7 @@ def main():
     print(grandparents.pretty())
 
     print("\n=== Compiled execution: the default route's fused kernel ===")
-    # A statement shape's first run interprets; its second compiles.
+    # The SQL above compiled its shape's kernel; this run reuses it.
     compiled = workbench.sql(
         "SELECT p1.parent AS grandparent, p2.child AS grandchild "
         "FROM parent p1, parent p2 WHERE p1.child = p2.parent"

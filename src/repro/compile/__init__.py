@@ -4,19 +4,18 @@ The produce/consume code generator (:mod:`.codegen`) turns a canonical
 logical plan into one specialized Python function — pipelines fused
 into plain loops, conditions and projections inlined, work counters
 batched — and the :class:`KernelCache` (:mod:`.cache`) compiles each
-(plan, schema) pair exactly once.  It is the workbench's default route
-(``executor=True``) on every front-end from a plan shape's second run
-on; the first run, and any plan shape the generator refuses (counted),
-run on the interpreted streaming executor.
+(plan, schema) pair exactly once, on its first run.  Kernels are the
+workbench's one executor (``executor=True``) on every front-end;
+EXPLAIN ANALYZE and the armed flight recorder run a kernel's
+instrumented variant, which reports rows and counters per operator and
+wall time per pipeline.
 """
 
-from .cache import KernelCache, execute_compiled
-from .codegen import CompiledKernel, CompileFallback, compile_plan
+from .cache import KernelCache
+from .codegen import CompiledKernel, compile_plan
 
 __all__ = [
-    "CompileFallback",
     "CompiledKernel",
     "KernelCache",
     "compile_plan",
-    "execute_compiled",
 ]

@@ -17,40 +17,14 @@ shown in ``sys_kernels`` and EXPLAIN ANALYZE derives from the plan key
 alone; ``sys_plan_cache`` records it per entry (``kernel_fingerprint``)
 whenever a compiled kernel serves a cached plan, so the two relations
 join.
-
-Fallback verdicts are cached negatively: a plan the generator refused
-once is refused from the cache thereafter without re-walking it, and
-every fallback *resolution* (first or cached) counts in
-``fallback_runs`` so the workbench's ``compile_fallbacks_total`` metric
-never under-reports.
-
-The workbench resolves *tiered*: a plan compiles on its second miss,
-not its first, so a statement shape that runs once (an ``INSERT …
-VALUES`` row is one) never pays for code generation.  The first miss
-only sights the key, in a first-in first-out set of at most
-:data:`SIGHTINGS` keys.
 """
 
 from __future__ import annotations
 
 from ..plan.cache import PlanCache
-from ..plan.logical import parameterize, plan_key
+from ..plan.logical import plan_key
 from ..relational.algebra import relation_names
-from .codegen import CompileFallback, compile_plan
-
-#: Keys a tiered resolution remembers having missed once.  A key that
-#: leaves the set before its second miss is sighted afresh.
-SIGHTINGS = 1024
-
-
-class _FallbackEntry:
-    """Negative cache entry: the generator refused this plan."""
-
-    __slots__ = ("reason", "hits")
-
-    def __init__(self, reason):
-        self.reason = reason
-        self.hits = 0
+from .codegen import compile_plan
 
 
 class KernelCache:
@@ -58,10 +32,10 @@ class KernelCache:
 
     Counter semantics: ``hits``/``misses`` count resolutions against the
     cache; ``codegens`` counts actual code generation runs (the
-    zero-codegen-on-repeat test pins this); ``fallbacks`` counts
-    distinct refused plans and ``fallback_runs`` every resolution that
-    ended in a fallback, cached or not; ``sightings`` counts the misses
-    of tiered resolutions that compiled nothing (a plan's first sight).
+    zero-codegen-on-repeat test pins this).  A kernel's instrumented
+    variant lives on the kernel (:meth:`CompiledKernel.instrumented
+    <repro.compile.codegen.CompiledKernel.instrumented>`), so it adds no
+    entry and goes when its kernel does.
     """
 
     __slots__ = (
@@ -70,11 +44,7 @@ class KernelCache:
         "misses",
         "evictions",
         "codegens",
-        "fallbacks",
-        "fallback_runs",
-        "sightings",
         "_entries",
-        "_sighted",
     )
 
     def __init__(self, capacity=256):
@@ -83,11 +53,7 @@ class KernelCache:
         self.misses = 0
         self.evictions = 0
         self.codegens = 0
-        self.fallbacks = 0
-        self.fallback_runs = 0
-        self.sightings = 0
         self._entries = {}
-        self._sighted = {}
 
     def __len__(self):
         return len(self._entries)
@@ -136,62 +102,27 @@ class KernelCache:
         """12-hex kernel fingerprint (from the plan key alone)."""
         return PlanCache.fingerprint(key[0])
 
-    def resolve(self, plan, db, schema=None, lookup=None, tiered=False):
-        """The kernel for a canonical plan or template, compiling on a
-        miss.
+    def resolve(self, plan, db, schema=None, lookup=None):
+        """The kernel for a canonical plan or template, compiled on its
+        first miss.
 
         ``schema`` and ``lookup`` are as in :meth:`key_for`: the kernel
         always matches the schema of the ``db`` it will run on
-        (transaction views and pinned snapshots included).  With
-        ``tiered`` (the workbench's policy) only a plan's second miss
-        compiles; the first sights its key and returns ``(None, None)``.
-
-        Returns:
-            ``(kernel, None)`` when the plan compiled (now or earlier),
-            ``(None, reason)`` when it falls back to interpretation, and
-            ``(None, None)`` on a tiered first sight.
+        (transaction views and pinned snapshots included).
         """
         if schema is None:
             schema = db.schema()
         key = self.key_for(plan, db, schema, lookup)
-        entry = self._entries.get(key)
-        if entry is not None:
+        kernel = self._entries.get(key)
+        if kernel is not None:
             self.hits += 1
-            entry.hits += 1
-            if isinstance(entry, _FallbackEntry):
-                self.fallback_runs += 1
-                return None, entry.reason
-            return entry, None
+            kernel.hits += 1
+            return kernel
         self.misses += 1
-        if tiered and key not in self._sighted:
-            if len(self._sighted) >= SIGHTINGS:
-                del self._sighted[next(iter(self._sighted))]
-            self._sighted[key] = None
-            self.sightings += 1
-            return None, None
-        self._sighted.pop(key, None)
-        try:
-            kernel = compile_plan(
-                plan, schema, fingerprint=self.fingerprint(key)
-            )
-        except CompileFallback as exc:
-            self.fallbacks += 1
-            self.fallback_runs += 1
-            entry = _FallbackEntry(str(exc))
-            self._put(key, entry)
-            return None, entry.reason
+        kernel = compile_plan(plan, schema, fingerprint=self.fingerprint(key))
         self.codegens += 1
         self._put(key, kernel)
-        return kernel, None
-
-    def peek(self, plan, db):
-        """``(entry, fingerprint)`` without compiling or counting.
-
-        ``entry`` is a :class:`~repro.compile.codegen.CompiledKernel`, a
-        fallback entry (``reason`` attribute), or None when cold.
-        """
-        key = self.key_for(plan, db)
-        return self._entries.get(key), self.fingerprint(key)
+        return kernel
 
     def _put(self, key, entry):
         if key not in self._entries and len(self._entries) >= self.capacity:
@@ -202,20 +133,13 @@ class KernelCache:
 
     def entries(self):
         """``(index, fingerprint, status, pipelines, hits)`` per entry,
-        insertion order — the ``sys_kernels`` rows."""
-        rows = []
-        for index, (key, entry) in enumerate(self._entries.items()):
-            if isinstance(entry, _FallbackEntry):
-                rows.append(
-                    (index, self.fingerprint(key), "fallback", None,
-                     entry.hits)
-                )
-            else:
-                rows.append(
-                    (index, self.fingerprint(key), "compiled",
-                     entry.pipelines, entry.hits)
-                )
-        return rows
+        insertion order — the ``sys_kernels`` rows (``status`` is always
+        "compiled": every canonical plan compiles)."""
+        return [
+            (index, self.fingerprint(key), "compiled", kernel.pipelines,
+             kernel.hits)
+            for index, (key, kernel) in enumerate(self._entries.items())
+        ]
 
     def invalidate_relations(self, names):
         """Drop kernels whose schema sub-token mentions ``names``.
@@ -241,9 +165,9 @@ class KernelCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "codegens": self.codegens,
-            "fallbacks": self.fallbacks,
-            "fallback_runs": self.fallback_runs,
-            "sightings": self.sightings,
+            # Always 0 now that every canonical plan compiles; kept
+            # because the end-to-end benchmark reads it every round.
+            "fallback_runs": 0,
             "size": len(self._entries),
         }
 
@@ -256,31 +180,7 @@ class KernelCache:
     def clear(self):
         """Drop all entries and reset every counter (schema changed)."""
         self._entries.clear()
-        self._sighted.clear()
-        self.sightings = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.codegens = 0
-        self.fallbacks = 0
-        self.fallback_runs = 0
-
-
-def execute_compiled(plan, db, stats=None, cache=None):
-    """Compile (or fetch) the kernel of a canonical plan's template and
-    run it on the plan's values.
-
-    Mirrors :func:`~repro.plan.executor.execute_physical`'s signature
-    and return shape.
-
-    Raises:
-        CompileFallback: when the plan has an unsupported shape.
-    """
-    template, values = parameterize(plan)
-    if cache is None:
-        kernel = compile_plan(template, db.schema())
-    else:
-        kernel, reason = cache.resolve(template, db)
-        if kernel is None:
-            raise CompileFallback(reason)
-    return kernel.execute(db, stats, values)

@@ -1,71 +1,74 @@
 """Code generation: canonical logical plans to fused Python kernels.
 
-The streaming executor (:mod:`repro.plan.physical`) pays a generator
-frame plus a :class:`~repro.plan.physical.Tally` method call per tuple
-per operator.  This module removes both: it walks a canonical plan in
-the produce/consume style of HyPer-era query compilers and emits one
-specialized Python function per plan, with
+Kernels are the one executor production runs; the materializing tree
+walk (:func:`~repro.relational.algebra.evaluate`) stays as the
+differential oracle.  This module walks a canonical plan in the
+produce/consume style of HyPer-era query compilers (Neumann,
+"Efficiently Compiling Efficient Query Plans for Modern Hardware",
+VLDB 2011) and emits one specialized Python function per plan, with
 
 * scan -> filter -> project chains fused into a single ``for`` loop,
 * hash-join build and probe sides as separate fused loops,
-* the executor's index access paths — an equality selection over a
-  stored relation loops over one bucket of the relation's cached key
-  index, and a join whose right input is a stored relation probes that
-  index instead of building a table (the same choices, through
-  :func:`~repro.plan.physical.stored_base_name`, as the interpreter),
-* dedup, set operations, and division as pipeline breakers, and
+* index access paths — an equality selection over a stored relation
+  loops over one bucket of the relation's cached key index, and a join
+  whose right input is a stored relation probes that index instead of
+  building a table (both through
+  :func:`~repro.plan.physical.stored_base_name`),
+* dedup, set operations, and division as pipeline breakers,
 * selection conditions and projection maps inlined as expressions
   whose attribute references are resolved to tuple indexes at codegen
   time (no per-tuple closure or dict lookup survives), and
 * a template's parameter slots (:func:`~repro.plan.logical.parameterize`)
   unpacked from the kernel's parameter tuple into locals in its
   prologue, so one kernel serves every statement of a shape and the hot
-  loops read a local, never the tuple.
+  loops read a local, never the tuple.  An ``INSERT … VALUES``
+  template builds its rows from those locals.
+
+Every canonical plan compiles.  A semijoin or antijoin with no shared
+attribute only tests whether its right side is empty (a stored right
+side by its length, with no scan).  A node outside the canonical
+operator set raises :class:`~repro.errors.PlanError`.
+
+Hash tables a kernel builds leave out keys holding a NaN, as
+:func:`~repro.relational.relation.build_key_index` does for a stored
+relation's cached indexes: equality never pairs NaN.
 
 Work accounting is batched: each kernel accumulates plain-int local
 counters and flushes them to the caller's ``Tally``/``EngineStatistics``
-once, in a ``finally`` block.  The flush preserves the *exact* counter
-semantics of the interpreted operators — the differential suite in
-``tests/compile`` pins ``facts_scanned``, ``index_probes``,
-``index_builds``, ``tuples_materialized``, and ``peak_buffer`` equal on
-both legs.  (``peak_buffer`` batches soundly because every interpreted
-buffer grows monotonically, so the running maximum it reports equals
-the maximum over buffers of their final size.)
+once, in a ``finally`` block.  ``facts_scanned`` counts tuples read out
+of stored and literal relations (index builds included),
+``index_probes`` hash lookups, ``index_builds`` hash tables and key
+indexes built, ``tuples_materialized`` tuples buffered by an operator
+(hash-join build sides, dedup sets, set-operation right sides, the
+result), and the Tally's ``peak_buffer`` the largest such buffer.
 
-Plans the generator cannot fuse raise :class:`CompileFallback`; callers
-run the interpreted executor instead and count the fallback.  The one
-semantic hole is a semijoin/antijoin with no shared attributes: the
-interpreted operator pulls a *single* right tuple and stops, so its
-``facts_scanned`` is data-dependent in a way a batched kernel cannot
-reproduce without re-implementing early termination — it stays
-interpreted.
+``compile_plan(..., instrumented=True)`` emits the *instrumented variant*
+of a kernel: the same loops, with every counter kept per operator, the
+rows each operator passes on, and a clock read around each pipeline.
+EXPLAIN ANALYZE and the armed flight recorder run it
+(:func:`~repro.plan.explain.explain_kernel`), so the report describes
+the code production runs.
 
 Comparisons inline as Python operators.  Equality never raises for a
 value the front-ends produce; an ordered comparison of, say, an int
-with a str raises :class:`TypeError`, where the interpreter's
-contract reads False for that one comparison.  So a condition holding
-an ordered comparison computes its truth value inside a ``try:`` and,
-on ``TypeError``, re-tests the whole condition with guarded helpers
-that apply the contract per comparison (under ``not`` and ``or``
-too).  Rows of one type never reach a helper.
+with a str raises :class:`TypeError`, where the algebra's contract
+reads False for that one comparison.  So a condition holding an
+ordered comparison computes its truth value inside a ``try:`` and, on
+``TypeError``, re-tests the whole condition with guarded helpers that
+apply the contract per comparison (under ``not`` and ``or`` too).
+Rows of one type never reach a helper.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import time
 
-from ..plan.physical import lookup_keys, stored_base_name, theta_keys
+from ..errors import AlgebraError, PlanError
+from ..plan.physical import Tally, lookup_keys, stored_base_name, theta_keys
 from ..relational import algebra as ra
 from ..relational.relation import Relation
-
-
-class CompileFallback(Exception):
-    """The plan contains a shape the kernel generator does not fuse.
-
-    Callers catch this and run the interpreted executor; the message
-    names the offending operator so fallbacks are observable.
-    """
 
 
 def _guarded(op):
@@ -105,45 +108,91 @@ def _has_ordered(condition):
 _SIMPLE_CONST_TYPES = (int, float, str, bytes, bool, type(None))
 
 
+def _unbound(slot):
+    """The error for a template run without its parameter ``slot``."""
+    return AlgebraError("unbound parameter $%d" % slot)
+
+#: An operator's counters, in the order an instrumented kernel reports
+#: them: rows passed on, then the Tally's counters.
+COUNTERS = ("rows", "scanned", "probed", "built", "mat", "peak")
+
+
 class CompiledKernel:
-    """One plan, compiled: a closed-over function plus its metadata."""
+    """One plan, compiled: a closed-over function plus its metadata.
+
+    ``operators`` is None on a production kernel.  On an instrumented
+    variant it lists, per operator, ``(label, condition, children,
+    pipelines)``: the EXPLAIN label (with one ``%s`` for ``condition``
+    when that is not None), the indexes of its input operators, and the
+    indexes of the pipelines it drives.  Operator 0 is the result.
+    """
 
     __slots__ = (
         "fingerprint",
+        "plan",
+        "db_schema",
         "schema",
         "source",
         "pipelines",
         "ops",
+        "operators",
         "hits",
         "_fn",
+        "_variant",
     )
 
-    def __init__(self, fn, schema, source, pipelines, ops, fingerprint):
+    def __init__(self, fn, plan, db_schema, source, pipelines, ops,
+                 fingerprint, operators=None):
         self._fn = fn
-        self.schema = schema
+        self.plan = plan
+        self.db_schema = db_schema
+        self.schema = plan.schema(db_schema)
         self.source = source
         self.pipelines = pipelines
         self.ops = ops
+        self.operators = operators
         self.fingerprint = fingerprint
         self.hits = 0
+        self._variant = None
 
     def execute(self, db, stats=None, params=()):
         """Run the kernel over ``db``; return ``(relation, tally)``.
 
-        Mirrors :func:`~repro.plan.executor.execute_physical`: relations
-        are fetched from ``db`` by name at call time, so a kernel stays
-        valid across content changes under the same schema token, and
-        ``params`` are the values of the template's parameter slots.
+        Relations are fetched from ``db`` by name at call time, so a
+        kernel stays valid across content changes under the same schema
+        token, and ``params`` are the values of the template's parameter
+        slots.
         """
-        # Imported here to match repro.plan.executor: the stats module
-        # lives in repro.datalog, whose package __init__ would otherwise
-        # cycle back into repro.plan at import time.
+        # Imported here: the stats module lives in repro.datalog, whose
+        # package __init__ would otherwise cycle back into repro.plan at
+        # import time.
         from ..datalog.stats import EngineStatistics
-        from ..plan.physical import Tally
 
         tally = Tally(stats if stats is not None else EngineStatistics())
         out = self._fn(db, tally, params)
         return Relation(self.schema, out, validate=False), tally
+
+    def instrumented(self):
+        """This kernel's instrumented variant, compiled on first use and
+        kept for the kernel's lifetime (an instrumented kernel is its
+        own variant)."""
+        if self.operators is not None:
+            return self
+        if self._variant is None:
+            self._variant = compile_plan(
+                self.plan, self.db_schema, self.fingerprint,
+                instrumented=True,
+            )
+        return self._variant
+
+    def profile(self, db, params=()):
+        """Run an instrumented kernel: ``(relation, counts, times)``.
+
+        ``counts[i]`` holds operator ``i``'s :data:`COUNTERS` and
+        ``times[j]`` the wall-clock seconds of pipeline ``j``.
+        """
+        out, counts, times = self._fn(db, params)
+        return Relation(self.schema, out, validate=False), counts, times
 
     def __repr__(self):
         return "CompiledKernel(%s, %d pipelines, %d ops)" % (
@@ -151,6 +200,22 @@ class CompiledKernel:
             self.pipelines,
             self.ops,
         )
+
+
+class _Op:
+    """One operator as the kernel runs it (see
+    :attr:`CompiledKernel.operators`)."""
+
+    __slots__ = ("index", "node", "label", "condition", "children",
+                 "segments")
+
+    def __init__(self, index, node, label=None):
+        self.index = index
+        self.node = node
+        self.label = label
+        self.condition = None
+        self.children = []  # (side, _Op): 0 left or only input, 1 right
+        self.segments = []
 
 
 class _KernelBuilder:
@@ -161,17 +226,26 @@ class _KernelBuilder:
     with the name of the variable holding the current tuple and emits
     the downstream code.  Streaming operators extend the current loop
     body; pipeline breakers drain their input into a local structure
-    first.
+    first.  Every ``produce`` call happens outside any loop, so the
+    pipelines run one after another and never nest.
+
+    Each operator charges its work through :meth:`counter`: one set of
+    kernel-wide locals in a production kernel, one set per operator in
+    the instrumented variant.
     """
 
-    def __init__(self, db_schema):
+    def __init__(self, db_schema, instrumented=False):
         self.db_schema = db_schema
+        self.instrumented = instrumented
         self.lines = []
-        self.depth = 2  # inside `def kernel` -> `try:`
-        self.env = {}
+        self.depth = 1 if instrumented else 2  # in `def kernel` (`try:`)
+        self.env = {"_clock": time.perf_counter} if instrumented else {}
         self.slots = set()
         self.pipelines = 0
-        self.ops = 0
+        self.operators = [_Op(0, None, "Result")]
+        self.locals = set()
+        self.segments = 0
+        self._producing = [self.operators[0]]
         self._n = 0
 
     # -- emission helpers ------------------------------------------------
@@ -200,6 +274,12 @@ class _KernelBuilder:
         self.slots.add(param.slot)
         return "_p%d" % param.slot
 
+    def value_expr(self, value):
+        """Source for a literal relation's value or parameter slot."""
+        if isinstance(value, ra.Param):
+            return self.param_expr(value)
+        return self.const_expr(value)
+
     def tuple_expr(self, var, positions, arity=None):
         """Source for ``tuple(var[p] for p in positions)``, specialized.
 
@@ -213,6 +293,39 @@ class _KernelBuilder:
             return "()"
         return "(%s,)" % ", ".join("%s[%d]" % (var, p) for p in positions)
 
+    # -- accounting ------------------------------------------------------
+
+    def counter(self, op, field):
+        """The local that accumulates ``op``'s ``field`` counter (one of
+        :data:`COUNTERS`)."""
+        if not self.instrumented:
+            return "_" + field
+        name = "_%s_%d" % (field, op.index)
+        self.locals.add(name)
+        return name
+
+    def charge(self, op, field, amount="1"):
+        self.emit("%s += %s" % (self.counter(op, field), amount))
+
+    def peak(self, op, size):
+        """Emit ``size`` (an expression) as a peak-buffer candidate."""
+        name = self.counter(op, "peak")
+        self.emit("if %s > %s: %s = %s" % (size, name, name, size))
+
+    def begin_segment(self, op):
+        """Start timing a pipeline ``op`` drives (instrumented only)."""
+        if not self.instrumented:
+            return None
+        segment = self.segments
+        self.segments += 1
+        op.segments.append(segment)
+        self.emit("_t%d = _clock()" % segment)
+        return segment
+
+    def end_segment(self, segment):
+        if segment is not None:
+            self.emit("_el%d = _clock() - _t%d" % (segment, segment))
+
     # -- conditions ------------------------------------------------------
 
     def operand_expr(self, operand, schema, var):
@@ -222,9 +335,7 @@ class _KernelBuilder:
             return self.const_expr(operand.value)
         if isinstance(operand, ra.Param):
             return self.param_expr(operand)
-        raise CompileFallback(
-            "unsupported operand %s" % type(operand).__name__
-        )
+        raise PlanError("no kernel operand for %r" % (operand,))
 
     def cond_expr(self, condition, schema, var, guarded=False):
         """Source for ``condition`` over the tuple in ``var``.
@@ -238,8 +349,8 @@ class _KernelBuilder:
             right = self.operand_expr(condition.right, schema, var)
             op = _INLINE_OPS.get(condition.op)
             if op is None:
-                raise CompileFallback(
-                    "unsupported comparison %r" % (condition.op,)
+                raise PlanError(
+                    "no kernel comparison %r" % (condition.op,)
                 )
             helper = _ORDERED_HELPERS.get(condition.op)
             if guarded and helper is not None:
@@ -258,9 +369,7 @@ class _KernelBuilder:
             return "(not %s)" % self.cond_expr(
                 condition.part, schema, var, guarded
             )
-        raise CompileFallback(
-            "unsupported condition %s" % type(condition).__name__
-        )
+        raise PlanError("no kernel condition for %r" % (condition,))
 
     def emit_filter(self, condition, schema, var):
         """Emit ``if <condition>:`` over ``var`` and indent into it.
@@ -286,52 +395,63 @@ class _KernelBuilder:
 
     # -- scans and index builds ------------------------------------------
 
-    def scan(self, node, consume):
-        """Drive a loop over a stored or literal relation.
-
-        Matches ``Scan``: every yielded tuple charges ``facts_scanned``,
-        and the fused subset always drains its scans completely, so the
-        charge hoists to one ``len()``.
-        """
-        if isinstance(node, ra.RelationRef):
-            rel = self.fresh("rel")
-            self.emit("%s = _db[%r]" % (rel, node.name))
-        else:
-            rel = self.bind("lit", node.relation)
-        self.emit("_scanned += len(%s.tuples)" % rel)
+    def loop(self, op, rows, consume):
+        """Drive one pipeline: ``for`` each tuple of the ``rows``
+        expression, consume it."""
         self.pipelines += 1
+        segment = self.begin_segment(op)
         t = self.fresh("t")
-        self.emit("for %s in %s.tuples:" % (t, rel))
+        self.emit("for %s in %s:" % (t, rows))
         self.depth += 1
         consume(t)
         self.depth -= 1
+        self.end_segment(segment)
 
-    def base_index(self, name, positions):
-        """Probe handle over a base relation's cached key index.
+    def literal_rows(self, relation):
+        """Source for a literal relation's rows: the bound relation's
+        tuples, or for a template's ``VALUES`` rows a tuple built from
+        the parameter locals."""
+        if not any(
+            isinstance(value, ra.Param)
+            for row in relation.tuples
+            for value in row
+        ):
+            return "%s.tuples" % self.bind("lit", relation)
+        rows = self.fresh("rows")
+        self.emit(
+            "%s = (%s)"
+            % (
+                rows,
+                "".join(
+                    "(%s,), " % ", ".join(self.value_expr(v) for v in row)
+                    for row in relation.tuples
+                ),
+            )
+        )
+        return rows
 
-        Matches ``_BaseIndex.mapping()``: the build cost (one index
-        build plus a full scan) is charged only when the pattern is not
-        already cached on the relation.
-        """
+    def base_index(self, name, positions, op):
+        """Probe handle over a base relation's cached key index: the
+        build (one index build plus a full scan) is charged only when
+        the pattern is not already cached on the relation."""
         rel = self.fresh("rel")
         self.emit("%s = _db[%r]" % (rel, name))
+        segment = self.begin_segment(op)
         self.emit("if not %s.has_key_index(%r):" % (rel, tuple(positions)))
         self.depth += 1
-        self.emit("_built += 1")
-        self.emit("_scanned += len(%s)" % rel)
+        self.charge(op, "built")
+        self.charge(op, "scanned", "len(%s)" % rel)
         self.depth -= 1
         idx = self.fresh("idx")
         self.emit("%s = %s._key_index(%r)" % (idx, rel, tuple(positions)))
+        self.end_segment(segment)
         return idx
 
-    def index_lookup(self, name, lookup, schema, consume):
-        """Drive a loop over one index bucket (``IndexLookup``).
-
-        Charges like the interpreted operator: the index build on first
-        use, one probe, and the bucket's tuples as scanned.
-        """
+    def index_lookup(self, name, lookup, schema, consume, op):
+        """Drive a loop over one index bucket: the index build on first
+        use, one probe, and the bucket's tuples as scanned."""
         positions, key, residual = lookup
-        idx = self.base_index(name, positions)
+        idx = self.base_index(name, positions, op)
         bucket = self.fresh("bkt")
         key_expr = "(%s,)" % ", ".join(
             self.param_expr(part)
@@ -339,65 +459,99 @@ class _KernelBuilder:
             else self.bind("c", part)
             for part in key
         )
-        self.emit("_probed += 1")
+        self.charge(op, "probed")
         self.emit("%s = %s.get(%s, ())" % (bucket, idx, key_expr))
-        self.emit("_scanned += len(%s)" % bucket)
-        self.pipelines += 1
-        t = self.fresh("t")
-        self.emit("for %s in %s:" % (t, bucket))
-        self.depth += 1
-        if residual is None:
-            consume(t)
-        else:
-            self.emit_filter(residual, schema, t)
-            consume(t)
-            self.depth -= 1
-        self.depth -= 1
+        self.charge(op, "scanned", "len(%s)" % bucket)
 
-    def built_index(self, node, positions):
+        def filtered(var):
+            self.emit_filter(residual, schema, var)
+            consume(var)
+            self.depth -= 1
+
+        self.loop(op, bucket, consume if residual is None else filtered)
+
+    def built_index(self, node, positions, op):
         """Drain ``node`` once into a fresh hash table (a pipeline
-        breaker).  Matches ``_BuiltIndex.mapping()``: one index build,
-        every drained tuple (duplicates included) materializes, and the
-        table's final size is a peak-buffer candidate."""
+        breaker): one index build, every drained tuple materializes, and
+        the table's final size is a peak-buffer candidate.  A key
+        holding a NaN stays out of the table."""
         schema = node.schema(self.db_schema)
         idx = self.fresh("idx")
         cnt = self.fresh("cnt")
         self.emit("%s = {}" % idx)
         self.emit("%s = 0" % cnt)
-        self.emit("_built += 1")
+        self.charge(op, "built")
 
         def build(var):
             key = self.tuple_expr(var, positions, len(schema.attributes))
-            self.emit("%s.setdefault(%s, []).append(%s)" % (idx, key, var))
             self.emit("%s += 1" % cnt)
+            if positions:
+                self.emit(
+                    "if %s:"
+                    % " and ".join(
+                        "%s[%d] == %s[%d]" % (var, p, var, p)
+                        for p in positions
+                    )
+                )
+                self.depth += 1
+            self.emit("%s.setdefault(%s, []).append(%s)" % (idx, key, var))
+            if positions:
+                self.depth -= 1
 
         self.produce(node, build)
-        self.emit("_mat += %s" % cnt)
-        self.emit("if %s > _peak: _peak = %s" % (cnt, cnt))
+        self.charge(op, "mat", cnt)
+        self.peak(op, cnt)
         return idx
 
     # -- operators -------------------------------------------------------
 
     def produce(self, node, consume):
-        self.ops += 1
         method = self._DISPATCH.get(type(node))
         if method is None:
-            raise CompileFallback(
-                "unsupported operator %s" % type(node).__name__
+            raise PlanError(
+                "no kernel operator for %r (canonicalize first)" % (node,)
             )
-        method(self, node, consume)
+        op = _Op(len(self.operators), node)
+        self.operators.append(op)
+        parent = self._producing[-1]
+        right = getattr(parent.node, "right", None)
+        side = int(node is right and node is not parent.node.left)
+        parent.children.append((side, op))
+        if self.instrumented:
+            rows = self.counter(op, "rows")
+            downstream = consume
 
-    def _produce_scan(self, node, consume):
-        self.scan(node, consume)
+            def consume(var):
+                self.emit("%s += 1" % rows)
+                downstream(var)
 
-    def _produce_selection(self, node, consume):
+        self._producing.append(op)
+        method(self, node, consume, op)
+        self._producing.pop()
+
+    def _produce_scan(self, node, consume, op):
+        if isinstance(node, ra.RelationRef):
+            op.label = "Scan(%s)" % node.name
+            rel = self.fresh("rel")
+            self.emit("%s = _db[%r]" % (rel, node.name))
+            rows = "%s.tuples" % rel
+        else:
+            op.label = "Scan(%s)" % node.relation.schema.name
+            rows = self.literal_rows(node.relation)
+        self.charge(op, "scanned", "len(%s)" % rows)
+        self.loop(op, rows, consume)
+
+    def _produce_selection(self, node, consume, op):
         schema = node.child.schema(self.db_schema)
+        op.condition = node.condition
         name = stored_base_name(node.child)
         if name is not None:
             lookup = lookup_keys(node.condition, schema)
             if lookup is not None:
-                self.index_lookup(name, lookup, schema, consume)
+                op.label = "IndexLookup(%s)[%%s]" % name
+                self.index_lookup(name, lookup, schema, consume, op)
                 return
+        op.label = "Select[%s]"
 
         def filtered(var):
             self.emit_filter(node.condition, schema, var)
@@ -406,7 +560,8 @@ class _KernelBuilder:
 
         self.produce(node.child, filtered)
 
-    def _produce_projection(self, node, consume):
+    def _produce_projection(self, node, consume, op):
+        op.label = "Project[%s]" % ",".join(node.attributes)
         child_schema = node.child.schema(self.db_schema)
         positions = [child_schema.position(a) for a in node.attributes]
         seen = self.fresh("seen")
@@ -428,25 +583,31 @@ class _KernelBuilder:
             self.depth -= 1
 
         self.produce(node.child, project)
-        self.emit("_mat += len(%s)" % seen)
-        self.emit("if len(%s) > _peak: _peak = len(%s)" % (seen, seen))
+        self.charge(op, "mat", "len(%s)" % seen)
+        self.peak(op, "len(%s)" % seen)
 
-    def _produce_rename(self, node, consume):
+    def _produce_rename(self, node, consume, op):
         # Pure schema change: attribute order is preserved, so every
         # downstream position computed against the renamed schema is
         # valid against the child's tuples unchanged.
+        op.label = "RenameOp"
         self.produce(node.child, consume)
 
-    def _produce_natural_join(self, node, consume):
+    def _produce_natural_join(self, node, consume, op):
         left_schema = node.left.schema(self.db_schema)
         right_schema = node.right.schema(self.db_schema)
+        # No shared attributes degenerates to a product through the
+        # single empty-key bucket, like Relation.natural_join.
         shared = left_schema.shared_attributes(right_schema)
         right_positions = tuple(right_schema.position(a) for a in shared)
         name = stored_base_name(node.right)
         if name is not None:
-            idx = self.base_index(name, right_positions)
+            idx = self.base_index(name, right_positions, op)
         else:
-            idx = self.built_index(node.right, right_positions)
+            idx = self.built_index(node.right, right_positions, op)
+        op.label = "HashJoin:%s[%s]" % (
+            "built" if name is None else "base", ",".join(shared),
+        )
         left_positions = [left_schema.position(a) for a in shared]
         extra_positions = [
             right_schema.position(a)
@@ -455,7 +616,7 @@ class _KernelBuilder:
         ]
 
         def probe(svar):
-            self.emit("_probed += 1")
+            self.charge(op, "probed")
             u = self.fresh("u")
             self.emit(
                 "for %s in %s.get(%s, ()):"
@@ -475,13 +636,14 @@ class _KernelBuilder:
 
         self.produce(node.left, probe)
 
-    def _produce_theta_join(self, node, consume):
+    def _produce_theta_join(self, node, consume, op):
         left_schema = node.left.schema(self.db_schema)
         right_schema = node.right.schema(self.db_schema)
         out_schema = left_schema.concat(right_schema)
         left_positions, right_positions, residual = theta_keys(
             node.condition, left_schema, right_schema
         )
+        op.condition = node.condition
 
         def joined(svar, tvar):
             out = self.fresh("t")
@@ -496,12 +658,14 @@ class _KernelBuilder:
         if right_positions:
             name = stored_base_name(node.right)
             if name is not None:
-                idx = self.base_index(name, right_positions)
+                op.label = "ThetaJoin:index[%s]"
+                idx = self.base_index(name, right_positions, op)
             else:
-                idx = self.built_index(node.right, right_positions)
+                op.label = "ThetaJoin:hash[%s]"
+                idx = self.built_index(node.right, right_positions, op)
 
             def probe(svar):
-                self.emit("_probed += 1")
+                self.charge(op, "probed")
                 u = self.fresh("u")
                 self.emit(
                     "for %s in %s.get(%s, ()):"
@@ -513,7 +677,8 @@ class _KernelBuilder:
 
             self.produce(node.left, probe)
         else:
-            buf = self._buffer_list(node.right)
+            op.label = "ThetaJoin:loop[%s]"
+            buf = self._buffer_list(node.right, op)
 
             def loop(svar):
                 u = self.fresh("u")
@@ -524,21 +689,20 @@ class _KernelBuilder:
 
             self.produce(node.left, loop)
 
-    def _buffer_list(self, node):
-        """Drain ``node`` into a list (theta-loop/product right side).
-
-        Matches the interpreted buffering: every drained tuple
-        materializes and the list's final length is a peak candidate.
-        """
+    def _buffer_list(self, node, op):
+        """Drain ``node`` into a list (theta-loop/product right side):
+        every drained tuple materializes and the list's final length is
+        a peak candidate."""
         buf = self.fresh("buf")
         self.emit("%s = []" % buf)
         self.produce(node, lambda var: self.emit("%s.append(%s)" % (buf, var)))
-        self.emit("_mat += len(%s)" % buf)
-        self.emit("if len(%s) > _peak: _peak = len(%s)" % (buf, buf))
+        self.charge(op, "mat", "len(%s)" % buf)
+        self.peak(op, "len(%s)" % buf)
         return buf
 
-    def _produce_product(self, node, consume):
-        buf = self._buffer_list(node.right)
+    def _produce_product(self, node, consume, op):
+        op.label = "ProductOp"
+        buf = self._buffer_list(node.right, op)
 
         def loop(svar):
             u = self.fresh("u")
@@ -551,7 +715,8 @@ class _KernelBuilder:
 
         self.produce(node.left, loop)
 
-    def _produce_union(self, node, consume):
+    def _produce_union(self, node, consume, op):
+        op.label = "UnionOp"
         seen = self.fresh("seen")
         self.emit("%s = set()" % seen)
 
@@ -564,13 +729,13 @@ class _KernelBuilder:
 
         self.produce(node.left, dedup)
         self.produce(node.right, dedup)
-        self.emit("_mat += len(%s)" % seen)
-        self.emit("if len(%s) > _peak: _peak = len(%s)" % (seen, seen))
+        self.charge(op, "mat", "len(%s)" % seen)
+        self.peak(op, "len(%s)" % seen)
 
-    def _right_member_set(self, node):
-        """Drain ``node`` into a membership set (difference /
-        intersection right side).  Duplicate adds still materialize,
-        matching ``_RightSetOp._right_set``."""
+    def _collect_set(self, node, op):
+        """Drain ``node`` into a set (set-operation right side, division
+        inputs): every drained tuple, duplicates included, materializes,
+        and the set's final size is a peak candidate."""
         members = self.fresh("members")
         cnt = self.fresh("cnt")
         self.emit("%s = set()" % members)
@@ -581,56 +746,66 @@ class _KernelBuilder:
             self.emit("%s += 1" % cnt)
 
         self.produce(node, collect)
-        self.emit("_mat += %s" % cnt)
-        self.emit(
-            "if len(%s) > _peak: _peak = len(%s)" % (members, members)
-        )
+        self.charge(op, "mat", cnt)
+        self.peak(op, "len(%s)" % members)
         return members
 
-    def _produce_difference(self, node, consume):
-        self._produce_membership(node, consume, "not in")
+    def _produce_difference(self, node, consume, op):
+        op.label = "Difference"
+        self._produce_membership(node, consume, op, "not in")
 
-    def _produce_intersection(self, node, consume):
-        self._produce_membership(node, consume, "in")
+    def _produce_intersection(self, node, consume, op):
+        op.label = "Intersection"
+        self._produce_membership(node, consume, op, "in")
 
-    def _produce_membership(self, node, consume, op):
-        members = self._right_member_set(node.right)
+    def _produce_membership(self, node, consume, op, test):
+        members = self._collect_set(node.right, op)
 
         def probe(var):
-            self.emit("_probed += 1")
-            self.emit("if %s %s %s:" % (var, op, members))
+            self.charge(op, "probed")
+            self.emit("if %s %s %s:" % (var, test, members))
             self.depth += 1
             consume(var)
             self.depth -= 1
 
         self.produce(node.left, probe)
 
-    def _produce_semijoin(self, node, consume):
+    def _produce_semijoin(self, node, consume, op):
         negated = isinstance(node, ra.Antijoin)
+        op.label = "Antijoin" if negated else "Semijoin"
         left_schema = node.left.schema(self.db_schema)
         right_schema = node.right.schema(self.db_schema)
         shared = left_schema.shared_attributes(right_schema)
         if not shared:
-            # The interpreted operator pulls exactly one right tuple and
-            # stops — a data-dependent early termination whose counters
-            # a batched kernel cannot reproduce.
-            raise CompileFallback(
-                "%s with no shared attributes"
-                % ("antijoin" if negated else "semijoin")
-            )
+            # No shared attribute: the right side's emptiness decides,
+            # like Relation.semijoin/antijoin.
+            flag = self.fresh("any")
+            name = stored_base_name(node.right)
+            if name is not None:
+                self.emit("%s = len(_db[%r]) > 0" % (flag, name))
+            else:
+                self.emit("%s = False" % flag)
+                self.produce(
+                    node.right, lambda var: self.emit("%s = True" % flag)
+                )
+            self.emit("if %s%s:" % ("not " if negated else "", flag))
+            self.depth += 1
+            self.produce(node.left, consume)
+            self.depth -= 1
+            return
         positions = tuple(right_schema.position(a) for a in shared)
         if isinstance(node.right, ra.RelationRef):
-            idx = self.base_index(node.right.name, positions)
+            idx = self.base_index(node.right.name, positions, op)
         else:
-            idx = self.built_index(node.right, positions)
+            idx = self.built_index(node.right, positions, op)
         left_positions = [left_schema.position(a) for a in shared]
-        op = "not in" if negated else "in"
+        test = "not in" if negated else "in"
 
         def probe(var):
-            self.emit("_probed += 1")
+            self.charge(op, "probed")
             self.emit(
                 "if %s %s %s:"
-                % (self.tuple_expr(var, left_positions), op, idx)
+                % (self.tuple_expr(var, left_positions), test, idx)
             )
             self.depth += 1
             consume(var)
@@ -638,42 +813,21 @@ class _KernelBuilder:
 
         self.produce(node.left, probe)
 
-    def _materialize_set(self, node):
-        """Drain ``node`` into a set, charging like ``_materialize``:
-        every input tuple (duplicates included) materializes and the
-        set's final size is a peak candidate."""
-        out = self.fresh("side")
-        cnt = self.fresh("cnt")
-        self.emit("%s = set()" % out)
-        self.emit("%s = 0" % cnt)
-
-        def collect(var):
-            self.emit("%s.add(%s)" % (out, var))
-            self.emit("%s += 1" % cnt)
-
-        self.produce(node, collect)
-        self.emit("_mat += %s" % cnt)
-        self.emit("if len(%s) > _peak: _peak = len(%s)" % (out, out))
-        return out
-
-    def _produce_division(self, node, consume):
+    def _produce_division(self, node, consume, op):
+        op.label = "DivisionOp"
         left_schema = node.left.schema(self.db_schema)
         right_schema = node.right.schema(self.db_schema)
-        left_set = self._materialize_set(node.left)
-        right_set = self._materialize_set(node.right)
+        left_set = self._collect_set(node.left, op)
+        right_set = self._collect_set(node.right, op)
         self.env["_Relation"] = Relation
         ls = self.bind("schema", left_schema)
         rs = self.bind("schema", right_schema)
-        self.pipelines += 1
-        t = self.fresh("t")
-        self.emit(
-            "for %s in _Relation(%s, %s, validate=False)"
-            ".divide(_Relation(%s, %s, validate=False)).tuples:"
-            % (t, ls, left_set, rs, right_set)
+        self.loop(
+            op,
+            "_Relation(%s, %s, validate=False).divide(_Relation(%s, %s, "
+            "validate=False)).tuples" % (ls, left_set, rs, right_set),
+            consume,
         )
-        self.depth += 1
-        consume(t)
-        self.depth -= 1
 
     _DISPATCH = {
         ra.RelationRef: _produce_scan,
@@ -693,7 +847,7 @@ class _KernelBuilder:
     }
 
 
-def compile_plan(plan, db_schema, fingerprint="adhoc"):
+def compile_plan(plan, db_schema, fingerprint="adhoc", instrumented=False):
     """Compile a canonical plan into a :class:`CompiledKernel`.
 
     Args:
@@ -705,35 +859,66 @@ def compile_plan(plan, db_schema, fingerprint="adhoc"):
         fingerprint: display name for the kernel (the cache passes the
             12-hex plan fingerprint; it also names the pseudo-file the
             source compiles under, so tracebacks identify the kernel).
+        instrumented: emit the instrumented variant instead (run it with
+            :meth:`CompiledKernel.profile`).
 
     Returns:
         The compiled kernel.
 
     Raises:
-        CompileFallback: when the plan contains an unsupported shape.
+        PlanError: when the plan holds a node outside the canonical
+            operator set.
     """
-    builder = _KernelBuilder(db_schema)
-    schema = plan.schema(db_schema)
+    builder = _KernelBuilder(db_schema, instrumented)
+    result = builder.operators[0]
     builder.produce(plan, lambda var: builder.emit("_out.add(%s)" % var))
-    lines = ["def kernel(_db, _tally, _params):"]
-    lines.extend(
-        "    _p%d = _params[%d]" % (slot, slot)
-        for slot in sorted(builder.slots)
-    )
-    lines += [
-        "    _scanned = 0",
-        "    _probed = 0",
-        "    _built = 0",
-        "    _mat = 0",
-        "    _peak = 0",
-        "    _out = set()",
-        "    try:",
-    ]
-    lines.extend(builder.lines)
-    lines.extend(
-        [
-            "        _mat += len(_out)",
-            "        if len(_out) > _peak: _peak = len(_out)",
+    builder.charge(result, "mat", "len(_out)")
+    builder.peak(result, "len(_out)")
+    prologue = []
+    if builder.slots:
+        prologue = ["    try:"]
+        prologue += [
+            "        _p%d = _params[%d]" % (slot, slot)
+            for slot in sorted(builder.slots)
+        ]
+        prologue += [
+            "    except IndexError:",
+            "        raise _unbound(len(_params)) from None",
+        ]
+        builder.env["_unbound"] = _unbound
+    if instrumented:
+        lines = ["def kernel(_db, _params):"] + prologue
+        lines += ["    %s = 0" % name for name in sorted(builder.locals)]
+        lines += ["    _el%d = 0.0" % i for i in range(builder.segments)]
+        lines.append("    _out = set()")
+        lines.extend(builder.lines)
+        counts = []
+        for op in builder.operators:
+            names = ["_%s_%d" % (field, op.index) for field in COUNTERS]
+            counts.append(
+                [name if name in builder.locals else "0" for name in names]
+            )
+        counts[0][0] = "len(_out)"  # the result's rows
+        lines.append(
+            "    return _out, (%s), (%s)"
+            % (
+                "".join("(%s), " % ", ".join(c) for c in counts),
+                "".join("_el%d, " % i for i in range(builder.segments)),
+            )
+        )
+    else:
+        lines = ["def kernel(_db, _tally, _params):"] + prologue
+        lines += [
+            "    _scanned = 0",
+            "    _probed = 0",
+            "    _built = 0",
+            "    _mat = 0",
+            "    _peak = 0",
+            "    _out = set()",
+            "    try:",
+        ]
+        lines.extend(builder.lines)
+        lines += [
             "    finally:",
             "        _stats = _tally.stats",
             "        _stats.facts_scanned += _scanned",
@@ -744,17 +929,34 @@ def compile_plan(plan, db_schema, fingerprint="adhoc"):
             "            _tally.peak_buffer = _peak",
             "    return _out",
         ]
-    )
     source = "\n".join(lines) + "\n"
     namespace = dict(builder.env)
     exec(  # noqa: S102 - the source is generated here, not user input
         compile(source, "<kernel %s>" % fingerprint, "exec"), namespace
     )
+    operators = None
+    if instrumented:
+        operators = tuple(
+            (
+                op.label,
+                op.condition,
+                tuple(
+                    child.index
+                    for _side, child in sorted(
+                        op.children, key=lambda pair: pair[0]
+                    )
+                ),
+                tuple(op.segments),
+            )
+            for op in builder.operators
+        )
     return CompiledKernel(
         namespace["kernel"],
-        schema,
+        plan,
+        db_schema,
         source,
         builder.pipelines,
-        builder.ops,
+        len(builder.operators) - 1,
         fingerprint,
+        operators,
     )

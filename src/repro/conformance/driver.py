@@ -10,9 +10,9 @@ regression file rather than a seed number in a log.
 The run report is JSON (printed to stdout or ``--report FILE``):
 cases run per family, wall-clock, per-construct coverage with the
 unseen-construct audit, every divergence with its shrunk size, and the
-``kernels`` counts (``codegens``, ``fallbacks``, ``fallback_runs``) of
-the direct compiled leg and of the session legs' workbenches, which
-show how much of the corpus compiles.
+``kernels`` counts (``codegens`` and ``hits``) of the template-kernel
+leg and of the session legs' workbenches, which show how much kernel
+reuse the corpus exercises.
 """
 
 from __future__ import annotations

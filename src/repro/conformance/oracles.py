@@ -5,8 +5,8 @@ returns a list of divergence messages (empty = the metatheorems held on
 this case).  Two oracle kinds:
 
 * **Differential** — run one workload through every applicable
-  evaluation path and demand agreement: legacy tree walk vs. streaming
-  executor vs. fused compiled kernels vs. optimized plan; direct
+  evaluation path and demand agreement: legacy tree walk vs. fused
+  compiled kernels vs. template kernels vs. optimized plan; direct
   calculus semantics vs. Codd-translated algebra; all four Datalog
   strategies under both physical configurations (plus the lowered
   pipeline); 2PL / timestamp / OCC scheduler outputs against the
@@ -62,16 +62,13 @@ import random
 #: leg runs whatever plans it emits.
 _FULL_PIPELINE = Optimizer()
 
-#: One shared kernel cache for the compiled-execution leg.  Shared
-#: across cases on purpose: repeated plan shapes replay cached kernels
-#: (exercising the reuse path), and every refused plan lands in the
-#: cache's ``fallback_runs`` counter — fallbacks are *counted*, never
-#: silent, so a sweep report can show how much of the corpus compiled.
+#: One shared kernel cache for the template-kernel leg.  Shared across
+#: cases on purpose: repeated plan shapes replay cached kernels
+#: (exercising the reuse path).
 _KERNEL_CACHE = KernelCache(capacity=512)
 
-#: The kernel counts a sweep reports: kernels generated, distinct plans
-#: refused, and runs that fell back.
-_KERNEL_COUNTS = ("codegens", "fallbacks", "fallback_runs")
+#: The kernel counts a sweep reports: kernels generated, and cache hits.
+_KERNEL_COUNTS = ("codegens", "hits")
 
 #: The same counts summed over the session legs' workbenches (the
 #: template leg and the Datalog ``wb.run`` leg), which each resolve
@@ -124,24 +121,22 @@ def _relation_diff(label, left, right):
 
 
 class RelationalDifferentialOracle(Oracle):
-    """Tree walk ≡ streaming executor ≡ compiled ≡ optimized ≡ templated.
+    """Tree walk ≡ kernel ≡ template kernel ≡ optimized ≡ templated.
 
-    The compiled leg resolves each canonical plan's template against a
-    shared :class:`~repro.compile.KernelCache` and, when the generator
-    accepts the shape, demands the fused kernel's result be *identical*
-    to the streaming executor's; refused plans run interpreted-only and
-    count in the cache's fallback counters (never silently skipped).
+    The case's canonical plan runs on a one-shot kernel
+    (:func:`~repro.plan.execute`) against the tree walk; its template
+    resolves through a shared :class:`~repro.compile.KernelCache` and
+    must give the *identical* relation on the case's values.
 
     The template leg runs the case twice and then a *sibling* — the
     same plan with every lifted literal replaced by another
     active-domain value of its type — through one workbench on its
-    default route.  The case's first run interprets and its second
-    compiles the template's kernel, so the sibling is served from the
+    default route.  The case's first run compiles the template's
+    kernel, so the second run and the sibling are served from the
     case's cached template and kernel; each answer must match the tree
     walk of its own plan.  It also pins value independence: the
     optimized template, bound to either value tuple, must key equal to
-    the optimized concrete plan.  The streaming executor keeps its own
-    leg too: the direct ``execute()`` against the tree walk.
+    the optimized concrete plan.
     """
 
     family = "relational-differential"
@@ -173,15 +168,14 @@ class RelationalDifferentialOracle(Oracle):
             )
 
         template, values = parameterize(canonical)
-        kernel, _reason = _KERNEL_CACHE.resolve(template, db)
-        if kernel is not None:
-            compiled, _tally = kernel.execute(db, params=values)
-            if compiled != streamed:
-                messages.append(
-                    _relation_diff(
-                        "compiled kernel vs executor", compiled, streamed
-                    )
+        kernel = _KERNEL_CACHE.resolve(template, db)
+        compiled, _tally = kernel.execute(db, params=values)
+        if compiled != streamed:
+            messages.append(
+                _relation_diff(
+                    "template kernel vs executor", compiled, streamed
                 )
+            )
 
         optimized_plan = canonicalize(
             _FULL_PIPELINE.optimize(canonical, db), db.schema()
@@ -200,8 +194,8 @@ class RelationalDifferentialOracle(Oracle):
     def _template_leg(seed, db, template, values):
         messages = []
         expected = evaluate(bind(template, values), db)
-        # The case's first run interprets and sights its kernel, the
-        # second compiles it, and the sibling runs that kernel.
+        # The case's first run compiles its kernel; the second run and
+        # the sibling run that kernel.
         runs = [
             ("case, first run", values, expected),
             ("case, second run", values, expected),
@@ -245,7 +239,7 @@ class RelationalDifferentialOracle(Oracle):
                 "cache misses" % wb.plan_cache.stats()["misses"]
             )
         kernels = wb.kernel_cache.stats()
-        if kernels["codegens"] + kernels["fallbacks"] > 1:
+        if kernels["codegens"] > 1:
             messages.append(
                 "the sibling did not share the case's kernel: %d codegens"
                 % kernels["codegens"]
@@ -324,8 +318,8 @@ DATALOG_CONFIGS = ((True, True), (False, False))
 
 def _session_models(program, edb):
     """``wb.run`` of the program's text on the default route, twice, over
-    a workbench that stores the EDB: the first run interprets each
-    lowered plan on the streaming executor, the second runs its kernel.
+    a workbench that stores the EDB: the first run compiles each lowered
+    plan's kernel, the second runs it from the cache.
 
     Each relation's attributes are ``c{n-1}..c0``, the default names
     reversed, so a lowering that read stored names as positions would
@@ -353,8 +347,8 @@ class DatalogDifferentialOracle(Oracle):
     they join the comparison only when the program has no negation; the
     lowered relational pipeline joins when the program is non-recursive.
     The session leg runs the program's text twice through a workbench
-    that stores the EDB, on its default route: the first run interprets
-    the lowered plans, the second runs their compiled kernels.
+    that stores the EDB, on its default route: the first run compiles
+    the lowered plans' kernels, the second runs them from the cache.
     """
 
     family = "datalog-differential"
@@ -639,8 +633,8 @@ class MetamorphicRelationalOracle(Oracle):
 
     Each rewrite builds two expressions from the case's base expression
     whose equivalence is a (small) theorem of the algebra under set
-    semantics; both run on the streaming executor and must agree up to
-    column order.  Rewrite parameters (the conditions and projections
+    semantics; both run on one-shot kernels and must agree up to column
+    order.  Rewrite parameters (the conditions and projections
     involved) are derived deterministically from the case seed so every
     case replays bit-for-bit.
     """
@@ -851,7 +845,7 @@ class MetamorphicOptimizerOracle(Oracle):
     The full default pipeline and, for each rule in the case's
     deterministic toggle set, the pipeline with exactly that rule
     disabled all optimize the same canonical plan; every optimized
-    plan runs on the streaming executor and must reproduce the
+    plan runs on a one-shot kernel and must reproduce the
     unoptimized plan's result *exactly* (the optimizer's permutation
     projections make even column order an invariant).
     """

@@ -9,8 +9,8 @@ module accepts the invitations programmatically:
 * :func:`datalog_experiment` — all four Datalog strategies on random
   programs/EDBs/queries;
 * :func:`optimizer_experiment` — the rewrite pipeline preserves results;
-* :func:`executor_experiment` — the streaming executor agrees with the
-  legacy tree walk, with and without the optimizer, on random plans;
+* :func:`executor_experiment` — compiled kernels agree with the legacy
+  tree walk, with and without the optimizer, on random plans;
 * :func:`chase_vs_armstrong` — the chase and the closure algorithm agree
   on FD implication.
 

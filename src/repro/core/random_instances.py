@@ -225,8 +225,8 @@ def random_algebra_expression(db, seed=0, size=4):
     expression always type-checks (disjoint schemas for products,
     union-compatible sides for set operations, proper-subset divisors).
     Deterministic in ``seed``; the differential executor tests sweep
-    seeds to compare the streaming executor against the legacy tree
-    walk on the results.
+    seeds to compare compiled kernels against the legacy tree walk on
+    the results.
 
     The conformance kit's coverage tracker audits this generator against
     the full construct universe (see

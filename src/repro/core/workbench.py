@@ -38,8 +38,12 @@ from ..obs.metrics import REGISTRY
 from ..obs.trace import ensure_tracer
 from ..opt import Optimizer
 from ..plan.cache import CachedPlan, PlanCache
-from ..plan.executor import execute_physical
-from ..plan.explain import annotate_estimates, explain_datalog, run_explained
+from ..plan.explain import (
+    annotate_estimates,
+    explain_datalog,
+    explain_kernel,
+    kernel_status,
+)
 from ..plan.logical import bind, canonicalize, parameterize, plan_key
 from ..relational.algebra import evaluate, relation_names
 from ..relational.calculus import evaluate_query
@@ -55,11 +59,9 @@ from ..relational.sql_frontend import parse_sql
 from ..storage.txn import TransactionManager
 
 #: The accepted ``executor=`` values.  True, the default, runs each
-#: cached plan's compiled kernel from the plan's second run on; the
-#: first run, and a plan the code generator refuses, run on the
-#: streaming executor.  False walks the same plan as a materializing
-#: tree (the differential oracle).  ``"compiled"`` is a synonym of
-#: True, accepted only because the end-to-end benchmark
+#: cached plan's compiled kernel.  False walks the same plan as a
+#: materializing tree (the differential oracle).  ``"compiled"`` is a
+#: synonym of True, accepted only because the end-to-end benchmark
 #: (``benchmarks/e2e``) passes it; it goes with that benchmark's next
 #: change.
 EXECUTORS = (True, False, "compiled")
@@ -142,11 +144,9 @@ class MetatheoryWorkbench:
     #
     # Every relational entry point compiles into one pipeline:
     # front-end -> canonical logical plan -> optimizer -> cached plan ->
-    # compiled kernel (the streaming executor for a shape's first run and
-    # for a plan the code generator refuses).  ``executor=False`` runs
-    # the same cached plan on the materialize-everything tree walk (the
-    # differential oracle), mirroring the ``indexed=False`` opt-out of
-    # the Datalog layer.
+    # compiled kernel.  ``executor=False`` runs the same cached plan on
+    # the materialize-everything tree walk (the differential oracle),
+    # mirroring the ``indexed=False`` opt-out of the Datalog layer.
 
     def _sync_caches(self):
         """Surgically invalidate caches for relations that changed.
@@ -229,22 +229,22 @@ class MetatheoryWorkbench:
         return entry, hit, key, values
 
     def _run_pipeline(self, expr, optimized, stats, capture=None,
-                      executor=True, db=None, txn=None):
+                      executor=True, db=None, txn=None, schema=None):
         """Plan ``expr`` through the caches and run it on ``db`` (the
-        session's database by default) on the route ``executor`` names.
+        session's database by default, whose ``schema`` the caller may
+        pass) on the route ``executor`` names.
 
-        ``executor=True`` runs the plan's kernel.  The kernel cache
-        resolves tiered: a plan shape's first run interprets on the
-        streaming executor (route "cold") and its second compiles, so a
-        shape that runs once never pays for code generation.  A plan the
-        code generator refuses interprets too, counting
-        ``compile_fallbacks_total``.  The armed flight recorder runs the
-        instrumented streaming twin instead; ``executor=False`` walks
-        the plan.
+        ``executor=True`` runs the plan's kernel, compiled on the plan's
+        first run; ``executor=False`` walks the plan.  A ``capture``
+        marked ``analyze`` (EXPLAIN ANALYZE, the armed flight
+        recorder) runs the kernel's instrumented variant and receives
+        its :class:`~repro.plan.explain.ExplainResult` as ``explained``,
+        its report as ``report`` and the plan as ``plan``.
         """
         self._sync_caches()
         base = self.db if db is None else db
-        schema = base.schema()
+        if schema is None:
+            schema = base.schema()
         canonical = canonicalize(expr, schema)
         if txn is not None:
             # Declare the statement's read set before executing: the
@@ -259,35 +259,23 @@ class MetatheoryWorkbench:
         if not executor:
             self._note_route(key, "treewalk", capture)
             return evaluate(bind(entry.plan, values), base)
-        if capture is not None and capture.get("instrument"):
-            # The flight recorder is armed: run the instrumented twin
-            # (identical answers, pinned by the differential suite) so a
-            # slow query's OpReport already exists.
-            self._note_route(key, "streaming", capture)
-            explained = run_explained(
-                bind(entry.plan, values), base, stats=stats,
-                tracer=self.tracer,
+        kernel = self.kernel_cache.resolve(
+            entry.plan, base, schema, entry.kernel_lookup
+        )
+        self._note_route(key, "compiled", capture, kernel=kernel.fingerprint)
+        if capture is not None and capture.get("analyze"):
+            explained = explain_kernel(
+                kernel, base, values, stats=stats,
+                tracer=capture.get("tracer", self.tracer),
+                kind=capture.get("kind"),
             )
+            explained.optimizer = entry.info
+            explained.kernel = kernel_status(kernel)
+            capture["explained"] = explained
             capture["report"] = explained.report
+            capture["plan"] = entry.plan
             capture["instrumented"] = True
             return explained.result
-        kernel, reason = self.kernel_cache.resolve(
-            entry.plan, base, schema, entry.kernel_lookup, tiered=True
-        )
-        if kernel is None:
-            if reason is None:
-                route = "cold"
-            else:
-                # The code generator refused the plan: interpret it,
-                # loudly.
-                self.metrics.counter("compile_fallbacks_total").inc()
-                route = "compiled-fallback"
-            self._note_route(key, route, capture)
-            relation, _tally = execute_physical(
-                bind(entry.plan, values), base, stats
-            )
-            return relation
-        self._note_route(key, "compiled", capture, kernel=kernel.fingerprint)
         relation, _tally = kernel.execute(base, stats, values)
         return relation
 
@@ -325,14 +313,11 @@ class MetatheoryWorkbench:
             optimized: run the algebraic optimizer over the canonical
                 plan.
             executor: True (default) runs the cached plan's fused
-                Python kernel, compiled on the plan shape's second run
-                and cached per shape; the first run, and a plan the code
-                generator refuses (counted in
-                ``compile_fallbacks_total``), run on the streaming
-                executor.  ``"compiled"`` is a synonym of True.  False
-                runs the same cached plan on the materializing tree walk
-                (the differential oracle).  Any other value raises
-                ValueError.
+                Python kernel, compiled on the plan shape's first run
+                and cached per shape.  ``"compiled"`` is a synonym of
+                True.  False runs the same cached plan on the
+                materializing tree walk (the differential oracle).  Any
+                other value raises ValueError.
             stats: optional
                 :class:`~repro.datalog.stats.EngineStatistics` charged
                 with the executor's work.
@@ -363,13 +348,15 @@ class MetatheoryWorkbench:
     def _dml(self, stmt, optimized, executor, stats, capture=None, txn=None):
         """Run a DML statement: pipeline the relational side, apply the
         delta (see :meth:`_apply_dml`)."""
+        if capture is not None and "kind" in capture:
+            capture["kind"] = "dml:%s" % stmt.kind  # EXPLAIN ANALYZE's
         result = self._apply_dml(
             stmt,
             lambda db: self._run_pipeline(
                 stmt.source_expr(), optimized, stats, capture=capture,
                 executor=executor, db=db, txn=txn,
             ),
-            self.tracer,
+            (capture or {}).get("tracer", self.tracer),
             txn=txn,
         )
         if capture is not None:
@@ -553,47 +540,39 @@ class MetatheoryWorkbench:
             "datalog", source, parse_program, capture
         )
         if executor and is_lowerable(program):
-            return self._lowered(program, optimized, executor, stats, capture)
+            return self._lowered(program, optimized, stats, capture)
         if capture is not None:
             capture["route"] = "datalog:fixpoint"
         return self._engine(program, executor, optimized).evaluate(
             stats=stats
         )
 
-    def _lowered(self, program, optimized, executor, stats, capture=None,
-                 db=None):
+    def _lowered(self, program, optimized, stats, capture=None, db=None):
         """The model of a non-recursive program: each IDB predicate's
         plan runs through :meth:`_run_pipeline` like a SQL statement
-        (plan cache, optimizer, executor route), over this session's
-        relations (or the snapshot ``db`` of them)."""
+        (plan cache, optimizer, kernel), over this session's relations
+        (or the snapshot ``db`` of them)."""
         reject_system_heads(program)
         base = self.db if db is None else db
-        steps = []
+        hits = []
 
-        def execute(_predicate, expr, run_stats):
+        def execute(_predicate, expr, run_stats, db_schema):
             step = {} if capture is not None else None
             relation = self._run_pipeline(
-                expr, optimized, run_stats, capture=step, executor=executor,
-                db=db,
+                expr, optimized, run_stats, capture=step, db=db,
+                schema=db_schema,
             )
             if step is not None:
-                steps.append(step)
+                hits.append(step["plan_cache_hit"])
             return relation
 
         model = lowered_evaluate(
             program, base, execute=execute, stats=stats, tracer=self.tracer,
         )
         if capture is not None:
-            # A refused or cold predicate names the program's route.
-            routes = {step["route"] for step in steps}
-            capture["route"] = "datalog:%s" % next(
-                (r for r in ("compiled-fallback", "cold") if r in routes),
-                "compiled",
-            )
-            if steps:
-                capture["plan_cache_hit"] = all(
-                    s["plan_cache_hit"] for s in steps
-                )
+            capture["route"] = "datalog:compiled"
+            if hits:
+                capture["plan_cache_hit"] = all(hits)
         return model
 
     # -- observability ------------------------------------------------------------
@@ -615,11 +594,11 @@ class MetatheoryWorkbench:
             and kind != "datalog"
             and not (kind == "calculus" and via == "direct")
         ):
-            # Arm the instrumented streaming twin in place of the kernel
-            # so a slow query's OpReport exists without a re-run.  The
-            # tree walk and the fixpoint engines have no per-operator
-            # reports; they record wall time and counters only.
-            capture["instrument"] = True
+            # Run each kernel's instrumented variant so a slow query's
+            # OpReport exists without a re-run.  The tree walk and the
+            # fixpoint engines have no per-operator reports; they record
+            # wall time and counters only.
+            capture["analyze"] = True
         own_stats = stats if stats is not None else EngineStatistics()
         self._recording = True
         start = time.perf_counter()
@@ -692,8 +671,11 @@ class MetatheoryWorkbench:
         scan/probe/build/materialize counters, peak buffers per
         operator) and the plan/parse cache outcomes for this run.
 
-        The result is identical to the uninstrumented path (the
-        differential tests pin this); only the accounting differs.
+        The query runs through the same pipeline and cached kernel as
+        the plain call, on the kernel's instrumented variant, so the
+        result is identical; only the accounting differs.  DML executes:
+        the report covers its relational side, and ``result`` is the
+        :class:`~repro.relational.dml.DMLResult`.
 
         Args:
             query: the query, in any front-end.
@@ -715,115 +697,43 @@ class MetatheoryWorkbench:
         tracer = ensure_tracer(tracer) if tracer is not None else self.tracer
         if kind is None:
             kind = self._detect_kind(query)
-
-        self._sync_caches()
-        parse_cache_hit = None
+        capture = {"analyze": True, "tracer": tracer, "kind": kind}
         if kind == "datalog":
-            parse_cache_hit = ("datalog", query) in self._parse_cache
-            program, _queries = self._cached_parse(
-                "datalog", query, parse_program
-            )
-            reject_system_heads(program)
-            result = explain_datalog(
-                program,
-                self.db,
-                plan_for=lambda canonical: self._plan_for(
-                    canonical, optimized
-                ),
-                stats=stats,
-                tracer=tracer,
-            )
-            result.parse_cache_hit = parse_cache_hit
-            return result
-        if kind == "sql":
-            parse_cache_hit = ("sql", query) in self._parse_cache
-            expr = self._cached_parse("sql", query, parse_sql)
-            if isinstance(expr, DMLStatement):
-                return self._explain_dml(
-                    expr, optimized, stats, tracer, parse_cache_hit
-                )
-        elif kind == "calculus":
-            if isinstance(query, str):
-                parse_cache_hit = ("calculus", query) in self._parse_cache
-                query = self._cached_parse("calculus", query, parse_calculus)
-            expr = calculus_to_algebra(query, self.db.schema())
-        elif kind == "algebra":
-            expr = query
-        else:
-            raise ValueError("unknown query kind %r" % (kind,))
-
-        canonical = canonicalize(expr, self.db.schema())
-        entry, plan_cache_hit, _key, values = self._plan_for(
-            canonical, optimized
+            return self._explain_datalog(query, optimized, stats, capture)
+        result = self._dispatch(
+            kind, query, optimized, True, stats, "algebra", capture
         )
-        result = run_explained(
-            bind(entry.plan, values), self.db, stats=stats, tracer=tracer,
-            kind=kind,
-        )
-        result.plan_cache_hit = plan_cache_hit
-        result.parse_cache_hit = parse_cache_hit
-        result.optimizer = entry.info
-        result.kernel = self._kernel_status(entry.plan)
-        annotate_estimates(result.report, entry.plan, self.db)
-        return result
-
-    def _explain_dml(self, stmt, optimized, stats, tracer, parse_cache_hit):
-        """EXPLAIN ANALYZE for DML.
-
-        ANALYZE executes: the relational side runs instrumented (the
-        OpReport tree covers the INSERT source or the matched-row scan)
-        and the delta **is applied** through the same tail as the plain
-        statement, so ``result`` is the same
-        :class:`~repro.relational.dml.DMLResult` it returns, alongside the
-        plan/kernel fingerprints.
-        """
-        canonical = canonicalize(stmt.source_expr(), self.db.schema())
-        entry, plan_cache_hit, _key, values = self._plan_for(
-            canonical, optimized
-        )
-        explained = None
-
-        def execute(db):
-            nonlocal explained
-            explained = run_explained(
-                bind(entry.plan, values), db, stats=stats, tracer=tracer,
-                kind="dml:%s" % stmt.kind,
-            )
-            return explained.result
-
-        result = self._apply_dml(stmt, execute, tracer)
+        explained = capture["explained"]
         explained.result = result
-        explained.plan_cache_hit = plan_cache_hit
-        explained.parse_cache_hit = parse_cache_hit
-        explained.optimizer = entry.info
-        explained.kernel = self._kernel_status(entry.plan)
-        annotate_estimates(explained.report, entry.plan, self.db)
+        explained.plan_cache_hit = capture["plan_cache_hit"]
+        explained.parse_cache_hit = capture.get("parse_cache_hit")
+        annotate_estimates(explained.report, capture["plan"], self.db)
         return explained
 
-    def _kernel_status(self, plan):
-        """Compiled-kernel status of a plan template for EXPLAIN ANALYZE.
+    def _explain_datalog(self, source, optimized, stats, capture):
+        """EXPLAIN ANALYZE for Datalog: every lowered predicate's plan
+        runs through :meth:`_run_pipeline` on its kernel's instrumented
+        variant."""
+        program, _queries = self._cached_parse(
+            "datalog", source, parse_program, capture
+        )
+        reject_system_heads(program)
+        hits = []
 
-        Peeks the kernel cache without compiling: ``status`` is
-        "compiled", "fallback" (with the refusal reason), or "cold"
-        when no run has compiled this plan yet (EXPLAIN ANALYZE itself
-        runs the instrumented streaming twin, never a kernel).
-        """
-        entry, fingerprint = self.kernel_cache.peek(plan, self.db)
-        if entry is None:
-            return {"fingerprint": fingerprint, "status": "cold"}
-        reason = getattr(entry, "reason", None)
-        if reason is not None:
-            return {
-                "fingerprint": fingerprint,
-                "status": "fallback",
-                "reason": reason,
-            }
-        return {
-            "fingerprint": fingerprint,
-            "status": "compiled",
-            "pipelines": entry.pipelines,
-            "hits": entry.hits,
-        }
+        def explain(_predicate, expr, run_stats, db_schema):
+            step = dict(capture)
+            self._run_pipeline(
+                expr, optimized, run_stats, capture=step, schema=db_schema
+            )
+            hits.append(step["plan_cache_hit"])
+            return step["explained"]
+
+        result = explain_datalog(
+            program, self.db, explain, stats=stats, tracer=capture["tracer"]
+        )
+        result.plan_cache_hit = all(hits) if hits else None
+        result.parse_cache_hit = capture["parse_cache_hit"]
+        return result
 
     def codd_check(self, query):
         """Run :func:`~repro.relational.codd.check_codd_equivalence`.
@@ -876,9 +786,7 @@ class MetatheoryWorkbench:
             pinned = self.db.snapshot().db
 
             def session(program, stats):
-                return self._lowered(
-                    program, optimized, executor, stats, db=pinned
-                )
+                return self._lowered(program, optimized, stats, db=pinned)
         return DatalogEngine(
             program, store, executor=executor, tracer=self.tracer,
             session=session,

@@ -41,8 +41,8 @@ class DatalogEngine:
     planner, both on by default); the defaults reproduce the seed's
     *semantics* while changing its physical plan.  ``executor`` routes
     *non-recursive* programs through the shared relational pipeline
-    (lowered to algebra plans over ``edb.to_database()``, run on the
-    streaming executor) for the bottom-up strategies; recursive programs
+    (lowered to algebra plans over ``edb.to_database()``, run on
+    one-shot kernels) for the bottom-up strategies; recursive programs
     always use the fixpoint machinery, and ``executor=False`` forces it
     everywhere.
 

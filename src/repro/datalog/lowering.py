@@ -285,16 +285,16 @@ def lower_program(program, db_schema):
     ]
 
 
-def _interpret(db, db_schema):
+def _run_once(db):
     """The default ``execute`` of :func:`lowered_evaluate`: the
-    canonical plan on the streaming executor."""
+    canonical plan on a one-shot kernel."""
     # Imported here, not at module top: repro.plan.executor needs the
     # EngineStatistics counters from this package, so a module-level
     # import would close an import cycle through the package __init__s.
     from ..plan.executor import execute_physical
     from ..plan.logical import canonicalize
 
-    def execute(_predicate, expr, stats):
+    def execute(_predicate, expr, stats, db_schema):
         relation, _tally = execute_physical(
             canonicalize(expr, db_schema), db, stats
         )
@@ -335,11 +335,12 @@ def lowered_evaluate(program, db, execute=None, stats=None,
         db: the :class:`~repro.relational.database.Database` the plans
             read.  An engine with no session passes
             ``FactStore.to_database()`` of its EDB.
-        execute: ``execute(predicate, expression, stats)`` runs one
-            predicate's plan and returns its Relation; the workbench
-            passes its own pipeline (plan cache, optimizer, executor
-            route).  Defaults to the canonical plan on the streaming
-            executor.
+        execute: ``execute(predicate, expression, stats, db_schema)``
+            runs one predicate's plan and returns its Relation;
+            ``db_schema`` is ``db.schema()``, built once per run.  The
+            workbench passes its own pipeline (plan cache, optimizer,
+            executor route).  Defaults to the canonical plan on a
+            one-shot kernel.
         stats: optional EngineStatistics, passed to ``execute``.
         tracer: records a ``datalog_lowered`` span with one
             ``predicate`` span per plan.
@@ -354,14 +355,14 @@ def lowered_evaluate(program, db, execute=None, stats=None,
     )
     plans = lower_program(program, db_schema)
     if execute is None:
-        execute = _interpret(db, db_schema)
+        execute = _run_once(db)
     model = _base_model(program, db)
     with tracer.span("datalog_lowered", stats=stats) as program_span:
         for predicate, expr in plans:
             with tracer.span(
                 "predicate", stats=stats, predicate=predicate
             ) as span:
-                result = execute(predicate, expr, stats)
+                result = execute(predicate, expr, stats, db_schema)
                 span.set(rows=len(result))
             model.share(predicate, result.tuples)
         program_span.set(predicates=len(plans))

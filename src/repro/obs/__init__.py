@@ -2,7 +2,7 @@
 
 The paper judges the health of a field by *measuring* it; this package
 applies the same discipline to the codebase.  Every execution layer —
-the streaming executor, the Datalog fixpoint engines, the transaction
+instrumented kernels, the Datalog fixpoint engines, the transaction
 schedulers — can emit spans into a :class:`~repro.obs.trace.Tracer` and
 counters into a :class:`~repro.obs.metrics.MetricsRegistry`, turning
 runtime behavior into first-class inspectable data instead of print

@@ -10,14 +10,15 @@ bounded window (``capacity`` most recent queries); a crash is exactly
 when the tape matters most, so recording happens in a ``finally`` and a
 failed query is a first-class record with ``status="error"``.
 
-Arming the **slow-query threshold** (``slow_ms``) switches the
-workbench's default route from compiled kernels to the instrumented
-streaming twin (:func:`~repro.plan.explain.run_explained` — identical
-answers, pinned by the differential suite), so when a query crosses the
-threshold the full per-operator :class:`~repro.plan.explain.OpReport`
-tree already exists and is attached to the record.  Reports for fast
-queries are discarded; the wall time recorded is the instrumented run's,
-and the record says so (``instrumented=True``).
+Arming the **slow-query threshold** (``slow_ms``) runs each query on
+its kernel's instrumented variant
+(:func:`~repro.plan.explain.explain_kernel` — the same fused loops,
+with per-operator counters and per-pipeline clocks), so when a query
+crosses the threshold the full per-operator
+:class:`~repro.plan.explain.OpReport` tree already exists and is
+attached to the record.  Reports for fast queries are discarded; the
+wall time recorded is the instrumented run's, and the record says so
+(``instrumented=True``).
 
 Zero-cost when off: a disabled history costs one attribute check per
 query on the workbench's hot path — no records, no statistics objects,
@@ -68,12 +69,10 @@ class QueryRecord:
             (None where the cache does not apply).
         plan_fingerprint: short hash of the plan-cache key, joinable
             against ``sys_plan_cache``; None off the pipeline path.
-        route: how the query executed ("compiled"; "cold" for a plan
-            shape's first run, interpreted before it compiles;
-            "compiled-fallback" for a plan the code generator refused;
-            "streaming" for the armed recorder's instrumented run;
-            "treewalk", "direct", "datalog:<route>", "datalog:fixpoint",
-            and "dml:<kind>:<route>" for DML).
+        route: how the query executed ("compiled" for a kernel,
+            instrumented or not; "treewalk", "direct",
+            "datalog:compiled", "datalog:fixpoint", and
+            "dml:<kind>:<route>" for DML).
         slow: True when ``wall_ms`` crossed the armed threshold.
         instrumented: True when the run used the instrumented executor.
         report: the :class:`~repro.plan.explain.OpReport` tree attached

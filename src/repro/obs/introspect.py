@@ -23,8 +23,8 @@ The eight system relations:
 ``sys_plan_cache``  one row per cached plan, with per-entry hit counts,
                     the route that last served it, and the fingerprint
                     of the kernel when that route was compiled
-``sys_kernels``     one row per kernel-cache entry (compiled kernels and
-                    cached fallback verdicts)
+``sys_kernels``     one row per kernel-cache entry (status "compiled",
+                    with its fused-pipeline count and hits)
 ``sys_catalog_stats``  the optimizer catalog's census, one row per
                     (relation, attribute)
 ``sys_transactions``  one row per live or finished transaction from the
@@ -233,9 +233,8 @@ class SystemRelations:
         return rows
 
     def rows_kernels(self):
-        """One row per kernel-cache entry: compiled kernels ("compiled",
-        with their fused-pipeline count) and cached fallback verdicts
-        ("fallback", pipelines None)."""
+        """One row per kernel-cache entry: its fingerprint, status
+        ("compiled"), fused-pipeline count and hits."""
         return self.wb.kernel_cache.entries()
 
     def rows_catalog_stats(self):

@@ -86,13 +86,11 @@ class PlanCache:
     def note_route(self, key, route, kernel=None):
         """Record which executor route last served this entry.
 
-        ``sys_plan_cache`` exposes it as ``last_route`` ("compiled",
-        "cold" for a shape's interpreted first run, "compiled-fallback",
-        "streaming" under the armed flight recorder, "treewalk"), so
-        wall-time wins are attributable to kernels; ``kernel`` is the
+        ``sys_plan_cache`` exposes it as ``last_route`` ("compiled"
+        for a kernel, "treewalk" for the oracle); ``kernel`` is the
         serving kernel's fingerprint when the route was compiled,
-        joinable against ``sys_kernels``.  Unknown keys are ignored (the entry
-        may have been evicted between resolve and run).
+        joinable against ``sys_kernels``.  Unknown keys are ignored
+        (the entry may have been evicted between resolve and run).
         """
         if key in self._entries:
             self._route_by_key[key] = route

@@ -1,44 +1,38 @@
-"""The pull-based executor and the tree-walk work meter.
+"""One-shot plan execution and the tree-walk work meter.
 
-:func:`execute` runs any algebra expression through the full pipeline —
-canonicalize, select physical operators, pull the root — and returns a
+:func:`execute` runs any algebra expression through the pipeline —
+canonicalize, compile a kernel, run it — and returns a
 :class:`~repro.relational.relation.Relation` identical to what the
-legacy tree-walk :func:`~repro.relational.algebra.evaluate` produces
-(same attribute order, same tuples).  Work is charged to an optional
-:class:`~repro.datalog.stats.EngineStatistics`.
+tree walk :func:`~repro.relational.algebra.evaluate` produces (same
+attribute order, same tuples).  Work is charged to an optional
+:class:`~repro.datalog.stats.EngineStatistics`.  The workbench runs
+the same kernels through its caches; these entry points compile afresh
+on every call.
 
-:func:`measure_treewalk` runs the *legacy* evaluator under the same
-counters: every non-leaf node's fully-materialized result is charged to
-``tuples_materialized``, and the largest single node result is the peak.
-That is the honest cost model of a materialize-everything tree walk, and
-it is what the pipeline benchmark compares the streaming executor
-against.
+:func:`measure_treewalk` runs the tree walk under the same counters:
+every non-leaf node's fully-materialized result is charged to
+``tuples_materialized``, and the largest single node result is the
+peak.  That is the honest cost model of a materialize-everything tree
+walk, and it is what the pipeline benchmark compares kernels against.
 """
 
 from __future__ import annotations
 
+from ..compile.codegen import compile_plan
 from ..datalog.stats import EngineStatistics
 from ..relational import algebra as ra
-from ..relational.relation import Relation
 from .logical import canonicalize
-from .physical import Tally, build_physical
 
 
 def execute_physical(expr, db, stats=None):
-    """Run an already-canonical plan; return ``(relation, tally)``.
+    """Run an already-canonical plan on a one-shot kernel; return
+    ``(relation, tally)``.
 
     The final result set counts toward ``tuples_materialized`` (it is a
     buffer like any other), symmetric with :func:`measure_treewalk`,
     which charges the root node's result too.
     """
-    tally = Tally(stats if stats is not None else EngineStatistics())
-    root = build_physical(expr, db, tally)
-    out = set()
-    for t in root.tuples():
-        if t not in out:
-            out.add(t)
-            tally.buffered(len(out))
-    return Relation(root.schema, out, validate=False), tally
+    return compile_plan(expr, db.schema()).execute(db, stats)
 
 
 def execute(expr, db, stats=None):
@@ -49,7 +43,7 @@ def execute(expr, db, stats=None):
 
 
 def measure_treewalk(expr, db):
-    """Legacy tree-walk evaluation with work accounting.
+    """Tree-walk evaluation with work accounting.
 
     Returns ``(relation, stats, peak)`` where ``stats`` charges every
     non-leaf node's materialized result size to ``tuples_materialized``

@@ -1,21 +1,23 @@
-"""EXPLAIN ANALYZE: run a plan and annotate every physical operator.
+"""EXPLAIN ANALYZE: run a plan's kernel and annotate every operator.
 
-The instrumented twin of :func:`~repro.plan.executor.execute_physical`:
-:func:`run_explained` builds the physical plan, gives *every operator
-its own* :class:`~repro.datalog.stats.EngineStatistics` (so probe/scan/
-build/buffer work is attributed exactly, not pooled), and wraps each
-operator's pull generator with a timing probe counting rows out and
-wall-clock time spent inside ``next()``.  Timing is *inclusive* — an
-operator's elapsed time contains its children's, like the "actual time"
-column of a conventional EXPLAIN ANALYZE — so a parent's time is always
-at least each child's.
+:func:`explain_kernel` runs a compiled kernel's *instrumented variant*
+(:meth:`~repro.compile.codegen.CompiledKernel.instrumented`): the same
+fused loops production runs, with each operator's probe/scan/build/
+buffer work counted on its own (attributed exactly, not pooled), the
+rows it passes on, and a clock read around each pipeline.  Fused
+operators share one loop, so time is measured per pipeline and reported
+*inclusive*: an operator's elapsed time is that of the pipelines it and
+its inputs drive, like the "actual time" column of a conventional
+EXPLAIN ANALYZE, so a parent's time is always at least each child's.
+An operator the kernel never runs (the right side of a join that
+probes a stored relation's cached index) has no report.
 
 The result is an :class:`ExplainResult`: the query answer plus an
 :class:`OpReport` tree (rows, elapsed, per-operator counters, peak
 buffer) that renders as an indented EXPLAIN tree, exports as a dict,
 and mirrors into a :class:`~repro.obs.trace.Tracer` as nested spans.
-Running explained returns exactly the same relation as running plain
-(the differential suite pins this on the random-algebra generator).
+Running explained returns exactly the same relation as running plain,
+and charges the caller's statistics the same counters.
 
 Zero-cost-when-off holds trivially here: nothing in this module runs
 unless the caller asked for an explained execution.
@@ -25,11 +27,16 @@ from __future__ import annotations
 
 import time
 
+from ..compile.codegen import compile_plan
 from ..datalog.stats import EngineStatistics
 from ..obs.trace import NULL_TRACER
 from ..opt.cost import CostModel
-from ..relational.relation import Relation
-from .physical import Tally, _BuiltIndex, build_physical
+from .logical import bind_condition, canonicalize, parameterize
+
+#: Where an instrumented kernel's counters land on an OpReport's
+#: statistics (the rows and the peak buffer are report fields).
+_STAT_FIELDS = ("facts_scanned", "index_probes", "index_builds",
+                "tuples_materialized")
 
 
 class OpReport:
@@ -111,11 +118,10 @@ class ExplainResult:
         optimizer: the :class:`~repro.opt.OptimizationInfo` of the plan
             that ran — which rules fired, the chosen join method and
             order (None on unoptimized runs).
-        kernel: compiled-kernel status of this plan in the workbench's
-            :class:`~repro.compile.KernelCache` — a dict with
-            ``fingerprint`` and ``status`` ("compiled" with pipeline and
-            hit counts, "fallback" with the refusal reason, or "cold");
-            None outside the workbench (e.g. explained Datalog).
+        kernel: the workbench kernel that ran — a dict with its
+            ``fingerprint``, ``status`` ("compiled"), ``pipelines`` and
+            cache ``hits``; None outside the workbench (e.g. explained
+            Datalog).
     """
 
     __slots__ = ("result", "report", "elapsed", "stats", "kind",
@@ -191,18 +197,13 @@ class ExplainResult:
             summary = self.optimizer.summary()
             lines.append("Optimizer: %s" % (summary or "no rules fired"))
         if self.kernel is not None:
-            status = self.kernel["status"]
-            if status == "compiled":
-                detail = "compiled %s (%d pipelines, %d hits)" % (
+            lines.append(
+                "Kernel: compiled %s (%d pipelines, %d hits)" % (
                     self.kernel["fingerprint"],
                     self.kernel["pipelines"],
                     self.kernel["hits"],
                 )
-            elif status == "fallback":
-                detail = "fallback (%s)" % self.kernel["reason"]
-            else:
-                detail = "cold (not compiled yet)"
-            lines.append("Kernel: %s" % detail)
+            )
         lines.append(self.report.render())
         return "\n".join(lines)
 
@@ -212,139 +213,86 @@ class ExplainResult:
         )
 
 
-class _Probe:
-    """Wraps a physical operator: times ``next()`` calls, counts rows.
-
-    Exposes just what consumers touch at runtime (``schema`` and
-    ``tuples``), so it can stand in for the operator inside any parent.
-    """
-
-    __slots__ = ("op", "report")
-
-    def __init__(self, op, report):
-        self.op = op
-        self.report = report
-
-    @property
-    def schema(self):
-        return self.op.schema
-
-    def describe(self):
-        return self.op.describe()
-
-    def tuples(self):
-        report = self.report
-        clock = time.perf_counter
-        iterator = self.op.tuples()
-        while True:
-            started = clock()
-            try:
-                item = next(iterator)
-            except StopIteration:
-                report.elapsed += clock() - started
-                return
-            report.elapsed += clock() - started
-            report.rows += 1
-            yield item
+def kernel_status(kernel):
+    """The :attr:`ExplainResult.kernel` dict of a cached kernel."""
+    return {
+        "fingerprint": kernel.fingerprint,
+        "status": "compiled",
+        "pipelines": kernel.pipelines,
+        "hits": kernel.hits,
+    }
 
 
-def instrument(root):
-    """Attach per-operator accounting to a built physical plan.
-
-    Every operator (and its index helper, if any) is re-bound to a
-    private :class:`Tally`, and every child edge is replaced with a
-    :class:`_Probe`.  Returns ``(report_root, probe_root, pairs)`` where
-    ``pairs`` maps each operator to its report (for post-run peaks).
-    """
-    pairs = []
-
-    def visit(op):
-        report = OpReport(op.label())
-        op.tally = Tally(report.stats)
-        pairs.append((op, report))
-        wrapped = {}
-        for slot in op.child_slots:
-            child = getattr(op, slot)
-            if id(child) in wrapped:
-                setattr(op, slot, wrapped[id(child)])
-                continue
-            child_report, probe = visit(child)
-            report.children.append(child_report)
-            setattr(op, slot, probe)
-            wrapped[id(child)] = probe
-        index = getattr(op, "_index", None)
-        if index is not None:
-            # Index-build work (base-index first builds, hash-table
-            # builds) is charged to the operator that owns the index.
-            index.tally = op.tally
-            if isinstance(index, _BuiltIndex):
-                probe = wrapped.get(id(index.child))
-                if probe is None:
-                    child_report, probe = visit(index.child)
-                    report.children.append(child_report)
-                index.child = probe
-        return report, _Probe(op, report)
-
-    report, probe = visit(root)
-    return report, probe, pairs
-
-
-def run_explained(plan, db, stats=None, tracer=NULL_TRACER, kind=None):
-    """Execute an already-canonical plan with full instrumentation.
-
-    Produces the same relation as
-    :func:`~repro.plan.executor.execute_physical` (same schema, same
-    tuples) while attributing rows, time, and counters per operator.
+def explain_kernel(kernel, db, values=(), stats=None, tracer=NULL_TRACER,
+                   kind=None):
+    """Run ``kernel``'s instrumented variant over ``db`` and annotate it.
 
     Args:
-        plan: a canonical algebra expression.
+        kernel: a :class:`~repro.compile.codegen.CompiledKernel` of a
+            canonical plan or template.
         db: the database to run over.
+        values: the template's parameter values; labels show them in
+            place of the slots.
         stats: optional session-level EngineStatistics; the run's total
-            work is merged into it, so an explained run charges the same
-            counters a plain run would.
+            work is merged into it, exactly what the plain kernel would
+            charge.
         tracer: optional tracer; the finished report tree is mirrored
             into it as nested ``op:`` spans under an ``execute`` span.
         kind: front-end label recorded on the result.
 
     Returns:
-        An :class:`ExplainResult`.
+        An :class:`ExplainResult` whose root report is the ``Result``
+        node (the final result buffer).
     """
-    root = build_physical(plan, db, Tally(EngineStatistics()))
-    report, probe, pairs = instrument(root)
-
-    # The final result set is a buffer like any other; charge it to a
-    # synthetic Result node so the tree accounts for every tuple held.
-    result_report = OpReport("Result")
-    result_report.children.append(report)
-    result_tally = Tally(result_report.stats)
+    variant = kernel.instrumented()
     clock = time.perf_counter
     started = clock()
-    out = set()
-    for item in probe.tuples():
-        if item not in out:
-            out.add(item)
-            result_tally.buffered(len(out))
+    relation, counts, times = variant.profile(db, values)
     elapsed = clock() - started
-    result_report.rows = len(out)
-    result_report.elapsed = elapsed
-
-    for op, op_report in pairs:
-        op_report.peak_buffer = op.tally.peak_buffer
-    result_report.peak_buffer = result_tally.peak_buffer
-
+    reports = []
+    for (label, condition, _children, _segments), counters in zip(
+        variant.operators, counts
+    ):
+        if condition is not None:
+            label = label % (bind_condition(condition, values),)
+        report = OpReport(label)
+        report.rows = counters[0]
+        for field, value in zip(_STAT_FIELDS, counters[1:5]):
+            setattr(report.stats, field, value)
+        report.peak_buffer = counters[5]
+        reports.append(report)
+    # Every input's index exceeds its consumer's, so walking backwards
+    # times each child before its parent.
+    for index in range(len(reports) - 1, -1, -1):
+        _label, _condition, children, segments = variant.operators[index]
+        report = reports[index]
+        report.children = [reports[child] for child in children]
+        report.elapsed = sum(times[s] for s in segments) + sum(
+            child.elapsed for child in report.children
+        )
+    root = reports[0]
+    root.elapsed = max(elapsed, root.elapsed)
     totals = EngineStatistics()
-    for _, op_report in result_report.walk():
-        totals.merge(op_report.stats)
+    for report in reports:
+        totals.merge(report.stats)
     if stats is not None:
         stats.merge(totals)
-
-    relation = Relation(root.schema, out, validate=False)
-    result = ExplainResult(
-        relation, result_report, elapsed, totals, kind=kind
-    )
+    result = ExplainResult(relation, root, root.elapsed, totals, kind=kind)
     if tracer.enabled:
-        emit_spans(tracer, result_report, kind=kind)
+        emit_spans(tracer, root, kind=kind)
     return result
+
+
+def run_explained(plan, db, stats=None, tracer=NULL_TRACER, kind=None):
+    """EXPLAIN ANALYZE an already-canonical plan on a one-shot kernel.
+
+    Produces the same relation as
+    :func:`~repro.plan.executor.execute_physical` (same schema, same
+    tuples); the arguments are as in :func:`explain_kernel`.
+    """
+    template, values = parameterize(plan)
+    kernel = compile_plan(template, db.schema(), instrumented=True)
+    return explain_kernel(kernel, db, values, stats, tracer, kind)
 
 
 def annotate_estimates(report, plan, db):
@@ -404,46 +352,47 @@ def _emit(tracer, report):
         span.counters = counters
 
 
-def explain_datalog(program, db, plan_for, stats=None, tracer=NULL_TRACER):
+def explain_datalog(program, db, explain=None, stats=None,
+                    tracer=NULL_TRACER):
     """EXPLAIN ANALYZE a non-recursive Datalog program, predicate by
     predicate.
 
     Runs :func:`~repro.datalog.lowering.lowered_evaluate` over ``db``
-    with each predicate's plan instrumented, and collects the
+    with each predicate's plan explained, and collects the
     per-predicate trees under one ``Program`` root report.
 
     Args:
         program: a non-recursive Datalog program.
         db: the database the plans read.
-        plan_for: ``plan_for(canonical)`` returning the
-            ``(entry, hit, key, values)`` of a plan cache, ``entry.plan``
-            the template (the workbench's ``_plan_for``).
+        explain: ``explain(predicate, expression, stats, db_schema)``
+            returning the :class:`ExplainResult` of one predicate's plan
+            (the workbench runs its pipeline); defaults to
+            :func:`run_explained` on the canonical plan.
         stats: optional EngineStatistics charged with the run's work.
         tracer: optional tracer for the lowering and operator spans.
 
     Returns:
         An :class:`ExplainResult` whose ``result`` is the model
-        (a :class:`~repro.datalog.facts.FactStore`), whose report tree
-        has one ``Datalog(predicate)`` child per lowered predicate, and
-        whose ``plan_cache_hit`` is True when every plan was cached.
+        (a :class:`~repro.datalog.facts.FactStore`) and whose report
+        tree has one ``Datalog(predicate)`` child per lowered predicate.
 
     Raises:
         DatalogError: for recursive programs (not lowerable).
     """
     from ..datalog.lowering import lowered_evaluate
-    from .logical import bind, canonicalize
 
-    db_schema = db.schema()
+    if explain is None:
+        def explain(_predicate, expr, run_stats, db_schema):
+            return run_explained(
+                canonicalize(expr, db_schema), db, stats=run_stats,
+                tracer=tracer, kind="datalog",
+            )
+
     root = OpReport("Program")
     totals = EngineStatistics()
-    hits = []
 
-    def execute(predicate, expr, _stats):
-        entry, hit, _key, values = plan_for(canonicalize(expr, db_schema))
-        hits.append(hit)
-        sub = run_explained(
-            bind(entry.plan, values), db, tracer=tracer, kind="datalog"
-        )
+    def execute(predicate, expr, run_stats, db_schema):
+        sub = explain(predicate, expr, run_stats, db_schema)
         predicate_report = OpReport("Datalog(%s)" % predicate)
         predicate_report.rows = len(sub.result)
         predicate_report.elapsed = sub.elapsed
@@ -452,12 +401,9 @@ def explain_datalog(program, db, plan_for, stats=None, tracer=NULL_TRACER):
         totals.merge(sub.stats)
         return sub.result
 
-    model = lowered_evaluate(program, db, execute=execute, tracer=tracer)
+    model = lowered_evaluate(
+        program, db, execute=execute, stats=stats, tracer=tracer
+    )
     root.rows = model.count()
     root.elapsed = sum(child.elapsed for child in root.children)
-    if stats is not None:
-        stats.merge(totals)
-    return ExplainResult(
-        model, root, root.elapsed, totals, kind="datalog",
-        plan_cache_hit=all(hits) if hits else None,
-    )
+    return ExplainResult(model, root, root.elapsed, totals, kind="datalog")

@@ -16,9 +16,10 @@ key although they compare equal.
 :func:`parameterize` splits a canonical plan into a *template* and the
 values lifted out of it: every constant compared against an attribute
 in a selection or theta-join condition becomes a typed
-:class:`~repro.relational.algebra.Param` slot.  Statements that differ
-only in such literals share one template, which is what the
-workbench's :class:`~repro.plan.cache.PlanCache` and the
+:class:`~repro.relational.algebra.Param` slot, and so does every value
+of the literal relation an ``INSERT … VALUES`` plan consists of.
+Statements that differ only in such literals share one template, which
+is what the workbench's :class:`~repro.plan.cache.PlanCache` and the
 :class:`~repro.compile.KernelCache` are keyed on; :func:`bind` puts the
 values back.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from ..errors import PlanError
 from ..relational import algebra as ra
+from ..relational.relation import Relation
 
 #: Core binary set/join operators, tagged for key construction.
 _BINARY_TAGS = {
@@ -186,10 +188,16 @@ def parameterize(plan):
     :class:`~repro.relational.algebra.Attr` in a selection or theta-join
     condition, whose value is a self-equal ``int``, ``bool``, ``float``
     or ``str``, becomes ``Param(slot, type(value))``; ``values[slot]`` is
-    the lifted value.  Constant-vs-constant comparisons, NaN, ``None``,
-    values of other types and relation literals stay inline.  Slots
-    number conditions in pre-order, so two plans of one shape always
-    produce the same template.
+    the lifted value.  Constant-vs-constant comparisons, NaN, ``None``
+    and values of other types stay inline.  Slots number conditions in
+    pre-order, so two plans of one shape always produce the same
+    template.
+
+    A plan that *is* a literal relation (an ``INSERT … VALUES`` source)
+    lifts the liftable values of its rows the same way, so every
+    ``INSERT INTO t VALUES (…)`` of one shape shares a template.  A
+    literal relation inside a larger plan stays inline: the cost model
+    reads its distinct values.
 
     Binding is exact because no planning decision reads a lifted value:
     estimates depend on attribute statistics only, and constant folding
@@ -198,6 +206,8 @@ def parameterize(plan):
     ``optimize(plan)`` would have produced.
     """
     values = []
+    if isinstance(plan, ra.ConstantRelation):
+        return _lift_rows(plan, values), tuple(values)
     template = _map_conditions(
         plan, lambda condition: _lift(condition, values)
     )
@@ -209,15 +219,40 @@ def bind(template, values):
     constant of its slot in ``values``."""
     if not values:
         return template
+    if isinstance(template, ra.ConstantRelation):
+        relation = template.relation
+        return ra.ConstantRelation(
+            Relation(
+                relation.schema,
+                (
+                    tuple(
+                        values[v.slot] if isinstance(v, ra.Param) else v
+                        for v in row
+                    )
+                    for row in relation.tuples
+                ),
+                validate=False,
+            )
+        )
+    return _map_conditions(
+        template, lambda condition: bind_condition(condition, values)
+    )
+
+
+def bind_condition(condition, values):
+    """``condition`` with every parameter replaced by the constant of its
+    slot in ``values``."""
 
     def put(operand, _other):
         if isinstance(operand, ra.Param):
             return ra.Const(values[operand.slot])
         return operand
 
-    return _map_conditions(
-        template, lambda condition: _map_operands(condition, put)
-    )
+    return _map_operands(condition, put)
+
+
+def _liftable(value):
+    return type(value) in _LIFTABLE and value == value
 
 
 def _lift(condition, values):
@@ -225,14 +260,45 @@ def _lift(condition, values):
         if (
             isinstance(operand, ra.Const)
             and isinstance(other, ra.Attr)
-            and type(operand.value) in _LIFTABLE
-            and operand.value == operand.value
+            and _liftable(operand.value)
         ):
             values.append(operand.value)
             return ra.Param(len(values) - 1, type(operand.value))
         return operand
 
     return _map_operands(condition, lift)
+
+
+def _lift_rows(literal, values):
+    """``literal`` with its liftable values in parameter slots.
+
+    Rows take their slots in the order of their shapes (which values
+    lift, and their types), so one statement shape always numbers its
+    slots alike; rows of one shape lift to identical template rows.
+    """
+    rows = []
+    for row in sorted(literal.relation.tuples, key=_row_shape):
+        lifted = []
+        for value in row:
+            if _liftable(value):
+                values.append(value)
+                value = ra.Param(len(values) - 1, type(value))
+            lifted.append(value)
+        rows.append(tuple(lifted))
+    if not values:
+        return literal
+    return ra.ConstantRelation(
+        Relation(literal.relation.schema, rows, validate=False)
+    )
+
+
+def _row_shape(row):
+    return tuple(
+        ("$", type(value).__name__)
+        if _liftable(value)
+        else ("=", type(value).__name__, repr(value))
+        for value in row
+    )
 
 
 def _map_operands(condition, fn):

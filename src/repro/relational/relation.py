@@ -13,7 +13,7 @@ evaluator, the Datalog engines, and Yannakakis' algorithm.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from ..errors import RelationError, SchemaError
 from .schema import RelationSchema
@@ -399,6 +399,11 @@ def _sort_key(value):
 def build_key_index(tuples, positions):
     """``{key: [tuples]}`` over ``positions``, in one pass.
 
+    A tuple whose key holds a NaN goes into no bucket: equality never
+    pairs NaN (``==`` says so), while a dict would find the same NaN
+    object by identity.  Dropping such keys here, where every hash
+    index is built, keeps every join probe free of the check.
+
     The key is built without a per-tuple generator: ``(t[p],)`` for one
     position, an ``operator.itemgetter`` (which returns the key tuple
     from C) for several.  On 2500 rows (CPython 3.11, 2-vCPU Xeon) that
@@ -409,7 +414,10 @@ def build_key_index(tuples, positions):
     if len(positions) == 1:
         (p,) = positions
         for t in tuples:
-            key = (t[p],)
+            value = t[p]
+            if value != value:  # NaN
+                continue
+            key = (value,)
             bucket = index.get(key)
             if bucket is None:
                 index[key] = [t]
@@ -424,6 +432,10 @@ def build_key_index(tuples, positions):
             index[key] = [t]
         else:
             bucket.append(t)
+    # A key tuple equals itself element by element through identity, so
+    # its NaNs show only under a plain ``==`` per element.
+    for key in [key for key in index if not all(map(eq, key, key))]:
+        del index[key]
     return index
 
 
@@ -433,7 +445,9 @@ def _empty_key(_t):
 
 def _patched(index, positions, added, removed):
     """A copy of ``index`` with ``removed`` taken out and ``added`` put
-    in; the buckets of untouched keys are shared, never mutated."""
+    in; the buckets of untouched keys are shared, never mutated.  Both
+    deltas index through :func:`build_key_index`, so a NaN key stays
+    out of the patched index as it stays out of a fresh one."""
     out = dict(index)
     if removed:
         for key, gone in build_key_index(removed, positions).items():

@@ -1,13 +1,13 @@
-"""Inlined ordered comparisons keep the interpreter's contract.
+"""Inlined ordered comparisons keep the algebra's contract.
 
 Kernels test ``<``, ``<=``, ``>`` and ``>=`` as bare Python operators.
 Comparing an int with a str raises :class:`TypeError`, where the
-interpreter reads False for that one comparison; the kernel then
-re-tests the whole condition with guarded helpers.  So on a column that
-mixes ints and strings, every operator under ``Not`` and ``Or`` — in a
+algebra reads False for that one comparison; the kernel then re-tests
+the whole condition with guarded helpers.  So on a column that mixes
+ints and strings, every operator under ``Not`` and ``Or`` — in a
 selection, an index lookup's residual and a theta join's residual, with
-``Const`` and ``Param`` operands — must answer exactly as the streaming
-executor and the tree walk do.  On rows of one type no helper runs.
+``Const`` and ``Param`` operands — must answer exactly as the tree walk
+does.  On rows of one type no helper runs.
 """
 
 import re
@@ -16,7 +16,6 @@ import pytest
 
 from repro.compile import codegen, compile_plan
 from repro.plan import canonicalize, parameterize
-from repro.plan.executor import execute_physical
 from repro.relational import algebra as ra
 from repro.relational.algebra import evaluate
 from repro.relational.database import Database
@@ -42,23 +41,21 @@ def conditions(op, value):
 
 
 def answers(expr, db):
-    """The kernel's answers with Const and with Param operands, the
-    streaming executor's and the tree walk's."""
+    """The kernel's answers with Const and with Param operands, and the
+    tree walk's."""
     plan = canonicalize(expr, db.schema())
     template, values = parameterize(plan)
     inline, _tally = compile_plan(plan, db.schema()).execute(db)
     lifted, _tally = compile_plan(template, db.schema()).execute(
         db, params=values
     )
-    streamed, _tally = execute_physical(plan, db)
-    return inline, lifted, streamed, evaluate(plan, db)
+    return inline, lifted, evaluate(plan, db)
 
 
 def assert_same(expr, db):
-    inline, lifted, streamed, walked = answers(expr, db)
-    assert inline == streamed, expr
-    assert lifted == streamed, expr
-    assert streamed.tuples == walked.tuples, expr
+    inline, lifted, walked = answers(expr, db)
+    assert lifted == inline, expr
+    assert inline.tuples == walked.tuples, expr
 
 
 @pytest.mark.parametrize("value", [6, "b"])
@@ -130,7 +127,7 @@ def test_rows_of_one_type_call_no_helper(monkeypatch):
     )
     plan, kernel = filter_kernel(db)
     result, _tally = kernel.execute(db)
-    assert result == execute_physical(plan, db)[0]
+    assert result == evaluate(plan, db)
     assert len(result) > 0
     assert calls == []
 
@@ -140,7 +137,7 @@ def test_a_mixed_row_retests_with_the_helpers(monkeypatch):
     db = Database.from_dict(MIXED)
     plan, kernel = filter_kernel(db)
     result, _tally = kernel.execute(db)
-    assert result == execute_physical(plan, db)[0]
+    assert result == evaluate(plan, db)
     # Only the three string rows raise; each re-test reads False for
     # "v < 6", so its negation short-circuits the Or.
     assert sorted(a for a, _b in calls) == ["a", "b", "x"]

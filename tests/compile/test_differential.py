@@ -1,9 +1,10 @@
-"""Compiled kernels ≡ streaming executor, results *and* counters.
+"""Compiled kernels ≡ the tree walk: answers, column order, and work.
 
-The codegen's contract is stronger than result equality: a fused kernel
-must charge the same ``EngineStatistics`` the interpreted operators
-would — facts scanned, index probes and builds, tuples materialized,
-and the Tally's peak buffer.  Three sources drive the comparison:
+Kernels are the one executor; the materializing tree walk is the
+oracle.  A kernel must return the tree walk's relation exactly (same
+attribute order, same tuples) and charge its final result as a buffer
+(``tuples_materialized`` and the Tally's ``peak_buffer`` cover it).
+Four sources drive the comparison:
 
 * Hypothesis-driven seeds into the deterministic random-algebra and
   random-database generators (every core operator, schema-valid by
@@ -14,21 +15,12 @@ and the Tally's peak buffer.  Three sources drive the comparison:
   with and without a kernel cache;
 * the saved conformance corpus (every historical divergence replayed
   through the compiled leg).
-
-Plans the generator refuses raise :class:`CompileFallback`; tests count
-those explicitly — a fallback is a recorded outcome, never a silently
-skipped comparison.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import (
-    CompileFallback,
-    KernelCache,
-    compile_plan,
-    execute_compiled,
-)
+from repro.compile import KernelCache, compile_plan
 from repro.conformance.corpus import load_corpus
 from repro.conformance.oracles import RelationalDifferentialOracle
 from repro.conformance.workloads import generate_case
@@ -38,50 +30,22 @@ from repro.core.random_instances import (
 )
 from repro.datalog.lowering import is_lowerable, lowered_evaluate
 from repro.datalog.stats import EngineStatistics
-from repro.plan import canonicalize
-from repro.plan.executor import execute_physical
+from repro.plan import canonicalize, parameterize
+from repro.relational.algebra import evaluate
 
 CORPUS_DIR = "tests/conformance/corpus"
 
 
-def run_both(expr, db):
-    """Interpreted and compiled runs of one expression, both warm.
-
-    A warming pass on each leg first: ``Relation._key_index`` caches
-    persist across runs, so ``facts_scanned``/``index_builds`` depend
-    on execution history — warming both legs puts them in the same
-    (fully cached) regime before the measured runs.
-
-    Returns ``None`` when the generator refuses the plan.
-    """
-    plan = canonicalize(expr, db.schema())
-    try:
-        kernel = compile_plan(plan, db.schema())
-    except CompileFallback:
-        return None
-    execute_physical(plan, db, EngineStatistics())
-    kernel.execute(db)
-
-    interp_stats = EngineStatistics()
-    interp, interp_tally = execute_physical(plan, db, interp_stats)
-    compiled_stats = EngineStatistics()
-    compiled, compiled_tally = kernel.execute(db, compiled_stats)
-    return (
-        (interp, interp_stats, interp_tally),
-        (compiled, compiled_stats, compiled_tally),
-    )
-
-
 def assert_parity(expr, db, context):
-    outcome = run_both(expr, db)
-    if outcome is None:
-        return False
-    (interp, i_stats, i_tally), (compiled, c_stats, c_tally) = outcome
-    assert compiled == interp, context
-    assert compiled.schema.attributes == interp.schema.attributes, context
-    assert c_stats.as_dict() == i_stats.as_dict(), context
-    assert c_tally.peak_buffer == i_tally.peak_buffer, context
-    return True
+    """One kernel run of ``expr`` against the tree walk of its plan."""
+    plan = canonicalize(expr, db.schema())
+    stats = EngineStatistics()
+    compiled, tally = compile_plan(plan, db.schema()).execute(db, stats)
+    expected = evaluate(plan, db)
+    assert compiled == expected, context
+    assert compiled.schema.attributes == expected.schema.attributes, context
+    assert stats.tuples_materialized >= len(compiled), context
+    assert tally.peak_buffer >= len(compiled), context
 
 
 @settings(max_examples=120, deadline=None)
@@ -97,41 +61,27 @@ def test_random_algebra_parity(db_seed, expr_seed, size):
 
 
 def test_conformance_workload_parity():
-    """The fuzzing sweep's own relational diet, with fallback census."""
+    """The fuzzing sweep's own relational diet: every case compiles."""
     oracle = RelationalDifferentialOracle()
-    compiled = fallbacks = 0
     for seed in range(60):
         case = generate_case("relational-differential", seed)
-        expr = oracle.resolve(case)
-        db = case.payload["db"]
-        if assert_parity(expr, db, ("workload", seed)):
-            compiled += 1
-        else:
-            fallbacks += 1
-    assert compiled + fallbacks == 60
-    # The generator covers the canonical operator set; the bulk of the
-    # mixed workload family must actually take the compiled leg.
-    assert compiled >= 40, (compiled, fallbacks)
+        assert_parity(oracle.resolve(case), case.payload["db"], seed)
 
 
 def test_nonrecursive_datalog_parity():
-    """Lowered evaluation with a kernel cache ≡ without, model + work.
+    """Lowered evaluation with a kernel cache ≡ on one-shot kernels,
+    model and work.
 
     Each leg runs over a fresh ``to_database()`` of the EDB, so both
-    start index-cold and the counters must match exactly with no
-    warming.
+    start index-cold and the counters must match exactly.
     """
     cache = KernelCache()
 
-    def compiled_leg(db):
-        schema = db.schema()
-
-        def execute(_predicate, expr, stats):
-            plan = canonicalize(expr, schema)
-            try:
-                relation, _tally = execute_compiled(plan, db, stats, cache)
-            except CompileFallback:
-                relation, _tally = execute_physical(plan, db, stats)
+    def cached_leg(db):
+        def execute(_predicate, expr, stats, db_schema):
+            template, values = parameterize(canonicalize(expr, db_schema))
+            kernel = cache.resolve(template, db, db_schema)
+            relation, _tally = kernel.execute(db, stats, values)
             return relation
 
         return execute
@@ -144,22 +94,22 @@ def test_nonrecursive_datalog_parity():
             continue
         lowerable += 1
         edb = case.payload["edb"]
-        interp_stats = EngineStatistics()
-        interp = lowered_evaluate(
-            program, edb.to_database(), stats=interp_stats
+        one_shot_stats = EngineStatistics()
+        one_shot = lowered_evaluate(
+            program, edb.to_database(), stats=one_shot_stats
         )
-        compiled_stats = EngineStatistics()
+        cached_stats = EngineStatistics()
         db = edb.to_database()
-        compiled = lowered_evaluate(
-            program, db, execute=compiled_leg(db), stats=compiled_stats
+        cached = lowered_evaluate(
+            program, db, execute=cached_leg(db), stats=cached_stats
         )
-        assert compiled == interp, seed
-        assert compiled_stats.as_dict() == interp_stats.as_dict(), seed
+        assert cached == one_shot, seed
+        assert cached_stats.as_dict() == one_shot_stats.as_dict(), seed
     assert lowerable >= 12
-    # The cache saw every lowered predicate plan; refusals are counted.
+    # The cache saw every lowered predicate plan and compiled each once.
     stats = cache.stats()
     assert stats["hits"] + stats["misses"] > 0
-    assert stats["codegens"] + stats["fallbacks"] == stats["size"]
+    assert stats["codegens"] == stats["misses"]
 
 
 def test_corpus_replay_parity():
@@ -167,19 +117,18 @@ def test_corpus_replay_parity():
     entries = load_corpus(CORPUS_DIR)
     assert entries, "conformance corpus missing"
     oracle = RelationalDifferentialOracle()
-    relational = compiled = 0
+    relational = 0
     for _path, case, _messages in entries:
         if case.payload.get("kind") not in ("relational", "sql"):
             continue
         relational += 1
-        if assert_parity(oracle.resolve(case), case.payload["db"], case.seed):
-            compiled += 1
+        assert_parity(oracle.resolve(case), case.payload["db"], case.seed)
     assert relational > 0
-    assert compiled > 0
 
 
 def test_oracle_compiled_leg_counts_fallbacks():
-    """The conformance oracle's kernel cache never skips silently."""
+    """The conformance oracle resolves every case's template through
+    its kernel cache, and none falls back."""
     from repro.conformance import oracles
 
     before = oracles._KERNEL_CACHE.stats()
@@ -191,3 +140,4 @@ def test_oracle_compiled_leg_counts_fallbacks():
         before["hits"] + before["misses"]
     )
     assert resolutions == 12
+    assert after["fallback_runs"] == 0

@@ -1,17 +1,13 @@
 """Compiled kernels end to end: every front-end, observably.
 
 The workbench contract for compiled execution, the default route
-(``executor=True``, spelled ``"compiled"`` too): a plan shape's first
-run interprets (route ``"cold"``) and its second compiles; identical
-results to the tree walk and the streaming executor on every front-end,
+(``executor=True``, spelled ``"compiled"`` too): a plan shape compiles
+on its first run and every later run reuses the kernel; identical
+results to the tree walk and to a one-shot kernel on every front-end,
 ``"compiled"`` visible as the route in the query history and
 ``sys_plan_cache``, kernel status in EXPLAIN ANALYZE and
-``sys_kernels``, fallbacks run on the streaming executor and counted in
-the ``compile_fallbacks_total`` metric (and routed
-``"compiled-fallback"``), and zero code generation on a repeated query.
+``sys_kernels``, and zero code generation on a repeated query.
 """
-
-import pytest
 
 from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog.stats import EngineStatistics
@@ -53,7 +49,7 @@ SQL = (
 
 
 def streamed(wb, expr):
-    """The interpreter's answer for ``expr`` over ``wb``'s database."""
+    """A one-shot kernel's answer for ``expr`` over ``wb``'s database."""
     relation, _tally = execute_physical(
         canonicalize(expr, wb.db.schema()), wb.db
     )
@@ -61,12 +57,12 @@ def streamed(wb, expr):
 
 
 def twice(wb, run):
-    """Run a query twice: the first run interprets (route "cold"), the
-    second compiles.  Returns both answers and both routes."""
+    """Run a query twice: the first run compiles its kernel, the second
+    reuses it.  Returns both answers and both routes."""
     first = run()
-    cold = wb.history.last().route
+    route = wb.history.last().route
     second = run()
-    return first, second, (cold, wb.history.last().route)
+    return first, second, (route, wb.history.last().route)
 
 
 class TestFrontEnds:
@@ -75,7 +71,7 @@ class TestFrontEnds:
         cold, compiled, routes = twice(
             wb, lambda: wb.sql(SQL, executor="compiled")
         )
-        assert routes == ("cold", "compiled")
+        assert routes == ("compiled", "compiled")
         assert compiled == cold == wb.sql(SQL, executor=False)
         assert compiled == streamed(wb, parse_sql(SQL))
 
@@ -88,7 +84,7 @@ class TestFrontEnds:
         cold, compiled, routes = twice(
             wb, lambda: wb.run(expr, executor="compiled")
         )
-        assert routes == ("cold", "compiled")
+        assert routes == ("compiled", "compiled")
         assert compiled == cold == wb.run(expr, executor=False)
         assert compiled == streamed(wb, expr)
 
@@ -98,7 +94,7 @@ class TestFrontEnds:
         cold, compiled, routes = twice(
             wb, lambda: wb.calculus(query, executor="compiled")
         )
-        assert routes == ("cold", "compiled")
+        assert routes == ("compiled", "compiled")
         assert compiled == cold == wb.calculus(query, executor=False)
         assert compiled == wb.calculus(query, via="direct")
 
@@ -108,9 +104,9 @@ class TestFrontEnds:
         _cold, compiled, routes = twice(
             wb, lambda: wb.run(source, executor="compiled")
         )
-        assert routes == ("datalog:cold", "datalog:compiled")
+        assert routes == ("datalog:compiled", "datalog:compiled")
         program, _queries = parse_program(source)
-        # The standalone lowering runs the streaming executor.
+        # The standalone lowering runs one-shot kernels.
         assert compiled == lowered_evaluate(program, make_wb().db)
         assert compiled == wb.run(source, executor=False)
 
@@ -129,10 +125,8 @@ class TestKernelReuse:
     def test_repeat_query_does_zero_codegen(self):
         wb = make_wb()
         wb.sql(SQL, executor="compiled")
-        assert wb.kernel_cache.stats()["codegens"] == 0  # sighted only
-        wb.sql(SQL, executor="compiled")
         codegens = wb.kernel_cache.stats()["codegens"]
-        assert codegens >= 1
+        assert codegens == 1  # compiled on the first run
         wb.sql(SQL, executor="compiled")
         stats = wb.kernel_cache.stats()
         assert stats["codegens"] == codegens
@@ -142,8 +136,7 @@ class TestKernelReuse:
         # Surgical coherence: adding a relation the query never reads
         # leaves its compiled kernel hot.
         wb = make_wb()
-        for _ in range(2):  # the second run compiles
-            wb.sql(SQL, executor="compiled")
+        wb.sql(SQL, executor="compiled")
         codegens = wb.kernel_cache.stats()["codegens"]
         assert len(wb.kernel_cache) >= 1
         wb.db.add(Relation(RelationSchema("extra", ("x",)), [(1,)]))
@@ -156,8 +149,7 @@ class TestKernelReuse:
         # ... but reshaping a relation the query reads drops the kernel
         # (attribute positions were compiled in) and recompiles.
         wb = make_wb()
-        for _ in range(2):
-            wb.sql(SQL, executor="compiled")
+        wb.sql(SQL, executor="compiled")
         codegens = wb.kernel_cache.stats()["codegens"]
         wb.db.remove("likes")
         wb.db.add(
@@ -166,51 +158,19 @@ class TestKernelReuse:
                 [(i % 30, "i%d" % (i % 7), i) for i in range(60)],
             )
         )
-        for _ in range(2):  # the new shape is sighted afresh
-            wb.sql(SQL, executor="compiled")
+        wb.sql(SQL, executor="compiled")
         assert wb.kernel_cache.stats()["codegens"] > codegens
-
-
-class TestFallback:
-    def fallback_expr(self):
-        # Shared-attribute-less semijoin: refused by the generator.
-        return ra.Semijoin(
-            ra.RelationRef("person"),
-            ra.Rename(ra.RelationRef("likes"), {"pid": "p2", "item": "it2"}),
-        )
-
-    def test_fallback_runs_interpreted_and_counts(self):
-        wb = make_wb(history=True)
-        expr = self.fallback_expr()
-        _cold, result, routes = twice(
-            wb, lambda: wb.run(expr, executor="compiled", optimized=False)
-        )
-        assert routes == ("cold", "compiled-fallback")
-        assert wb.metrics.value("compile_fallbacks_total") == 1
-        assert result == wb.run(expr, optimized=False, executor=False)
-
-    def test_fallback_metric_counts_every_run(self):
-        wb = make_wb()
-        expr = self.fallback_expr()
-        for _ in range(3):  # cold, then refused twice
-            wb.run(expr, executor="compiled", optimized=False)
-        assert wb.metrics.value("compile_fallbacks_total") == 2
-        assert wb.kernel_cache.stats()["fallbacks"] == 1  # cached verdict
 
 
 class TestObservability:
     def test_explain_analyze_reports_kernel_status(self):
+        # EXPLAIN ANALYZE runs the plan's cached kernel (compiling it on
+        # the first sight, like any run) and reports it.
         wb = make_wb()
-        explained = wb.explain_analyze(SQL)
-        assert explained.kernel["status"] == "cold"
-        assert "Kernel: cold" in explained.render()
-
-        wb.sql(SQL, executor="compiled")
-        assert wb.explain_analyze(SQL).kernel["status"] == "cold"
-        wb.sql(SQL, executor="compiled")
         explained = wb.explain_analyze(SQL)
         kernel = explained.kernel
         assert kernel["status"] == "compiled"
+        assert (kernel["hits"], wb.kernel_cache.stats()["codegens"]) == (0, 1)
         assert len(kernel["fingerprint"]) == 12
         assert kernel["pipelines"] >= 1
         assert "Kernel: compiled %s" % kernel["fingerprint"] in (
@@ -218,23 +178,15 @@ class TestObservability:
         )
         assert explained.as_dict()["kernel"]["status"] == "compiled"
 
-    def test_explain_analyze_reports_fallback_reason(self):
-        wb = make_wb()
-        expr = ra.Semijoin(
-            ra.RelationRef("person"),
-            ra.Rename(ra.RelationRef("likes"), {"pid": "p2", "item": "it2"}),
-        )
-        for _ in range(2):
-            wb.run(expr, executor="compiled", optimized=False)
-        explained = wb.explain_analyze(expr, optimized=False)
-        assert explained.kernel["status"] == "fallback"
-        assert "semijoin" in explained.kernel["reason"]
-        assert "Kernel: fallback" in explained.render()
+        wb.sql(SQL, executor="compiled")
+        again = wb.explain_analyze(SQL).kernel
+        assert again["fingerprint"] == kernel["fingerprint"]
+        assert again["hits"] == 2
+        assert wb.kernel_cache.stats()["codegens"] == 1
 
     def test_sys_kernels_joins_sys_plan_cache(self):
         wb = make_wb()
-        for _ in range(2):
-            wb.sql(SQL, executor="compiled")
+        wb.sql(SQL, executor="compiled")
         joined = wb.sql(
             "SELECT kernels.status, cache.last_route FROM sys_kernels"
             " kernels, sys_plan_cache cache WHERE"
@@ -244,8 +196,7 @@ class TestObservability:
 
     def test_sys_metrics_publishes_kernel_cache(self):
         wb = make_wb()
-        for _ in range(2):
-            wb.sql(SQL, executor="compiled")
+        wb.sql(SQL, executor="compiled")
         rows = wb.sql(
             "SELECT name, value FROM sys_metrics"
             " WHERE stat = 'value' AND name = 'kernel_cache_codegens'"
@@ -253,73 +204,85 @@ class TestObservability:
         assert rows.tuples and all(v >= 1 for _n, v in rows.tuples)
 
 
-def refuse_streaming(monkeypatch):
-    """Make the workbench's streaming executor raise: whatever still
-    answers ran on a kernel."""
+def refuse_one_shot(monkeypatch):
+    """Make one-shot kernel compilation raise: whatever still answers
+    ran on a kernel from the session's cache."""
     def refuse(*_args, **_kwargs):
-        raise AssertionError("the streaming executor ran")
+        raise AssertionError("a one-shot kernel ran")
 
-    monkeypatch.setattr("repro.core.workbench.execute_physical", refuse)
+    monkeypatch.setattr("repro.plan.executor.execute_physical", refuse)
 
 
 class TestDefaultRoute:
-    """``executor=True`` runs the cached plan's kernel from a shape's
-    second run on; the streaming executor runs only for a shape's first
-    run, for a plan the code generator refuses, and for the armed flight
-    recorder's instrumented twin."""
+    """``executor=True`` runs the cached plan's kernel, compiled on the
+    plan shape's first run; the armed flight recorder runs the same
+    kernel's instrumented variant."""
 
-    def test_default_route_compiles_on_the_second_run(self, monkeypatch):
+    def test_default_route_compiles_on_the_first_run(self, monkeypatch):
         wb = make_wb(history=True)
+        refuse_one_shot(monkeypatch)
         first = wb.sql(SQL)
-        assert wb.history.last().route == "cold"
+        assert wb.history.last().route == "compiled"
         stats = wb.kernel_cache.stats()
-        assert (stats["sightings"], stats["codegens"]) == (1, 0)
-        assert len(wb.db["sys_kernels"]) == 0
-        refuse_streaming(monkeypatch)
+        assert (stats["misses"], stats["codegens"]) == (1, 1)
+        [(_i, fingerprint, status, _p, hits)] = wb.db["sys_kernels"].tuples
+        assert (status, hits) == ("compiled", 0)
         second = wb.sql(SQL)
         assert wb.history.last().route == "compiled"
-        third = wb.sql(SQL)
-        assert third == second == first == wb.sql(SQL, executor=False)
+        assert second == first == wb.sql(SQL, executor=False)
         assert wb.kernel_cache.stats()["codegens"] == 1
-        [(_i, fingerprint, status, _p, hits)] = wb.db["sys_kernels"].tuples
+        [(_i, _f, status, _p, hits)] = wb.db["sys_kernels"].tuples
         assert (status, hits) == ("compiled", 1)
         [row] = wb.db["sys_plan_cache"].tuples
         assert row[4:] == ("treewalk", fingerprint)  # the last run
-        assert wb.metrics.counter("compile_fallbacks_total").value == 0
+        assert wb.kernel_cache.stats()["fallback_runs"] == 0
 
-    def test_refused_plan_runs_on_the_streaming_executor(self):
+    def test_no_shared_semijoin_runs_on_its_kernel(self):
+        # A semijoin with no shared attribute only asks whether its
+        # right side is empty; it compiles like every canonical plan.
         wb = make_wb(history=True)
-        expr = TestFallback().fallback_expr()
-        _cold, result, routes = twice(
-            wb, lambda: wb.run(expr, optimized=False)
+        expr = ra.Semijoin(
+            ra.RelationRef("person"),
+            ra.Rename(ra.RelationRef("likes"), {"pid": "p2", "item": "it2"}),
         )
-        assert routes == ("cold", "compiled-fallback")
-        assert wb.metrics.value("compile_fallbacks_total") == 1
-        assert result == wb.run(expr, optimized=False, executor=False)
-        assert [row[2] for row in wb.db["sys_kernels"].tuples] == [
-            "fallback"
-        ]
+        empty = ra.Selection(
+            ra.Rename(ra.RelationRef("likes"), {"pid": "p2", "item": "it2"}),
+            ra.Comparison(ra.Attr("it2"), "=", ra.Const("none")),
+        )
+        for right in (expr.right, empty):
+            for node in (ra.Semijoin, ra.Antijoin):
+                query = node(ra.RelationRef("person"), right)
+                _first, result, routes = twice(
+                    wb, lambda: wb.run(query, optimized=False)
+                )
+                assert routes == ("compiled", "compiled")
+                assert result == wb.run(
+                    query, optimized=False, executor=False
+                )
+        assert {row[2] for row in wb.db["sys_kernels"].tuples} == {
+            "compiled"
+        }
+        assert wb.kernel_cache.stats()["codegens"] == 4
 
     def test_armed_recorder_still_reports_operators(self):
         wb = make_wb(slow_query_ms=0)
         for _ in range(2):
             result = wb.sql(SQL)
             record = wb.history.last()
-            assert record.route == "streaming"
+            assert record.route == "compiled"
             assert record.instrumented and record.slow
             assert record.report is not None
             assert record.report.rows == len(result)
         assert result == wb.sql(SQL, executor=False)
-        stats = wb.kernel_cache.stats()  # the twin ran instead
-        assert (stats["sightings"], len(wb.kernel_cache)) == (0, 0)
+        # The variant hangs off the one cached kernel.
+        stats = wb.kernel_cache.stats()
+        assert (stats["codegens"], len(wb.kernel_cache)) == (1, 1)
 
     def test_dml_in_a_transaction_sees_its_own_view(self, monkeypatch):
         wb = make_wb(history=True)
         query = "SELECT item FROM likes WHERE pid = %d"
         delete = "DELETE FROM likes WHERE pid = %d"
-        wb.sql(query % 98)  # both shapes' first runs
-        wb.sql(delete % 98)
-        refuse_streaming(monkeypatch)
+        refuse_one_shot(monkeypatch)
         before = wb.sql(query % 3).tuples
         assert before == {("i3",), ("i5",)}
         with wb.begin() as txn:
@@ -334,15 +297,16 @@ class TestDefaultRoute:
         wb = make_wb()
         text = "fan(N) :- person(P, N), likes(P, i3)."
         engine = wb.datalog(text)
-        before = engine.evaluate().get("fan")  # the plan's first run
+        before = engine.evaluate().get("fan")  # compiles the plan
+        assert len(wb.kernel_cache) == 1
         wb.sql("INSERT INTO likes VALUES (29, 'i3')")
         wb.sql("DELETE FROM likes WHERE pid = 3")
-        refuse_streaming(monkeypatch)
+        refuse_one_shot(monkeypatch)
         assert engine.evaluate(stats=EngineStatistics()).get("fan") == before
-        assert len(wb.kernel_cache) == 1  # compiled on its second run
         fresh = wb.datalog(text).evaluate(stats=EngineStatistics())
         assert fresh.get("fan") == (before | {("n29",)}) - {("n3",)}
-        assert len(wb.kernel_cache) == 1  # same shape, same kernel
+        # Same shape, same kernel (plus the two DML statements' own).
+        assert wb.kernel_cache.stats()["codegens"] == 3
 
 
 class TestLookupCost:
@@ -371,8 +335,7 @@ class TestLookupCost:
             "SELECT person.name FROM person, likes WHERE"
             " person.pid = likes.pid AND likes.item = 'i%d'"
         )
-        for run in (1, 2):  # the second run compiles
-            wb.sql(text % run)
+        wb.sql(text % 1)  # compiles
         walks = self.counting(monkeypatch, cache, "plan_key")
         schemas = self.counting(monkeypatch, Database, "schema")
         for run in range(3, 6):
@@ -394,7 +357,7 @@ class TestLookupCost:
         cache = KernelCache()
         lookup = KernelCache.lookup_for(plan)
         for db in (one, two, one):
-            kernel, _reason = cache.resolve(plan, db, db.schema(), lookup)
+            kernel = cache.resolve(plan, db, db.schema(), lookup)
             assert kernel.execute(db)[0].tuples == {(1,)}
         assert cache.stats()["codegens"] == 2
         assert cache.stats()["hits"] == 1

@@ -5,10 +5,11 @@ import os
 
 import pytest
 
-import repro.plan.physical as physical
 from repro.conformance import ORACLE_FAMILIES, run_conformance
 from repro.conformance.driver import main
 from repro.obs.metrics import MetricsRegistry
+
+from .faults import drop_one_join_tuple
 
 
 class TestRunConformance:
@@ -53,15 +54,7 @@ class TestRunConformance:
         assert counter.value == 4
 
     def test_divergences_shrunk_and_persisted(self, tmp_path, monkeypatch):
-        original = physical.HashJoin.tuples
-
-        def dropping(self):
-            tuples = list(original(self))
-            if tuples:
-                tuples.pop()
-            return iter(tuples)
-
-        monkeypatch.setattr(physical.HashJoin, "tuples", dropping)
+        drop_one_join_tuple(monkeypatch)
         report = run_conformance(
             seconds=None,
             seed=1,

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.plan.physical as physical
 from repro.conformance import (
     case_size,
     ddmin_list,
@@ -16,6 +15,8 @@ from repro.conformance import (
 from repro.conformance.oracles import RelationalDifferentialOracle
 from repro.conformance.workloads import generate_case
 from repro.relational import algebra as ra
+
+from .faults import drop_one_join_tuple
 
 
 class TestDdmin:
@@ -110,15 +111,7 @@ class TestShrinkerDemo:
     def test_dropped_tuple_shrinks_small_and_replays(
         self, tmp_path, monkeypatch
     ):
-        original = physical.HashJoin.tuples
-
-        def dropping(self):
-            tuples = list(original(self))
-            if tuples:
-                tuples.pop()
-            return iter(tuples)
-
-        monkeypatch.setattr(physical.HashJoin, "tuples", dropping)
+        remove_fault = drop_one_join_tuple(monkeypatch)
         oracle = RelationalDifferentialOracle()
         pred = oracle_predicate(oracle)
         failing = None
@@ -144,5 +137,5 @@ class TestShrinkerDemo:
         assert oracle.check(reloaded), "serialized repro lost the bug"
 
         # ...and green once the fault is removed.
-        monkeypatch.setattr(physical.HashJoin, "tuples", original)
+        remove_fault()
         assert oracle.check(reloaded) == []

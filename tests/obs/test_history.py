@@ -61,7 +61,7 @@ class TestWorkbenchRecording:
         assert record.kind == "sql"
         assert record.status == "ok"
         assert record.rows == len(relation) == 3
-        assert record.route == "cold"  # a plan shape's first run
+        assert record.route == "compiled"  # compiled on its first run
         assert record.wall_ms >= 0.0
         assert record.plan_cache_hit == False  # noqa: E712 - stored flag
         assert record.plan_fingerprint is not None
@@ -94,7 +94,7 @@ class TestWorkbenchRecording:
             "sql", "algebra", "calculus", "datalog",
         ]
         datalog = wb.history.last()
-        assert datalog.route == "datalog:cold"
+        assert datalog.route == "datalog:compiled"
         assert datalog.rows > 0  # model fact count
 
     def test_recursive_datalog_routes_to_fixpoint(self):

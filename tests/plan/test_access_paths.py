@@ -5,10 +5,10 @@ chain of renames) runs as an ``IndexLookup``; a natural or equi theta
 join whose right input is such a relation probes the relation's cached
 key index.  The contract has three parts, each pinned here:
 
-* semantics — the tree walk, the interpreted executor, and the compiled
-  kernel agree on every answer, including NaN, unhashable, and
-  cross-type (``1``/``1.0``/``True``) constants, and the two executors
-  charge identical counters;
+* semantics — the tree walk and the compiled kernel agree on every
+  answer, including NaN, unhashable, and cross-type (``1``/``1.0``/
+  ``True``) constants and NaN join keys (equality never pairs NaN), and
+  a template's kernel charges the counters of the concrete plan's;
 * eligibility — NaN and unhashable constants (and virtual ``sys_``
   relations) stay on scans;
 * index lifetime — an index carried forward by ``Relation.with_delta``
@@ -22,15 +22,8 @@ from hypothesis import strategies as st
 from repro.compile import compile_plan
 from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog.stats import EngineStatistics
-from repro.plan import canonicalize
+from repro.plan import canonicalize, parameterize, run_explained
 from repro.plan.executor import execute_physical
-from repro.plan.physical import (
-    IndexJoinOp,
-    IndexLookup,
-    Select,
-    Tally,
-    build_physical,
-)
 from repro.relational import algebra as ra
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -53,13 +46,10 @@ class Unhashable:
 
 #: Stored values: small ints, a float equal to an int, bools, strings,
 #: and one shared NaN object (a dict finds it by identity, ``==`` never
-#: matches it).
+#: matches it, and no join pairs it).
 VALUES = st.sampled_from([0, 1, 2, 3, 1.0, 2.5, True, False, "x", NAN])
 #: Constants: the stored values plus NaN objects, unhashable values,
 #: and cross-type spellings of the same number.
-#: Join inputs hold no NaN: every hash join (the tree walk's natural
-#: join included) finds a NaN key by identity where ``==`` would not.
-JOIN_VALUES = st.sampled_from([0, 1, 2, 3, 1.0, 2.5, True, False, "x"])
 CONSTANTS = st.one_of(
     VALUES,
     st.sampled_from([float("nan"), [1], Unhashable(), 1.0, True, 0.0]),
@@ -89,21 +79,6 @@ def renamed(name, mapping, depth):
     return ra.Rename(expr, mapping) if depth else expr
 
 
-def run_three(expr, db):
-    """Tree walk, interpreted, and compiled results plus both counters.
-
-    Each executor leg runs on its own copy of the database so both start
-    index-cold and the counters compare exactly.
-    """
-    expected = ra.evaluate(expr, db)
-    plan = canonicalize(expr, db.schema())
-    i_stats, c_stats = EngineStatistics(), EngineStatistics()
-    interp, i_tally = execute_physical(plan, make_copy(db), i_stats)
-    kernel = compile_plan(plan, db.schema())
-    compiled, c_tally = kernel.execute(make_copy(db), c_stats)
-    return expected, (interp, i_stats, i_tally), (compiled, c_stats, c_tally)
-
-
 def make_copy(db):
     return Database(
         [Relation(r.schema, r.tuples, validate=False) for r in db.relations()]
@@ -111,14 +86,26 @@ def make_copy(db):
 
 
 def assert_agree(expr, db):
-    expected, (interp, i_stats, i_tally), (compiled, c_stats, c_tally) = (
-        run_three(expr, db)
-    )
-    assert interp == expected, expr
-    assert compiled == expected, expr
-    assert interp.schema.attributes == expected.schema.attributes
-    assert c_stats.as_dict() == i_stats.as_dict(), expr
-    assert c_tally.peak_buffer == i_tally.peak_buffer, expr
+    """The kernel of ``expr``'s plan and the kernel of its template
+    (bound to the plan's values) answer as the tree walk does, and
+    charge the same counters.
+
+    Each kernel runs on its own copy of the database, so both start
+    index-cold and the counters compare exactly.
+    """
+    expected = ra.evaluate(expr, db)
+    plan = canonicalize(expr, db.schema())
+    template, values = parameterize(plan)
+    runs = []
+    for compiled, params in ((plan, ()), (template, values)):
+        stats = EngineStatistics()
+        relation, tally = compile_plan(compiled, db.schema()).execute(
+            make_copy(db), stats, params
+        )
+        assert relation == expected, expr
+        assert relation.schema.attributes == expected.schema.attributes
+        runs.append((stats.as_dict(), tally.peak_buffer))
+    assert runs[0] == runs[1], expr
 
 
 def equalities(attrs, data):
@@ -162,8 +149,8 @@ def test_equality_selection_three_way(r_rows, s_rows, depth, data):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    r_rows=rows(3, JOIN_VALUES),
-    s_rows=rows(2, JOIN_VALUES),
+    r_rows=rows(3),
+    s_rows=rows(2),
     depth=st.integers(min_value=1, max_value=3),
     two_keys=st.booleans(),
     residual=st.booleans(),
@@ -198,10 +185,11 @@ def test_equi_join_over_renamed_base_three_way(
     assert_agree(selected, db)
 
 
-def physical(expr, db):
-    return build_physical(
-        canonicalize(expr, db.schema()), db, Tally(EngineStatistics())
-    )
+def labels(expr, db):
+    """EXPLAIN ANALYZE's operator labels for ``expr``, pre-order, with
+    the ``Result`` root left out."""
+    plan = canonicalize(expr, db.schema())
+    return run_explained(plan, make_copy(db)).operators()[1:]
 
 
 class TestEligibility:
@@ -217,15 +205,15 @@ class TestEligibility:
     def test_probe_safe_constants_take_the_index(self):
         db = self.db()
         for value in (1, 1.0, True, "x", (1, 2)):
-            op = physical(self.selection(value), db)
-            assert isinstance(op, IndexLookup), value
+            ops = labels(self.selection(value), db)
+            assert ops[0].startswith("IndexLookup(r)"), value
 
     def test_nan_and_unhashable_constants_stay_scans(self):
         db = self.db()
         for value in (NAN, float("nan"), [1], Unhashable()):
-            op = physical(self.selection(value), db)
-            assert isinstance(op, Select), value
-            assert "Scan(r)" in op.describe()
+            ops = labels(self.selection(value), db)
+            assert ops[0].startswith("Select["), value
+            assert ops[-1] == "Scan(r)"
             # Same answer as the tree walk (NaN matches nothing, not
             # even the identical stored NaN object).
             assert_agree(self.selection(value), db)
@@ -248,7 +236,7 @@ class TestEligibility:
                 ra.Comparison(ra.Attr("b"), "=", ra.Const(5)),
             ),
         )
-        assert isinstance(physical(expr, db), Select)
+        assert labels(expr, db)[0].startswith("Select[")
 
     def test_index_join_has_no_right_child(self):
         db = self.db()
@@ -257,11 +245,11 @@ class TestEligibility:
             ra.Rename(ra.RelationRef("s"), {"d": "sd", "e": "se"}),
             ra.Comparison(ra.Attr("b"), "=", ra.Attr("sd")),
         )
-        op = physical(expr, db)
-        assert isinstance(op, IndexJoinOp)
-        assert op.child_slots == ("left",)
-        assert op.describe() == "ThetaJoin:index(Scan(r), s)"
-        assert op.label() == "ThetaJoin:index[b = sd]"
+        plan = canonicalize(expr, db.schema())
+        (join,) = run_explained(plan, make_copy(db)).report.children
+        assert join.label == "ThetaJoin:index[b = sd]"
+        assert [child.label for child in join.children] == ["Scan(r)"]
+        assert join.stats.index_builds == 1
 
     def test_system_relations_stay_on_scans(self):
         wb = MetatheoryWorkbench(self.db())
@@ -349,3 +337,42 @@ def test_carried_forward_index_equals_fresh_build(initial, deltas, warm):
             # The old version's index object was never mutated.
             assert bucket_sets(old_indexes[positions]) == before[positions]
         relation = nxt
+
+
+class TestNaNJoinKeys:
+    """Equality never pairs NaN: not in a theta join's ``==``, and not
+    in a hash index, where a dict would find the same NaN object by
+    identity.  Both executors follow the rule on every join kind, with
+    the right side a stored relation (its cached index) or not (a table
+    the kernel builds)."""
+
+    def workbench(self):
+        return MetatheoryWorkbench.from_dict(
+            {
+                "r": (("a", "x"), [(NAN, 1), (2.0, 2)]),
+                "s": (("b", "y"), [(NAN, 10), (2.0, 20)]),
+            }
+        )
+
+    def test_sql_equi_join(self):
+        wb = self.workbench()
+        text = "SELECT r.x, s.y FROM r, s WHERE r.a = s.b"
+        for executor in (True, False):
+            assert wb.sql(text, executor=executor).tuples == {(2, 20)}
+
+    def test_natural_semi_and_antijoins(self):
+        wb = self.workbench()
+        stored = ra.Rename(ra.RelationRef("s"), {"b": "a"})
+        built = ra.Selection(
+            stored, ra.Comparison(ra.Attr("y"), ">", ra.Const(0))
+        )
+        for right in (stored, built):
+            for node, expected in (
+                (ra.NaturalJoin, {(2.0, 2, 20)}),
+                (ra.Semijoin, {(2.0, 2)}),
+                (ra.Antijoin, {(NAN, 1)}),
+            ):
+                expr = node(ra.RelationRef("r"), right)
+                for executor in (True, False):
+                    answer = wb.algebra(expr, executor=executor).tuples
+                    assert answer == expected, (expr, executor)

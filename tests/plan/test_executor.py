@@ -1,54 +1,21 @@
-"""Per-operator streaming semantics and work accounting.
+"""Per-operator work accounting and results of compiled kernels.
 
-The executor's contract has two halves: results identical to the legacy
-tree walk, and *bounded intermediates* — only operator buffers (hash
-build sides, dedup sets, the result) are materialized, and every unit
-of work lands in an EngineStatistics counter.  These tests pin both,
-operator by operator, using a Feed stub that records how many tuples
-each child was asked for.
+The executor's contract has two halves: results identical to the tree
+walk, and *bounded intermediates* — only operator buffers (hash build
+sides, dedup sets, set-operation right sides, the result) are
+materialized, and every unit of work lands in an EngineStatistics
+counter.  These tests pin both, operator by operator.
 """
 
+import pytest
+
+from repro.compile import compile_plan
 from repro.datalog.stats import EngineStatistics
-from repro.plan import execute, measure_treewalk
-from repro.plan.physical import (
-    DifferenceOp,
-    HashJoin,
-    Project,
-    Scan,
-    Select,
-    SemijoinOp,
-    Tally,
-    ThetaJoinOp,
-    UnionOp,
-    _BaseIndex,
-    _FLUSH_BLOCK,
-    build_physical,
-)
+from repro.plan import canonicalize, execute, measure_treewalk, run_explained
 from repro.relational import algebra as ra
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
-
-
-class Feed:
-    """A physical-operator stand-in that counts pulls."""
-
-    def __init__(self, attributes, tuples, name="feed"):
-        self.schema = RelationSchema(name, attributes)
-        self._tuples = list(tuples)
-        self.pulled = 0
-
-    def tuples(self):
-        for t in self._tuples:
-            self.pulled += 1
-            yield t
-
-    def describe(self):
-        return "Feed"
-
-
-def tally():
-    return Tally(EngineStatistics())
 
 
 def small_db():
@@ -62,87 +29,109 @@ def small_db():
     return db
 
 
-class TestStreaming:
-    def test_select_pulls_lazily(self):
-        feed = Feed(("a",), [(1,), (2,), (3,), (4,)])
-        op = Select(
-            feed, ra.Comparison(ra.Attr("a"), ">", ra.Const(0)), tally()
-        )
-        gen = op.tuples()
-        assert next(gen) == (1,)
-        assert feed.pulled == 1  # nothing beyond the first match
+def column_db(**columns):
+    """One unary relation per keyword: ``name=(attribute, values)``."""
+    return Database.from_dict(
+        {
+            name: ((attribute,), [(v,) for v in values])
+            for name, (attribute, values) in columns.items()
+        }
+    )
 
+
+def run(expr, db):
+    """The kernel's result and the work it charged."""
+    stats = EngineStatistics()
+    return execute(expr, db, stats), stats
+
+
+def operators(expr, db):
+    """EXPLAIN ANALYZE's operator labels for ``expr``, pre-order."""
+    return run_explained(canonicalize(expr, db.schema()), db).operators()
+
+
+class TestStreaming:
     def test_select_buffers_nothing(self):
-        t = tally()
-        feed = Feed(("a",), [(i,) for i in range(100)])
-        op = Select(
-            feed, ra.Comparison(ra.Attr("a"), "<", ra.Const(50)), t
+        db = column_db(f=("a", range(100)))
+        result, stats = run(
+            ra.Selection(
+                ra.RelationRef("f"),
+                ra.Comparison(ra.Attr("a"), "<", ra.Const(50)),
+            ),
+            db,
         )
-        assert len(list(op.tuples())) == 50
-        assert t.stats.tuples_materialized == 0
-        assert t.peak_buffer == 0
+        assert len(result) == 50
+        # The filter streams; only the result is a buffer.
+        assert stats.tuples_materialized == 50
+        assert stats.facts_scanned == 100
 
     def test_project_dedups_and_counts_buffer(self):
-        t = tally()
-        feed = Feed(("a", "b"), [(1, 1), (1, 2), (2, 1)])
-        op = Project(feed, ("a",), t)
-        assert sorted(op.tuples()) == [(1,), (2,)]
-        assert t.stats.tuples_materialized == 2  # the dedup set
-        assert t.peak_buffer == 2
+        db = Database.from_dict(
+            {"f": (("a", "b"), [(1, 1), (1, 2), (2, 1)])}
+        )
+        result, stats = run(ra.Projection(ra.RelationRef("f"), ("a",)), db)
+        assert sorted(result.tuples) == [(1,), (2,)]
+        assert stats.tuples_materialized == 2 + 2  # dedup set + result
 
     def test_union_streams_left_before_touching_right(self):
-        left = Feed(("a",), [(1,), (2,)])
-        right = Feed(("a",), [(2,), (3,)], name="feed2")
-        op = UnionOp(left, right, tally())
-        gen = op.tuples()
-        next(gen)
-        assert right.pulled == 0
-        assert sorted([t for t in gen] + [(1,)]) == [(1,), (2,), (3,)]
+        # The left input's pipeline runs to the end, unbuffered, before
+        # the right input's starts; one dedup set serves both.
+        db = column_db(f=("a", [1, 2]), g=("a", [2, 3]))
+        expr = ra.Union(ra.RelationRef("f"), ra.RelationRef("g"))
+        source = compile_plan(expr, db.schema()).source
+        assert source.index("_db['f']") < source.index("_db['g']")
+        assert source.count("set()") == 2  # the union's and the result's
+        result, stats = run(expr, db)
+        assert sorted(result.tuples) == [(1,), (2,), (3,)]
+        assert stats.tuples_materialized == 3 + 3  # dedup set + result
 
     def test_difference_buffers_only_right(self):
-        t = tally()
-        left = Feed(("a",), [(i,) for i in range(10)])
-        right = Feed(("a",), [(0,), (1,)], name="feed2")
-        op = DifferenceOp(left, right, t)
-        assert len(list(op.tuples())) == 8
-        assert t.stats.tuples_materialized == 2
-        assert t.stats.index_probes == 10
+        db = column_db(f=("a", range(10)), g=("a", [0, 1]))
+        result, stats = run(
+            ra.Difference(ra.RelationRef("f"), ra.RelationRef("g")), db
+        )
+        assert len(result) == 8
+        assert stats.tuples_materialized == 2 + 8  # right set + result
+        assert stats.index_probes == 10
 
-    def test_degenerate_semijoin_pulls_one_right_tuple(self):
-        left = Feed(("a",), [(1,), (2,)])
-        right = Feed(("z",), [(7,), (8,), (9,)], name="feed2")
-        op = SemijoinOp(left, right, None, tally())
-        assert sorted(op.tuples()) == [(1,), (2,)]
-        assert right.pulled == 1  # emptiness test only
+    def test_degenerate_semijoin_reads_no_right_tuple(self):
+        # No shared attribute: a stored right side's emptiness is its
+        # length, so none of its tuples is read.
+        db = column_db(f=("a", [1, 2]), g=("z", [7, 8, 9]), e=("z", []))
+        for right, kept in (("g", 2), ("e", 0)):
+            result, stats = run(
+                ra.Semijoin(ra.RelationRef("f"), ra.RelationRef(right)), db
+            )
+            assert len(result) == kept
+            assert stats.facts_scanned == (2 if kept else 0)
+            result, _stats = run(
+                ra.Antijoin(ra.RelationRef("f"), ra.RelationRef(right)), db
+            )
+            assert len(result) == 2 - kept
 
 
 class TestHashJoin:
     def test_probes_base_relation_index(self):
         db = small_db()
-        t = tally()
-        left = Scan(db["r"], t)
-        index = _BaseIndex(db["s"], (0,), t)
-        op = HashJoin(left, db["s"].schema, index, t)
-        assert sorted(op.tuples()) == [(1, 2, 10), (2, 3, 20)]
-        assert t.stats.index_builds == 1
-        assert t.stats.index_probes == 3  # one per left tuple
+        result, stats = run(
+            ra.NaturalJoin(ra.RelationRef("r"), ra.RelationRef("s")), db
+        )
+        assert sorted(result.tuples) == [(1, 2, 10), (2, 3, 20)]
+        assert stats.index_builds == 1
+        assert stats.index_probes == 3  # one per left tuple
         # The build pass scanned s (2) on top of the r scan (3).
-        assert t.stats.facts_scanned == 5
+        assert stats.facts_scanned == 5
+        assert stats.tuples_materialized == 2  # the result only
         assert db["s"].cached_index_patterns() == [(0,)]
 
     def test_cached_base_index_is_free(self):
         db = small_db()
         db["s"]._key_index((0,))  # pre-warm, as a prior query would
-        t = tally()
-        op = HashJoin(
-            Scan(db["r"], t),
-            db["s"].schema,
-            _BaseIndex(db["s"], (0,), t),
-            t,
+        _result, stats = run(
+            ra.NaturalJoin(ra.RelationRef("r"), ra.RelationRef("s")), db
         )
-        list(op.tuples())
-        assert t.stats.index_builds == 0
-        assert t.stats.facts_scanned == 3  # only the left scan
+        assert stats.index_builds == 0
+        assert stats.facts_scanned == 3  # only the left scan
 
     def test_built_index_counts_buffered_tuples(self):
         db = small_db()
@@ -162,44 +151,41 @@ class TestHashJoin:
 
 class TestThetaJoin:
     def test_no_equi_conjunct_never_materializes_product(self):
-        t = tally()
-        left = Feed(("a",), [(i,) for i in range(20)])
-        right = Feed(("z",), [(i,) for i in range(20)], name="feed2")
-        op = ThetaJoinOp(
-            left,
-            right,
-            ra.Comparison(ra.Attr("a"), "=", ra.Const(-1)),
-            t,
+        db = column_db(f=("a", range(20)), g=("z", range(20)))
+        result, stats = run(
+            ra.ThetaJoin(
+                ra.RelationRef("f"),
+                ra.RelationRef("g"),
+                ra.Comparison(ra.Attr("a"), "=", ra.Const(-1)),
+            ),
+            db,
         )
-        assert list(op.tuples()) == []
+        assert len(result) == 0
         # Only the right side is buffered — never the 400-pair product.
-        assert t.stats.tuples_materialized == 20
-        assert t.peak_buffer == 20
+        assert stats.tuples_materialized == 20
 
     def test_equi_conjunct_selects_hash_strategy(self):
-        left = Feed(("a",), [(1,), (2,)])
-        right = Feed(("z",), [(1,), (3,)], name="feed2")
-        op = ThetaJoinOp(
-            left,
-            right,
-            ra.And(
-                ra.Comparison(ra.Attr("a"), "=", ra.Attr("z")),
+        db = column_db(f=("a", [1, 2]), g=("z", [1, 3]))
+        expr = ra.ThetaJoin(
+            ra.RelationRef("f"),
+            ra.Selection(
+                ra.RelationRef("g"),
                 ra.Comparison(ra.Attr("z"), "<", ra.Const(10)),
             ),
-            tally(),
+            ra.Comparison(ra.Attr("a"), "=", ra.Attr("z")),
         )
-        assert "hash" in op.describe()
-        assert list(op.tuples()) == [(1, 1)]
+        assert operators(expr, db)[1].startswith("ThetaJoin:hash[")
+        assert execute(expr, db).tuples == {(1, 1)}
 
     def test_pure_inequality_uses_nested_loop(self):
-        op = ThetaJoinOp(
-            Feed(("a",), [(1,)]),
-            Feed(("z",), [(2,)], name="feed2"),
+        db = column_db(f=("a", [1]), g=("z", [2]))
+        expr = ra.ThetaJoin(
+            ra.RelationRef("f"),
+            ra.RelationRef("g"),
             ra.Comparison(ra.Attr("a"), "<", ra.Attr("z")),
-            tally(),
         )
-        assert "loop" in op.describe()
-        assert list(op.tuples()) == [(1, 2)]
+        assert operators(expr, db)[1].startswith("ThetaJoin:loop[")
+        assert execute(expr, db).tuples == {(1, 2)}
 
 
 class TestExecute:
@@ -262,33 +248,6 @@ class TestMeasureTreewalk:
         assert stats.tuples_materialized == len(before)
 
 
-class TestPhysicalOpSlots:
-    def test_every_operator_is_slotted(self):
-        import repro.plan.physical as physical
-
-        ops = [
-            obj for obj in vars(physical).values()
-            if isinstance(obj, type)
-            and issubclass(obj, physical.PhysicalOp)
-        ]
-        assert len(ops) > 10
-        for op in ops:
-            assert "__slots__" in op.__dict__, op
-
-    def test_subclass_without_slots_is_rejected_at_class_creation(self):
-        import pytest
-
-        from repro.plan.physical import PhysicalOp
-
-        with pytest.raises(TypeError, match="__slots__"):
-            type("Sloppy", (PhysicalOp,), {})
-
-        class Fine(PhysicalOp):
-            __slots__ = ()
-
-        assert Fine.child_slots == ()
-
-
 class TestBuildPhysical:
     def test_every_operator_kind_runs(self):
         db = small_db()
@@ -322,29 +281,20 @@ class TestBuildPhysical:
 
     def test_operator_tree_describe(self):
         db = small_db()
-        root = build_physical(
-            ra.Projection(
-                ra.NaturalJoin(ra.RelationRef("r"), ra.RelationRef("s")),
-                ("a",),
-            ),
-            db,
-            tally(),
+        expr = ra.Projection(
+            ra.NaturalJoin(ra.RelationRef("r"), ra.RelationRef("s")),
+            ("a",),
         )
-        assert root.describe() == "Project[a](HashJoin(Scan(r)))"
+        assert operators(expr, db) == [
+            "Result", "Project[a]", "HashJoin:base[b]", "Scan(r)",
+        ]
 
 
 class TestBatchedAccounting:
-    """Hot-loop counters are flushed in blocks but land exactly.
+    """Kernel counters are kept in locals and flushed once, but land
+    exactly: one scan per stored tuple read, one probe per left tuple."""
 
-    The scan/probe loops accumulate a local pending count and flush it
-    to the Tally every ``_FLUSH_BLOCK`` tuples plus once at generator
-    exit.  These tests pin the contract: final counter values are
-    identical to per-tuple charging — on sizes that are *not* block
-    multiples, across every batched operator, and when a consumer
-    closes the generator early.
-    """
-
-    N = 2 * _FLUSH_BLOCK + 89  # crosses two flush blocks, odd remainder
+    N = 601
 
     def wide_db(self):
         db = Database()
@@ -419,10 +369,22 @@ class TestBatchedAccounting:
         assert db["dim"].cached_index_patterns() == [(0,)]
 
     def test_early_close_flushes_pending(self):
-        db = self.wide_db()
-        t = tally()
-        gen = Scan(db["big"], t).tuples()
-        for _ in range(10):
-            next(gen)
-        gen.close()
-        assert t.stats.facts_scanned == 10
+        # A kernel that stops early (here: a comparison raises on the
+        # tenth row) still flushes the counters it accumulated.
+        class Poison:
+            def __eq__(self, other):
+                raise ValueError("poisoned row")
+
+            __hash__ = object.__hash__
+
+        db = Database.from_dict(
+            {"big": (("a",), [(i,) for i in range(9)] + [(Poison(),)])}
+        )
+        expr = ra.Selection(
+            ra.RelationRef("big"),
+            ra.Comparison(ra.Attr("a"), "!=", ra.Const("x")),
+        )
+        stats = EngineStatistics()
+        with pytest.raises(ValueError):
+            execute(expr, db, stats)
+        assert stats.facts_scanned == 10

@@ -378,11 +378,10 @@ class TestSessionDatalog:
         )
 
     def test_routes_are_recorded(self):
-        # "compiled" is a synonym of the default route: one label.  The
-        # first run of a plan shape interprets; the second compiles.
+        # "compiled" is a synonym of the default route: one label.
         wb = MetatheoryWorkbench(session_workbench().db, history=True)
         wb.run("out(X) :- edge(X, Y).")
-        assert wb.history.last().route == "datalog:cold"
+        assert wb.history.last().route == "datalog:compiled"
         wb.run("out(X) :- edge(X, Y).", executor="compiled")
         assert wb.history.last().route == "datalog:compiled"
         wb.run("out(X) :- edge(X, Y).")
@@ -411,7 +410,31 @@ class TestSessionDatalog:
         assert second.get("q") == {(1, 10), (2, 20)}
         assert wb.plan_cache.stats()["misses"] == misses
         assert wb.plan_cache.stats()["hits"] >= 1
-        assert len(wb.sql("SELECT plan_fingerprint FROM sys_kernels")) == 1
+        # The rule's one kernel served both runs; the other row is this
+        # query's own kernel, compiled before it read sys_kernels.
+        kernels = wb.sql("SELECT plan_fingerprint, hits FROM sys_kernels")
+        assert sorted(hits for _fingerprint, hits in kernels.tuples) == [
+            0, 1,
+        ]
+
+    def test_one_schema_per_run(self, monkeypatch):
+        # lowered_evaluate builds the database schema once and hands it
+        # to the pipeline, which canonicalizes and keys the kernel with
+        # it: one Database.schema() call per wb.run.
+        wb = session_workbench()
+        text = "q(K, M) :- fact(K, K2, M), M < 15."
+        wb.run(text)  # plans and compiles
+        calls = []
+        original = Database.schema
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "schema", counted)
+        for bound in (15, 25, 35):
+            wb.run(text.replace("15", str(bound)))
+        assert len(calls) == 3
 
     def test_dml_between_runs_is_seen(self):
         wb = session_workbench()
@@ -449,11 +472,12 @@ class TestSessionDatalog:
         # Every strategy reads the state of the wb.datalog call.
         for strategy in STRATEGIES:
             assert engine.query("out(X)", strategy=strategy) == {(3,), (4,)}
-        # The lowered plan's second run compiles it in the session's
-        # kernel cache (the single-use INSERT never compiles).
+        # The lowered plan compiled once in the session's kernel cache,
+        # beside the INSERT's own kernel, and every later run reuses it.
         model = engine.evaluate(stats=EngineStatistics())
         assert model.get("out") == {(3,), (4,)}
-        assert len(wb.kernel_cache) == 1
+        assert len(wb.kernel_cache) == 2
+        assert wb.kernel_cache.stats()["codegens"] == 2
 
 
 class TestParseOnce:

@@ -5,33 +5,36 @@ compiled kernel; the literal binds in at execution time.  The contract,
 layer by layer:
 
 * parameterize / bind — exactly the literals opposite an attribute, of
-  a liftable type, become ``Param`` slots (in pre-order), and binding
-  them back gives the original plan key;
+  a liftable type, become ``Param`` slots (in pre-order), as do the
+  liftable values of an ``INSERT … VALUES`` source, and binding them
+  back gives the original plan key;
 * keys — :func:`plan_key` is type-exact for inline literals and for
   relation-literal rows, so ``1``, ``1.0`` and ``True`` never share a
   cache entry (the ``INSERT ... VALUES`` regression);
-* execution — a template run on its values, interpreted or compiled,
-  answers and charges exactly like the concrete plan;
+* execution — a template's kernel run on its values answers and
+  charges exactly like the concrete plan's;
 * value independence — optimizing the template and then binding gives
   the plan that optimizing the concrete plan gives;
 * workbench surfaces — two statements differing in a literal share one
   ``sys_plan_cache`` row, one ``sys_kernels`` row and one plan
   fingerprint, while EXPLAIN ANALYZE labels show each statement's own
-  value; the parse cache is bounded.
+  value; every ``INSERT INTO t VALUES (…)`` of one shape shares one
+  plan and one kernel; the parse cache is bounded.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import compile_plan, execute_compiled
+from repro.compile import compile_plan
+from repro.conformance.oracles import RelationalDifferentialOracle
 from repro.core.random_instances import (
     random_algebra_expression,
     random_database,
 )
 from repro.core.workbench import PARSE_CACHE_SIZE, MetatheoryWorkbench
 from repro.datalog.stats import EngineStatistics
-from repro.errors import AlgebraError, PlanError
+from repro.errors import AlgebraError, PlanError, SchemaError
 from repro.obs.metrics import MetricsRegistry
 from repro.opt import Optimizer
 from repro.plan import bind, canonicalize, parameterize, plan_key
@@ -41,6 +44,7 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.sql_frontend import parse_sql
+from repro.relational.types import INTEGER, STRING
 
 NAN = float("nan")
 
@@ -240,14 +244,14 @@ class TestTypeExactKeys:
 
 
 def run_both(plan, db):
-    """Concrete and template runs of ``plan`` on both executors, each on
-    an index-cold copy of ``db``: ``[(relation, stats, peak), ...]``."""
+    """Kernel runs of ``plan``, of its template bound back, and of the
+    template on its values, each on an index-cold copy of ``db``:
+    ``[(relation, stats, peak), ...]``."""
     template, values = parameterize(plan)
     runs = []
     for run in (
         lambda d, s: execute_physical(plan, d, s),
         lambda d, s: execute_physical(bind(template, values), d, s),
-        lambda d, s: compile_plan(plan, d.schema()).execute(d, s),
         lambda d, s: compile_plan(template, d.schema()).execute(
             d, s, values
         ),
@@ -321,21 +325,28 @@ class TestExecution:
         )
         kernel = compile_plan(template, db.schema())
         lines = kernel.source.splitlines()
-        assert lines[:3] == [
+        assert lines[:4] == [
             "def kernel(_db, _tally, _params):",
-            "    _p0 = _params[0]",
-            "    _p1 = _params[1]",
+            "    try:",
+            "        _p0 = _params[0]",
+            "        _p1 = _params[1]",
         ]
-        assert not any("_params" in line for line in lines[3:])
+        assert not any("_params[" in line for line in lines[4:])
         result, _tally = kernel.execute(db, params=values)
         assert result.tuples == {(4, 1), (7, 1)}
         result, _tally = kernel.execute(db, params=(2, 6))
         assert result.tuples == {(8, 2)}
 
     def test_execute_compiled_runs_the_template(self):
+        # One-shot execution runs the concrete plan; the template's
+        # kernel runs on its values.
         db = small_db([(i, i % 3) for i in range(9)])
-        result, _tally = execute_compiled(select("r", eq("b", 2)), db)
+        plan = select("r", eq("b", 2))
+        result, _tally = execute_physical(plan, db)
         assert result.tuples == {(2, 2), (5, 2), (8, 2)}
+        template, values = parameterize(plan)
+        kernel = compile_plan(template, db.schema())
+        assert kernel.execute(db, params=values)[0] == result
 
 
 class TestValueIndependence:
@@ -356,6 +367,10 @@ class TestValueIndependence:
         db = random_database(num_relations=3, rows=8, seed=seed)
         expr = random_algebra_expression(db, seed=seed, size=1 + seed % 6)
         self.assert_independent(expr, db)
+
+    def test_values_source(self):
+        db = small_db()
+        self.assert_independent(values_source((1, "p"), (2.5, None)), db)
 
     @pytest.mark.parametrize("value", [0, 1, 2, 4])
     def test_selection_under_a_join_chain(self, value):
@@ -461,6 +476,99 @@ class TestWorkbenchSurfaces:
             answers.append(engine.evaluate().get("name"))
         assert answers == [{("c7",)}, {("c8",)}]
         assert wb.kernel_cache.stats()["codegens"] == 1
+
+
+def values_source(*rows):
+    return ra.ConstantRelation(
+        Relation(RelationSchema("values", ("a", "b")), rows)
+    )
+
+
+def targets(**kwargs):
+    """A workbench over an empty ``t(a: INTEGER, b: STRING)``."""
+    kwargs.setdefault("metrics", MetricsRegistry())
+    schema = RelationSchema("t", ("a", "b"), (INTEGER, STRING))
+    return MetatheoryWorkbench(Database([Relation(schema, [])]), **kwargs)
+
+
+class TestValuesTemplates:
+    """An ``INSERT … VALUES`` source is a literal relation; its values
+    lift into parameter slots like condition literals."""
+
+    def test_one_shape_one_plan_and_one_kernel(self):
+        wb = targets()
+        wb.sql("INSERT INTO t VALUES (1, 'a')")
+        wb.sql("INSERT INTO t VALUES (2, 'b')")
+        assert wb.db["t"].tuples == {(1, "a"), (2, "b")}
+        assert len(wb.db["sys_plan_cache"].tuples) == 1
+        assert len(wb.db["sys_kernels"].tuples) == 1
+        assert wb.kernel_cache.stats()["codegens"] == 1
+        assert wb.plan_cache.stats()["hits"] == 1
+
+    def test_each_value_type_gets_its_own_entry(self):
+        wb = MetatheoryWorkbench.from_dict({"t": (("a", "b"), [])})
+        wb.sql("INSERT INTO t VALUES (1, 'a')")
+        wb.sql("INSERT INTO t VALUES (1.0, 'a')")
+        assert len(wb.db["sys_plan_cache"].tuples) == 2
+        # SQL has no boolean literal; the algebra front-end has.
+        rows = [(1, "a"), (1.0, "a"), (True, "a"), (2, "b")]
+        served = [wb.algebra(values_source(row)).tuples for row in rows]
+        assert [
+            [(type(a), a, b) for a, b in answer] for answer in served
+        ] == [[(type(a), a, b)] for a, b in rows]
+        assert len(wb.db["sys_plan_cache"].tuples) == 2 + 3
+        assert wb.plan_cache.stats()["hits"] == 1
+
+    def test_nan_and_none_stay_inline(self):
+        template, values = parameterize(values_source((NAN, "a")))
+        [row] = template.relation.tuples
+        assert row[0] is NAN and row[1] == ra.Param(0, str)
+        assert values == ("a",)
+        template, values = parameterize(values_source((None, 7)))
+        assert template.relation.tuples == {(None, ra.Param(0, int))}
+        assert values == (7,)
+        plan = values_source((None, None))
+        assert parameterize(plan) == (plan, ())
+        # Rows that differ only in a lifted value share a template.
+        wb = MetatheoryWorkbench.from_dict({"t": (("a", "b"), [])})
+        for value in (7, 8):
+            wb.algebra(values_source((None, value)))
+        assert wb.plan_cache.stats()["hits"] == 1
+        assert wb.kernel_cache.stats()["codegens"] == 1
+
+    def test_two_rows_are_their_own_shape(self):
+        wb = targets()
+        wb.sql("INSERT INTO t VALUES (1, 'a')")
+        wb.sql("INSERT INTO t VALUES (2, 'b'), (3, 'c')")
+        wb.sql("INSERT INTO t VALUES (4, 'd'), (5, 'e')")
+        assert len(wb.db["t"]) == 5
+        assert len(wb.db["sys_plan_cache"].tuples) == 2
+        assert wb.kernel_cache.stats()["codegens"] == 2
+        assert wb.plan_cache.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("executor", [True, False])
+    def test_a_row_outside_the_domain_still_raises(self, executor):
+        wb = targets()
+        wb.sql("INSERT INTO t VALUES (1, 'a')", executor=executor)
+        bad = "INSERT INTO t VALUES ('x', 'b')"
+        with pytest.raises(SchemaError):
+            wb.sql(bad, executor=executor)
+        with pytest.raises(SchemaError):
+            with wb.begin() as txn:
+                txn.sql(bad, executor=executor)
+        assert wb.db["t"].tuples == {(1, "a")}
+
+    def test_template_leg_covers_a_values_source(self):
+        # The relational-differential template leg: the case twice and
+        # an active-domain sibling through one workbench share the
+        # template and its kernel, and the optimized template binds to
+        # the optimized concrete plan.
+        db = small_db([(1, "p"), (2, "q")], [(3, 4)])
+        template, values = parameterize(values_source((1, "q")))
+        assert values == (1, "q")
+        assert RelationalDifferentialOracle._template_leg(
+            0, db, template, values
+        ) == []
 
 
 class TestParseCacheBound:

@@ -203,8 +203,8 @@ class TestExecutorRoutes:
             "INSERT INTO dept SELECT name, dept FROM emp WHERE salary > 75"
         )
         a = streaming.sql(text, executor=False)
-        # The template's first run (no salary is over 1000) interprets;
-        # its second compiles.
+        # The template compiles on its first run (no salary is over
+        # 1000); the second runs the same kernel.
         compiled.sql(text.replace("75", "1000"), executor="compiled")
         b = compiled.sql(text, executor="compiled")
         assert (a.rows_inserted, a.rows_deleted) == (
@@ -375,11 +375,10 @@ class TestCacheCoherence:
 
     def test_same_shape_dml_keeps_compiled_kernels(self):
         wb = make_wb()
-        for _ in range(2):  # the second run compiles
-            wb.sql("SELECT name FROM emp WHERE salary > 75",
-                   executor="compiled")
-        codegens = wb.kernel_cache.stats()["codegens"]
+        wb.sql("SELECT name FROM emp WHERE salary > 75",
+               executor="compiled")
         wb.sql("INSERT INTO emp VALUES ('dee', 'it', 99)")
+        codegens = wb.kernel_cache.stats()["codegens"]
         out = wb.sql("SELECT name FROM emp WHERE salary > 75",
                      executor="compiled")
         assert ("dee",) in out.tuples
@@ -403,11 +402,11 @@ class TestObservability:
         wb.sql("INSERT INTO emp VALUES ('dee', 'it', 60)")
         record = wb.history.last()
         assert record.kind == "sql"
-        assert record.route == "dml:insert:cold"  # a shape's first run
+        assert record.route == "dml:insert:compiled"
         assert record.plan_fingerprint
         assert record.rows == 1  # rows_affected is the cardinality
         wb.sql("DELETE FROM emp WHERE dept = 'it'", executor="compiled")
-        assert wb.history.last().route == "dml:delete:cold"
+        assert wb.history.last().route == "dml:delete:compiled"
         wb.sql("DELETE FROM emp WHERE dept = 'hr'", executor="compiled")
         assert wb.history.last().route == "dml:delete:compiled"
 
@@ -457,16 +456,12 @@ class TestObservability:
         assert wb.db["emp"].tuples == {("cal", "it", 70)}  # ANALYZE runs
         assert explained.plan_cache_hit is False
         assert explained.kernel["fingerprint"]
-        assert explained.kernel["status"] in (
-            "cold", "compiled", "fallback",
-        )
+        assert explained.kernel["status"] == "compiled"
         assert explained.report is not None
 
     def test_explain_analyze_sees_warm_caches(self):
         wb = make_wb()
-        for _ in range(2):  # the second run compiles
-            wb.sql("DELETE FROM emp WHERE name = 'nobody'",
-                   executor="compiled")
+        wb.sql("DELETE FROM emp WHERE name = 'nobody'", executor="compiled")
         explained = wb.explain_analyze(
             "DELETE FROM emp WHERE name = 'nobody'"
         )
