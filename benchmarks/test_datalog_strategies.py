@@ -14,7 +14,15 @@ recursive queries".  The beautiful ideas, raced:
 
 Paper claims (shape): semi-naive beats naive, increasingly with size;
 magic beats computing the full closure when the query is bound; the
-non-recursive rewrite also wins.  Tables in results/datalog_strategies.txt,
+non-recursive rewrite also wins.
+
+Each timing is the second of two identical calls.  Semi-naive rounds
+and magic's rewritten program run as relational plans whose kernels
+compile on a plan's first sight, so a first call would charge one
+strategy its code generation and not another (the closure section
+compiles the transitive-closure kernels the bound-query section's
+semi-naive call then reuses); the second call compares evaluation
+strategies alone.  Tables in results/datalog_strategies.txt,
 raw measurements in results/datalog_strategies_metrics.json, and a traced
 semi-naive + magic fixpoint (per-stratum, per-round spans with delta
 sizes and counter deltas) in results/datalog_fixpoint_trace.txt.
@@ -46,6 +54,8 @@ SIZES = (20, 40, 80)
 
 
 def timed(fn, *args):
+    """Seconds and result of the second of two identical calls."""
+    fn(*args)
     start = time.perf_counter()
     result = fn(*args)
     return time.perf_counter() - start, result

@@ -101,7 +101,7 @@ def main():
 
     print("\n=== The flight recorder's slowest query ===")
     # Reports come from each kernel's instrumented variant (relational
-    # queries); the fixpoint engines record wall time only.
+    # queries); Datalog programs record wall time only.
     slow = max(wb.history.slow_queries(), key=lambda r: r.wall_ms)
     print("  %r" % slow)
 

@@ -184,3 +184,10 @@ class KernelCache:
         self.misses = 0
         self.evictions = 0
         self.codegens = 0
+
+
+#: The kernels of every one-shot execution
+#: (:func:`~repro.plan.executor.execute_physical`,
+#: :func:`~repro.plan.explain.run_explained`, and a standalone engine's
+#: lowered and semi-naive plans), evicted first in, first out.
+ONE_SHOT = KernelCache()

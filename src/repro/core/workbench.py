@@ -26,6 +26,7 @@ from ..datalog.engine import DatalogEngine
 from ..datalog.facts import FactStore
 from ..datalog.lowering import is_lowerable, lowered_evaluate
 from ..datalog.parser import parse_program
+from ..datalog.seminaive import seminaive_evaluate
 from ..datalog.stats import EngineStatistics
 from ..dependencies.design import DesignTool
 from ..obs.history import make_history
@@ -145,8 +146,8 @@ class MetatheoryWorkbench:
     # Every relational entry point compiles into one pipeline:
     # front-end -> canonical logical plan -> optimizer -> cached plan ->
     # compiled kernel.  ``executor=False`` runs the same cached plan on
-    # the materialize-everything tree walk (the differential oracle),
-    # mirroring the ``indexed=False`` opt-out of the Datalog layer.
+    # the materialize-everything tree walk (the differential oracle);
+    # Datalog's rule plans follow the same two routes.
 
     def _sync_caches(self):
         """Surgically invalidate caches for relations that changed.
@@ -185,7 +186,7 @@ class MetatheoryWorkbench:
         self._cache_version = vid
         self._cache_state = state
 
-    def _plan_for(self, canonical, optimized, capture=None):
+    def _plan_for(self, canonical, optimized, capture=None, db=None):
         """Resolve the cached plan template (and optimizer info).
 
         The canonical plan splits into its template and the values
@@ -200,6 +201,8 @@ class MetatheoryWorkbench:
         ``capture``, when given, receives the cache outcome, the key's
         fingerprint (joinable against ``sys_plan_cache``), and the fired
         optimizer rules — the flight recorder's per-query breadcrumbs.
+        A miss optimizes against ``db`` (default: the session's
+        database), which must hold every relation the plan reads.
 
         Returns:
             ``(entry, hit, key, values)``, ``entry`` a
@@ -214,9 +217,11 @@ class MetatheoryWorkbench:
         entry = self.plan_cache.get(key)
         hit = entry is not None
         if entry is None:
+            if db is None:
+                db = self.db
             if optimized:
-                plan, info = self.optimizer.optimize_info(template, self.db)
-                plan = canonicalize(plan, self.db.schema())
+                plan, info = self.optimizer.optimize_info(template, db)
+                plan = canonicalize(plan, db.schema())
             else:
                 plan, info = template, None
             entry = CachedPlan(plan, info, KernelCache.lookup_for(plan))
@@ -256,28 +261,50 @@ class MetatheoryWorkbench:
         entry, _hit, key, values = self._plan_for(
             canonical, optimized, capture
         )
+        return self._route(
+            entry, key, values, executor, capture, base, schema
+        )(base, stats)
+
+    def _route(self, entry, key, values, executor, capture, db, schema):
+        """Resolve a cached plan (:meth:`_plan_for`'s ``entry``, ``key``
+        and ``values``) on the route ``executor`` names, for relations
+        of ``db``'s ``schema``.
+
+        Returns ``run(relations, stats)``, which runs the plan over
+        ``relations`` (a database or a ``{name: Relation}`` mapping) and
+        returns its Relation: the kernel, its instrumented variant when
+        ``capture`` is marked ``analyze``, or the tree walk.
+        """
         if not executor:
             self._note_route(key, "treewalk", capture)
-            return evaluate(bind(entry.plan, values), base)
+            plan = bind(entry.plan, values)
+            return lambda relations, _stats: evaluate(plan, relations)
         kernel = self.kernel_cache.resolve(
-            entry.plan, base, schema, entry.kernel_lookup
+            entry.plan, db, schema, entry.kernel_lookup
         )
         self._note_route(key, "compiled", capture, kernel=kernel.fingerprint)
         if capture is not None and capture.get("analyze"):
-            explained = explain_kernel(
-                kernel, base, values, stats=stats,
-                tracer=capture.get("tracer", self.tracer),
-                kind=capture.get("kind"),
-            )
-            explained.optimizer = entry.info
-            explained.kernel = kernel_status(kernel)
-            capture["explained"] = explained
-            capture["report"] = explained.report
-            capture["plan"] = entry.plan
-            capture["instrumented"] = True
-            return explained.result
-        relation, _tally = kernel.execute(base, stats, values)
-        return relation
+
+            def analyzed(relations, stats):
+                explained = explain_kernel(
+                    kernel, relations, values, stats=stats,
+                    tracer=capture.get("tracer", self.tracer),
+                    kind=capture.get("kind"),
+                )
+                explained.optimizer = entry.info
+                explained.kernel = kernel_status(kernel)
+                capture["explained"] = explained
+                capture["report"] = explained.report
+                capture["plan"] = entry.plan
+                capture["instrumented"] = True
+                return explained.result
+
+            return analyzed
+
+        def run(relations, stats):
+            return kernel.execute(relations, stats, values)[0]
+
+        return run
 
     def _note_route(self, key, route, capture, kernel=None):
         """Record the route that served a plan-cache entry, on the entry
@@ -500,7 +527,11 @@ class MetatheoryWorkbench:
         Relational kinds (SQL / algebra / calculus) return a
         :class:`~repro.relational.relation.Relation`; Datalog source is
         fully evaluated and returns the model as a
-        :class:`~repro.datalog.facts.FactStore`.
+        :class:`~repro.datalog.facts.FactStore`, computed over this
+        session's relations: a non-recursive program as one plan per
+        IDB predicate, a recursive one by semi-naive rounds of cached
+        rule plans (``executor=False`` runs the latter on the tree walk
+        for every program).
 
         Args:
             query: SQL text, an algebra expression, a calculus query
@@ -541,11 +572,7 @@ class MetatheoryWorkbench:
         )
         if executor and is_lowerable(program):
             return self._lowered(program, optimized, stats, capture)
-        if capture is not None:
-            capture["route"] = "datalog:fixpoint"
-        return self._engine(program, executor, optimized).evaluate(
-            stats=stats
-        )
+        return self._fixpoint(program, optimized, executor, stats, capture)
 
     def _lowered(self, program, optimized, stats, capture=None, db=None):
         """The model of a non-recursive program: each IDB predicate's
@@ -575,6 +602,33 @@ class MetatheoryWorkbench:
                 capture["plan_cache_hit"] = all(hits)
         return model
 
+    def _fixpoint(self, program, optimized, executor, stats, capture=None):
+        """The model of a program by semi-naive rounds over this
+        session's relations: each lowered rule and differential variant
+        is planned through the plan cache and the optimizer, resolved
+        once, and run on its kernel (or, with ``executor`` False, on the
+        tree walk) every round."""
+        reject_system_heads(program)
+        self._sync_caches()
+        hits = []
+
+        def prepare(expr, db, db_schema):
+            entry, hit, key, values = self._plan_for(expr, optimized, db=db)
+            hits.append(hit)
+            return self._route(
+                entry, key, values, executor, None, db, db_schema
+            )
+
+        model = seminaive_evaluate(
+            program, stats=stats, tracer=self.tracer, db=self.db,
+            prepare=prepare,
+        )
+        if capture is not None:
+            capture["route"] = "datalog:fixpoint"
+            if hits:
+                capture["plan_cache_hit"] = all(hits)
+        return model
+
     # -- observability ------------------------------------------------------------
 
     def _recorded(self, kind, query, optimized, executor, stats,
@@ -595,8 +649,8 @@ class MetatheoryWorkbench:
             and not (kind == "calculus" and via == "direct")
         ):
             # Run each kernel's instrumented variant so a slow query's
-            # OpReport exists without a re-run.  The tree walk and the
-            # fixpoint engines have no per-operator reports; they record
+            # OpReport exists without a re-run.  The tree walk and
+            # Datalog programs have no per-operator reports; they record
             # wall time and counters only.
             capture["analyze"] = True
         own_stats = stats if stats is not None else EngineStatistics()
@@ -690,9 +744,10 @@ class MetatheoryWorkbench:
                 was passed at construction).
 
         Raises:
-            DatalogError: for recursive Datalog programs, which need the
-                fixpoint engines (trace those via
-                :meth:`datalog` with a tracer-carrying engine).
+            DatalogError: for recursive Datalog programs, whose plans
+                run once per semi-naive round (trace those with a
+                tracer-carrying workbench or engine: it records every
+                round's span and counters).
         """
         tracer = ensure_tracer(tracer) if tracer is not None else self.tracer
         if kind is None:
@@ -756,8 +811,11 @@ class MetatheoryWorkbench:
         Any ``?-`` queries in the source are ignored here; use the
         returned engine's ``.query``.  Non-recursive programs run as
         algebra plans on this session's pipeline (its plan cache and
-        kernels) by default, like :meth:`run`; ``executor=False`` forces
-        the fixpoint machinery everywhere.
+        kernels) by default, like :meth:`run`; ``executor=False`` runs
+        each strategy's fixpoint for every program.  Recursive programs
+        run the strategy's fixpoint over the engine's copy of the EDB
+        (semi-naive and magic on one-shot kernels); :meth:`run` is the
+        route that runs them on the session's own relations.
 
         The EDB is the database's *user* relations as of this call, on
         every strategy; any ``sys_`` system relation named in a rule
@@ -770,7 +828,7 @@ class MetatheoryWorkbench:
         )
         return self._engine(program, executor)
 
-    def _engine(self, program, executor, optimized=True):
+    def _engine(self, program, executor):
         # The engine checks the arities its facts show; an empty stored
         # relation shows none, so check the schema's here.
         schema = self.db.schema()
@@ -786,7 +844,7 @@ class MetatheoryWorkbench:
             pinned = self.db.snapshot().db
 
             def session(program, stats):
-                return self._lowered(program, optimized, stats, db=pinned)
+                return self._lowered(program, True, stats, db=pinned)
         return DatalogEngine(
             program, store, executor=executor, tracer=self.tracer,
             session=session,

@@ -28,12 +28,10 @@ from .ast import (
 )
 from .engine import STRATEGIES, DatalogEngine, cross_check
 from .facts import FactStore
-from .indexing import IndexedFactStore, PredicateView, working_store
 from .magic import magic_evaluate, magic_transform, match_query
 from .naive import naive_evaluate, naive_iterations
 from .negation import holds, negative_facts, perfect_model
 from .parser import parse_program, parse_query, parse_rule
-from .planner import plan_order
 from .seminaive import seminaive_evaluate, seminaive_iterations
 from .stats import EngineStatistics
 from .topdown import TopDownEngine, topdown_query
@@ -46,9 +44,7 @@ __all__ = [
     "DependencyGraph",
     "EngineStatistics",
     "FactStore",
-    "IndexedFactStore",
     "Literal",
-    "PredicateView",
     "Program",
     "Rule",
     "STRATEGIES",
@@ -72,12 +68,10 @@ __all__ = [
     "parse_query",
     "parse_rule",
     "perfect_model",
-    "plan_order",
     "predicate_sccs",
     "rules_by_stratum",
     "seminaive_evaluate",
     "seminaive_iterations",
     "stratify",
     "topdown_query",
-    "working_store",
 ]

@@ -36,15 +36,11 @@ STRATEGIES = ("naive", "seminaive", "magic", "topdown")
 class DatalogEngine:
     """A program plus an extensional database, evaluable four ways.
 
-    ``indexed`` and ``planned`` select the physical configuration shared
-    by every strategy (persistent hash indexes and the greedy join-order
-    planner, both on by default); the defaults reproduce the seed's
-    *semantics* while changing its physical plan.  ``executor`` routes
-    *non-recursive* programs through the shared relational pipeline
-    (lowered to algebra plans over ``edb.to_database()``, run on
-    one-shot kernels) for the bottom-up strategies; recursive programs
-    always use the fixpoint machinery, and ``executor=False`` forces it
-    everywhere.
+    ``executor`` routes *non-recursive* programs through the shared
+    relational pipeline (lowered to algebra plans over
+    ``edb.to_database()``, run on one-shot kernels) for the bottom-up
+    strategies; recursive programs always run the chosen strategy's
+    fixpoint, and ``executor=False`` runs it for every program.
 
     ``session``, when given, replaces that lowered run:
     ``session(program, stats)`` returns the model computed on a
@@ -56,13 +52,11 @@ class DatalogEngine:
             arity other than its stored facts'.
     """
 
-    def __init__(self, program, edb=None, indexed=True, planned=True,
-                 executor=True, tracer=None, session=None):
+    def __init__(self, program, edb=None, executor=True, tracer=None,
+                 session=None):
         if not isinstance(program, Program):
             raise DatalogError("expected a Program, got %r" % (program,))
         self.program = program
-        self.indexed = indexed
-        self.planned = planned
         self.executor = executor
         self.session = session
         self.tracer = ensure_tracer(tracer)
@@ -82,14 +76,10 @@ class DatalogEngine:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_source(cls, source, edb=None, indexed=True, planned=True,
-                    executor=True, tracer=None):
+    def from_source(cls, source, edb=None, executor=True, tracer=None):
         """Parse program text (ignoring any ``?-`` lines) and wrap it."""
         program, _ = parse_program(source)
-        return cls(
-            program, edb, indexed=indexed, planned=planned,
-            executor=executor, tracer=tracer,
-        )
+        return cls(program, edb, executor=executor, tracer=tracer)
 
     # -- full evaluation ------------------------------------------------------
 
@@ -136,20 +126,10 @@ class DatalogEngine:
             return self._model_cache["plan"]
         if observed:
             return evaluator(
-                self.program,
-                self.edb,
-                stats=stats,
-                indexed=self.indexed,
-                planned=self.planned,
-                tracer=self.tracer,
+                self.program, self.edb, stats=stats, tracer=self.tracer
             )
         if strategy not in self._model_cache:
-            self._model_cache[strategy] = evaluator(
-                self.program,
-                self.edb,
-                indexed=self.indexed,
-                planned=self.planned,
-            )
+            self._model_cache[strategy] = evaluator(self.program, self.edb)
         return self._model_cache[strategy]
 
     def _lowered(self, stats):
@@ -187,22 +167,12 @@ class DatalogEngine:
             if query_atom.predicate not in self.program.idb_predicates():
                 return match_query(self._edb_with_facts(), query_atom)
             return magic_evaluate(
-                self.program,
-                self.edb,
-                query_atom,
-                stats=stats,
-                indexed=self.indexed,
-                planned=self.planned,
+                self.program, self.edb, query_atom, stats=stats,
                 tracer=self.tracer,
             )
         if strategy == "topdown":
             return topdown_query(
-                self.program,
-                self.edb,
-                query_atom,
-                stats=stats,
-                indexed=self.indexed,
-                planned=self.planned,
+                self.program, self.edb, query_atom, stats=stats,
                 tracer=self.tracer,
             )
         raise DatalogError(
@@ -229,20 +199,15 @@ class DatalogEngine:
         )
 
 
-def cross_check(
-    program, edb, query_atom, strategies=STRATEGIES, indexed=True,
-    planned=True, executor=True
-):
+def cross_check(program, edb, query_atom, strategies=STRATEGIES,
+                executor=True):
     """Answer the same query under several strategies; return the results.
 
     The integration tests use this to assert all engines agree — the
-    library's own Berkeley–IBM-style experiment.  ``indexed``/``planned``/
-    ``executor`` select the physical configuration, so the differential
-    suite can run the comparison both with and without the new machinery.
+    library's own Berkeley–IBM-style experiment.  ``executor`` is the
+    engine's (see :class:`DatalogEngine`).
     """
-    engine = DatalogEngine(
-        program, edb, indexed=indexed, planned=planned, executor=executor
-    )
+    engine = DatalogEngine(program, edb, executor=executor)
     if isinstance(query_atom, str):
         query_atom = parse_query(query_atom)
     return {

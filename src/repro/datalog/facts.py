@@ -17,14 +17,16 @@ class FactStore:
 
     A predicate may be bound to an immutable tuple set it shares with a
     relation or another store (:meth:`share`, :meth:`from_database`,
-    :meth:`copy`); the store copies that set on its first write, so
-    sharing never lets a write reach the source.
+    :meth:`copy`, :meth:`to_database`); the store copies that set on its
+    first write, so sharing never lets a write reach the source.
     """
 
-    __slots__ = ("_facts",)
+    __slots__ = ("_facts", "_exported")
 
     def __init__(self, facts=None):
         self._facts = {}
+        # predicate -> the Relation to_database last built for it.
+        self._exported = {}
         if facts:
             for predicate, tuples in facts.items():
                 for tup in tuples:
@@ -139,6 +141,12 @@ class FactStore:
         <repro.relational.database.Database.bound>`): exporting commits
         nothing.
 
+        A predicate exported under the default attribute names shares
+        its tuple set with its relation, and its relation (with the key
+        indexes it has cached) serves every later export until the
+        predicate is written to, so repeated evaluations over one store
+        build each index once.
+
         Args:
             attribute_names: optional ``{predicate: (attr, ...)}``;
                 defaults to ``c0, c1, ...`` per predicate.
@@ -153,12 +161,22 @@ class FactStore:
             tuples = self._facts[predicate]
             if not tuples:
                 continue
-            attrs = attribute_names.get(
-                predicate,
-                tuple("c%d" % i for i in range(len(next(iter(tuples))))),
-            )
-            schema = RelationSchema(predicate, attrs)
-            relations.append(Relation(schema, tuples, validate=False))
+            attrs = attribute_names.get(predicate)
+            if attrs is not None:
+                schema = RelationSchema(predicate, attrs)
+                relations.append(Relation(schema, tuples, validate=False))
+                continue
+            if type(tuples) is not frozenset:
+                tuples = self._facts[predicate] = frozenset(tuples)
+            relation = self._exported.get(predicate)
+            if relation is None or relation.tuples is not tuples:
+                schema = RelationSchema(
+                    predicate,
+                    tuple("c%d" % i for i in range(len(next(iter(tuples))))),
+                )
+                relation = Relation(schema, tuples, validate=False)
+                self._exported[predicate] = relation
+            relations.append(relation)
         return Database.bound(relations)
 
     # -- dunder -----------------------------------------------------------------

@@ -18,9 +18,9 @@ runs on the shared pipeline like any SQL or calculus query.
   stored rows.
 * An EDB predicate the database lacks is an empty relation.
 
-Recursion genuinely needs the fixpoint machinery, so :func:`is_lowerable`
-gates the translation and the engines fall back to the bottom-up
-evaluators for recursive programs.
+Recursion genuinely needs a fixpoint, so :func:`is_lowerable` gates the
+translation; recursive programs run :func:`lower_rule`'s per-rule plans
+in semi-naive rounds instead (:mod:`~repro.datalog.seminaive`).
 
 Every predicate's expression has the columns ``c0..c{n-1}``, the
 convention of :meth:`FactStore.to_database`.
@@ -275,7 +275,7 @@ def lower_program(program, db_schema):
     if not is_lowerable(program):
         raise DatalogError(
             "recursive programs cannot be lowered to algebra; "
-            "use the fixpoint engines"
+            "evaluate them by semi-naive rounds"
         )
     lowering = _Lowering(program, db_schema)
     arities = program.arities()

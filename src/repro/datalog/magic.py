@@ -22,7 +22,8 @@ The pipeline is the standard one:
 4. **Seed** — a magic fact for the query itself.
 
 The transformed program evaluates with the semi-naive engine; magic is a
-*logical* optimization stacked on the *physical* one.
+*logical* optimization stacked on the *physical* one (its rules run as
+relational plans like any other program's).
 
 Scope: positive programs (no negation) — magic sets for stratified
 negation requires the more delicate doubled program and is out of the
@@ -34,7 +35,6 @@ from __future__ import annotations
 from ..errors import DatalogError
 from ..obs.trace import NULL_TRACER
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
-from .facts import FactStore
 from .seminaive import seminaive_evaluate
 
 #: Separator used to build adorned/magic predicate names.  Deliberately
@@ -98,28 +98,69 @@ class MagicTransform:
         self.magic_rule_count = magic
 
 
+#: How many rewritings :data:`_REWRITES` keeps.
+REWRITE_CAPACITY = 64
+
+#: ``{(id(program), predicate, adornment): (program, rules, adorned,
+#: magic)}``, evicted first in, first out.  An entry holds its program,
+#: so the id cannot be reused while the entry lives.
+_REWRITES = {}
+
+
 def magic_transform(program, query_atom):
     """Rewrite ``program`` for goal-directed evaluation of ``query_atom``.
+
+    The rewriting depends on the query's predicate and adornment only;
+    its constants enter as the seed fact.  So it is kept per program,
+    predicate and adornment, and each query adds its own seed.
 
     Raises:
         DatalogError: if the program uses negation (out of scope) or the
             query predicate is not an IDB predicate.
     """
+    query_adornment = adornment_of(query_atom)
+    key = (id(program), query_atom.predicate, query_adornment)
+    entry = _REWRITES.get(key)
+    if entry is None or entry[0] is not program:
+        entry = (program,) + _rewrite(
+            program, query_atom.predicate, query_adornment
+        )
+        if len(_REWRITES) >= REWRITE_CAPACITY:
+            del _REWRITES[next(iter(_REWRITES))]
+        _REWRITES[key] = entry
+    _program, rules, adorned, magic = entry
+    seed = Rule(
+        Atom(
+            magic_name(query_atom.predicate, query_adornment),
+            _bound_terms(query_atom, query_adornment),
+        ),
+        (),
+    )
+    return MagicTransform(
+        Program(rules + (seed,)),
+        adorned_name(query_atom.predicate, query_adornment),
+        adorned=adorned,
+        magic=magic,
+    )
+
+
+def _rewrite(program, query_predicate, query_adornment):
+    """``(rules, adorned, magic)``: the rewritten rules of
+    :func:`magic_transform` but its seed, and the rewriting's counts."""
     if program.has_negation():
         raise DatalogError(
             "magic sets are implemented for positive programs; "
             "stratify the negation away first"
         )
     idb = program.idb_predicates()
-    if query_atom.predicate not in idb:
+    if query_predicate not in idb:
         raise DatalogError(
             "query predicate %r is extensional; no rewriting needed "
-            "(match the EDB directly)" % (query_atom.predicate,)
+            "(match the EDB directly)" % (query_predicate,)
         )
 
-    query_adornment = adornment_of(query_atom)
     adorned_rules = []
-    worklist = [(query_atom.predicate, query_adornment)]
+    worklist = [(query_predicate, query_adornment)]
     seen = set()
     while worklist:
         predicate, adornment = worklist.pop()
@@ -206,25 +247,15 @@ def magic_transform(program, query_atom):
             prefix.append(item)
         out_rules.append(Rule(rule.head, [guard] + list(rule.body)))
 
-    # Seed: the query's own magic fact.
-    seed_head = Atom(
-        magic_name(query_atom.predicate, query_adornment),
-        _bound_terms(query_atom, query_adornment),
-    )
-    out_rules.append(Rule(seed_head, ()))
-
-    return MagicTransform(
-        Program(out_rules),
-        adorned_name(query_atom.predicate, query_adornment),
-        adorned=len(adorned_rules),
-        magic=magic_count,
-    )
+    return tuple(out_rules), len(adorned_rules), magic_count
 
 
 def match_query(store, query_atom):
     """Tuples in ``store`` matching the query atom's constants and repeats.
 
-    Returns full ground tuples for the atom's predicate.
+    Returns full ground tuples for the atom's predicate.  A variable's
+    first occurrence binds any value, NaN included; a repeat must equal
+    it, which a NaN never does.
     """
     answers = set()
     for tup in store.get(query_atom.predicate):
@@ -235,25 +266,22 @@ def match_query(store, query_atom):
                 if value != term.value:
                     ok = False
                     break
-            else:
-                if binding.setdefault(term.name, value) != value:
-                    ok = False
-                    break
+            elif term.name not in binding:
+                binding[term.name] = value
+            elif binding[term.name] != value:
+                ok = False
+                break
         if ok:
             answers.add(tup)
     return answers
 
 
-def magic_evaluate(
-    program, edb, query_atom, stats=None, indexed=True, planned=True,
-    tracer=NULL_TRACER,
-):
+def magic_evaluate(program, edb, query_atom, stats=None, tracer=NULL_TRACER):
     """Answer a query via magic-sets rewriting + semi-naive evaluation.
 
-    The physical knobs (``stats``/``indexed``/``planned``) pass straight
-    through to the underlying semi-naive run: magic is a *logical*
-    optimization and composes with the indexed store and the join
-    planner unchanged.
+    ``stats`` and ``tracer`` pass straight through to the underlying
+    semi-naive run: magic is a *logical* optimization and composes with
+    the semi-naive driver's plans unchanged.
 
     Returns:
         The set of ground tuples (full query-predicate tuples) matching
@@ -268,16 +296,16 @@ def magic_evaluate(
             magic_rules=transform.magic_rule_count,
         )
     # The rewritten program keeps none of the original text facts, so
-    # EDB-predicate facts from the program text must ride along in the
-    # base store (IDB text facts travel as magic-guarded adorned facts).
-    base = edb.copy() if edb is not None else FactStore()
+    # EDB-predicate facts from the program text ride along as its facts
+    # (IDB text facts travel as magic-guarded adorned facts).
+    rewritten = transform.program
     idb = program.idb_predicates()
-    for predicate, values in program.facts():
-        if predicate not in idb:
-            base.add(predicate, values)
-    store = seminaive_evaluate(
-        transform.program, base, stats=stats, indexed=indexed,
-        planned=planned, tracer=tracer,
-    )
+    facts = [
+        rule for rule in program.rules
+        if not rule.body and rule.head.predicate not in idb
+    ]
+    if facts:
+        rewritten = rewritten.extend(facts)
+    store = seminaive_evaluate(rewritten, edb, stats=stats, tracer=tracer)
     renamed = Atom(transform.query_predicate, query_atom.terms)
     return match_query(store, renamed)

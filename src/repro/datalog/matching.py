@@ -1,40 +1,30 @@
-"""Rule-body matching: the physical layer shared by all Datalog engines.
+"""Rule-body matching: the in-order scan matcher of the oracle engines.
 
-Rule evaluation is a pipeline of hash joins over binding lists: each
-positive literal indexes its fact set on the currently-bound positions and
-probes it with every binding; comparisons and negated literals filter as
-soon as their variables are bound (safety guarantees they eventually are).
+Rule evaluation is a left-to-right pipeline of hash joins over binding
+lists: each positive literal scans its fact set once into a transient
+index on the currently-bound positions and probes it with every
+binding; comparisons and negated literals filter as soon as their
+variables are bound (safety guarantees they eventually are).  As in
+every hash index of the relational layer, equality never pairs NaN: a
+tuple whose join key holds a NaN joins nothing, and a negated atom
+whose ground tuple holds one is absent, though a dict or set would
+find the same NaN object by identity.
 
-Two physical regimes coexist:
-
-* **Scan** — the fact source is a plain tuple collection; a transient
-  hash index is built per call (the seed behaviour, kept as the
-  measurable baseline and as the fallback for unindexed stores and
-  pattern-free probes).
-* **Probe** — the fact source is a
-  :class:`~repro.datalog.indexing.PredicateView`; the store's persistent
-  index for the atom's bound-position pattern is fetched (built once,
-  maintained incrementally) and probed per binding.
-
-On top of either regime, :func:`evaluate_rule` can run the greedy
-join-order planner (``planned=True``, the default): positive literals
-execute most-bound/smallest-first with an early exit when any positive
-source is empty, while comparisons and negations still apply at the
-earliest point their variables are bound.  ``planned=False`` reproduces
-the seed's left-to-right pipeline exactly.
-
-All engines call :func:`evaluate_rule`; the semi-naive engine
-additionally designates one body position to read from a *delta* store
-(the differential trick that gives it its edge — see the
-``test_datalog_strategies`` benchmark).  Work is charged to an optional
-:class:`~repro.datalog.stats.EngineStatistics`.
+Naive evaluation (:mod:`~repro.datalog.naive`) and top-down tabling
+(:mod:`~repro.datalog.topdown`) run on this matcher, independently of
+the relational plans the semi-naive driver runs
+(:mod:`~repro.datalog.seminaive`), so naive evaluation stays an oracle
+for them.  Work is charged to an optional
+:class:`~repro.datalog.stats.EngineStatistics`: every tuple a scan
+reads, and every binding a join produces.
 """
 
 from __future__ import annotations
 
+from operator import eq
+
 from ..errors import DatalogError
 from .ast import Comparison, Constant, Literal, Variable
-from .planner import has_empty_source, plan_order
 
 
 def _key_specs(atom, bound_vars):
@@ -68,10 +58,8 @@ def extend_bindings(bindings, atom, tuples, stats=None):
         bindings: list of dicts (variable name -> value); all dicts bind
             the same variable set (an invariant of rule evaluation).
         atom: the literal's atom.
-        tuples: the fact source for the literal's predicate — a plain
-            tuple collection (scan regime) or a
-            :class:`~repro.datalog.indexing.PredicateView` (probe
-            regime).
+        tuples: the fact source for the literal's predicate, a tuple
+            collection; it is scanned once into a transient index.
         stats: optional work counters.
 
     Returns:
@@ -81,74 +69,50 @@ def extend_bindings(bindings, atom, tuples, stats=None):
         return []
     bound_vars = set(bindings[0])
     key_specs, out_specs = _key_specs(atom, bound_vars)
-    probe_specs = [spec for spec in key_specs if spec[1] != "dup"]
-    dup_specs = [
-        (position, payload)
-        for position, kind, payload in key_specs
-        if kind == "dup"
-    ]
-
-    index_for = getattr(tuples, "index_for", None)
+    var_names = [payload for _, kind, payload in key_specs if kind == "var"]
+    index = {}
+    scanned = 0
+    for tup in tuples:
+        scanned += 1
+        admissible = True
+        for position, kind, payload in key_specs:
+            if kind == "const" and tup[position] != payload:
+                admissible = False
+                break
+            if kind == "dup" and tup[position] != tup[payload]:
+                admissible = False
+                break
+        if not admissible:
+            continue
+        key = tuple(
+            tup[position]
+            for position, kind, _ in key_specs
+            if kind == "var"
+        )
+        if not all(map(eq, key, key)):  # a NaN key joins nothing
+            continue
+        index.setdefault(key, []).append(tup)
     extended = []
-    if index_for is not None and probe_specs:
-        # Probe regime: persistent index on the bound-position pattern.
-        table = index_for(tuple(spec[0] for spec in probe_specs), stats)
-        for binding in bindings:
-            key = tuple(
-                payload if kind == "const" else binding[payload]
-                for _, kind, payload in probe_specs
-            )
-            if stats is not None:
-                stats.index_probes += 1
-            for tup in table.get(key, ()):
-                if any(tup[p] != tup[q] for p, q in dup_specs):
-                    continue
-                new_binding = dict(binding)
-                for position, name in out_specs:
-                    new_binding[name] = tup[position]
-                extended.append(new_binding)
-    else:
-        # Scan regime: one transient index per call (the seed path).
-        var_names = [payload for _, kind, payload in probe_specs if kind == "var"]
-        index = {}
-        scanned = 0
-        for tup in tuples:
-            scanned += 1
-            admissible = True
-            for position, kind, payload in key_specs:
-                if kind == "const" and tup[position] != payload:
-                    admissible = False
-                    break
-                if kind == "dup" and tup[position] != tup[payload]:
-                    admissible = False
-                    break
-            if not admissible:
-                continue
-            key = tuple(
-                tup[position]
-                for position, kind, _ in key_specs
-                if kind == "var"
-            )
-            index.setdefault(key, []).append(tup)
-        if stats is not None:
-            stats.facts_scanned += scanned
-        for binding in bindings:
-            key = tuple(binding[name] for name in var_names)
-            for tup in index.get(key, ()):
-                new_binding = dict(binding)
-                for position, name in out_specs:
-                    new_binding[name] = tup[position]
-                extended.append(new_binding)
+    for binding in bindings:
+        key = tuple(binding[name] for name in var_names)
+        for tup in index.get(key, ()):
+            new_binding = dict(binding)
+            for position, name in out_specs:
+                new_binding[name] = tup[position]
+            extended.append(new_binding)
     if stats is not None:
+        stats.facts_scanned += scanned
         stats.tuples_materialized += len(extended)
     return extended
 
 
 def _filter_negative(bindings, atom, tuples):
-    """Keep bindings under which the (fully bound) atom is absent."""
+    """Keep bindings under which the (fully bound) atom is absent; a
+    ground tuple holding a NaN always is."""
     kept = []
     for binding in bindings:
-        if atom.ground_tuple(binding) not in tuples:
+        fact = atom.ground_tuple(binding)
+        if fact not in tuples or not all(map(eq, fact, fact)):
             kept.append(binding)
     return kept
 
@@ -157,126 +121,19 @@ def _filter_comparison(bindings, comparison):
     return [b for b in bindings if comparison.evaluate(b)]
 
 
-def evaluate_rule(
-    rule,
-    lookup,
-    delta_lookup=None,
-    delta_at=None,
-    stats=None,
-    planned=True,
-):
-    """All head tuples derivable by one rule against the given fact views.
+def evaluate_rule(rule, lookup, stats=None):
+    """All head tuples derivable by one rule against the given facts.
 
     Args:
         rule: the rule to fire.
-        lookup: callable ``predicate -> fact source`` (the full store);
-            sources may be plain tuple sets or indexed views.
-        delta_lookup: optional callable for the differential store.
-        delta_at: index into ``rule.body``; that positive literal reads
-            from ``delta_lookup`` instead of ``lookup`` (semi-naive mode).
+        lookup: callable ``predicate -> tuple collection``.
         stats: optional :class:`~repro.datalog.stats.EngineStatistics`.
-        planned: run the greedy join-order planner (default) or the
-            seed's left-to-right pipeline.
 
     Returns:
         A set of ground head tuples.
     """
     if stats is not None:
         stats.rule_firings += 1
-    if planned:
-        bindings = _evaluate_planned(rule, lookup, delta_lookup, delta_at, stats)
-    else:
-        bindings = _evaluate_inorder(rule, lookup, delta_lookup, delta_at, stats)
-    return {rule.head.ground_tuple(b) for b in bindings}
-
-
-def _source_for(lookup, delta_lookup, delta_at, position):
-    if delta_at is not None and position == delta_at:
-        return delta_lookup
-    return lookup
-
-
-def _split_body(rule):
-    """Partition the body into positive literals and deferred guards."""
-    positives = []
-    guards = []
-    for i, item in enumerate(rule.body):
-        if isinstance(item, Literal) and item.positive:
-            positives.append((i, item))
-        elif isinstance(item, (Literal, Comparison)):
-            guards.append(item)
-        else:
-            raise DatalogError("unknown body item %r" % (item,))
-    return positives, guards
-
-
-def _require_resolved(rule, pending, bindings):
-    """Safety postcondition: no guard may remain once bindings survive."""
-    if pending and bindings:
-        raise DatalogError(
-            "rule %s left unbound body items %s (safety bug)"
-            % (rule, "; ".join(map(str, pending)))
-        )
-
-
-def _evaluate_planned(rule, lookup, delta_lookup, delta_at, stats):
-    """Greedy-ordered evaluation with eager guards and early exit."""
-    positives, pending = _split_body(rule)
-
-    def settle(bindings):
-        """Apply every guard whose variables are bound; repeat to fixpoint.
-
-        Binding equalities (``X = c``) may bind fresh variables, which can
-        unlock further guards — hence the loop.
-        """
-        nonlocal pending
-        progress = True
-        while progress and bindings and pending:
-            progress = False
-            still = []
-            bound = set(bindings[0])
-            for item in pending:
-                if isinstance(item, Comparison):
-                    if item.variables() <= bound:
-                        bindings = _filter_comparison(bindings, item)
-                        progress = True
-                    elif item.op == "=" and _binds_fresh(item, bound):
-                        bindings = _apply_binding_equality(bindings, item)
-                        bound = set(bindings[0]) if bindings else bound
-                        progress = True
-                    else:
-                        still.append(item)
-                elif item.variables() <= bound:
-                    bindings = _filter_negative(
-                        bindings, item.atom, lookup(item.atom.predicate)
-                    )
-                    progress = True
-                else:
-                    still.append(item)
-            pending = still
-        return bindings
-
-    sources = {
-        i: _source_for(lookup, delta_lookup, delta_at, i)(item.atom.predicate)
-        for i, item in positives
-    }
-    # Early exit: an empty positive source proves the body unsatisfiable.
-    if has_empty_source(positives, sources):
-        return []
-
-    bindings = settle([{}])
-    sizes = {i: len(sources[i]) for i, _ in positives}
-    for i, item in plan_order(positives, sizes, delta_at):
-        if not bindings:
-            return []
-        bindings = extend_bindings(bindings, item.atom, sources[i], stats)
-        bindings = settle(bindings)
-    _require_resolved(rule, pending, bindings)
-    return bindings
-
-
-def _evaluate_inorder(rule, lookup, delta_lookup, delta_at, stats):
-    """The seed's left-to-right pipeline (the measurable baseline)."""
     bindings = [{}]
     pending = []  # comparisons / negative literals awaiting their variables
 
@@ -298,13 +155,12 @@ def _evaluate_inorder(rule, lookup, delta_lookup, delta_at, stats):
                 still.append(item)
         pending = still
 
-    for i, item in enumerate(rule.body):
+    for item in rule.body:
         if not bindings:
-            return []
+            return set()
         if isinstance(item, Literal) and item.positive:
-            source = _source_for(lookup, delta_lookup, delta_at, i)
             bindings = extend_bindings(
-                bindings, item.atom, source(item.atom.predicate), stats
+                bindings, item.atom, lookup(item.atom.predicate), stats
             )
             flush_pending()
         elif isinstance(item, Comparison):
@@ -327,8 +183,13 @@ def _evaluate_inorder(rule, lookup, delta_lookup, delta_at, stats):
             raise DatalogError("unknown body item %r" % (item,))
 
     flush_pending()
-    _require_resolved(rule, pending, bindings)
-    return bindings
+    if pending and bindings:
+        # Safety postcondition: no guard may remain once bindings survive.
+        raise DatalogError(
+            "rule %s left unbound body items %s (safety bug)"
+            % (rule, "; ".join(map(str, pending)))
+        )
+    return {rule.head.ground_tuple(b) for b in bindings}
 
 
 def _binds_fresh(comparison, bound):

@@ -10,17 +10,17 @@ the paper-era optimizations (semi-naive, magic sets) are measured against.
 Stratified negation is supported: strata are evaluated in order, so
 negated predicates are complete before any rule reads them.
 
-Physical knobs (shared by all engines): ``indexed`` keeps the working
-store in an :class:`~repro.datalog.indexing.IndexedFactStore` so rule
-bodies probe persistent hash indexes instead of rescanning; ``planned``
-runs the greedy join-order planner; ``stats`` collects work counters.
+Rules fire on the in-order scan matcher
+(:func:`~repro.datalog.matching.evaluate_rule`), not on the relational
+plans the semi-naive driver runs, so the two engines check each other;
+``stats`` collects work counters.
 """
 
 from __future__ import annotations
 
 from ..obs.trace import NULL_TRACER
 from .analysis import rules_by_stratum
-from .indexing import working_store
+from .facts import FactStore
 from .matching import evaluate_rule
 
 
@@ -29,8 +29,6 @@ def naive_evaluate(
     edb=None,
     max_iterations=None,
     stats=None,
-    indexed=True,
-    planned=True,
     tracer=NULL_TRACER,
 ):
     """Compute the (stratified) minimal model of ``program`` over ``edb``.
@@ -43,9 +41,6 @@ def naive_evaluate(
             Datalog program always terminates, so this is only a guard for
             debugging engine changes.
         stats: optional :class:`~repro.datalog.stats.EngineStatistics`.
-        indexed: keep facts in an indexed store (persistent probe
-            indexes) instead of plain sets.
-        planned: greedy join-order planning per rule firing.
         tracer: optional :class:`~repro.obs.trace.Tracer`; emits one
             span per stratum and per fixpoint round (with the new-fact
             count and, when ``stats`` is given, the round's counter
@@ -54,16 +49,11 @@ def naive_evaluate(
     Returns:
         A :class:`FactStore` holding EDB and all derived IDB facts.
     """
-    store, _ = _fixpoint(
-        program, edb, max_iterations, stats, indexed, planned, tracer
-    )
+    store, _ = _fixpoint(program, edb, max_iterations, stats, tracer)
     return store
 
 
-def naive_iterations(
-    program, edb=None, stats=None, indexed=True, planned=True,
-    tracer=NULL_TRACER,
-):
+def naive_iterations(program, edb=None, stats=None, tracer=NULL_TRACER):
     """Like :func:`naive_evaluate` but also count fixpoint rounds.
 
     Returns:
@@ -71,13 +61,11 @@ def naive_iterations(
         (including each stratum's final no-change round).  Used by the
         benchmarks to report work alongside wall-clock time.
     """
-    return _fixpoint(program, edb, None, stats, indexed, planned, tracer)
+    return _fixpoint(program, edb, None, stats, tracer)
 
 
-def _fixpoint(program, edb, max_iterations, stats, indexed, planned,
-              tracer=NULL_TRACER):
-    store = working_store(edb, indexed)
-    lookup = store.view if indexed else store.get
+def _fixpoint(program, edb, max_iterations, stats, tracer=NULL_TRACER):
+    store = edb.copy() if edb is not None else FactStore()
     for predicate, values in program.facts():
         store.add(predicate, values)
 
@@ -106,9 +94,7 @@ def _fixpoint(program, edb, max_iterations, stats, indexed, planned,
             ) as round_span:
                 before = store.count()
                 for rule in stratum_rules:
-                    derived = evaluate_rule(
-                        rule, lookup, stats=stats, planned=planned
-                    )
+                    derived = evaluate_rule(rule, store.get, stats=stats)
                     if store.add_all(rule.head.predicate, derived):
                         changed = True
                 round_span.set(new_facts=store.count() - before)

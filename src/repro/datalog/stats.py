@@ -1,29 +1,31 @@
 """Engine statistics: making the physical layer's work observable.
 
-Every Datalog engine accepts an optional :class:`EngineStatistics` and
-charges its physical work to it — so claims like "semi-naive with indexes
-scans 5x fewer facts" are measured, not anecdotal (the
-``test_indexed_store`` benchmark is built on these counters).
+Every Datalog engine, and every kernel and plan run, accepts an optional
+:class:`EngineStatistics` and charges its physical work to it — so
+claims like "the delta drives each differential round" are measured,
+not anecdotal.
 
-Counter semantics (shared by all engines, see ``matching.py``):
+Counter semantics (the kernels' counters are defined in
+:mod:`repro.compile.codegen`):
 
-* ``facts_scanned`` — tuples iterated out of a fact collection: full
-  enumerations of an atom's relation and every tuple read while building
-  an index (transient or persistent).  This is the metric the indexed
-  store exists to shrink.
-* ``index_probes`` — hash lookups into a persistent
-  :class:`~repro.datalog.indexing.IndexedFactStore` index (one per
-  binding probed).  Probes are O(1) and deliberately *not* counted as
-  scans.
-* ``index_builds`` — persistent indexes constructed (each one's build
-  scan is charged to ``facts_scanned``; incremental maintenance after
-  that is free per-fact work, not a rebuild).
-* ``tuples_materialized`` — candidate bindings produced by rule-body
-  extension (the size of every intermediate join result).
+* ``facts_scanned`` — tuples read out of a relation or fact set: full
+  scans, index buckets probed, and every tuple read while building an
+  index (a kernel's hash table, a stored relation's cached key index
+  on its first use, or the scan matcher's transient index).
+* ``index_probes`` — hash lookups a kernel makes into an index (one
+  per probing tuple).  Probes are O(1) and deliberately *not* counted
+  as scans.
+* ``index_builds`` — indexes built.  A cached key index that a
+  semi-naive round patches in place
+  (:meth:`~repro.relational.relation.GrowingRelation.grow`) is not
+  built again.
+* ``tuples_materialized`` — tuples a run buffers: join bindings of the
+  scan matcher, and each kernel's pipeline-breaker buffers and result.
 * ``iterations`` — fixpoint rounds, summed across strata (bottom-up) or
   resolution passes (top-down).
-* ``rule_firings`` — calls to
-  :func:`~repro.datalog.matching.evaluate_rule`.
+* ``rule_firings`` — rule evaluations: calls to the scan matcher's
+  :func:`~repro.datalog.matching.evaluate_rule` (naive, top-down), and
+  runs of a rule's plan or differential variant (semi-naive).
 """
 
 from __future__ import annotations

@@ -14,15 +14,11 @@ tables, which is the simplest terminating formulation of tabling (answers
 grow monotonically, so the fixpoint is the correct minimal model restricted
 to relevant subgoals).
 
-The physical layer is shared with the bottom-up engines: EDB facts live
-in an :class:`~repro.datalog.indexing.IndexedFactStore` (when ``indexed``,
-the default) and every literal is solved through
-:func:`~repro.datalog.matching.extend_bindings`, so EDB literals with
-bound arguments become persistent-index probes instead of scans.  Body
-order is *not* replanned: in top-down evaluation the literal order is the
+Every literal is solved through the in-order scan matcher naive
+evaluation uses (:func:`~repro.datalog.matching.extend_bindings`), in
+body order: in top-down evaluation the literal order is the
 sideways-information-passing strategy that decides which subgoals get
-tabled, so it is part of the method, not a free physical choice
-(``planned`` is accepted for interface symmetry and affects nothing).
+tabled, so it is part of the method, not a free physical choice.
 
 Scope: positive programs, like the magic module (and for the same
 classical reasons).
@@ -34,7 +30,6 @@ from ..errors import DatalogError
 from ..obs.trace import NULL_TRACER
 from .ast import Comparison, Constant
 from .facts import FactStore
-from .indexing import IndexedFactStore
 from .magic import match_query
 from .matching import extend_bindings
 
@@ -70,8 +65,7 @@ class TopDownEngine:
     (sound, since Datalog is monotone).
     """
 
-    def __init__(self, program, edb, stats=None, indexed=True, planned=True,
-                 tracer=NULL_TRACER):
+    def __init__(self, program, edb, stats=None, tracer=NULL_TRACER):
         if program.has_negation():
             raise DatalogError(
                 "top-down tabling is implemented for positive programs"
@@ -83,14 +77,11 @@ class TopDownEngine:
         self.tables = {}  # subgoal key -> set of answer tuples
         self.subgoals = {}  # subgoal key -> _Subgoal
         self._new_subgoals = False
-        # EDB + program-text facts, in one (indexed) store.  Text facts
-        # for IDB predicates seed the answer tables instead (resolution
-        # only fires body-ful rules, so they would otherwise be lost —
-        # the differential suite pins this).
-        facts = IndexedFactStore() if indexed else FactStore()
-        if edb is not None:
-            for predicate in edb.predicates():
-                facts.add_all(predicate, edb.get(predicate))
+        # EDB + program-text facts, in one store.  Text facts for IDB
+        # predicates seed the answer tables instead (resolution only
+        # fires body-ful rules, so they would otherwise be lost — the
+        # differential suite pins this).
+        facts = edb.copy() if edb is not None else FactStore()
         self._idb_facts = {}
         for predicate, values in program.facts():
             if predicate in self.idb:
@@ -98,7 +89,6 @@ class TopDownEngine:
             else:
                 facts.add(predicate, values)
         self.edb = facts
-        self._lookup = facts.view if indexed else facts.get
 
     # -- public API ------------------------------------------------------
 
@@ -126,7 +116,7 @@ class TopDownEngine:
     # -- internals -------------------------------------------------------------
 
     def _edb_facts(self, predicate):
-        return self._lookup(predicate)
+        return self.edb.get(predicate)
 
     def _subgoal_for(self, atom, binding=None):
         binding = binding or {}
@@ -251,13 +241,7 @@ class _StoreView:
         return frozenset()
 
 
-def topdown_query(
-    program, edb, query_atom, stats=None, indexed=True, planned=True,
-    tracer=NULL_TRACER,
-):
+def topdown_query(program, edb, query_atom, stats=None, tracer=NULL_TRACER):
     """One-shot top-down query (fresh tables)."""
-    engine = TopDownEngine(
-        program, edb, stats=stats, indexed=indexed, planned=planned,
-        tracer=tracer,
-    )
+    engine = TopDownEngine(program, edb, stats=stats, tracer=tracer)
     return engine.query(query_atom)

@@ -8,7 +8,7 @@ One optimization layer, in one configuration, for the whole pipeline:
 * :mod:`repro.opt.rules` / :mod:`repro.opt.rewrite` — named,
   individually-toggleable rewrite rules driven to fixpoint;
 * :mod:`repro.opt.cost` — the one cardinality model every consumer
-  shares (rewrites, join ordering, the Datalog body planner);
+  shares (rewrites, join ordering, EXPLAIN's estimates);
 * :mod:`repro.opt.joins` — greedy cost-based join ordering.
 
 The front door is :class:`Optimizer` — every rule, catalog estimates,
@@ -24,7 +24,6 @@ from .cost import (
     RANGE_SELECTIVITY,
     CostModel,
     Estimate,
-    estimate_literal_matches,
 )
 from .rewrite import RewriteEngine
 from .rules import Context, get_rules, rule_names
@@ -144,7 +143,6 @@ __all__ = [
     "RANGE_SELECTIVITY",
     "RewriteEngine",
     "TableStats",
-    "estimate_literal_matches",
     "optimize",
     "rule_names",
 ]

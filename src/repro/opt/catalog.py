@@ -16,9 +16,9 @@ first request (one scan of the relation) and then kept current two ways:
   mutations are O(delta), not O(relation)).  Distinct-value censuses are
   value→count maps, so the delete path can decrement exactly.
 
-The Datalog fixpoint engines need no catalog plumbing: their planner is
-fed *live* relation sizes per firing (they change every round) and runs
-them through the same :mod:`repro.opt.cost` selectivity model.
+Semi-naive Datalog needs no catalog plumbing either: its rule plans
+are optimized against a scratch database of the evaluation's relations,
+whose own catalog counts them when a plan is first optimized.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Everything in the library that needs a size guess asks this module:
 
 * the rewrite/enumeration pipeline (:mod:`repro.opt.joins`) costs join
   orders with :class:`CostModel`;
-* EXPLAIN ANALYZE prints the same model's estimates as ``est=``;
-* the Datalog rule-body planner orders literals by
-  :func:`estimate_literal_matches` over live relation sizes.
+* EXPLAIN ANALYZE prints the same model's estimates as ``est=``, and
+  the plans of Datalog rules (lowered or semi-naive) are ordered by it
+  like any other plan.
 
 :class:`CostModel` reads the database's
 :class:`~repro.opt.catalog.Catalog`: an equality against a constant
@@ -216,25 +216,4 @@ class CostModel:
         combined = Estimate(left.rows * right.rows, distinct)
         selectivity = self.selectivity(expr.condition, combined)
         return Estimate(combined.rows * selectivity, distinct).clamped()
-
-
-# ---------------------------------------------------------------------------
-# Datalog literal costing
-# ---------------------------------------------------------------------------
-
-
-def estimate_literal_matches(size, bound_count):
-    """Expected matches when probing a relation with ``bound_count``
-    bound key positions.
-
-    The rule-body planner's cost unit: each bound position (a constant
-    or an already-bound variable) is an equality predicate, so the
-    expected match count is the live relation size discounted by the
-    classical equality selectivity per bound position.  With zero bound
-    positions this is a full scan (``size``); more bound positions mean
-    cheaper literals, and between equally-bound literals the smaller
-    relation wins — exactly the most-bound-first / smallest-first
-    ordering the planner used before, now derived from one formula.
-    """
-    return size * (EQUALITY_SELECTIVITY ** bound_count)
 

@@ -1,8 +1,9 @@
 """The shared query-compilation pipeline.
 
 Every relational front-end (SQL, safe calculus via Codd's translation,
-raw algebra) and the non-recursive fragment of Datalog compile into one
-pipeline:
+raw algebra) and Datalog (a non-recursive program as one plan per
+predicate, a recursive one as the rule plans of its semi-naive rounds)
+compile into one pipeline:
 
     front-end  ->  canonical logical plan  ->  optimizer  ->
     cached plan  ->  compiled kernel (:mod:`repro.compile`)
@@ -39,8 +40,8 @@ Kernels are the one executor; the tree walk is the differential oracle.
 The materialize-everything tree walk
 (:func:`~repro.relational.algebra.evaluate`) stays available behind
 ``executor=False`` on every workbench entry point, where it runs the
-same cached plan as the kernel, mirroring the ``indexed=False``
-opt-out discipline of the Datalog physical layer.
+same cached plan as the kernel — for Datalog, every lowered plan and
+every semi-naive rule plan.
 """
 
 from .cache import PlanCache

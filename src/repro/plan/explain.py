@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import time
 
-from ..compile.codegen import compile_plan
 from ..datalog.stats import EngineStatistics
 from ..obs.trace import NULL_TRACER
 from ..opt.cost import CostModel
-from .logical import bind_condition, canonicalize, parameterize
+from .executor import resolve_physical
+from .logical import bind_condition, canonicalize
 
 #: Where an instrumented kernel's counters land on an OpReport's
 #: statistics (the rows and the peak buffer are report fields).
@@ -284,14 +284,14 @@ def explain_kernel(kernel, db, values=(), stats=None, tracer=NULL_TRACER,
 
 
 def run_explained(plan, db, stats=None, tracer=NULL_TRACER, kind=None):
-    """EXPLAIN ANALYZE an already-canonical plan on a one-shot kernel.
+    """EXPLAIN ANALYZE an already-canonical plan on the instrumented
+    variant of its one-shot kernel.
 
     Produces the same relation as
     :func:`~repro.plan.executor.execute_physical` (same schema, same
     tuples); the arguments are as in :func:`explain_kernel`.
     """
-    template, values = parameterize(plan)
-    kernel = compile_plan(template, db.schema(), instrumented=True)
+    kernel, values = resolve_physical(plan, db.schema())
     return explain_kernel(kernel, db, values, stats, tracer, kind)
 
 

@@ -112,7 +112,7 @@ def plan_key(expr):
     Raises:
         PlanError: on non-canonical nodes (canonicalize first).
     """
-    if isinstance(expr, ra.RelationRef):
+    if type(expr) is ra.RelationRef:  # a subclass is not canonical
         return ("ref", expr.name)
     if isinstance(expr, ra.ConstantRelation):
         # A frozenset, so PlanCache._references never mistakes a row
@@ -144,7 +144,9 @@ def plan_key(expr):
     tag = _BINARY_TAGS.get(type(expr))
     if tag is not None:
         return (tag, plan_key(expr.left), plan_key(expr.right))
-    raise PlanError("cannot key non-canonical node %r" % (expr,))
+    raise PlanError(
+        "cannot key non-canonical node %r (canonicalize first)" % (expr,)
+    )
 
 
 def _condition_key(condition):

@@ -4,7 +4,9 @@ The theoretical relational model is *set*-based (no duplicate rows, no row
 order), and all the classical results the paper surveys (Codd's Theorem,
 normalization, the chase) are stated for set semantics — so that is what we
 implement.  A :class:`Relation` is a frozen set of positional tuples plus a
-:class:`~repro.relational.schema.RelationSchema`.
+:class:`~repro.relational.schema.RelationSchema`;
+:class:`GrowingRelation`, a fixpoint's working relation, is the one kind
+that grows in place.
 
 The low-level tuple operators here (project/select/join on raw tuples) are
 the shared physical layer used by the algebra evaluator, the calculus
@@ -389,6 +391,38 @@ class Relation:
         if extra > 0:
             body.append("... (%d more)" % extra)
         return "\n".join([header, sep] + body)
+
+
+class GrowingRelation(Relation):
+    """A relation that grows in place: a fixpoint's working relation.
+
+    Its tuples are a mutable set, and :meth:`grow` adds tuples to it and
+    to every cached key index, so a fixpoint round's merge costs the
+    round's new tuples rather than the whole relation (a semi-naive
+    evaluation grows each IDB relation this way).  Only its owner may
+    hold it while it grows; it is not hashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, schema, tuples=()):
+        super().__init__(schema, (), validate=False)
+        self.tuples = set(tuples)
+
+    def grow(self, added):
+        """Insert ``added``, new and valid tuples only (none is checked
+        again), and put each into every cached index's bucket for its
+        key."""
+        self.tuples |= added
+        if self._indexes:
+            for positions, index in self._indexes.items():
+                for key, new in build_key_index(added, positions).items():
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = new
+                    else:
+                        bucket.extend(new)
 
 
 def _sort_key(value):

@@ -9,9 +9,10 @@ schema change invalidates without poisoning.
 import pytest
 
 from repro.compile import KernelCache, compile_plan
+from repro.compile import cache as compile_cache
 from repro.datalog.stats import EngineStatistics
 from repro.errors import PlanError
-from repro.plan import canonicalize
+from repro.plan import canonicalize, execute, run_explained
 from repro.plan.executor import execute_physical
 from repro.relational import algebra as ra
 from repro.relational.database import Database
@@ -193,6 +194,27 @@ class TestExecuteCompiled:
         result, tally = execute_physical(plan, db, EngineStatistics())
         assert result == ra.evaluate(plan, db)
         assert tally.stats.facts_scanned > 0
+
+    def test_one_shot_kernels_are_cached_per_template(self, monkeypatch):
+        # Two executions that differ only in a literal share one
+        # template, so the second compiles nothing.
+        monkeypatch.setattr(compile_cache, "ONE_SHOT", KernelCache())
+        db = small_db()
+
+        def select(value):
+            return ra.Selection(
+                ra.RelationRef("r"),
+                ra.Comparison(ra.Attr("b"), "=", ra.Const(value)),
+            )
+
+        assert execute(select(1), db) == ra.evaluate(select(1), db)
+        assert execute(select(2), db) == ra.evaluate(select(2), db)
+        stats = compile_cache.ONE_SHOT.stats()
+        assert stats["codegens"] == 1 and stats["hits"] == 1
+        # EXPLAIN ANALYZE's one-shot run takes that kernel's variant.
+        explained = run_explained(canonicalize(select(0), db.schema()), db)
+        assert explained.result == ra.evaluate(select(0), db)
+        assert compile_cache.ONE_SHOT.stats()["codegens"] == 1
 
     def test_fallback_raises_through_cache(self):
         # The generator refuses no canonical plan, so nothing falls back

@@ -1,6 +1,6 @@
 """A deliberately broken engine for the fault-detection tests."""
 
-from repro.compile import KernelCache, codegen
+from repro.compile import KernelCache, cache, codegen
 from repro.conformance import oracles
 from repro.relational import algebra as ra
 
@@ -9,9 +9,9 @@ def drop_one_join_tuple(monkeypatch):
     """Inject a fault: every natural join a kernel runs drops its first
     output tuple.  Returns a function that takes the fault out again.
 
-    The conformance oracle's shared kernel cache is swapped for an empty
-    one on the way in and on the way out, so no kernel compiled under
-    the fault outlives it.
+    The conformance oracle's shared kernel cache and the one-shot kernel
+    cache are swapped for empty ones on the way in and on the way out,
+    so no kernel compiled under the fault outlives it.
     """
     dispatch = codegen._KernelBuilder._DISPATCH
     original = dispatch[ra.NaturalJoin]
@@ -33,6 +33,7 @@ def drop_one_join_tuple(monkeypatch):
     def swap(produce):
         monkeypatch.setitem(dispatch, ra.NaturalJoin, produce)
         monkeypatch.setattr(oracles, "_KERNEL_CACHE", KernelCache(512))
+        monkeypatch.setattr(cache, "ONE_SHOT", KernelCache())
 
     swap(dropping)
     return lambda: swap(original)

@@ -1,23 +1,35 @@
-"""Tests for the indexed fact store and its incremental maintenance.
+"""Tests for the key indexes semi-naive rounds probe and carry forward.
 
-The load-bearing property: an index built once stays correct as facts
-arrive (no per-iteration rebuild), which is what lets the semi-naive loop
-probe instead of scan.  Also covers the delta-aware evaluation contract:
-a differential firing reads the delta exactly where asked and never
-produces facts the full firing would not.
+The load-bearing property: a relation's cached key index, built once on
+its first probe, stays valid when a round merges new tuples into it
+(:meth:`GrowingRelation.grow`) — patched in place, never rebuilt —
+which is what lets the semi-naive loop probe instead of rescanning.
+Also covers the fact store's copies and the delta contract of the
+driver's differential variants: a variant reads the delta exactly where
+asked and never derives facts the full rule would not.
 """
+
+import copy
 
 from repro.datalog import (
     EngineStatistics,
     FactStore,
-    IndexedFactStore,
     naive_evaluate,
     parse_program,
     parse_rule,
     seminaive_evaluate,
-    working_store,
 )
-from repro.datalog.matching import evaluate_rule
+from repro.datalog.lowering import lower_rule
+from repro.datalog.seminaive import _source, _variants
+from repro.plan import canonicalize, execute_physical
+from repro.relational import algebra as ra
+from repro.relational.database import Database
+from repro.relational.relation import GrowingRelation, Relation
+from repro.relational.schema import RelationSchema
+
+
+def relation(name, rows, attributes=("c0", "c1")):
+    return Relation(RelationSchema(name, attributes), rows)
 
 
 def _brute_force_index(tuples, positions):
@@ -27,107 +39,109 @@ def _brute_force_index(tuples, positions):
     return table
 
 
+def probe_e(e, stats):
+    """Run a kernel that probes ``e``'s cached index on its first column
+    (the right side of ``d ⋈ e``)."""
+    d = relation("d", [(0, 1), (0, 2)], ("a", "b"))
+    db = Database.bound([d, e])
+    plan = canonicalize(
+        ra.NaturalJoin(
+            ra.RelationRef("d"),
+            ra.Rename(ra.RelationRef("e"), {"c0": "b", "c1": "c"}),
+        ),
+        db.schema(),
+    )
+    return execute_physical(plan, db, stats)[0]
+
+
 class TestIndexFor:
     def test_matches_brute_force(self):
-        facts = [(1, 2), (1, 3), (2, 3), (4, 4)]
-        store = IndexedFactStore({"e": facts})
+        e = relation("e", [(1, 2), (1, 3), (2, 3), (4, 4)])
         for positions in [(0,), (1,), (0, 1), (1, 0)]:
-            expected = _brute_force_index(store.get("e"), positions)
-            actual = store.index_for("e", positions)
+            expected = _brute_force_index(e.tuples, positions)
+            actual = e._key_index(positions)
             assert {k: sorted(v) for k, v in actual.items()} == {
                 k: sorted(v) for k, v in expected.items()
             }
 
     def test_indexes_are_lazy(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
-        assert store.index_patterns("e") == []
-        store.index_for("e", (0,))
-        assert store.index_patterns("e") == [(0,)]
+        e = relation("e", [(1, 2)])
+        assert e.cached_index_patterns() == []
+        e._key_index((0,))
+        assert e.cached_index_patterns() == [(0,)]
 
     def test_build_charged_once(self):
-        store = IndexedFactStore({"e": [(1, 2), (2, 3)]})
+        e = relation("e", [(1, 2), (2, 3)])
         stats = EngineStatistics()
-        store.index_for("e", (0,), stats)
-        store.index_for("e", (0,), stats)  # warm: no new build, no scan
+        probe_e(e, stats)
+        probe_e(e, stats)  # warm: no new build
         assert stats.index_builds == 1
-        assert stats.facts_scanned == 2
+        assert e.cached_index_patterns() == [(0,)]
 
     def test_empty_predicate_index(self):
-        store = IndexedFactStore()
-        assert store.index_for("nothing", (0,)) == {}
+        assert relation("nothing", [])._key_index((0,)) == {}
 
 
 class TestIncrementalMaintenance:
+    def growing(self, rows):
+        return GrowingRelation(RelationSchema("e", ("c0", "c1")), rows)
+
     def test_add_updates_existing_indexes(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
-        index = store.index_for("e", (0,))
-        store.add("e", (1, 3))
-        store.add("e", (5, 6))
+        e = self.growing([(1, 2)])
+        e._key_index((0,))
+        e.grow({(1, 3), (5, 6)})
+        index = e._key_index((0,))
         assert sorted(index[(1,)]) == [(1, 2), (1, 3)]
         assert index[(5,)] == [(5, 6)]
+        assert e.tuples == {(1, 2), (1, 3), (5, 6)}
 
     def test_no_rebuild_after_adds(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
+        e = self.growing([(1, 2)])
+        probe_e(e, EngineStatistics())
+        e.grow({(2, 3)})
+        assert e.has_key_index((0,))  # patched, not rebuilt
         stats = EngineStatistics()
-        store.index_for("e", (0,), stats)
-        store.add("e", (2, 3))
-        store.index_for("e", (0,), stats)
-        assert stats.index_builds == 1  # maintained, not rebuilt
+        result = probe_e(e, stats)
+        assert stats.index_builds == 0
+        assert result.tuples == {(0, 1, 2), (0, 2, 3)}
 
     def test_duplicate_add_leaves_indexes_alone(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
-        index = store.index_for("e", (0,))
-        assert not store.add("e", (1, 2))
-        assert index[(1,)] == [(1, 2)]
+        e = self.growing([(1, 2)])
+        index = e._key_index((0,))
+        e.grow(frozenset())
+        assert e._key_index((0,)) is index
+        assert index == {(1,): [(1, 2)]}
+        # Growing a relation never touches another relation's index.
+        f = relation("f", [(1, 2)])
+        f_index = f._key_index((0,))
+        e.grow({(1, 3)})
+        assert f_index == {(1,): [(1, 2)]}
 
     def test_maintenance_covers_all_patterns(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
-        by_first = store.index_for("e", (0,))
-        by_second = store.index_for("e", (1,))
-        store.add("e", (3, 2))
-        assert by_first[(3,)] == [(3, 2)]
-        assert sorted(by_second[(2,)]) == [(1, 2), (3, 2)]
-
-
-class TestViews:
-    def test_view_tracks_mutation(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
-        view = store.view("e")
-        assert len(view) == 1 and (1, 2) in view
-        store.add("e", (2, 3))
-        assert len(view) == 2
-        assert set(view) == {(1, 2), (2, 3)}
-
-    def test_view_exposes_store_indexes(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
-        assert store.view("e").index_for((1,)) == {(2,): [(1, 2)]}
-        assert store.index_patterns("e") == [(1,)]
+        e = self.growing([(1, 2)])
+        e._key_index((0,))
+        e._key_index((1,))
+        e.grow({(3, 2)})
+        assert e.cached_index_patterns() == [(0,), (1,)]
+        assert e._key_index((0,))[(3,)] == [(3, 2)]
+        assert sorted(e._key_index((1,))[(2,)]) == [(1, 2), (3, 2)]
 
 
 class TestCopies:
     def test_copy_is_independent_and_unindexed(self):
-        store = IndexedFactStore({"e": [(1, 2)]})
-        store.index_for("e", (0,))
+        store = FactStore({"e": [(1, 2)]})
         clone = store.copy()
-        assert isinstance(clone, IndexedFactStore)
         assert clone.get("e") == {(1, 2)}
-        assert clone.index_patterns("e") == []  # rebuilt lazily
         clone.add("e", (9, 9))
         assert not store.contains("e", (9, 9))
+        e = relation("e", [(1, 2)])
+        e._key_index((0,))
+        assert copy.copy(e).cached_index_patterns() == []  # rebuilt lazily
 
     def test_restrict_keeps_only_named_predicates(self):
-        store = IndexedFactStore({"e": [(1, 2)], "f": [(3,)]})
+        store = FactStore({"e": [(1, 2)], "f": [(3,)]})
         sub = store.restrict(["e"])
-        assert isinstance(sub, IndexedFactStore)
         assert sub.predicates() == ["e"]
-
-    def test_working_store_copies_edb(self):
-        edb = FactStore({"e": [(1, 2)]})
-        for indexed in (True, False):
-            store = working_store(edb, indexed)
-            assert isinstance(store, IndexedFactStore) == indexed
-            store.add("e", (7, 8))
-            assert not edb.contains("e", (7, 8))
 
     def test_engines_do_not_mutate_edb(self):
         program, _ = parse_program(
@@ -140,35 +154,41 @@ class TestCopies:
 
 
 class TestDeltaContract:
-    """The delta-aware lookup: restricted exactly where asked, no more."""
+    """A differential variant reads the delta exactly where asked."""
 
     RULE = "p(X, Z) :- e(X, Y), e(Y, Z)."
 
-    def test_delta_restricts_one_position(self):
+    def fire(self, full, delta=None):
+        """Each variant's tuples when the delta is ``delta`` (by the
+        position of its delta literal), or the full rule's."""
         rule = parse_rule(self.RULE)
-        store = IndexedFactStore({"e": [(1, 2), (2, 3)]})
-        delta = FactStore({"e": [(1, 2)]})
-        at_first = evaluate_rule(
-            rule, store.view, delta_lookup=delta.get, delta_at=0
-        )
-        at_second = evaluate_rule(
-            rule, store.view, delta_lookup=delta.get, delta_at=1
-        )
-        assert at_first == {(1, 3)}  # delta (1,2) then full e
-        assert at_second == set()  # full e then delta at position 1
+        relations = {"e": relation("e", full)}
+        if delta is None:
+            expr = lower_rule(rule, _source(relations, None, {}))
+            return ra.evaluate(expr, Database.bound(relations.values())).tuples
+        deltas = {"e": RelationSchema("e~delta", ("c0", "c1"))}
+        relations["e~delta"] = Relation(deltas["e"], delta)
+        db = Database.bound(relations.values())
+        derived = {}
+        for literal, variant in _variants(rule, {"e"}):
+            expr = lower_rule(
+                variant, _source(relations, literal.atom, deltas)
+            )
+            derived[rule.body.index(literal)] = ra.evaluate(expr, db).tuples
+        return derived
+
+    def test_delta_restricts_one_position(self):
+        derived = self.fire([(1, 2), (2, 3)], delta=[(1, 2)])
+        assert derived[0] == {(1, 3)}  # delta (1,2) then full e
+        assert derived[1] == set()  # full e then delta at position 1
 
     def test_delta_union_covers_full_firing(self):
         """Firing once per delta position reproduces the full result when
         the delta is the whole relation — and never exceeds it."""
-        rule = parse_rule(self.RULE)
-        store = IndexedFactStore({"e": [(1, 2), (2, 3), (3, 4)]})
-        full = evaluate_rule(rule, store.view)
-        delta = FactStore({"e": store.get("e")})
+        edges = [(1, 2), (2, 3), (3, 4)]
+        full = self.fire(edges)
         union = set()
-        for position in (0, 1):
-            derived = evaluate_rule(
-                rule, store.view, delta_lookup=delta.get, delta_at=position
-            )
+        for derived in self.fire(edges, delta=edges).values():
             assert derived <= full
             union |= derived
         assert union == full

@@ -89,22 +89,6 @@ class TestEvaluateRule:
         )
         assert evaluate_rule(rule, self.lookup(facts)) == {(1, 7), (2, 7)}
 
-    def test_delta_position(self):
-        full = {"e": {(1, 2), (2, 3)}, "p": {(2, 3), (1, 2), (1, 3)}}
-        delta = {"p": {(1, 3)}}
-        rule = Rule(
-            atom("q", "X", "Z"), [lit("e", "X", "Y"), lit("p", "Y", "Z")]
-        )
-        all_results = evaluate_rule(rule, lambda p: full.get(p, set()))
-        delta_results = evaluate_rule(
-            rule,
-            lambda p: full.get(p, set()),
-            delta_lookup=lambda p: delta.get(p, set()),
-            delta_at=1,
-        )
-        assert delta_results <= all_results
-        assert delta_results == set()  # nothing joins e with delta (1,3)
-
     def test_empty_body_rule_fires_once(self):
         rule = Rule(Atom("f", (Constant(1),)), [])
         assert evaluate_rule(rule, self.lookup({})) == {(1,)}

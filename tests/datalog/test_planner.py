@@ -1,97 +1,115 @@
-"""Tests for the greedy join-order planner and its early exit.
+"""Tests for rule-body ordering and the empty-body-predicate guards.
 
-Covers the ordering heuristics (delta first, most-bound first,
-smallest-relation tiebreak), the empty-source early exit (with counter
-evidence that nothing was scanned or probed), and the empty-predicate
-safety regression: a pending negation must not be reported as a safety
-bug when the bindings have already died out.
+Covers the one ordering decision the semi-naive driver makes itself
+(each differential variant reads its delta first; every other join
+order is the optimizer's), its early exit (a plan over an empty
+relation does not run), the scan matcher's in-order pipeline, and the
+empty-predicate safety regression: a pending negation or comparison
+must not be reported as a safety bug when the bindings have already
+died out — on the scan matcher and on the driver's plans alike.
 """
 
 import pytest
 
+from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog import (
     EngineStatistics,
     FactStore,
-    IndexedFactStore,
+    Program,
     cross_check,
     naive_evaluate,
     parse_program,
     parse_rule,
-    plan_order,
+    seminaive_evaluate,
 )
+from repro.datalog.lowering import lower_rule
 from repro.datalog.matching import evaluate_rule
-from repro.datalog.planner import bound_positions, has_empty_source
+from repro.datalog.seminaive import _round, _source, _variants
+from repro.plan.logical import plan_key
+from repro.relational.relation import GrowingRelation, Relation
+from repro.relational.schema import RelationSchema
 
 
-def _positives(rule):
-    return [(i, item) for i, item in enumerate(rule.body)]
+def fire(rule_text, facts, through_plans):
+    """One rule's head tuples: on the driver's plans (a one-rule
+    program's semi-naive model) or on the scan matcher."""
+    rule = parse_rule(rule_text)
+    store = FactStore(facts)
+    if through_plans:
+        model = seminaive_evaluate(Program([rule]), store)
+        return set(model.get(rule.head.predicate))
+    return evaluate_rule(rule, store.get)
 
 
 class TestPlanOrder:
     def test_delta_literal_goes_first(self):
         rule = parse_rule("p(X, Z) :- big(X, Y), d(Y, Z).")
-        order = plan_order(_positives(rule), {0: 1, 1: 1000}, delta_at=1)
-        assert [i for i, _ in order] == [1, 0]
+        [(literal, variant)] = _variants(rule, {"d"})
+        assert variant.body[0] is literal
+        assert literal.atom.predicate == "d"
+        # The lowered variant's first join input reads the delta.
+        columns = ("c0", "c1")
+        relations = {
+            name: Relation(RelationSchema(name, columns), ())
+            for name in ("big", "d", "d~delta")
+        }
+        deltas = {"d": RelationSchema("d~delta", columns)}
+        expr = lower_rule(variant, _source(relations, literal.atom, deltas))
+        refs = []
 
-    def test_most_bound_first(self):
-        # After big(X, Y) nothing is bound; the constant-carrying atom
-        # offers a probe key immediately, so it goes first.
-        rule = parse_rule("p(X, Y) :- big(X, Y), anchor(1, X).")
-        order = plan_order(_positives(rule), {0: 5, 1: 5})
-        assert [i for i, _ in order] == [1, 0]
+        def leaves(key):
+            if isinstance(key, tuple) and key and key[0] == "ref":
+                refs.append(key[1])
+            elif isinstance(key, tuple):
+                for part in key:
+                    leaves(part)
 
-    def test_smallest_relation_breaks_ties(self):
-        rule = parse_rule("p(X, Y) :- a(X, Y), b(X, Y).")
-        order = plan_order(_positives(rule), {0: 100, 1: 3})
-        assert [i for i, _ in order] == [1, 0]
-
-    def test_body_position_breaks_remaining_ties(self):
-        rule = parse_rule("p(X, Y) :- a(X, Y), b(X, Y).")
-        order = plan_order(_positives(rule), {0: 7, 1: 7})
-        assert [i for i, _ in order] == [0, 1]
-
-    def test_bound_variables_count_as_probe_positions(self):
-        rule = parse_rule("p(X, Y) :- big(A, W), tiny(B, C), join(X, Y).")
-        # X pre-bound: join(X, Y) is half-bound and beats the unbound
-        # atoms despite tiny being the smallest relation.
-        order = plan_order(
-            _positives(rule), {0: 10, 1: 2, 2: 10}, bound_vars={"X"}
-        )
-        assert order[0][0] == 2
-
-    def test_bound_positions_counts_constants_and_bound_vars(self):
-        rule = parse_rule("p(X, Y) :- q(1, X, Y).")
-        atom = rule.body[0].atom
-        assert bound_positions(atom, set()) == 1
-        assert bound_positions(atom, {"X"}) == 2
-        assert bound_positions(atom, {"X", "Y"}) == 3
+        leaves(plan_key(expr))
+        assert refs == ["d~delta", "big"]
 
 
 class TestEarlyExit:
     def test_has_empty_source(self):
-        rule = parse_rule("p(X, Y) :- a(X, Y), b(X, Y).")
-        positives = _positives(rule)
-        assert has_empty_source(positives, {0: set(), 1: {(1, 2)}})
-        assert not has_empty_source(positives, {0: {(1, 2)}, 1: {(1, 2)}})
+        # A round skips a plan whose positive literal reads an empty
+        # relation: the conjunction is unsatisfiable.
+        columns = ("c0", "c1")
+        relations = {
+            "a": Relation(RelationSchema("a", columns), ()),
+            "b": Relation(RelationSchema("b", columns), [(1, 2)]),
+        }
+        deltas = {"p": RelationSchema("p~delta", columns)}
+        relations["p"] = GrowingRelation(RelationSchema("p", columns), ())
+        relations["p~delta"] = Relation(deltas["p"], ())
+
+        def run(name):
+            return lambda _relations, _stats: relations[name]
+
+        stats = EngineStatistics()
+        steps = [("p", ["a", "b"], run("a")), ("p", ["b"], run("b"))]
+        assert _round(steps, relations, {"p"}, deltas, stats) == 1
+        assert stats.rule_firings == 1  # only the step over b ran
+        assert relations["p"].tuples == {(1, 2)}
 
     def test_empty_predicate_skips_all_work(self):
-        """An empty body predicate must cost zero scans and zero probes."""
-        rule = parse_rule("p(X, Z) :- e(X, Y), missing(Y, Z).")
-        store = IndexedFactStore({"e": [(i, i + 1) for i in range(100)]})
+        """An empty body predicate costs zero scans and zero probes: the
+        rule's plan does not run."""
+        program, _ = parse_program("p(X, Z) :- e(X, Y), missing(Y, Z).")
+        edb = FactStore({"e": [(i, i + 1) for i in range(100)]})
         stats = EngineStatistics()
-        derived = evaluate_rule(rule, store.view, stats=stats)
-        assert derived == set()
+        model = seminaive_evaluate(program, edb, stats=stats)
+        assert model.get("p") == frozenset()
+        assert stats.rule_firings == 0
         assert stats.facts_scanned == 0
         assert stats.index_probes == 0
         assert stats.tuples_materialized == 0
 
     def test_unplanned_pipeline_still_scans(self):
-        """The baseline has no early exit when the empty atom comes last
-        (that asymmetry is part of what the benchmark measures)."""
+        """The scan matcher has no early exit when the empty atom comes
+        last: it scans the first atom whole."""
         rule = parse_rule("p(X, Z) :- e(X, Y), missing(Y, Z).")
         store = FactStore({"e": [(i, i + 1) for i in range(100)]})
         stats = EngineStatistics()
-        derived = evaluate_rule(rule, store.get, stats=stats, planned=False)
+        derived = evaluate_rule(rule, store.get, stats=stats)
         assert derived == set()
         assert stats.facts_scanned == 100
 
@@ -102,34 +120,41 @@ class TestEmptyPredicateSafetyRegression:
 
     RULE = "p(X, Y) :- e(X), g(Y), not h(X, Y)."
 
-    @pytest.mark.parametrize("planned", [True, False])
-    def test_negation_pending_when_bindings_die(self, planned):
-        rule = parse_rule(self.RULE)
-        store = FactStore({"e": [(1,)], "h": [(1, 2)]})  # g is empty
-        derived = evaluate_rule(rule, store.get, stats=None, planned=planned)
-        assert derived == set()
+    @pytest.mark.parametrize("through_plans", [True, False])
+    def test_negation_pending_when_bindings_die(self, through_plans):
+        # g is empty
+        facts = {"e": [(1,)], "h": [(1, 2)]}
+        assert fire(self.RULE, facts, through_plans) == set()
 
-    @pytest.mark.parametrize("indexed,planned", [(True, True), (False, False)])
-    def test_whole_engine_handles_empty_body_predicate(self, indexed, planned):
-        program, _ = parse_program(
-            """
+    @pytest.mark.parametrize(
+        "executor,optimized", [(True, True), (False, False)]
+    )
+    def test_whole_engine_handles_empty_body_predicate(
+        self, executor, optimized
+    ):
+        source = """
             h(X, Y) :- e(X), e(Y).
             p(X, Y) :- e(X), g(Y), not h(X, Y).
             """
-        )
+        program, _ = parse_program(source)
         edb = FactStore({"e": [(1,), (2,)]})  # g has no facts at all
-        store = naive_evaluate(program, edb, indexed=indexed, planned=planned)
-        assert store.get("p") == frozenset()
+        assert naive_evaluate(program, edb).get("p") == frozenset()
+        assert seminaive_evaluate(program, edb).get("p") == frozenset()
+        wb = MetatheoryWorkbench(edb.to_database())
+        model = wb.run(source, executor=executor, optimized=optimized)
+        assert model.get("p") == frozenset()
 
     def test_comparison_pending_when_bindings_die(self):
-        rule = parse_rule("p(X, Y) :- e(X), g(Y), X < Y.")
-        store = FactStore({"e": [(1,)]})
-        for planned in (True, False):
-            assert evaluate_rule(rule, store.get, planned=planned) == set()
+        for through_plans in (True, False):
+            derived = fire(
+                "p(X, Y) :- e(X), g(Y), X < Y.", {"e": [(1,)]}, through_plans
+            )
+            assert derived == set()
 
 
 class TestPlannerPreservesSemantics:
     def test_planned_and_unplanned_agree_with_negation_and_comparisons(self):
+        # The scan matcher (naive) and the driver's plans (semi-naive).
         program, _ = parse_program(
             """
             path(X, Y) :- edge(X, Y).
@@ -140,19 +165,15 @@ class TestPlannerPreservesSemantics:
             """
         )
         edb = FactStore({"edge": [(0, 1), (1, 2), (3, 4)]})
-        planned = naive_evaluate(program, edb, planned=True)
-        unplanned = naive_evaluate(program, edb, planned=False)
-        assert planned == unplanned
+        assert naive_evaluate(program, edb) == seminaive_evaluate(program, edb)
 
     def test_equality_binding_variable_survives_planning(self):
-        # Y is bound only by the equality; the planner must not starve it.
-        rule = parse_rule("p(X, Y) :- e(X), Y = 7.")
-        store = FactStore({"e": [(1,), (2,)]})
-        for planned in (True, False):
-            assert evaluate_rule(rule, store.get, planned=planned) == {
-                (1, 7),
-                (2, 7),
-            }
+        # Y is bound only by the equality; neither route may starve it.
+        for through_plans in (True, False):
+            derived = fire(
+                "p(X, Y) :- e(X), Y = 7.", {"e": [(1,), (2,)]}, through_plans
+            )
+            assert derived == {(1, 7), (2, 7)}
 
     def test_cross_check_on_constant_heavy_program(self):
         program, _ = parse_program(

@@ -1,4 +1,4 @@
-"""The unified cost model: catalog estimates and literal costs.
+"""The unified cost model: catalog estimates.
 
 The estimation-quality suite pins how close the estimates are to the
 truth on workloads where the model's uniformity assumptions hold
@@ -10,7 +10,6 @@ as ``est=`` next to actual rows.
 import pytest
 
 from repro.opt import CostModel
-from repro.opt.cost import estimate_literal_matches
 from repro.relational import (
     Database,
     NaturalJoin,
@@ -117,21 +116,4 @@ class TestExtensionNodes:
                 return []
 
         assert CostModel().rows(Leaf(), db) == 1.0
-
-
-class TestLiteralMatches:
-    def test_formula(self):
-        assert estimate_literal_matches(100, 0) == 100
-        assert estimate_literal_matches(100, 1) == pytest.approx(10.0)
-        assert estimate_literal_matches(100, 2) == pytest.approx(1.0)
-
-    def test_orders_most_bound_then_smallest(self):
-        # The old two-level heuristic, derived from the one formula:
-        # more bound positions beat size; equal binding prefers smaller.
-        assert estimate_literal_matches(1000, 2) < estimate_literal_matches(
-            50, 0
-        )
-        assert estimate_literal_matches(50, 1) < estimate_literal_matches(
-            1000, 1
-        )
 

@@ -117,12 +117,3 @@ class TestSingleCostSurface:
                         if (rel, node.name) not in self.ALLOWED:
                             offenders.append((rel, node.name))
         assert offenders == []
-
-    def test_planner_and_gate_import_from_opt(self):
-        from repro.datalog import planner
-        from repro.opt import cost
-
-        assert (
-            planner.estimate_literal_matches
-            is cost.estimate_literal_matches
-        )

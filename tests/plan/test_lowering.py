@@ -5,7 +5,7 @@ non-recursive Datalog all canonicalize to core-operator-only trees; the
 same logical query arriving through different front-ends hits the same
 plan-cache entry; ``executor=False`` reproduces the legacy paths bit
 for bit; and a workbench runs lowered Datalog on its own pipeline, with
-the fixpoint engines as the oracle.
+the semi-naive rounds on the tree walk as the oracle.
 """
 
 import pytest
@@ -339,13 +339,14 @@ def session_workbench():
 
 
 def fixpoint_model(wb, source):
-    """The oracle: the same text on the fixpoint engines."""
+    """The oracle: the same text by semi-naive rounds on the tree
+    walk."""
     return wb.run(source, executor=False)
 
 
 class TestSessionDatalog:
     """wb.run lowers non-recursive programs onto the session's relations;
-    every answer must equal the fixpoint engines' model."""
+    every answer must equal the tree-walk fixpoint's model."""
 
     @pytest.mark.parametrize("source", [
         # an EDB predicate the session lacks is empty, not an error

@@ -3,17 +3,29 @@
 One workbench, recording with the slow-query threshold armed (so every
 kernel also builds its instrumented variant), runs more distinct plan
 shapes, statement texts, recorded queries and journaled writes than any
-of its caches holds.
+of its caches holds; its plan shapes also run as one-shot executions,
+more than the one-shot kernel cache holds, and it evaluates more
+distinct recursive programs (in the session and by magic sets) than the
+semi-naive driver keeps lowered plans, or magic sets rewritings, for.
 """
 
+from repro.compile import cache
 from repro.core.workbench import PARSE_CACHE_SIZE, MetatheoryWorkbench
+from repro.datalog import FactStore, magic, parse_program, parse_query
+from repro.datalog import seminaive
 from repro.obs.metrics import MetricsRegistry
+from repro.plan import execute
 from repro.relational import algebra as ra
+from repro.storage.mvcc import MVCCStore
 
 PLAN_CACHE_SIZE = 128
 KERNEL_CACHE_SIZE = 256
 HISTORY_SIZE = 256
 JOURNAL_SIZE = 1024
+VERSIONS_RETAINED = 64
+ONE_SHOT_KERNELS = 256
+LOWERED_PROGRAMS = 64
+REWRITES = 64
 
 
 def test_every_cache_stays_within_its_bound():
@@ -23,6 +35,17 @@ def test_every_cache_stays_within_its_bound():
     wb = MetatheoryWorkbench(
         wb.db, history=True, slow_query_ms=0, metrics=MetricsRegistry()
     )
+    # Recursive programs first: the plan shapes below then evict their
+    # kernels, which have no instrumented variant.
+    edb = FactStore({"t": [(i, i + 1) for i in range(5)]})
+    for i in range(LOWERED_PROGRAMS + 8):
+        text = "p%d(X, Y) :- t(X, Y). p%d(X, Z) :- p%d(X, Y), t(Y, Z)." % (
+            (i,) * 3
+        )
+        assert len(wb.run(text).get("p%d" % i)) == 50
+        program, _ = parse_program(text)
+        query = parse_query("p%d(3, X)" % i)
+        assert magic.magic_evaluate(program, edb, query) == {(3, 4), (3, 5)}
     shapes = KERNEL_CACHE_SIZE + 40
     for i in range(shapes):
         # A rename to a fresh name is a plan shape of its own.
@@ -30,6 +53,7 @@ def test_every_cache_stays_within_its_bound():
             ra.Rename(ra.RelationRef("t"), {"a": "x%d" % i}), ("x%d" % i,)
         )
         assert len(wb.algebra(expr)) == 50
+        assert len(execute(expr, wb.db)) == 50
     texts = PARSE_CACHE_SIZE + 40
     for i in range(texts):
         # One shape, a new text and a new journaled write each time.
@@ -54,3 +78,12 @@ def test_every_cache_stays_within_its_bound():
     journal = wb.db.store().journal
     assert len(journal) == journal.capacity == JOURNAL_SIZE
     assert journal.appended > JOURNAL_SIZE
+    assert texts == 1064  # journaled writes, one version each
+    versions = wb.db.store().versions()
+    assert len(versions) == MVCCStore.RETAIN == VERSIONS_RETAINED
+    one_shot = cache.ONE_SHOT
+    assert len(one_shot) <= one_shot.capacity == ONE_SHOT_KERNELS
+    assert len(seminaive._PLANS) <= seminaive.PLAN_CAPACITY
+    assert seminaive.PLAN_CAPACITY == LOWERED_PROGRAMS
+    assert len(magic._REWRITES) <= magic.REWRITE_CAPACITY == REWRITES
+    assert one_shot.stats()["evictions"] > 0
