@@ -2,10 +2,11 @@
 
 The mutation pipeline end to end: MVCC snapshots, DML through the
 shared plan pipeline, concurrent ``wb.begin()`` transactions under both
-concurrency controls, a conflict and a rollback, and the recorded
-history verified against the theory's own serializability and
-recoverability predicates — plus the ``sys_`` relations watching all of
-it from inside SQL.
+concurrency controls, a conflict and a rollback, every commit certified
+conflict serializable and strict by the scheduler theory's online
+certifier (and the recorded history replayed through the theory's own
+predicates to agree) — plus the ``sys_`` relations watching all of it
+from inside SQL.
 
 Run:  python examples/transactions_live.py
 """
@@ -13,6 +14,7 @@ Run:  python examples/transactions_live.py
 from repro.core.workbench import MetatheoryWorkbench
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.txn import TransactionConflict
+from repro.transactions import is_conflict_serializable, recovery_class
 
 
 def make_workbench():
@@ -85,10 +87,15 @@ def main():
     with_rollback.rollback()
     print("after rollback:  ", len(wb.db["account"]))
 
-    print("\n=== The theory as oracle ===")
+    print("\n=== The theory, certified at every commit ===")
     report = wb.txns.verify()
     for key in sorted(report):
         print("  %-24s %s" % (key, report[key]))
+    history = wb.txns.schedule()
+    print("  full replay agrees:      ",
+          is_conflict_serializable(history.committed_projection())
+          == report["conflict_serializable"]
+          and recovery_class(history) == report["recovery_class"])
 
     print("\n=== The runtime, introspected from SQL ===")
     for row in sorted(wb.sql("SELECT * FROM sys_transactions").tuples):

@@ -65,6 +65,7 @@ import math
 import operator
 import time
 
+from ..datalog.stats import EngineStatistics
 from ..errors import AlgebraError, PlanError
 from ..plan.physical import Tally, lookup_keys, stored_base_name, theta_keys
 from ..relational import algebra as ra
@@ -163,11 +164,6 @@ class CompiledKernel:
         token, and ``params`` are the values of the template's parameter
         slots.
         """
-        # Imported here: the stats module lives in repro.datalog, whose
-        # package __init__ would otherwise cycle back into repro.plan at
-        # import time.
-        from ..datalog.stats import EngineStatistics
-
         tally = Tally(stats if stats is not None else EngineStatistics())
         out = self._fn(db, tally, params)
         return Relation(self.schema, out, validate=False), tally

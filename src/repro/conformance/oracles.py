@@ -480,9 +480,13 @@ class LiveTransactionsOracle(Oracle):
     strict 2PL, once under timestamp ordering — and each run must
     satisfy, with zero divergences:
 
-    * the recorded history's committed projection is conflict
-      serializable and classified strict (``manager.verify()``, i.e.
-      the theory predicates applied to the runtime's own schedule);
+    * at every commit, the runtime's online certifier gives the verdicts
+      the full replay gives: ``is_conflict_serializable`` of the
+      recorded history's committed projection and ``is_strict`` of the
+      history (a case's few statements never outgrow the recorded
+      window);
+    * the history is certified conflict serializable and strict
+      (``manager.verify()``);
     * the final database state equals a **serial replay** of the
       committed transactions' programs in commit order on a fresh copy
       of the initial database — the live interleaving changed nothing
@@ -530,6 +534,7 @@ class LiveTransactionsOracle(Oracle):
                     "[%s] runtime broke the theory mid-run: %s" % (cc, exc)
                 )
                 return messages
+        committed = []
         for index in payload["commit_order"]:
             if txns[index].status != "active":
                 continue
@@ -542,7 +547,11 @@ class LiveTransactionsOracle(Oracle):
                     "[%s] runtime broke the theory at commit: %s"
                     % (cc, exc)
                 )
+            messages.extend(_certifier_divergence(manager, cc))
+            if messages:
                 return messages
+            if txns[index].status == "committed":
+                committed.append(index)
 
         try:
             report = manager.verify()
@@ -572,12 +581,9 @@ class LiveTransactionsOracle(Oracle):
         # Serial-replay oracle: committed programs in commit order on a
         # fresh copy of the initial database must land on the same
         # final state the interleaved run produced.
-        index_of = {id(txn): i for i, txn in enumerate(txns)}
         replay = _fresh_workbench(payload["db"])
-        for txn in manager.finished:
-            if txn.status != "committed":
-                continue
-            for statement in programs[index_of[id(txn)]]:
+        for index in committed:
+            for statement in programs[index]:
                 replay.sql(statement)
         for name in sorted(payload["db"].names()):
             live, serial = wb.db[name], replay.db[name]
@@ -589,6 +595,23 @@ class LiveTransactionsOracle(Oracle):
                                                 serial))
                 )
         return messages
+
+
+def _certifier_divergence(manager, cc):
+    """The certifier's verdicts against the full replay of the history."""
+    history = manager.schedule()
+    certifier = manager.certifier
+    replayed = (
+        is_conflict_serializable(history.committed_projection()),
+        is_strict(history),
+    )
+    online = (certifier.serializable, certifier.strict)
+    if online == replayed:
+        return []
+    return [
+        "[%s] certifier says (serializable, strict) = %s, the full replay "
+        "of %s says %s" % (cc, online, history, replayed)
+    ]
 
 
 def _rename_items(schedule):

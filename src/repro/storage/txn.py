@@ -5,12 +5,21 @@ consume *requested* histories of abstract reads and writes.  This module
 is the runtime those theorems delimit: a :class:`TransactionManager`
 hands out live :class:`Transaction` handles (``wb.begin()``), mediates
 real relation-level conflicts under pluggable concurrency control, and
-— the point of the exercise — records every interleaved execution as an
-ordinary :class:`~repro.transactions.schedule.Schedule`, so each
-committed history is differentially checked against the theory's own
-predicates (:func:`~repro.transactions.serializability.is_conflict_serializable`,
-:func:`~repro.transactions.recovery.recovery_class`) the moment it
-commits.  The theory subsystem is the oracle for the runtime.
+— the point of the exercise — records every interleaved execution as
+a stream of ordinary :class:`~repro.transactions.schedule.Op` records.
+Each op feeds a
+:class:`~repro.transactions.certifier.SerializationGraphCertifier` as it
+is recorded, so every commit is certified conflict serializable and
+strict the moment it lands, at a cost that does not grow with the
+session.  The recorded history itself is a bounded window (the last
+:attr:`TransactionManager.HISTORY_OPS` ops and
+:attr:`TransactionManager.HISTORY_TXNS` finished transactions) behind
+:meth:`TransactionManager.schedule` and ``sys_transactions``.  The full
+replay (:func:`~repro.transactions.serializability.is_conflict_serializable`
+and :func:`~repro.transactions.recovery.is_strict` over the whole
+:class:`~repro.transactions.schedule.Schedule`) is the certifier's
+oracle in the tests and the conformance kit's ``transactions-live``
+family.
 
 Two concurrency controls, both at relation granularity:
 
@@ -36,13 +45,15 @@ conformance kit's live-transactions family pins this differentially).
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..errors import TransactionError
 from ..obs.metrics import REGISTRY
 from ..obs.trace import ensure_tracer
+from ..transactions.certifier import SerializationGraphCertifier
 from ..transactions.locking import EXCLUSIVE, SHARED, LockTable
 from ..transactions.recovery import recovery_class
 from ..transactions.schedule import Op, Schedule
-from ..transactions.serializability import is_conflict_serializable
 from .journal import ABSENT
 
 #: Concurrency-control modes.
@@ -218,16 +229,26 @@ class TransactionManager:
         db: the live :class:`~repro.relational.database.Database`.
         workbench: optional owning workbench (enables ``txn.sql``).
         tracer / metrics: observability sinks (workbench defaults).
-        verify_on_commit: differentially check every committed history
-            against the serializability and recoverability predicates
-            (the default; a violation raises — it would mean the runtime
-            broke the theory it implements).
+        verify_on_commit: check every commit against conflict
+            serializability and strictness (the default; a violation
+            raises — it would mean the runtime broke the theory it
+            implements).
+
+    ``ops`` and ``finished`` are rings: the last :attr:`HISTORY_OPS`
+    recorded ops and the last :attr:`HISTORY_TXNS` finished
+    transactions.  The ``certifier`` has seen every op since the last
+    :meth:`reset`.
     """
+
+    #: Ring capacities of the recorded history (the journal's and the
+    #: query history's).
+    HISTORY_OPS = 1024
+    HISTORY_TXNS = 256
 
     __slots__ = ("db", "workbench", "tracer", "metrics", "locks",
                  "verify_on_commit", "ops", "active", "finished",
-                 "_next_id", "_read_ts", "_write_ts", "commits", "aborts",
-                 "conflicts", "last_report")
+                 "certifier", "_next_id", "_read_ts", "_write_ts",
+                 "commits", "aborts", "conflicts", "last_report")
 
     def __init__(self, db, workbench=None, tracer=None, metrics=None,
                  verify_on_commit=True):
@@ -237,9 +258,10 @@ class TransactionManager:
         self.metrics = metrics if metrics is not None else REGISTRY
         self.locks = LockTable()
         self.verify_on_commit = verify_on_commit
-        self.ops = []
+        self.ops = deque(maxlen=self.HISTORY_OPS)
         self.active = {}
-        self.finished = []
+        self.finished = deque(maxlen=self.HISTORY_TXNS)
+        self.certifier = SerializationGraphCertifier()
         self._next_id = 1
         self._read_ts = {}
         self._write_ts = {}
@@ -274,6 +296,7 @@ class TransactionManager:
 
     def _record(self, op):
         self.ops.append(op)
+        self.certifier.observe(op)
 
     # -- concurrency control ---------------------------------------------
 
@@ -380,7 +403,8 @@ class TransactionManager:
         else:
             terminal = []
         terminal.append(Op.commit(txn.txn_id))
-        self.ops.extend(terminal)
+        for op in terminal:
+            self._record(op)
         self._finish(txn, "committed")
         self.commits += 1
         self.metrics.counter("txn_commits_total").inc()
@@ -399,7 +423,7 @@ class TransactionManager:
             else:
                 txn._overlay[entry.name] = entry.undo
             entry.status = "rolled-back"
-        self.ops.append(Op.abort(txn.txn_id))
+        self._record(Op.abort(txn.txn_id))
         self._finish(txn, "aborted")
         self.aborts += 1
         self.metrics.counter("txn_aborts_total").inc()
@@ -411,26 +435,29 @@ class TransactionManager:
         self.active.pop(txn.txn_id, None)
         self.finished.append(txn)
 
-    # -- the theory as oracle ---------------------------------------------
+    # -- the theory, certified online -------------------------------------
 
     def schedule(self):
-        """The recorded history as a live Schedule (may be incomplete)."""
+        """The recorded window as a live Schedule (may be incomplete, and
+        may start inside a transaction once the ring has wrapped)."""
         return Schedule(self.ops, validate=False)
 
     def verify(self):
-        """Check the committed history against the scheduler theory.
+        """The certifier's verdict on the history since the last reset.
 
         Returns the report dict (also kept as ``last_report``); raises
         :class:`~repro.errors.TransactionError` if the committed
         projection is not conflict serializable or not strict — either
-        would mean the runtime violated the theorems it implements.
+        would mean the runtime violated the theorems it implements.  A
+        passing call reads the certifier only; a failing one classifies
+        the recorded window to name what went wrong.
         """
-        committed = self.schedule().committed_projection()
-        serializable = is_conflict_serializable(committed)
-        recovery = recovery_class(self.schedule())
+        certifier = self.certifier
+        serializable, strict = certifier.serializable, certifier.strict
+        recovery = "ST" if strict else recovery_class(self.schedule())
         self.last_report = {
-            "ops": len(self.ops),
-            "committed": len(committed.committed()),
+            "ops": certifier.ops,
+            "committed": certifier.commits,
             "aborted": self.aborts,
             "conflict_serializable": serializable,
             "recovery_class": recovery,
@@ -439,9 +466,9 @@ class TransactionManager:
         if not serializable:
             raise TransactionError(
                 "live history violates conflict serializability: %s"
-                % (committed,)
+                % (self.schedule().committed_projection(),)
             )
-        if recovery != "ST":
+        if not strict:
             raise TransactionError(
                 "live history is not strict (deferred updates must be): "
                 "classified %s" % (recovery,)
@@ -474,8 +501,9 @@ class TransactionManager:
                 "cannot reset with active transactions: %s"
                 % sorted(self.active)
             )
-        self.ops = []
-        self.finished = []
+        self.ops.clear()
+        self.finished.clear()
+        self.certifier = SerializationGraphCertifier()
         self._read_ts.clear()
         self._write_ts.clear()
         self.last_report = None

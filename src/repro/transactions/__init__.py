@@ -1,5 +1,6 @@
 """Transaction processing: schedules, serializability, schedulers, recovery."""
 
+from .certifier import SerializationGraphCertifier
 from .locking import LockTable, TwoPhaseLockingScheduler, two_phase_lock
 from .optimistic import OptimisticScheduler, optimistic
 from .recovery import (
@@ -49,6 +50,7 @@ __all__ = [
     "OptimisticScheduler",
     "READ",
     "Schedule",
+    "SerializationGraphCertifier",
     "ItemTree",
     "TimestampScheduler",
     "TreeLockingScheduler",

@@ -104,6 +104,29 @@ class TestOracle:
                 caught += 1
         assert caught > 0
 
+    def test_a_certifier_that_accepts_everything_is_caught(
+        self, oracle, monkeypatch
+    ):
+        """With the lock table broken, the runtime commits cycles; a
+        certifier stubbed to find none must diverge from the replay."""
+        from repro.transactions.certifier import SerializationGraphCertifier
+        from repro.transactions.locking import LockTable
+
+        monkeypatch.setattr(
+            LockTable, "can_grant", lambda self, txn, item, mode: True
+        )
+        monkeypatch.setattr(
+            SerializationGraphCertifier, "_on_cycle", lambda self, node: False
+        )
+        caught = []
+        for seed in range(SWEEP):
+            caught.extend(
+                message for message in oracle.check(oracle.generate(seed))
+                if "certifier says" in message
+            )
+        assert caught
+        assert all("(True, True)" in message for message in caught)
+
 
 class TestShrinker:
     def test_shrinks_toward_the_failure_witness(self):

@@ -253,6 +253,72 @@ class TestTheoryAsOracle:
         reads = [op for op in wb.txns.schedule() if op.kind == "r"]
         assert len(reads) == 1
 
+    def test_a_broken_concurrency_control_fails_the_closing_commit(
+        self, monkeypatch
+    ):
+        # With every CC check switched off, T1 reads x and writes y while
+        # T2 reads y and writes x: r1(x) r2(y) w1(y) c1 w2(x) c2 has the
+        # cycle T1 -> T2 -> T1, and the certifier must reject c2.
+        for check in ("_check_read", "_check_write", "_validate_commit"):
+            monkeypatch.setattr(
+                TransactionManager, check, lambda self, *args: None
+            )
+        wb = MetatheoryWorkbench(
+            Database.from_dict(
+                {"x": (("a",), [(1,)]), "y": (("a",), [(2,)])}
+            ),
+            metrics=MetricsRegistry(),
+        )
+        for cc in ("2pl", "timestamp"):
+            t1 = wb.begin(cc=cc)
+            t2 = wb.begin(cc=cc)
+            t1.read("x")
+            t2.read("y")
+            t1.stage("y", wb.db["y"])
+            t2.stage("x", wb.db["x"])
+            t1.commit()
+            with pytest.raises(TransactionError) as raised:
+                t2.commit()
+            assert not isinstance(raised.value, TransactionConflict)
+            assert "violates conflict serializability" in str(raised.value)
+            assert wb.txns.last_report["conflict_serializable"] is False
+            wb.txns.reset()
+
+    def test_commits_never_replay_the_history(self, monkeypatch):
+        # verify() reads the certifier's verdict: the whole-history
+        # predicates stay out of the commit path.
+        from repro.transactions import serializability
+
+        def replay(*args):
+            raise AssertionError("the commit path replayed the history")
+
+        monkeypatch.setattr(serializability, "conflicts", replay)
+        monkeypatch.setattr(serializability, "precedence_graph", replay)
+        wb = make_wb()
+        for i in range(5):
+            with wb.begin(cc=("2pl", "timestamp")[i % 2]) as txn:
+                txn.sql("INSERT INTO likes VALUES ('ann', 'x%d')" % i)
+        assert wb.txns.verify()["committed"] == 5
+
+    def test_the_recorded_history_is_a_bounded_window(self):
+        wb = make_wb()
+        manager = wb.txns
+        # Each transaction records two ops, a read and its commit.
+        txns = manager.HISTORY_OPS // 2 + 10
+        for _ in range(txns):
+            txn = wb.begin()
+            txn.read("person")
+            txn.commit()
+        assert len(manager.ops) == manager.HISTORY_OPS
+        assert len(manager.finished) == manager.HISTORY_TXNS
+        assert str(manager.schedule().ops[-1]) == "c%d" % txns
+        report = manager.verify()
+        assert report["ops"] == 2 * txns
+        assert report["committed"] == txns
+        rows = wb.sql("SELECT txn FROM sys_transactions").tuples
+        assert len(rows) == manager.HISTORY_TXNS
+        assert (1,) not in rows
+
     def test_reset_requires_quiescence(self):
         wb = make_wb()
         txn = wb.begin()

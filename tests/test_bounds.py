@@ -7,6 +7,8 @@ of its caches holds; its plan shapes also run as one-shot executions,
 more than the one-shot kernel cache holds, and it evaluates more
 distinct recursive programs (in the session and by magic sets) than the
 semi-naive driver keeps lowered plans, or magic sets rewritings, for.
+It also commits more transactions than the transaction history keeps
+ops or finished transactions for.
 """
 
 from repro.compile import cache
@@ -26,11 +28,17 @@ VERSIONS_RETAINED = 64
 ONE_SHOT_KERNELS = 256
 LOWERED_PROGRAMS = 64
 REWRITES = 64
+HISTORY_OPS = 1024
+HISTORY_TXNS = 256
+TXNS = 2000
 
 
 def test_every_cache_stays_within_its_bound():
     wb = MetatheoryWorkbench.from_dict(
-        {"t": (("a", "b"), [(i, "v%d" % (i % 7)) for i in range(50)])}
+        {
+            "t": (("a", "b"), [(i, "v%d" % (i % 7)) for i in range(50)]),
+            "u": (("k", "n"), [(0, 0)]),
+        }
     )
     wb = MetatheoryWorkbench(
         wb.db, history=True, slow_query_ms=0, metrics=MetricsRegistry()
@@ -60,6 +68,10 @@ def test_every_cache_stays_within_its_bound():
         wb.sql("INSERT INTO t VALUES (%d, 'w')" % (1000 + i))
     assert len(wb.db["t"]) == 50 + texts
     assert wb.sql("SELECT b FROM t WHERE a = 1001").tuples == {("w",)}
+    for i in range(TXNS):
+        with wb.begin(cc=("2pl", "timestamp")[i % 2]) as txn:
+            txn.sql("UPDATE u SET n = %d WHERE k = 0" % (i + 1))
+    assert wb.db["u"].tuples == {(0, TXNS)}
 
     assert len(wb.plan_cache) <= PLAN_CACHE_SIZE
     assert wb.plan_cache.stats()["evictions"] > 0
@@ -87,3 +99,11 @@ def test_every_cache_stays_within_its_bound():
     assert seminaive.PLAN_CAPACITY == LOWERED_PROGRAMS
     assert len(magic._REWRITES) <= magic.REWRITE_CAPACITY == REWRITES
     assert one_shot.stats()["evictions"] > 0
+    txns = wb.txns
+    assert txns.commits == TXNS
+    assert len(txns.ops) == txns.ops.maxlen == HISTORY_OPS
+    assert len(txns.finished) == txns.finished.maxlen == HISTORY_TXNS
+    # The session is quiescent and its graph acyclic: the certifier
+    # has dropped every committed node.
+    assert txns.certifier.commits == TXNS
+    assert txns.certifier.retained == 0

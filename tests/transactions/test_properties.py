@@ -20,8 +20,13 @@ kinds = st.sampled_from(["r", "w"])
 
 
 @st.composite
-def schedules(draw, max_txns=4, max_ops=4):
-    """A complete random schedule with per-transaction order preserved."""
+def schedules(draw, max_txns=4, max_ops=4, aborts=False, active=False):
+    """A random schedule with per-transaction order preserved.
+
+    Every transaction commits unless ``aborts`` lets it abort or
+    ``active`` lets it end without a terminal (an incomplete schedule).
+    """
+    terminals = ["c"] + ["a"] * aborts + [None] * active
     n_txns = draw(st.integers(min_value=1, max_value=max_txns))
     queues = {}
     for txn in range(1, n_txns + 1):
@@ -29,7 +34,9 @@ def schedules(draw, max_txns=4, max_ops=4):
         ops = [
             Op(draw(kinds), txn, draw(items)) for _ in range(n_ops)
         ]
-        ops.append(Op.commit(txn))
+        terminal = draw(st.sampled_from(terminals))
+        if terminal is not None:
+            ops.append(Op(terminal, txn))
         queues[txn] = ops
     order = []
     alive = sorted(queues)
