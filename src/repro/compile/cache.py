@@ -189,5 +189,5 @@ class KernelCache:
 #: The kernels of every one-shot execution
 #: (:func:`~repro.plan.executor.execute_physical`,
 #: :func:`~repro.plan.explain.run_explained`, and a standalone engine's
-#: lowered and semi-naive plans), evicted first in, first out.
+#: semi-naive rule plans), evicted first in, first out.
 ONE_SHOT = KernelCache()

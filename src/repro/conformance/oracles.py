@@ -8,7 +8,7 @@ this case).  Two oracle kinds:
   evaluation path and demand agreement: legacy tree walk vs. fused
   compiled kernels vs. template kernels vs. optimized plan; direct
   calculus semantics vs. Codd-translated algebra; all four Datalog
-  strategies (plus the lowered pipeline and the session's ``wb.run``);
+  strategies (plus the session's ``wb.run``);
   2PL / timestamp / OCC scheduler outputs against the
   serializability predicates.
 * **Metamorphic** — apply a semantics-preserving rewrite and demand the
@@ -29,7 +29,6 @@ production queries take.
 
 from __future__ import annotations
 
-from ..datalog.lowering import is_lowerable, lowered_evaluate
 from ..datalog.magic import magic_evaluate, match_query
 from ..datalog.naive import naive_evaluate
 from ..datalog.seminaive import seminaive_evaluate
@@ -314,10 +313,9 @@ class CalculusDifferentialOracle(Oracle):
 
 def _session_models(program, edb):
     """``wb.run`` of the program's text on the default route, twice, over
-    a workbench that stores the EDB: the first run compiles the kernel
-    of each lowered plan (non-recursive programs) or of each rule and
-    differential variant (semi-naive rounds), the second runs them from
-    the cache.
+    a workbench that stores the EDB: the first run plans and compiles
+    the kernel of each rule and differential variant the semi-naive
+    driver runs, the second runs them from the session's caches.
 
     Each relation's attributes are ``c{n-1}..c0``, the default names
     reversed, so a lowering that read stored names as positions would
@@ -339,15 +337,15 @@ def _session_models(program, edb):
 
 
 class DatalogDifferentialOracle(Oracle):
-    """Naive ≡ semi-naive ≡ magic ≡ top-down ≡ lowered ≡ ``wb.run``.
+    """Naive ≡ semi-naive ≡ magic ≡ top-down ≡ ``wb.run``.
 
     Magic sets and top-down tabling are positive-program strategies, so
-    they join the comparison only when the program has no negation; the
-    lowered relational pipeline joins when the program is non-recursive.
-    The session leg runs the program's text twice through a workbench
-    that stores the EDB, on its default route (lowered plans, or
-    semi-naive rounds over the session's relations for a recursive
-    program): the first run compiles the kernels, the second runs them
+    they join the comparison only when the program has no negation.
+    The semi-naive leg runs the driver standalone, on one-shot kernels
+    over the EDB's export; the session leg runs the program's text
+    twice through a workbench that stores the EDB, on its default route
+    (the same driver over the session's relations, planned through its
+    caches): the first run compiles the kernels, the second runs them
     from the cache.
     """
 
@@ -366,13 +364,6 @@ class DatalogDifferentialOracle(Oracle):
                 "seminaive disagrees with naive reference model"
             )
 
-        if is_lowerable(program):
-            lowered = lowered_evaluate(program, edb.to_database())
-            if lowered != reference:
-                messages.append(
-                    "lowered relational pipeline disagrees with naive "
-                    "reference model"
-                )
         for label, model in _session_models(program, edb):
             if model != reference:
                 messages.append(

@@ -24,7 +24,6 @@ from ..compile import KernelCache
 from ..datalog.analysis import check_stored_arities
 from ..datalog.engine import DatalogEngine
 from ..datalog.facts import FactStore
-from ..datalog.lowering import is_lowerable, lowered_evaluate
 from ..datalog.parser import parse_program
 from ..datalog.seminaive import seminaive_evaluate
 from ..datalog.stats import EngineStatistics
@@ -528,10 +527,11 @@ class MetatheoryWorkbench:
         :class:`~repro.relational.relation.Relation`; Datalog source is
         fully evaluated and returns the model as a
         :class:`~repro.datalog.facts.FactStore`, computed over this
-        session's relations: a non-recursive program as one plan per
-        IDB predicate, a recursive one by semi-naive rounds of cached
-        rule plans (``executor=False`` runs the latter on the tree walk
-        for every program).
+        session's relations by the semi-naive driver, one strongly
+        connected component at a time: each rule and differential
+        variant is a cached plan run on its kernel
+        (``executor=False``: on the tree walk), and a non-recursive
+        component runs each of its rules once.
 
         Args:
             query: SQL text, an algebra expression, a calculus query
@@ -570,37 +570,7 @@ class MetatheoryWorkbench:
         program, _queries = self._cached_parse(
             "datalog", source, parse_program, capture
         )
-        if executor and is_lowerable(program):
-            return self._lowered(program, optimized, stats, capture)
         return self._fixpoint(program, optimized, executor, stats, capture)
-
-    def _lowered(self, program, optimized, stats, capture=None, db=None):
-        """The model of a non-recursive program: each IDB predicate's
-        plan runs through :meth:`_run_pipeline` like a SQL statement
-        (plan cache, optimizer, kernel), over this session's relations
-        (or the snapshot ``db`` of them)."""
-        reject_system_heads(program)
-        base = self.db if db is None else db
-        hits = []
-
-        def execute(_predicate, expr, run_stats, db_schema):
-            step = {} if capture is not None else None
-            relation = self._run_pipeline(
-                expr, optimized, run_stats, capture=step, db=db,
-                schema=db_schema,
-            )
-            if step is not None:
-                hits.append(step["plan_cache_hit"])
-            return relation
-
-        model = lowered_evaluate(
-            program, base, execute=execute, stats=stats, tracer=self.tracer,
-        )
-        if capture is not None:
-            capture["route"] = "datalog:compiled"
-            if hits:
-                capture["plan_cache_hit"] = all(hits)
-        return model
 
     def _fixpoint(self, program, optimized, executor, stats, capture=None):
         """The model of a program by semi-naive rounds over this
@@ -612,7 +582,7 @@ class MetatheoryWorkbench:
         self._sync_caches()
         hits = []
 
-        def prepare(expr, db, db_schema):
+        def prepare(_predicate, expr, db, db_schema):
             entry, hit, key, values = self._plan_for(expr, optimized, db=db)
             hits.append(hit)
             return self._route(
@@ -743,11 +713,12 @@ class MetatheoryWorkbench:
                 Defaults to the workbench's tracer (a no-op unless one
                 was passed at construction).
 
-        Raises:
-            DatalogError: for recursive Datalog programs, whose plans
-                run once per semi-naive round (trace those with a
-                tracer-carrying workbench or engine: it records every
-                round's span and counters).
+        A Datalog program runs the semi-naive driver as :meth:`run`
+        does, each rule and differential variant on its kernel's
+        instrumented variant; its report has one ``Datalog(p)`` node
+        per IDB predicate and, under it, one subtree per plan that ran,
+        summing all of that plan's runs (see
+        :func:`~repro.plan.explain.explain_datalog`).
         """
         tracer = ensure_tracer(tracer) if tracer is not None else self.tracer
         if kind is None:
@@ -766,25 +737,30 @@ class MetatheoryWorkbench:
         return explained
 
     def _explain_datalog(self, source, optimized, stats, capture):
-        """EXPLAIN ANALYZE for Datalog: every lowered predicate's plan
-        runs through :meth:`_run_pipeline` on its kernel's instrumented
-        variant."""
+        """EXPLAIN ANALYZE for Datalog: the semi-naive driver over this
+        session's relations, each rule and variant plan resolved through
+        the plan cache on its kernel's instrumented variant."""
         program, _queries = self._cached_parse(
             "datalog", source, parse_program, capture
         )
         reject_system_heads(program)
+        self._sync_caches()
         hits = []
 
-        def explain(_predicate, expr, run_stats, db_schema):
+        def prepare(_predicate, expr, db, db_schema):
+            entry, hit, key, values = self._plan_for(expr, optimized, db=db)
+            hits.append(hit)
             step = dict(capture)
-            self._run_pipeline(
-                expr, optimized, run_stats, capture=step, schema=db_schema
-            )
-            hits.append(step["plan_cache_hit"])
-            return step["explained"]
+            run = self._route(entry, key, values, True, step, db, db_schema)
+
+            def explain(relations, run_stats):
+                run(relations, run_stats)
+                return step["explained"]
+
+            return explain
 
         result = explain_datalog(
-            program, self.db, explain, stats=stats, tracer=capture["tracer"]
+            program, self.db, prepare, stats=stats, tracer=capture["tracer"]
         )
         result.plan_cache_hit = all(hits) if hits else None
         result.parse_cache_hit = capture["parse_cache_hit"]
@@ -805,30 +781,21 @@ class MetatheoryWorkbench:
 
     # -- Datalog ------------------------------------------------------------------
 
-    def datalog(self, source, executor=True):
-        """A Datalog engine whose EDB is this workbench's database.
+    def datalog(self, source):
+        """A standalone Datalog engine over this workbench's data.
 
         Any ``?-`` queries in the source are ignored here; use the
-        returned engine's ``.query``.  Non-recursive programs run as
-        algebra plans on this session's pipeline (its plan cache and
-        kernels) by default, like :meth:`run`; ``executor=False`` runs
-        each strategy's fixpoint for every program.  Recursive programs
-        run the strategy's fixpoint over the engine's copy of the EDB
-        (semi-naive and magic on one-shot kernels); :meth:`run` is the
-        route that runs them on the session's own relations.
-
-        The EDB is the database's *user* relations as of this call, on
-        every strategy; any ``sys_`` system relation named in a rule
-        body is snapshotted in as well (and a ``sys_`` rule head raises
-        — the namespace is read-only).
+        returned engine's ``.query``.  The engine's EDB is a snapshot
+        of the database's *user* relations taken at this call, plus any
+        ``sys_`` system relation a rule body names (a ``sys_`` rule head
+        raises — the namespace is read-only); every strategy runs over
+        that snapshot, semi-naive and magic on one-shot kernels.
+        :meth:`run` is the route that evaluates a program on the
+        session's own relations and caches.
         """
-        executor = _check_executor(executor)
         program, _queries = self._cached_parse(
             "datalog", source, parse_program
         )
-        return self._engine(program, executor)
-
-    def _engine(self, program, executor):
         # The engine checks the arities its facts show; an empty stored
         # relation shows none, so check the schema's here.
         schema = self.db.schema()
@@ -838,17 +805,7 @@ class MetatheoryWorkbench:
         store = materialize_system_facts(
             self.db, program, FactStore.from_database(self.db)
         )
-        session = None
-        if executor:
-            # The lowered plans read the same state the EDB copied.
-            pinned = self.db.snapshot().db
-
-            def session(program, stats):
-                return self._lowered(program, True, stats, db=pinned)
-        return DatalogEngine(
-            program, store, executor=executor, tracer=self.tracer,
-            session=session,
-        )
+        return DatalogEngine(program, store, tracer=self.tracer)
 
     # -- schema analysis ----------------------------------------------------------
 

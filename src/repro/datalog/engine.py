@@ -22,7 +22,6 @@ from ..obs.trace import ensure_tracer
 from .analysis import check_stored_arities
 from .ast import Atom, Program
 from .facts import FactStore
-from .lowering import is_lowerable, lowered_evaluate
 from .magic import magic_evaluate, match_query
 from .naive import naive_evaluate
 from .parser import parse_program, parse_query
@@ -36,29 +35,19 @@ STRATEGIES = ("naive", "seminaive", "magic", "topdown")
 class DatalogEngine:
     """A program plus an extensional database, evaluable four ways.
 
-    ``executor`` routes *non-recursive* programs through the shared
-    relational pipeline (lowered to algebra plans over
-    ``edb.to_database()``, run on one-shot kernels) for the bottom-up
-    strategies; recursive programs always run the chosen strategy's
-    fixpoint, and ``executor=False`` runs it for every program.
-
-    ``session``, when given, replaces that lowered run:
-    ``session(program, stats)`` returns the model computed on a
-    workbench's own pipeline (see
-    :meth:`~repro.core.workbench.MetatheoryWorkbench.datalog`).
+    Each strategy runs the engine it names over the engine's own EDB:
+    naive and top-down on the scan matcher (the oracles), semi-naive
+    and magic sets on the semi-naive driver's one-shot kernels.
 
     Raises:
         DatalogError: when the program uses an EDB predicate with an
             arity other than its stored facts'.
     """
 
-    def __init__(self, program, edb=None, executor=True, tracer=None,
-                 session=None):
+    def __init__(self, program, edb=None, tracer=None):
         if not isinstance(program, Program):
             raise DatalogError("expected a Program, got %r" % (program,))
         self.program = program
-        self.executor = executor
-        self.session = session
         self.tracer = ensure_tracer(tracer)
         if edb is None:
             self.edb = FactStore()
@@ -76,10 +65,10 @@ class DatalogEngine:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_source(cls, source, edb=None, executor=True, tracer=None):
+    def from_source(cls, source, edb=None, tracer=None):
         """Parse program text (ignoring any ``?-`` lines) and wrap it."""
         program, _ = parse_program(source)
-        return cls(program, edb, executor=executor, tracer=tracer)
+        return cls(program, edb, tracer=tracer)
 
     # -- full evaluation ------------------------------------------------------
 
@@ -114,31 +103,13 @@ class DatalogEngine:
                 "unknown strategy %r (use one of %s)"
                 % (strategy, ", ".join(STRATEGIES))
             )
-        observed = stats is not None or self.tracer.enabled
-        if self.executor and is_lowerable(self.program):
-            # Non-recursive: one pass through the relational pipeline is
-            # the whole fixpoint, whatever bottom-up strategy was asked
-            # for.  Recursion falls through to the iterating engines.
-            if observed:
-                return self._lowered(stats)
-            if "plan" not in self._model_cache:
-                self._model_cache["plan"] = self._lowered(None)
-            return self._model_cache["plan"]
-        if observed:
+        if stats is not None or self.tracer.enabled:
             return evaluator(
                 self.program, self.edb, stats=stats, tracer=self.tracer
             )
         if strategy not in self._model_cache:
             self._model_cache[strategy] = evaluator(self.program, self.edb)
         return self._model_cache[strategy]
-
-    def _lowered(self, stats):
-        if self.session is not None:
-            return self.session(self.program, stats)
-        return lowered_evaluate(
-            self.program, self.edb.to_database(), stats=stats,
-            tracer=self.tracer,
-        )
 
     # -- queries ---------------------------------------------------------------
 
@@ -199,15 +170,13 @@ class DatalogEngine:
         )
 
 
-def cross_check(program, edb, query_atom, strategies=STRATEGIES,
-                executor=True):
+def cross_check(program, edb, query_atom, strategies=STRATEGIES):
     """Answer the same query under several strategies; return the results.
 
     The integration tests use this to assert all engines agree — the
-    library's own Berkeley–IBM-style experiment.  ``executor`` is the
-    engine's (see :class:`DatalogEngine`).
+    library's own Berkeley–IBM-style experiment.
     """
-    engine = DatalogEngine(program, edb, executor=executor)
+    engine = DatalogEngine(program, edb)
     if isinstance(query_atom, str):
         query_atom = parse_query(query_atom)
     return {

@@ -1,58 +1,36 @@
-"""Datalog-as-algebra: lowering non-recursive programs to logical plans.
+"""Datalog-as-algebra: a rule as a logical plan.
 
-The classical result (Papadimitriou's §6 territory): non-recursive
-Datalog is exactly the positive-existential fragment of relational
-algebra, and stratified non-recursive Datalog with negation adds
-antijoins.  This module makes the inclusion executable: each IDB
-predicate of a non-recursive program lowers to one algebra expression
-over the stored relations of a database (a union of
-select/project/rename/join/antijoin plans, one per rule), which then
-runs on the shared pipeline like any SQL or calculus query.
+The classical result (Papadimitriou's §6 territory): a Datalog rule is
+a positive-existential relational algebra expression, and negated
+literals add antijoins.  This module makes the inclusion executable:
+:func:`lower_rule` turns one rule into a select/project/rename/join/
+antijoin plan over a mapping of relations, which then runs on the
+shared pipeline like any SQL or calculus query.  The semi-naive driver
+(:mod:`~repro.datalog.seminaive`) lowers every rule, and every
+differential variant, this way and evaluates a program one strongly
+connected component at a time; a non-recursive component is a single
+round of these plans.
 
-* An EDB atom reads its stored relation through a positional rename, so
-  the stored attribute names never matter.
-* An IDB atom unfolds into its predicate's own expression.  The program
-  is non-recursive, so unfolding ends.
-* Program-text facts join their predicate's union as a constant
-  relation, and a stored relation that is also a rule head keeps its
-  stored rows.
-* An EDB predicate the database lacks is an empty relation.
+* A body atom reads its relation through a positional rename
+  (:func:`lower_atom`), so the stored attribute names never matter.
+* Constants become selections, and repeated variables equality
+  selections.
 
-Recursion genuinely needs a fixpoint, so :func:`is_lowerable` gates the
-translation; recursive programs run :func:`lower_rule`'s per-rule plans
-in semi-naive rounds instead (:mod:`~repro.datalog.seminaive`).
-
-Every predicate's expression has the columns ``c0..c{n-1}``, the
+Every rule's expression has the head's columns ``c0..c{n-1}``, the
 convention of :meth:`FactStore.to_database`.
 """
 
 from __future__ import annotations
 
-from ..errors import DatalogError
 from ..obs.trace import NULL_TRACER
 from ..relational import algebra as ra
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
-from .analysis import check_stored_arities, is_recursive
 from .ast import Constant, Variable
-from .facts import FactStore
-
-
-def is_lowerable(program):
-    """Can this program run as algebra plans? (Exactly: non-recursive.)"""
-    return not is_recursive(program)
 
 
 def _columns(arity):
     return tuple("c%d" % i for i in range(arity))
-
-
-def _constant_relation(predicate, arity, rows=()):
-    return ra.ConstantRelation(
-        Relation(
-            RelationSchema(predicate, _columns(arity)), rows, validate=False
-        )
-    )
 
 
 def lower_atom(atom, expr, attributes):
@@ -203,167 +181,18 @@ def _binding_equality(comparison, bound):
     return None
 
 
-class _Lowering:
-    """The expressions of one program's predicates over one schema."""
+def lowered_evaluate(program, db, stats=None, tracer=NULL_TRACER):
+    """The model of ``program`` over ``db``:
+    :func:`~repro.datalog.seminaive.seminaive_evaluate`'s, to which it
+    delegates.
 
-    def __init__(self, program, db_schema):
-        self.program = program
-        self.db_schema = db_schema
-        self.idb = program.idb_predicates()
-        self.facts = {}
-        for predicate, values in program.facts():
-            self.facts.setdefault(predicate, []).append(values)
-        self.memo = {}
-
-    def relation(self, predicate, arity):
-        """Everything the program knows of ``predicate``, with columns
-        ``c0..c{arity-1}``: its rules, stored rows and text facts."""
-        expr = self.memo.get(predicate)
-        if expr is not None:
-            return expr
-        parts = [
-            lower_rule(rule, self.source)
-            for rule in self.program.rules_for(predicate)
-        ]
-        if predicate in self.db_schema:
-            attributes = self.db_schema[predicate].attributes
-            mapping = {
-                a: c for a, c in zip(attributes, _columns(arity)) if a != c
-            }
-            stored = ra.RelationRef(predicate)
-            parts.append(ra.Rename(stored, mapping) if mapping else stored)
-        if predicate in self.facts:
-            parts.append(
-                _constant_relation(predicate, arity, self.facts[predicate])
-            )
-        expr = parts[0] if parts else _constant_relation(predicate, arity)
-        for part in parts[1:]:
-            expr = ra.Union(expr, part)
-        self.memo[predicate] = expr
-        return expr
-
-    def source(self, atom):
-        """``(expression, attributes)`` for a body atom's predicate: a
-        stored relation read as it is, anything else as
-        :meth:`relation`."""
-        predicate = atom.predicate
-        if (
-            predicate in self.db_schema
-            and predicate not in self.idb
-            and predicate not in self.facts
-        ):
-            return (
-                ra.RelationRef(predicate),
-                self.db_schema[predicate].attributes,
-            )
-        return self.relation(predicate, atom.arity), _columns(atom.arity)
-
-
-def lower_program(program, db_schema):
-    """Lowered plans for every IDB predicate, in name order.
-
-    Each plan reads only the relations of ``db_schema`` and literals,
-    and holds the predicate's whole extension (columns ``c0..``), so the
-    plans can run in any order.
-
-    Returns:
-        A list of ``(predicate, expression)`` pairs.
-
-    Raises:
-        DatalogError: for recursive programs (not lowerable).
+    Nothing in the library calls it.  It stays only because the
+    end-to-end benchmark's tracer (``benchmarks/e2e/tracing.py``) wraps
+    this name; it goes with that benchmark's next change, as the
+    workbench's ``"compiled"`` executor spelling does.
     """
-    if not is_lowerable(program):
-        raise DatalogError(
-            "recursive programs cannot be lowered to algebra; "
-            "evaluate them by semi-naive rounds"
-        )
-    lowering = _Lowering(program, db_schema)
-    arities = program.arities()
-    return [
-        (predicate, lowering.relation(predicate, arities[predicate]))
-        for predicate in sorted(program.idb_predicates())
-    ]
+    # Imported here, not at module top: the semi-naive driver imports
+    # this module's lower_rule.
+    from .seminaive import seminaive_evaluate
 
-
-def _run_once(db):
-    """The default ``execute`` of :func:`lowered_evaluate`: the
-    canonical plan on a one-shot kernel."""
-    # Imported here, not at module top: repro.plan.executor needs the
-    # EngineStatistics counters from this package, so a module-level
-    # import would close an import cycle through the package __init__s.
-    from ..plan.executor import execute_physical
-    from ..plan.logical import canonicalize
-
-    def execute(_predicate, expr, stats, db_schema):
-        relation, _tally = execute_physical(
-            canonicalize(expr, db_schema), db, stats
-        )
-        return relation
-
-    return execute
-
-
-def _base_model(program, db):
-    """The model before derivation, sharing the stored tuple sets: every
-    user relation, each virtual relation a rule body reads, and the
-    program-text facts."""
-    model = FactStore()
-    for name in db.names():
-        model.share(name, db[name].tuples)
-    for rule in program:
-        for predicate, _positive in rule.body_predicates():
-            if predicate not in model and predicate in db:
-                model.share(predicate, db[predicate].tuples)
-    for predicate, values in program.facts():
-        model.add(predicate, values)
-    return model
-
-
-def lowered_evaluate(program, db, execute=None, stats=None,
-                     tracer=NULL_TRACER):
-    """The minimal model of a non-recursive program over ``db``, via
-    algebra plans.
-
-    Semantics match :func:`~repro.datalog.naive.naive_evaluate` on the
-    database's relations as the EDB: the result holds every user
-    relation, the virtual relations rule bodies read, program-text
-    facts, and every derived IDB fact.  It shares the stored tuple sets
-    instead of copying them; writing to it never reaches ``db``.
-
-    Args:
-        program: a non-recursive :class:`~repro.datalog.ast.Program`.
-        db: the :class:`~repro.relational.database.Database` the plans
-            read.  An engine with no session passes
-            ``FactStore.to_database()`` of its EDB.
-        execute: ``execute(predicate, expression, stats, db_schema)``
-            runs one predicate's plan and returns its Relation;
-            ``db_schema`` is ``db.schema()``, built once per run.  The
-            workbench passes its own pipeline (plan cache, optimizer,
-            executor route).  Defaults to the canonical plan on a
-            one-shot kernel.
-        stats: optional EngineStatistics, passed to ``execute``.
-        tracer: records a ``datalog_lowered`` span with one
-            ``predicate`` span per plan.
-
-    Raises:
-        DatalogError: for recursive programs, and for an atom whose
-            arity differs from its stored relation's.
-    """
-    db_schema = db.schema()
-    check_stored_arities(
-        program, {name: db_schema[name].arity for name in db_schema}
-    )
-    plans = lower_program(program, db_schema)
-    if execute is None:
-        execute = _run_once(db)
-    model = _base_model(program, db)
-    with tracer.span("datalog_lowered", stats=stats) as program_span:
-        for predicate, expr in plans:
-            with tracer.span(
-                "predicate", stats=stats, predicate=predicate
-            ) as span:
-                result = execute(predicate, expr, stats, db_schema)
-                span.set(rows=len(result))
-            model.share(predicate, result.tuples)
-        program_span.set(predicates=len(plans))
-    return model
+    return seminaive_evaluate(program, db=db, stats=stats, tracer=tracer)

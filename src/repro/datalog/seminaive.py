@@ -15,11 +15,14 @@ first, and lowers each of the component's rules with
 :func:`~repro.datalog.lowering.lower_rule`, plus each *differential
 variant*: the rule with one positive literal over the component's
 predicates moved first and read from that predicate's delta relation,
-so the delta drives the join.  The lowered plans depend only on the
-program's proper rules, the predicates it states facts for and the
-schemas of the relations they read, so they are kept across
-evaluations (:data:`PLAN_CAPACITY` programs, first in, first out), and
-so are the one-shot kernels a standalone evaluation runs them on.
+so the delta drives the join.  A component without recursion has no
+variants: its first round runs each rule once and derives everything,
+so the driver is the one bottom-up route for every program, recursive
+or not.  The lowered plans depend only on the program's proper rules,
+the predicates it states facts for and the schemas of the relations
+they read, so they are kept across evaluations (:data:`PLAN_CAPACITY`
+programs, first in, first out), and so are the one-shot kernels a
+standalone evaluation runs them on.
 ``prepare`` plans every lowered rule before the component's first
 round; a round then only runs the prepared plans and merges their new
 tuples into each predicate's
@@ -99,15 +102,18 @@ def seminaive_iterations(program, edb=None, stats=None, tracer=NULL_TRACER,
         db: the :class:`~repro.relational.database.Database` whose
             relations are the EDB (a workbench passes its session's);
             defaults to ``edb.to_database()``.  Nothing is written to it.
-        prepare: ``prepare(expression, planning_db, db_schema)`` plans
-            one lowered rule (a canonical plan: lowering builds core
-            operators only) over ``planning_db``, a scratch database
-            of the evaluation's relations, and ``db_schema``, the
-            schema of every relation the program's plans read; it
+        prepare: ``prepare(predicate, expression, planning_db,
+            db_schema)`` plans one lowered rule or differential variant
+            (a canonical plan: lowering builds core operators only)
+            whose head is ``predicate`` over ``planning_db``, a scratch
+            database of the evaluation's relations, and ``db_schema``,
+            the schema of every relation the program's plans read; it
             returns ``run(relations, stats)``, which runs the plan over
             a ``{name: Relation}`` mapping and returns its Relation.
-            The workbench passes its pipeline (plan cache, optimizer,
-            kernel cache or tree walk).  Defaults to the plan's
+            It is called once per plan and evaluation, before the
+            plan's component runs.  The workbench passes its pipeline
+            (plan cache, optimizer, kernel cache or tree walk; EXPLAIN
+            ANALYZE the instrumented kernels).  Defaults to the plan's
             one-shot kernel, resolved once per program and layout.
 
     Returns:
@@ -138,7 +144,10 @@ def seminaive_iterations(program, edb=None, stats=None, tracer=NULL_TRACER,
             planning = Database.bound(relations.values())
             full, variants = (
                 [
-                    (predicate, reads, prepare(expr, planning, plans.schema))
+                    (
+                        predicate, reads,
+                        prepare(predicate, expr, planning, plans.schema),
+                    )
                     for predicate, reads, expr in steps
                 ]
                 for steps in (full, variants)

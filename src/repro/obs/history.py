@@ -71,7 +71,7 @@ class QueryRecord:
             against ``sys_plan_cache``; None off the pipeline path.
         route: how the query executed ("compiled" for a kernel,
             instrumented or not; "treewalk", "direct",
-            "datalog:compiled", "datalog:fixpoint", and
+            "datalog:fixpoint" for every Datalog program, and
             "dml:<kind>:<route>" for DML).
         slow: True when ``wall_ms`` crossed the armed threshold.
         instrumented: True when the run used the instrumented executor.

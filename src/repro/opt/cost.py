@@ -5,8 +5,8 @@ Everything in the library that needs a size guess asks this module:
 * the rewrite/enumeration pipeline (:mod:`repro.opt.joins`) costs join
   orders with :class:`CostModel`;
 * EXPLAIN ANALYZE prints the same model's estimates as ``est=``, and
-  the plans of Datalog rules (lowered or semi-naive) are ordered by it
-  like any other plan.
+  the plans of Datalog rules and their semi-naive variants are ordered
+  by it like any other plan.
 
 :class:`CostModel` reads the database's
 :class:`~repro.opt.catalog.Catalog`: an equality against a constant

@@ -40,8 +40,8 @@ Kernels are the one executor; the tree walk is the differential oracle.
 The materialize-everything tree walk
 (:func:`~repro.relational.algebra.evaluate`) stays available behind
 ``executor=False`` on every workbench entry point, where it runs the
-same cached plan as the kernel — for Datalog, every lowered plan and
-every semi-naive rule plan.
+same cached plan as the kernel — for Datalog, every semi-naive rule
+and differential variant plan.
 """
 
 from .cache import PlanCache

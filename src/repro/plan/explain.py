@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import time
 
+from ..datalog.seminaive import seminaive_evaluate
 from ..datalog.stats import EngineStatistics
 from ..obs.trace import NULL_TRACER
 from ..opt.cost import CostModel
 from .executor import resolve_physical
-from .logical import bind_condition, canonicalize
+from .logical import bind_condition
 
 #: Where an instrumented kernel's counters land on an OpReport's
 #: statistics (the rows and the peak buffer are report fields).
@@ -352,58 +353,84 @@ def _emit(tracer, report):
         span.counters = counters
 
 
-def explain_datalog(program, db, explain=None, stats=None,
+def explain_datalog(program, db, prepare=None, stats=None,
                     tracer=NULL_TRACER):
-    """EXPLAIN ANALYZE a non-recursive Datalog program, predicate by
-    predicate.
+    """EXPLAIN ANALYZE a Datalog program on the semi-naive driver.
 
-    Runs :func:`~repro.datalog.lowering.lowered_evaluate` over ``db``
-    with each predicate's plan explained, and collects the
-    per-predicate trees under one ``Program`` root report.
+    Runs :func:`~repro.datalog.seminaive.seminaive_evaluate` over
+    ``db`` with every rule and differential variant plan explained, and
+    collects the reports under one ``Program`` root: one
+    ``Datalog(predicate)`` node per IDB predicate, in name order, and
+    under it one report tree per plan that ran.  A plan's tree sums all
+    of its runs (rows, time and counters add up; the peak buffer is the
+    largest), so the report's size depends on the program, not on how
+    many rounds its fixpoint takes.
 
     Args:
-        program: a non-recursive Datalog program.
-        db: the database the plans read.
-        explain: ``explain(predicate, expression, stats, db_schema)``
-            returning the :class:`ExplainResult` of one predicate's plan
-            (the workbench runs its pipeline); defaults to
-            :func:`run_explained` on the canonical plan.
+        program: a stratifiable Datalog program.
+        db: the database whose relations are the EDB.
+        prepare: ``prepare(predicate, expression, planning_db,
+            db_schema)``, the driver's hook, returning
+            ``explain(relations, stats)``: one explained run of the
+            plan, an :class:`ExplainResult` (the workbench resolves the
+            plan through its caches).  Defaults to the plan's one-shot
+            kernel.
         stats: optional EngineStatistics charged with the run's work.
-        tracer: optional tracer for the lowering and operator spans.
+        tracer: optional tracer for the driver's and operator spans.
 
     Returns:
-        An :class:`ExplainResult` whose ``result`` is the model
-        (a :class:`~repro.datalog.facts.FactStore`) and whose report
-        tree has one ``Datalog(predicate)`` child per lowered predicate.
-
-    Raises:
-        DatalogError: for recursive programs (not lowerable).
+        An :class:`ExplainResult` whose ``result`` is the model (a
+        :class:`~repro.datalog.facts.FactStore`).
     """
-    from ..datalog.lowering import lowered_evaluate
-
-    if explain is None:
-        def explain(_predicate, expr, run_stats, db_schema):
-            return run_explained(
-                canonicalize(expr, db_schema), db, stats=run_stats,
-                tracer=tracer, kind="datalog",
+    if prepare is None:
+        def prepare(_predicate, expr, _planning, db_schema):
+            kernel, values = resolve_physical(expr, db_schema)
+            return lambda relations, run_stats: explain_kernel(
+                kernel, relations, values, stats=run_stats, tracer=tracer,
+                kind="datalog",
             )
 
-    root = OpReport("Program")
+    nodes = {
+        predicate: OpReport("Datalog(%s)" % predicate)
+        for predicate in sorted(program.idb_predicates())
+    }
     totals = EngineStatistics()
 
-    def execute(predicate, expr, run_stats, db_schema):
-        sub = explain(predicate, expr, run_stats, db_schema)
-        predicate_report = OpReport("Datalog(%s)" % predicate)
-        predicate_report.rows = len(sub.result)
-        predicate_report.elapsed = sub.elapsed
-        predicate_report.children.append(sub.report)
-        root.children.append(predicate_report)
-        totals.merge(sub.stats)
-        return sub.result
+    def explained(predicate, expr, planning, db_schema):
+        explain = prepare(predicate, expr, planning, db_schema)
+        plan_report = None
 
-    model = lowered_evaluate(
-        program, db, execute=execute, stats=stats, tracer=tracer
+        def run(relations, run_stats):
+            nonlocal plan_report
+            sub = explain(relations, run_stats)
+            totals.merge(sub.stats)
+            if plan_report is None:
+                plan_report = sub.report
+                nodes[predicate].children.append(plan_report)
+            else:
+                _add_run(plan_report, sub.report)
+            return sub.result
+
+        return run
+
+    model = seminaive_evaluate(
+        program, stats=stats, tracer=tracer, db=db, prepare=explained
     )
+    root = OpReport("Program")
+    for predicate, node in nodes.items():
+        node.rows = len(model.get(predicate))
+        node.elapsed = sum(child.elapsed for child in node.children)
+        root.children.append(node)
     root.rows = model.count()
     root.elapsed = sum(child.elapsed for child in root.children)
     return ExplainResult(model, root, root.elapsed, totals, kind="datalog")
+
+
+def _add_run(total, run):
+    """Add one run's report tree into the same plan's earlier total,
+    node by node (one kernel gives every run the same tree)."""
+    for (_depth, node), (_same, part) in zip(total.walk(), run.walk()):
+        node.rows += part.rows
+        node.elapsed += part.elapsed
+        node.stats.merge(part.stats)
+        node.peak_buffer = max(node.peak_buffer, part.peak_buffer)

@@ -11,8 +11,8 @@ Four sources drive the comparison:
   construction);
 * the conformance workload generator's ``relational-differential``
   family (the mixed algebra/SQL diet the fuzzing sweep eats);
-* non-recursive Datalog programs run through the lowering pipeline
-  with and without a kernel cache;
+* Datalog programs run through the semi-naive driver's rule plans with
+  and without a kernel cache;
 * the saved conformance corpus (every historical divergence replayed
   through the compiled leg).
 """
@@ -28,7 +28,8 @@ from repro.core.random_instances import (
     random_algebra_expression,
     random_database,
 )
-from repro.datalog.lowering import is_lowerable, lowered_evaluate
+from repro.datalog.analysis import is_recursive
+from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.stats import EngineStatistics
 from repro.plan import canonicalize, parameterize
 from repro.relational.algebra import evaluate
@@ -68,9 +69,10 @@ def test_conformance_workload_parity():
         assert_parity(oracle.resolve(case), case.payload["db"], seed)
 
 
-def test_nonrecursive_datalog_parity():
-    """Lowered evaluation with a kernel cache ≡ on one-shot kernels,
-    model and work.
+def assert_rule_plan_parity(recursive):
+    """The semi-naive driver's rule plans with a kernel cache ≡ on its
+    one-shot kernels, model and work, over the datalog-differential
+    cases whose programs are (or are not) recursive.
 
     Each leg runs over the export of a fresh copy of the EDB (an export
     of the EDB itself would reuse the relations, and the key indexes,
@@ -79,39 +81,45 @@ def test_nonrecursive_datalog_parity():
     """
     cache = KernelCache()
 
-    def cached_leg(db):
-        def execute(_predicate, expr, stats, db_schema):
-            template, values = parameterize(canonicalize(expr, db_schema))
-            kernel = cache.resolve(template, db, db_schema)
-            relation, _tally = kernel.execute(db, stats, values)
-            return relation
+    def cached(_predicate, expr, db, db_schema):
+        template, values = parameterize(expr)
+        kernel = cache.resolve(template, db, db_schema)
+        return lambda relations, stats: kernel.execute(
+            relations, stats, values
+        )[0]
 
-        return execute
-
-    lowerable = 0
+    checked = 0
     for seed in range(80):
         case = generate_case("datalog-differential", seed)
         program = case.payload["program"]
-        if not is_lowerable(program):
+        if is_recursive(program) != recursive:
             continue
-        lowerable += 1
+        checked += 1
         edb = case.payload["edb"]
         one_shot_stats = EngineStatistics()
-        one_shot = lowered_evaluate(
-            program, edb.copy().to_database(), stats=one_shot_stats
+        one_shot = seminaive_evaluate(
+            program, db=edb.copy().to_database(), stats=one_shot_stats
         )
         cached_stats = EngineStatistics()
-        db = edb.copy().to_database()
-        cached = lowered_evaluate(
-            program, db, execute=cached_leg(db), stats=cached_stats
+        model = seminaive_evaluate(
+            program, db=edb.copy().to_database(), stats=cached_stats,
+            prepare=cached,
         )
-        assert cached == one_shot, seed
+        assert model == one_shot, seed
         assert cached_stats.as_dict() == one_shot_stats.as_dict(), seed
-    assert lowerable >= 12
-    # The cache saw every lowered predicate plan and compiled each once.
+    assert checked >= 12
+    # The cache saw every rule and variant plan and compiled each once.
     stats = cache.stats()
-    assert stats["hits"] + stats["misses"] > 0
+    assert stats["hits"] > 0
     assert stats["codegens"] == stats["misses"]
+
+
+def test_nonrecursive_datalog_parity():
+    assert_rule_plan_parity(recursive=False)
+
+
+def test_recursive_datalog_parity():
+    assert_rule_plan_parity(recursive=True)
 
 
 def test_corpus_replay_parity():

@@ -14,7 +14,7 @@ from repro.conformance.oracles import (
     RelationalDifferentialOracle,
     kernel_leg_counts,
 )
-from repro.datalog.lowering import is_lowerable
+from repro.datalog.analysis import is_recursive
 
 from .faults import drop_one_join_tuple
 
@@ -178,11 +178,11 @@ def _dropping_kernels(monkeypatch):
     monkeypatch.setattr(CompiledKernel, "execute", dropping)
 
 
-def _lowerable_cases(oracle, seeds):
+def _nonrecursive_cases(oracle, seeds):
     for seed in seeds:
         case = oracle.generate(seed)
         program = case.payload["program"]
-        if is_lowerable(program) and program.idb_predicates():
+        if not is_recursive(program) and program.idb_predicates():
             yield case
 
 
@@ -192,7 +192,7 @@ class TestSessionLegsRunKernels:
 
     def test_datalog_session_leg_records_a_codegen(self):
         oracle = DatalogDifferentialOracle()
-        case = next(_lowerable_cases(oracle, range(60)))
+        case = next(_nonrecursive_cases(oracle, range(60)))
         before = kernel_leg_counts()["session"]
         assert oracle.check(case) == []
         after = kernel_leg_counts()["session"]
@@ -238,7 +238,7 @@ class TestSessionLegsRunKernels:
         datalog = DatalogDifferentialOracle()
         messages = [
             message
-            for case in _lowerable_cases(datalog, range(60))
+            for case in _nonrecursive_cases(datalog, range(60))
             for message in datalog.check(case)
         ]
         # Every run is compiled, the second from the cache.

@@ -108,9 +108,6 @@ class TestWorkbench:
             lambda: workbench.run(
                 "anc(X,Y) :- parent(X,Y).", executor=executor
             ),
-            lambda: workbench.datalog(
-                "anc(X,Y) :- parent(X,Y).", executor=executor
-            ),
             lambda: txn.sql("SELECT p FROM parent", executor=executor),
         ]
         for call in calls:

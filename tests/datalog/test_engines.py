@@ -211,6 +211,33 @@ class TestEngineFacade:
         values = list(results.values())
         assert all(v == values[0] for v in values)
 
+    def test_each_strategy_runs_the_engine_it_names(self, monkeypatch):
+        """A non-recursive program too: ``naive`` runs naive evaluation,
+        so cross_check compares four engines, not one model twice."""
+        import repro.datalog.engine as engine_module
+
+        calls = []
+        for name in ("naive_evaluate", "seminaive_evaluate",
+                     "magic_evaluate", "topdown_query"):
+            def counted(*args, _name=name,
+                        _original=getattr(engine_module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine_module, name, counted)
+        program, _ = parse_program("two(X, Z) :- edge(X, Y), edge(Y, Z).")
+        assert DatalogEngine(program, chain(4)).evaluate("naive").get(
+            "two"
+        ) == {(0, 2), (1, 3), (2, 4)}
+        assert calls == ["naive_evaluate"]
+        del calls[:]
+        results = cross_check(program, chain(4), "two(0, X)")
+        assert sorted(calls) == [
+            "magic_evaluate", "naive_evaluate", "seminaive_evaluate",
+            "topdown_query",
+        ]
+        assert all(answer == {(0, 2)} for answer in results.values())
+
     def test_evaluate_caches(self):
         engine = DatalogEngine(tc_program(), chain(5))
         assert engine.evaluate() is engine.evaluate()

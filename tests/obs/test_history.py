@@ -94,7 +94,7 @@ class TestWorkbenchRecording:
             "sql", "algebra", "calculus", "datalog",
         ]
         datalog = wb.history.last()
-        assert datalog.route == "datalog:compiled"
+        assert datalog.route == "datalog:fixpoint"
         assert datalog.rows > 0  # model fact count
 
     def test_recursive_datalog_routes_to_fixpoint(self):

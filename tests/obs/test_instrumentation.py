@@ -116,17 +116,21 @@ class TestEngineTracer:
         assert len(tracer.spans(name="stratum")) == 2 * count
         assert first == second
 
-    def test_nonrecursive_program_traces_lowered_path(self):
+    def test_nonrecursive_program_traces_one_stratum(self):
+        # The semi-naive strategy runs the driver for every program: a
+        # non-recursive one is one component whose first round derives
+        # everything.
         tracer = Tracer()
         engine = DatalogEngine.from_source(
             "two(X, Z) :- edge(X, Y), edge(Y, Z).", chain(5), tracer=tracer
         )
-        engine.evaluate()
-        (lowered,) = tracer.spans(name="datalog_lowered")
-        assert lowered.attributes["predicates"] == 1
-        (predicate,) = tracer.spans(name="predicate")
-        assert predicate.attributes["predicate"] == "two"
-        assert predicate.attributes["rows"] == 4
+        assert engine.evaluate().get("two") == {
+            (i, i + 2) for i in range(4)
+        }
+        (stratum,) = tracer.spans(name="stratum")
+        assert stratum.attributes["rules"] == 1
+        first, last = tracer.spans(name="iteration")
+        assert (first.attributes["delta"], last.attributes["delta"]) == (4, 0)
 
     def test_query_traces_the_chosen_strategy(self):
         tracer = Tracer()

@@ -8,8 +8,9 @@ Three layers of guarantees:
 * caches — plan/parse cache flags flip from miss to hit on the second
   run, and the counters an explained run charges equal a plain run's;
 * differential — explained execution returns exactly the plain result
-  on the PR 2 random-algebra generator, with tracing on and off, and
-  ``explain_datalog`` agrees with ``lowered_evaluate``.
+  on the random-algebra generator, with tracing on and off, and
+  ``explain_datalog`` agrees with ``seminaive_evaluate`` and ``wb.run``
+  on non-recursive and recursive programs.
 """
 
 from hypothesis import given, settings
@@ -21,9 +22,9 @@ from repro.core.random_instances import (
 )
 from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog import EngineStatistics, FactStore, parse_program
-from repro.datalog.lowering import lowered_evaluate
+from repro.datalog.seminaive import seminaive_evaluate
 from repro.obs import NULL_TRACER, Tracer
-from repro.plan import canonicalize, execute, run_explained
+from repro.plan import canonicalize, execute, explain_datalog, run_explained
 from repro.relational import Projection, RelationRef
 
 THREE_TABLE_SQL = (
@@ -226,23 +227,75 @@ class TestFrontEnds:
 
 
 class TestExplainDatalog:
-    def test_agrees_with_lowered_evaluate(self):
+    def test_agrees_with_seminaive_evaluate(self):
         source = """
             reach2(X, Z) :- edge(X, Y), edge(Y, Z).
             popular(Y) :- edge(X, Y), edge(Z, Y), X != Z.
             """
         program, _ = parse_program(source)
         edb = FactStore({"edge": [(1, 2), (2, 3), (3, 4), (1, 3)]})
-        plain = lowered_evaluate(program, edb.to_database())
+        plain = seminaive_evaluate(program, db=edb.to_database())
         explained = MetatheoryWorkbench(edb.to_database()).explain_analyze(
             source
         )
         assert explained.result == plain
         assert explained.report.rows == plain.count()
         # The program root sums its predicate subtrees.
+        assert [child.label for child in explained.report.children] == [
+            "Datalog(popular)", "Datalog(reach2)",
+        ]
         for child in explained.report.children:
-            assert child.label.startswith("Datalog(")
-            assert explained.report.elapsed >= 0.0
+            assert child.rows == len(plain.get(child.label[8:-1]))
+        assert explained.report.elapsed >= 0.0
+        # Standalone, on the plans' one-shot kernels: the same model and
+        # predicate nodes.
+        alone = explain_datalog(program, edb.to_database())
+        assert alone.result == plain
+        assert [
+            (child.label, child.rows) for child in alone.report.children
+        ] == [
+            (child.label, child.rows)
+            for child in explained.report.children
+        ]
+
+    TC = "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- tc(X, Y), edge(Y, Z)."
+
+    def chain_workbench(self, n):
+        return MetatheoryWorkbench.from_dict(
+            {"edge": (("src", "dst"), [(i, i + 1) for i in range(n)])}
+        )
+
+    def test_recursive_program_gets_a_bounded_report(self):
+        sizes = []
+        for n in (5, 50):
+            wb = self.chain_workbench(n)
+            explained = wb.explain_analyze(self.TC)
+            model = wb.run(self.TC)
+            assert explained.result == model
+            assert explained.report.rows == model.count()
+            (tc,) = explained.report.children
+            assert tc.label == "Datalog(tc)"
+            assert tc.rows == len(model.get("tc")) == n * (n + 1) // 2
+            sizes.append(len(explained.operators()))
+        # Every run of a plan adds into that plan's one subtree, so the
+        # report does not grow with the number of rounds.
+        assert sizes[0] == sizes[1]
+
+    def test_recursive_plan_reports_sum_their_runs(self):
+        wb = self.chain_workbench(8)
+        explained = wb.explain_analyze(self.TC)
+        (tc,) = explained.report.children
+        # The base rule runs once; the recursive rule's full plan never
+        # runs (tc is empty in round 0), its variant once per round.
+        # On a chain every path is derived once: the 8 edges, then the
+        # variant's 7 + 6 + ... + 0 longer paths over its 8 rounds.
+        base, variant = tc.children
+        assert (base.label, variant.label) == ("Result", "Result")
+        assert (base.rows, variant.rows) == (8, 28)
+        again = wb.explain_analyze(self.TC)
+        assert again.plan_cache_hit is True
+        assert again.parse_cache_hit is True
+        assert again.result == explained.result
 
 
 @settings(max_examples=60, deadline=None)

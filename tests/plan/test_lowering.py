@@ -1,11 +1,12 @@
 """Front-end → canonical logical plan: every language, one plan shape.
 
 These tests pin the lowering contracts: SQL text, calculus via Codd, and
-non-recursive Datalog all canonicalize to core-operator-only trees; the
-same logical query arriving through different front-ends hits the same
+Datalog rules all canonicalize to core-operator-only trees; the same
+logical query arriving through different front-ends hits the same
 plan-cache entry; ``executor=False`` reproduces the legacy paths bit
-for bit; and a workbench runs lowered Datalog on its own pipeline, with
-the semi-naive rounds on the tree walk as the oracle.
+for bit; and a workbench runs every Datalog program's lowered rule
+plans on its own pipeline, with the same rounds on the tree walk as the
+oracle.
 """
 
 import pytest
@@ -13,13 +14,11 @@ import pytest
 from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog.engine import STRATEGIES, DatalogEngine
 from repro.datalog.facts import FactStore
-from repro.datalog.lowering import (
-    is_lowerable,
-    lower_program,
-    lowered_evaluate,
-)
+from repro.datalog.analysis import is_recursive
+from repro.datalog.lowering import lower_rule
 from repro.datalog.naive import naive_evaluate
 from repro.datalog.parser import parse_program
+from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.stats import EngineStatistics
 from repro.errors import DatalogError, PlanError
 from repro.plan import canonicalize, is_canonical, plan_key
@@ -231,35 +230,46 @@ class TestDatalogLowering:
             ),
             {"X": "c0"},
         )
-        plans = dict(lower_program(program, EDGE_SCHEMA))
-        assert plan_key(plans["out"]) == plan_key(expected)
+        (rule,) = program.rules
+        plan = lower_rule(
+            rule,
+            lambda atom: (
+                ra.RelationRef(atom.predicate),
+                EDGE_SCHEMA[atom.predicate].attributes,
+            ),
+        )
+        assert plan_key(plan) == plan_key(expected)
 
     def test_multi_rule_predicate_unions(self):
-        program, _ = parse_program(
-            "out(X) :- p(X).\nout(X) :- q(X).\n"
-        )
-        plans = dict(lower_program(program, DatabaseSchema()))
-        assert isinstance(plans["out"], ra.Union)
+        """Each rule of a predicate is its own plan; the predicate's
+        relation is the union of their results."""
+        source = "out(X) :- p(X).\nout(X) :- q(X).\n"
+        program, _ = parse_program(source)
+        db = FactStore({"p": [(1,), (2,)], "q": [(2,), (3,)]}).to_database()
+        model = seminaive_evaluate(program, db=db)
+        assert model.get("out") == {(1,), (2,), (3,)}
+        report = MetatheoryWorkbench(db).explain_analyze(source).report
+        (out,) = report.children
+        assert out.label == "Datalog(out)"
+        assert [plan.rows for plan in out.children] == [2, 2]
 
     def test_negation_lowers_to_antijoin(self):
         program, _ = parse_program("out(X) :- p(X), not q(X).")
-        plans = dict(lower_program(program, DatabaseSchema()))
+        (rule,) = program.rules
+        plan = lower_rule(
+            rule,
+            lambda atom: (
+                ra.RelationRef(atom.predicate),
+                tuple("c%d" % i for i in range(atom.arity)),
+            ),
+        )
 
         def has_antijoin(node):
             if isinstance(node, ra.Antijoin):
                 return True
             return any(has_antijoin(c) for c in node.children())
 
-        assert has_antijoin(plans["out"])
-
-    def test_recursive_program_not_lowerable(self):
-        program, _ = parse_program(
-            "path(X, Y) :- edge(X, Y).\n"
-            "path(X, Z) :- edge(X, Y), path(Y, Z).\n"
-        )
-        assert not is_lowerable(program)
-        with pytest.raises(DatalogError):
-            lower_program(program, EDGE_SCHEMA)
+        assert has_antijoin(plan)
 
     @pytest.mark.parametrize("source", [
         # constants in body and head
@@ -279,12 +289,14 @@ class TestDatalogLowering:
         "d3(X, Y) :- d2(X), edge(X, Y).",
     ])
     def test_lowered_model_matches_naive(self, source):
+        """Non-recursive programs on the driver's lowered rule plans
+        (one-shot kernels, one round per component)."""
         program, _ = parse_program(
             source + "\nedge(1, 2). edge(2, 3). edge(3, 3). edge(2, 2)."
         )
-        assert is_lowerable(program)
+        assert not is_recursive(program)
         reference = naive_evaluate(program, None)
-        lowered = lowered_evaluate(program, Database())
+        lowered = seminaive_evaluate(program, db=Database())
         for predicate in set(reference.predicates()) | set(
             lowered.predicates()
         ):
@@ -293,18 +305,17 @@ class TestDatalogLowering:
             )
 
     def test_engine_routes_non_recursive_through_plans(self):
+        """The semi-naive strategy runs the driver's plans for a
+        non-recursive program too, and caches its model under its own
+        name."""
         program, _ = parse_program(
             "edge(1, 2). edge(2, 3).\nout(X) :- edge(X, Y)."
         )
         engine = DatalogEngine(program)
-        engine.evaluate("seminaive")
-        assert "plan" in engine._model_cache
-        legacy = DatalogEngine(program, executor=False)
-        legacy.evaluate("seminaive")
-        assert "plan" not in legacy._model_cache
-        assert legacy._model_cache["seminaive"].get("out") == (
-            engine._model_cache["plan"].get("out")
-        )
+        seminaive = engine.evaluate("seminaive")
+        naive = engine.evaluate("naive")
+        assert sorted(engine._model_cache) == ["naive", "seminaive"]
+        assert seminaive.get("out") == naive.get("out") == {(1,), (2,)}
 
     def test_engine_keeps_fixpoint_for_recursion(self):
         program, _ = parse_program(
@@ -314,18 +325,8 @@ class TestDatalogLowering:
         )
         engine = DatalogEngine(program)
         model = engine.evaluate("seminaive")
-        assert "plan" not in engine._model_cache
+        assert list(engine._model_cache) == ["seminaive"]
         assert (1, 3) in model.get("path")
-
-    def test_workbench_datalog_executor_flag(self):
-        wb = company_workbench()
-        engine = wb.datalog("in_sd(E) :- works(E, D), located(D, sd).")
-        assert engine.executor
-        assert engine.query("in_sd(X)") == {("ann",), ("cal",)}
-        legacy = wb.datalog(
-            "in_sd(E) :- works(E, D), located(D, sd).", executor=False
-        )
-        assert legacy.query("in_sd(X)") == {("ann",), ("cal",)}
 
 
 def session_workbench():
@@ -345,8 +346,9 @@ def fixpoint_model(wb, source):
 
 
 class TestSessionDatalog:
-    """wb.run lowers non-recursive programs onto the session's relations;
-    every answer must equal the tree-walk fixpoint's model."""
+    """wb.run runs every program's rule plans over the session's
+    relations; every answer must equal the same rounds on the tree
+    walk."""
 
     @pytest.mark.parametrize("source", [
         # an EDB predicate the session lacks is empty, not an error
@@ -371,7 +373,7 @@ class TestSessionDatalog:
     def test_model_matches_fixpoint(self, source, executor):
         wb = session_workbench()
         program, _ = parse_program(source)
-        assert is_lowerable(program)
+        assert not is_recursive(program)
         model = wb.run(source, executor=executor)
         assert model == fixpoint_model(wb, source)
         assert model == naive_evaluate(
@@ -379,16 +381,11 @@ class TestSessionDatalog:
         )
 
     def test_routes_are_recorded(self):
-        # "compiled" is a synonym of the default route: one label.
+        # Every program, on every executor, runs the one driver route.
         wb = MetatheoryWorkbench(session_workbench().db, history=True)
-        wb.run("out(X) :- edge(X, Y).")
-        assert wb.history.last().route == "datalog:compiled"
-        wb.run("out(X) :- edge(X, Y).", executor="compiled")
-        assert wb.history.last().route == "datalog:compiled"
-        wb.run("out(X) :- edge(X, Y).")
-        assert wb.history.last().route == "datalog:compiled"
-        wb.run("out(X) :- edge(X, Y).", executor=False)
-        assert wb.history.last().route == "datalog:fixpoint"
+        for executor in (True, "compiled", True, False):
+            wb.run("out(X) :- edge(X, Y).", executor=executor)
+            assert wb.history.last().route == "datalog:fixpoint"
 
     def test_sys_predicate_in_a_body(self):
         wb = session_workbench()
@@ -419,9 +416,14 @@ class TestSessionDatalog:
         ]
 
     def test_one_schema_per_run(self, monkeypatch):
-        # lowered_evaluate builds the database schema once and hands it
-        # to the pipeline, which canonicalizes and keys the kernel with
-        # it: one Database.schema() call per wb.run.
+        # The driver reads the session's schema once per wb.run and
+        # hands its plans' layout schema to the pipeline, which keys
+        # the kernel with it.  The first run of a literal variant (a
+        # new program to the driver) also builds that layout's schema.
+        from repro.datalog import seminaive
+
+        # The driver's lowered programs are process-wide; start empty.
+        monkeypatch.setattr(seminaive, "_PLANS", {})
         wb = session_workbench()
         text = "q(K, M) :- fact(K, K2, M), M < 15."
         wb.run(text)  # plans and compiles
@@ -433,9 +435,15 @@ class TestSessionDatalog:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(Database, "schema", counted)
-        for bound in (15, 25, 35):
+        wb.run(text)
+        assert len(calls) == 1
+        for bound in (25, 35):
+            del calls[:]
             wb.run(text.replace("15", str(bound)))
-        assert len(calls) == 3
+            assert len(calls) == 2
+            del calls[:]
+            wb.run(text.replace("15", str(bound)))
+            assert len(calls) == 1
 
     def test_dml_between_runs_is_seen(self):
         wb = session_workbench()
@@ -466,19 +474,22 @@ class TestSessionDatalog:
         assert again.result == wb.run(source)
         assert [c.label for c in again.report.children] == ["Datalog(hop)"]
 
-    def test_engine_from_workbench_runs_on_the_session(self):
+    def test_engine_from_workbench_reads_its_snapshot(self):
         wb = session_workbench()
-        engine = wb.datalog("out(X) :- edge(X, 3).", executor="compiled")
+        engine = wb.datalog("out(X) :- edge(X, 3).")
         wb.sql("INSERT INTO edge VALUES (5, 3)")
         # Every strategy reads the state of the wb.datalog call.
         for strategy in STRATEGIES:
             assert engine.query("out(X)", strategy=strategy) == {(3,), (4,)}
-        # The lowered plan compiled once in the session's kernel cache,
-        # beside the INSERT's own kernel, and every later run reuses it.
         model = engine.evaluate(stats=EngineStatistics())
         assert model.get("out") == {(3,), (4,)}
-        assert len(wb.kernel_cache) == 2
-        assert wb.kernel_cache.stats()["codegens"] == 2
+        # The engine is standalone: the session's kernel cache holds
+        # only the INSERT's kernel, and wb.run sees the new row.
+        assert len(wb.kernel_cache) == 1
+        assert wb.kernel_cache.stats()["codegens"] == 1
+        assert wb.run("out(X) :- edge(X, 3).").get("out") == {
+            (3,), (4,), (5,),
+        }
 
 
 class TestParseOnce:
@@ -552,9 +563,7 @@ class TestAnalysisOnce:
         assert (commits, appends) == ([], [])
         assert models[0].get("out") == {(1, 3)}
         assert all(model == models[0] for model in models)
-        assert models[0] == DatalogEngine(
-            engine.program, engine.edb, executor=False
-        ).evaluate()
+        assert models[0] == engine.evaluate("naive")
 
 
 class TestArityMismatch:

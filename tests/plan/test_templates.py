@@ -468,12 +468,10 @@ class TestWorkbenchSurfaces:
 
     def test_lowered_datalog_rules_share_a_kernel(self):
         wb = customers()
-        answers = []
-        for key in (7, 8):
-            engine = wb.datalog(
-                "name(N) :- customer(%d, N)." % key, executor="compiled"
-            )
-            answers.append(engine.evaluate().get("name"))
+        answers = [
+            wb.run("name(N) :- customer(%d, N)." % key).get("name")
+            for key in (7, 8)
+        ]
         assert answers == [{("c7",)}, {("c8",)}]
         assert wb.kernel_cache.stats()["codegens"] == 1
 
