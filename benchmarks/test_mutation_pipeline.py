@@ -14,7 +14,7 @@ Three questions the storage tentpole raises, answered with numbers:
   pretending it is free.
 * **Abort cost** — rolling a transaction back restores journal undo
   images; the bench compares commit vs rollback per-transaction cost on
-  identical write sets.
+  identical write sets, each leg the best of three runs.
 
 Every leg that writes builds its fresh 50,000-row workbench before each
 repeat, outside the clock, so the timings cover the statements and
@@ -152,24 +152,14 @@ def bench_snapshot_and_journal():
 def bench_commit_vs_rollback():
     """Identical write sets, opposite terminals.
 
-    Committing under the default configuration reads the online
-    certifier's verdict on every commit; the certifier adds the
-    committing transaction's edges and searches for a cycle from its
-    node only, so per-transaction cost does not grow with session
-    length.  The ``verify=off`` leg skips only the verdict check (the
-    certifier still consumes every op), so the two legs differ by
-    little.
+    Every commit reads the online certifier's verdict; the certifier
+    adds the committing transaction's edges and searches for a cycle
+    from its node only, so per-transaction cost does not grow with
+    session length.
     """
     rows_for = lambda t: [
         (10**6 + t * TXN_DELTA + i, 5, i) for i in range(TXN_DELTA)
     ]
-
-    def verifying(verify):
-        def setup():
-            wb = make_wb()
-            wb.txns.verify_on_commit = verify
-            return wb
-        return setup
 
     def committing(wb):
         for t in range(TXNS):
@@ -180,14 +170,9 @@ def bench_commit_vs_rollback():
                 )
         return wb
 
-    commit_seconds, wb = timed(
-        committing, repeats=1, setup=verifying(True)
-    )
+    commit_seconds, wb = timed(committing, setup=make_wb)
     assert len(wb.db["sink"]) == TXNS * TXN_DELTA
     assert wb.txns.commits == TXNS
-    unverified_seconds, _ = timed(
-        committing, repeats=1, setup=verifying(False)
-    )
 
     def aborting(wb):
         for t in range(TXNS):
@@ -199,7 +184,7 @@ def bench_commit_vs_rollback():
             txn.rollback()
         return wb
 
-    rollback_seconds, wb2 = timed(aborting, repeats=1, setup=make_wb)
+    rollback_seconds, wb2 = timed(aborting, setup=make_wb)
     assert len(wb2.db["sink"]) == 0  # every write undone
     assert wb2.txns.aborts == TXNS
     staged = [
@@ -210,7 +195,6 @@ def bench_commit_vs_rollback():
 
     return {
         "commit_ms_per_txn": commit_seconds / TXNS * 1e3,
-        "commit_no_verify_ms_per_txn": unverified_seconds / TXNS * 1e3,
         "rollback_ms_per_txn": rollback_seconds / TXNS * 1e3,
         "rollback_vs_commit": rollback_seconds / commit_seconds,
     }
@@ -247,9 +231,6 @@ def test_mutation_pipeline(benchmark):
     registry.gauge("mutation_commit_ms_per_txn").set(
         terminal["commit_ms_per_txn"]
     )
-    registry.gauge("mutation_commit_no_verify_ms_per_txn").set(
-        terminal["commit_no_verify_ms_per_txn"]
-    )
     registry.gauge("mutation_rollback_ms_per_txn").set(
         terminal["rollback_ms_per_txn"]
     )
@@ -275,12 +256,8 @@ def test_mutation_pipeline(benchmark):
                 "%.2fx" % overhead["journal_overhead_ratio"],
             ),
             (
-                "commit per txn (verify on, default)",
+                "commit per txn (certified)",
                 "%.3fms" % terminal["commit_ms_per_txn"],
-            ),
-            (
-                "commit per txn (verify off)",
-                "%.3fms" % terminal["commit_no_verify_ms_per_txn"],
             ),
             (
                 "rollback per txn",

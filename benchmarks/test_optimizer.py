@@ -41,6 +41,7 @@ import time
 from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog.stats import EngineStatistics
 from repro.obs import MetricsRegistry
+from repro.opt import Optimizer, rule_names
 from repro.relational import Database, NaturalJoin, RelationRef
 
 from .conftest import format_table, write_artifact, write_metrics
@@ -142,9 +143,16 @@ WORKLOADS = (
 )
 
 
+def as_written(db):
+    """A session over ``db`` that runs every plan as written: its
+    optimizer has no rule (the unoptimized side of each comparison)."""
+    return MetatheoryWorkbench(db, optimizer=Optimizer(disable=rule_names()))
+
+
 def run_workload(build):
     db, expr = build()
     wb = MetatheoryWorkbench(db)
+    plain = as_written(db)
 
     # EXPLAIN ANALYZE plans the optimized template, so the timed runs
     # measure execution, not the one-off optimization pass.
@@ -154,10 +162,10 @@ def run_workload(build):
     optimized_stats = EngineStatistics()
     unoptimized_stats = EngineStatistics()
     optimized = wb.run(expr, stats=optimized_stats)
-    unoptimized = wb.run(expr, optimized=False, stats=unoptimized_stats)
+    unoptimized = plain.run(expr, stats=unoptimized_stats)
     assert optimized == unoptimized
     optimized_seconds, unoptimized_seconds = interleaved_best(
-        lambda: wb.run(expr), lambda: wb.run(expr, optimized=False)
+        lambda: wb.run(expr), lambda: plain.run(expr)
     )
     return {
         "rows": len(optimized),
@@ -243,4 +251,4 @@ def test_greedy_path4_smoke():
     assert explained.optimizer.join_method == "greedy"
     assert "join=greedy" in explained.render()
     assert not explained.find("Semijoin")
-    assert explained.result == wb.run(expr, optimized=False)
+    assert explained.result == as_written(db).run(expr)

@@ -6,7 +6,7 @@ this case).  Two oracle kinds:
 
 * **Differential** — run one workload through every applicable
   evaluation path and demand agreement: legacy tree walk vs. fused
-  compiled kernels vs. template kernels vs. optimized plan; direct
+  compiled kernels vs. optimized plan vs. session templates; direct
   calculus semantics vs. Codd-translated algebra; all four Datalog
   strategies (plus the session's ``wb.run``);
   2PL / timestamp / OCC scheduler outputs against the
@@ -40,7 +40,7 @@ from ..relational.codd import calculus_to_algebra
 from ..opt import Optimizer
 from ..relational.relation import same_content
 from ..relational.sql_frontend import parse_sql
-from ..compile import KernelCache
+from ..compile import cache as compile_cache
 from ..plan import bind, canonicalize, execute, parameterize, plan_key
 from ..transactions import (
     is_conflict_serializable,
@@ -61,11 +61,6 @@ import random
 #: leg runs whatever plans it emits.
 _FULL_PIPELINE = Optimizer()
 
-#: One shared kernel cache for the template-kernel leg.  Shared across
-#: cases on purpose: repeated plan shapes replay cached kernels
-#: (exercising the reuse path).
-_KERNEL_CACHE = KernelCache(capacity=512)
-
 #: The kernel counts a sweep reports: kernels generated, and cache hits.
 _KERNEL_COUNTS = ("codegens", "hits")
 
@@ -76,10 +71,11 @@ _SESSION_KERNELS = dict.fromkeys(_KERNEL_COUNTS, 0)
 
 
 def kernel_leg_counts():
-    """Running kernel counts of the direct compiled leg (``compiled``)
-    and of the session legs (``session``); a sweep reports the
-    difference over its run."""
-    stats = _KERNEL_CACHE.stats()
+    """Running kernel counts of the one-shot kernels that
+    :func:`~repro.plan.execute` runs (``compiled``: the direct legs) and
+    of the session legs (``session``); a sweep reports the difference
+    over its run."""
+    stats = compile_cache.ONE_SHOT.stats()
     return {
         "compiled": {name: stats[name] for name in _KERNEL_COUNTS},
         "session": dict(_SESSION_KERNELS),
@@ -120,12 +116,12 @@ def _relation_diff(label, left, right):
 
 
 class RelationalDifferentialOracle(Oracle):
-    """Tree walk ≡ kernel ≡ template kernel ≡ optimized ≡ templated.
+    """Tree walk ≡ kernel ≡ optimized ≡ templated.
 
     The case's canonical plan runs on a one-shot kernel
-    (:func:`~repro.plan.execute`) against the tree walk; its template
-    resolves through a shared :class:`~repro.compile.KernelCache` and
-    must give the *identical* relation on the case's values.
+    (:func:`~repro.plan.execute`, which resolves the plan's template
+    in :data:`~repro.compile.cache.ONE_SHOT` and binds its values)
+    against the tree walk.
 
     The template leg runs the case twice and then a *sibling* — the
     same plan with every lifted literal replaced by another
@@ -166,16 +162,6 @@ class RelationalDifferentialOracle(Oracle):
                 _relation_diff("executor vs tree walk", streamed, legacy)
             )
 
-        template, values = parameterize(canonical)
-        kernel = _KERNEL_CACHE.resolve(template, db)
-        compiled, _tally = kernel.execute(db, params=values)
-        if compiled != streamed:
-            messages.append(
-                _relation_diff(
-                    "template kernel vs executor", compiled, streamed
-                )
-            )
-
         optimized_plan = canonicalize(
             _FULL_PIPELINE.optimize(canonical, db), db.schema()
         )
@@ -185,7 +171,7 @@ class RelationalDifferentialOracle(Oracle):
                 _relation_diff("optimized plan vs tree walk", optimized, legacy)
             )
         messages.extend(
-            self._template_leg(case.seed, db, template, values)
+            self._template_leg(case.seed, db, *parameterize(canonical))
         )
         return messages
 
@@ -222,7 +208,7 @@ class RelationalDifferentialOracle(Oracle):
                     )
         wb = _fresh_workbench(db)
         for label, bound, answer in runs:
-            served = wb.algebra(bind(template, bound), optimized=True)
+            served = wb.algebra(bind(template, bound))
             if not same_content(served, answer):
                 messages.append(
                     _relation_diff(
@@ -519,8 +505,8 @@ class LiveTransactionsOracle(Oracle):
             except TransactionConflict:
                 pass  # aborted; its remaining statements are skipped
             except TransactionError as exc:
-                # verify_on_commit tripped mid-run: the runtime itself
-                # violated the theory.  That IS the divergence.
+                # A commit's certification failed mid-run: the runtime
+                # itself violated the theory.  That IS the divergence.
                 messages.append(
                     "[%s] runtime broke the theory mid-run: %s" % (cc, exc)
                 )

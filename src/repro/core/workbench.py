@@ -66,25 +66,28 @@ from ..storage.txn import TransactionManager
 #: change.
 EXECUTORS = (True, False, "compiled")
 
-#: Statement texts the parse cache keeps, evicted first in, first out
-#: like the plan and kernel caches.
+#: The query front ends (``kind=``), and the calculus routes (``via=``):
+#: Codd's translation to algebra or active-domain enumeration.
+KINDS = ("sql", "algebra", "calculus", "datalog")
+VIAS = ("algebra", "direct")
+
+#: Plan templates the plan cache keeps, and statement texts the parse
+#: cache keeps; both evict first in, first out like the kernel cache.
+PLAN_CACHE_SIZE = 128
 PARSE_CACHE_SIZE = 1024
 
 
-def _check_executor(executor):
-    """The route of an ``executor=`` value: True (kernels) or False
-    (tree walk).
-
-    A value outside :data:`EXECUTORS` raises ValueError: any other
-    truthy value would otherwise silently select the kernels, so a typo
-    like ``"complied"`` must fail loudly.
-    """
-    if executor not in EXECUTORS:
+def _check_choice(name, value, accepted):
+    """``value`` when it is one of ``accepted``; else ValueError naming
+    the accepted values.  A typo must fail loudly: any truthy
+    ``executor=`` would otherwise select the kernels, and any ``via=``
+    or ``method=`` the default."""
+    if value not in accepted:
         raise ValueError(
-            "unknown executor %r (use True, False or 'compiled')"
-            % (executor,)
+            "unknown %s %r (use %s)"
+            % (name, value, ", ".join(repr(a) for a in accepted))
         )
-    return bool(executor)
+    return value
 
 
 class MetatheoryWorkbench:
@@ -113,11 +116,10 @@ class MetatheoryWorkbench:
     theory; :meth:`snapshot` pins the committed state at O(1) cost.
     """
 
-    def __init__(self, db=None, plan_cache_size=128, tracer=None,
-                 optimizer=None, history=None, slow_query_ms=None,
-                 metrics=None):
+    def __init__(self, db=None, tracer=None, optimizer=None, history=None,
+                 slow_query_ms=None, metrics=None):
         self.db = db if db is not None else Database()
-        self.plan_cache = PlanCache(plan_cache_size)
+        self.plan_cache = PlanCache(PLAN_CACHE_SIZE)
         self.kernel_cache = KernelCache()
         self.tracer = ensure_tracer(tracer)
         self.optimizer = optimizer if optimizer is not None else Optimizer()
@@ -125,7 +127,6 @@ class MetatheoryWorkbench:
         self.history = make_history(
             history, slow_query_ms, registry=self.metrics
         )
-        self._recording = False
         self._parse_cache = PlanCache(PARSE_CACHE_SIZE)
         self._cache_version = None
         self._cache_state = None
@@ -142,10 +143,11 @@ class MetatheoryWorkbench:
 
     # -- querying ------------------------------------------------------------
     #
-    # Every relational entry point compiles into one pipeline:
-    # front-end -> canonical logical plan -> optimizer -> cached plan ->
-    # compiled kernel.  ``executor=False`` runs the same cached plan on
-    # the materialize-everything tree walk (the differential oracle);
+    # Every query method enters through one gateway (:meth:`_query`) and
+    # compiles into one pipeline: front-end -> canonical logical plan ->
+    # the session's optimizer -> cached plan -> compiled kernel.
+    # ``executor=False`` runs the same cached plan on the
+    # materialize-everything tree walk (the differential oracle);
     # Datalog's rule plans follow the same two routes.
 
     def _sync_caches(self):
@@ -185,17 +187,17 @@ class MetatheoryWorkbench:
         self._cache_version = vid
         self._cache_state = state
 
-    def _plan_for(self, canonical, optimized, capture=None, db=None):
+    def _plan_for(self, canonical, capture=None, db=None):
         """Resolve the cached plan template (and optimizer info).
 
         The canonical plan splits into its template and the values
         lifted out of it (:func:`~repro.plan.logical.parameterize`).
         Cache entries are :class:`~repro.plan.cache.CachedPlan` values
-        keyed on the template's structure, the optimized flag, *and* the
-        optimizer's configuration token — changing the enabled rule set
-        must never serve a stale plan.  A miss optimizes the template
-        itself, so every later statement of the same shape is a hit;
-        callers bind the returned values at execution time.
+        keyed on the template's structure *and* the optimizer's
+        configuration token — changing the enabled rule set must never
+        serve a stale plan.  A miss optimizes the template itself, so
+        every later statement of the same shape is a hit; callers bind
+        the returned values at execution time.
 
         ``capture``, when given, receives the cache outcome, the key's
         fingerprint (joinable against ``sys_plan_cache``), and the fired
@@ -208,35 +210,26 @@ class MetatheoryWorkbench:
             :class:`~repro.plan.cache.CachedPlan`.
         """
         template, values = parameterize(canonical)
-        key = (
-            plan_key(template),
-            bool(optimized),
-            self.optimizer.config_token() if optimized else None,
-        )
+        key = (plan_key(template), self.optimizer.config_token())
         entry = self.plan_cache.get(key)
         hit = entry is not None
         if entry is None:
             if db is None:
                 db = self.db
-            if optimized:
-                plan, info = self.optimizer.optimize_info(template, db)
-                plan = canonicalize(plan, db.schema())
-            else:
-                plan, info = template, None
+            plan, info = self.optimizer.optimize_info(template, db)
+            plan = canonicalize(plan, db.schema())
             entry = CachedPlan(plan, info, KernelCache.lookup_for(plan))
             self.plan_cache.put(key, entry)
         if capture is not None:
             capture["plan_cache_hit"] = hit
             capture["plan_fingerprint"] = PlanCache.fingerprint(key)
-            if entry.info is not None:
-                capture["rules"] = entry.info.fired
+            capture["rules"] = entry.info.fired
         return entry, hit, key, values
 
-    def _run_pipeline(self, expr, optimized, stats, capture=None,
-                      executor=True, db=None, txn=None, schema=None):
+    def _run_pipeline(self, expr, stats, capture=None, executor=True,
+                      db=None, txn=None):
         """Plan ``expr`` through the caches and run it on ``db`` (the
-        session's database by default, whose ``schema`` the caller may
-        pass) on the route ``executor`` names.
+        session's database by default) on the route ``executor`` names.
 
         ``executor=True`` runs the plan's kernel, compiled on the plan's
         first run; ``executor=False`` walks the plan.  A ``capture``
@@ -247,8 +240,7 @@ class MetatheoryWorkbench:
         """
         self._sync_caches()
         base = self.db if db is None else db
-        if schema is None:
-            schema = base.schema()
+        schema = base.schema()
         canonical = canonicalize(expr, schema)
         if txn is not None:
             # Declare the statement's read set before executing: the
@@ -257,9 +249,7 @@ class MetatheoryWorkbench:
             for name in sorted(relation_names(canonical)):
                 if not is_system_name(name):
                     txn.read(name)
-        entry, _hit, key, values = self._plan_for(
-            canonical, optimized, capture
-        )
+        entry, _hit, key, values = self._plan_for(canonical, capture)
         return self._route(
             entry, key, values, executor, capture, base, schema
         )(base, stats)
@@ -324,8 +314,7 @@ class MetatheoryWorkbench:
             self._parse_cache.put(key, expr)
         return expr
 
-    def sql(self, text, optimized=True, executor=True, stats=None,
-            txn=None):
+    def sql(self, text, executor=True, stats=None, txn=None):
         """Run a SQL statement; returns a Relation (or a DMLResult).
 
         ``INSERT``/``DELETE``/``UPDATE`` statements run their relational
@@ -336,8 +325,6 @@ class MetatheoryWorkbench:
 
         Args:
             text: the SQL text.
-            optimized: run the algebraic optimizer over the canonical
-                plan.
             executor: True (default) runs the cached plan's fused
                 Python kernel, compiled on the plan shape's first run
                 and cached per shape.  ``"compiled"`` is a synonym of
@@ -351,62 +338,37 @@ class MetatheoryWorkbench:
                 :meth:`begin`); the statement sees the transaction's
                 view and its writes stage in the transaction's overlay.
                 ``txn.sql(...)`` is the usual spelling.
+
+        Every statement is planned by the session's optimizer
+        (``wb.optimizer``); a workbench built with
+        ``Optimizer(disable=rule_names())`` runs plans as written.
         """
-        executor = _check_executor(executor)
-        if self.history.enabled and not self._recording:
-            return self._recorded(
-                "sql", text, optimized, executor, stats, txn=txn
-            )
-        return self._sql(text, optimized, executor, stats, txn=txn)
+        return self._query("sql", text, executor, stats, txn=txn)
 
-    def _sql(self, text, optimized, executor, stats, capture=None,
-             txn=None):
-        expr = self._cached_parse("sql", text, parse_sql, capture)
-        if isinstance(expr, DMLStatement):
-            return self._dml(
-                expr, optimized, executor, stats, capture=capture, txn=txn,
-            )
-        return self._run_pipeline(
-            expr, optimized, stats, capture=capture, executor=executor,
-            db=txn.view() if txn is not None else None, txn=txn,
-        )
+    def _dml(self, stmt, executor, stats, capture=None, txn=None):
+        """Run a DML statement: its relational side (the INSERT source,
+        the matched-row scan of a WHERE) through the pipeline, then its
+        delta.
 
-    def _dml(self, stmt, optimized, executor, stats, capture=None, txn=None):
-        """Run a DML statement: pipeline the relational side, apply the
-        delta (see :meth:`_apply_dml`)."""
+        Autocommit (no ``txn``) applies the delta through
+        :meth:`~repro.relational.database.Database.apply_delta` — one
+        journaled version, incremental catalog maintenance.  Inside a
+        transaction the delta stages in the overlay instead and commits
+        (or rolls back) with the transaction.  Every path, EXPLAIN
+        ANALYZE included, records the ``dml`` span and the
+        ``dml_statements_total`` and ``dml_rows_total`` counters, and
+        returns a :class:`~repro.relational.dml.DMLResult`.
+        """
         if capture is not None and "kind" in capture:
             capture["kind"] = "dml:%s" % stmt.kind  # EXPLAIN ANALYZE's
-        result = self._apply_dml(
-            stmt,
-            lambda db: self._run_pipeline(
-                stmt.source_expr(), optimized, stats, capture=capture,
-                executor=executor, db=db, txn=txn,
-            ),
-            (capture or {}).get("tracer", self.tracer),
-            txn=txn,
-        )
-        if capture is not None:
-            capture["route"] = "dml:%s:%s" % (stmt.kind, capture["route"])
-        return result
-
-    def _apply_dml(self, stmt, execute, tracer, txn=None):
-        """The one tail of every DML path, EXPLAIN ANALYZE included.
-
-        ``execute(db)`` runs the statement's relational side (the INSERT
-        source, the matched-row scan of a WHERE) against ``db`` and
-        returns its relation.  Autocommit (no ``txn``) applies the delta
-        through :meth:`~repro.relational.database.Database.apply_delta`
-        — one journaled version, incremental catalog maintenance.  Inside
-        a transaction the delta stages in the overlay instead and commits
-        (or rolls back) with the transaction.  Every path records the
-        ``dml`` span and the ``dml_statements_total`` and
-        ``dml_rows_total`` counters, and returns a
-        :class:`~repro.relational.dml.DMLResult`.
-        """
+        tracer = (capture or {}).get("tracer", self.tracer)
         db = txn.view() if txn is not None else self.db
         target = stmt.target
         with tracer.span("dml", kind=stmt.kind, target=target) as span:
-            executed = execute(db)
+            executed = self._run_pipeline(
+                stmt.source_expr(), stats, capture, executor, db=db,
+                txn=txn,
+            )
             if txn is not None:
                 # The delta is computed against the target's current
                 # content (set semantics: a duplicate INSERT or identity
@@ -441,6 +403,8 @@ class MetatheoryWorkbench:
             )
         self.metrics.counter("dml_statements_total", kind=stmt.kind).inc()
         self.metrics.counter("dml_rows_total").inc(len(added) + len(removed))
+        if capture is not None:
+            capture["route"] = "dml:%s:%s" % (stmt.kind, capture["route"])
         return DMLResult(
             stmt.kind, target, matched, len(added), len(removed), relation
         )
@@ -471,20 +435,12 @@ class MetatheoryWorkbench:
         """
         return self.db.snapshot()
 
-    def algebra(self, expr, optimized=False, executor=True, stats=None):
-        """Evaluate a relational-algebra expression."""
-        executor = _check_executor(executor)
-        if self.history.enabled and not self._recording:
-            return self._recorded("algebra", expr, optimized, executor, stats)
-        return self._algebra(expr, optimized, executor, stats)
+    def algebra(self, expr, executor=True, stats=None):
+        """Evaluate a relational-algebra expression (``executor`` and
+        ``stats`` as in :meth:`sql`)."""
+        return self._query("algebra", expr, executor, stats)
 
-    def _algebra(self, expr, optimized, executor, stats, capture=None):
-        return self._run_pipeline(
-            expr, optimized, stats, capture=capture, executor=executor,
-        )
-
-    def calculus(self, query, via="algebra", optimized=False, executor=True,
-                 stats=None):
+    def calculus(self, query, via="algebra", executor=True, stats=None):
         """Evaluate a safe calculus query.
 
         Args:
@@ -492,35 +448,14 @@ class MetatheoryWorkbench:
                 text like ``"{(x) | person(x)}"``.
             via: "algebra" compiles through Codd's translation (the
                 production path); "direct" uses active-domain enumeration
-                (the semantics oracle).
-            optimized: run the algebraic optimizer (algebra path only).
+                (the semantics oracle).  Any other value raises
+                ValueError.
             executor: as in :meth:`sql`.
             stats: optional EngineStatistics charged with executor work.
         """
-        executor = _check_executor(executor)
-        if self.history.enabled and not self._recording:
-            return self._recorded(
-                "calculus", query, optimized, executor, stats, via=via,
-            )
-        return self._calculus(query, via, optimized, executor, stats)
+        return self._query("calculus", query, executor, stats, via=via)
 
-    def _calculus(self, query, via, optimized, executor, stats,
-                  capture=None):
-        if isinstance(query, str):
-            query = self._cached_parse(
-                "calculus", query, parse_calculus, capture
-            )
-        if via == "direct":
-            if capture is not None:
-                capture["route"] = "direct"
-            return evaluate_query(query, self.db)
-        expr = calculus_to_algebra(query, self.db.schema())
-        return self._run_pipeline(
-            expr, optimized, stats, capture=capture, executor=executor,
-        )
-
-    def run(self, query, kind=None, optimized=True, executor=True,
-            stats=None):
+    def run(self, query, kind=None, executor=True, stats=None):
         """Run a query in any front-end language; auto-detects the kind.
 
         Relational kinds (SQL / algebra / calculus) return a
@@ -538,130 +473,145 @@ class MetatheoryWorkbench:
                 (object or ``{...}`` text), or Datalog source.
             kind: force the front-end ("sql", "algebra", "calculus",
                 "datalog") instead of auto-detecting.
-            optimized: run the algebraic optimizer (relational kinds).
             executor: as in :meth:`sql`.
             stats: optional EngineStatistics.
         """
-        executor = _check_executor(executor)
-        if kind is None:
-            kind = self._detect_kind(query)
-        if kind == "sql":
-            return self.sql(
-                query, optimized=optimized, executor=executor, stats=stats
-            )
-        if kind == "algebra":
-            return self.algebra(
-                query, optimized=optimized, executor=executor, stats=stats
-            )
-        if kind == "calculus":
-            return self.calculus(
-                query, optimized=optimized, executor=executor, stats=stats
-            )
-        if kind == "datalog":
-            if self.history.enabled and not self._recording:
-                return self._recorded(
-                    "datalog", query, optimized, executor, stats
-                )
-            return self._datalog_eval(query, optimized, executor, stats)
-        raise ValueError("unknown query kind %r" % (kind,))
+        return self._query(kind, query, executor, stats)
 
-    def _datalog_eval(self, source, optimized, executor, stats,
-                      capture=None):
-        program, _queries = self._cached_parse(
-            "datalog", source, parse_program, capture
-        )
-        return self._fixpoint(program, optimized, executor, stats, capture)
-
-    def _fixpoint(self, program, optimized, executor, stats, capture=None):
+    def _fixpoint(self, program, executor, stats, capture=None):
         """The model of a program by semi-naive rounds over this
         session's relations: each lowered rule and differential variant
         is planned through the plan cache and the optimizer, resolved
         once, and run on its kernel (or, with ``executor`` False, on the
-        tree walk) every round."""
+        tree walk) every round.
+
+        A ``capture`` marked ``analyze`` (EXPLAIN ANALYZE) runs every
+        plan on its kernel's instrumented variant and receives the
+        program's :func:`~repro.plan.explain.explain_datalog` result as
+        ``explained``.
+        """
         reject_system_heads(program)
         self._sync_caches()
+        analyze = capture is not None and capture.get("analyze")
         hits = []
 
         def prepare(_predicate, expr, db, db_schema):
-            entry, hit, key, values = self._plan_for(expr, optimized, db=db)
+            entry, hit, key, values = self._plan_for(expr, db=db)
             hits.append(hit)
-            return self._route(
-                entry, key, values, executor, None, db, db_schema
+            step = dict(capture) if analyze else None
+            run = self._route(
+                entry, key, values, executor, step, db, db_schema
             )
+            if step is None:
+                return run
 
-        model = seminaive_evaluate(
-            program, stats=stats, tracer=self.tracer, db=self.db,
-            prepare=prepare,
-        )
+            def explain(relations, run_stats):
+                run(relations, run_stats)
+                return step["explained"]
+
+            return explain
+
+        if analyze:
+            explained = explain_datalog(
+                program, self.db, prepare, stats=stats,
+                tracer=capture["tracer"],
+            )
+            capture["explained"] = explained
+            model = explained.result
+        else:
+            model = seminaive_evaluate(
+                program, stats=stats, tracer=self.tracer, db=self.db,
+                prepare=prepare,
+            )
         if capture is not None:
             capture["route"] = "datalog:fixpoint"
             if hits:
                 capture["plan_cache_hit"] = all(hits)
         return model
 
-    # -- observability ------------------------------------------------------------
+    # -- the gateway -------------------------------------------------------------
 
-    def _recorded(self, kind, query, optimized, executor, stats,
-                  via="algebra", txn=None):
-        """Run one query under the flight recorder.
+    def _query(self, kind, query, executor=True, stats=None, via="algebra",
+               txn=None, capture=None):
+        """The one gateway of every query method.
 
-        The recording path of every public query method: sets the
-        reentrancy guard (``run`` delegating to ``sql`` must leave one
-        record, not two), allocates the capture dict and — when the
-        caller passed none — the statistics object, and appends the
-        record in a ``finally`` so failed queries are captured too.
+        Checks ``executor``, ``via`` and ``kind`` (detected from the
+        query when None) and runs the query on its front end
+        (:meth:`_dispatch`).  While the history records, the call runs
+        under the flight recorder: it allocates a capture dict (unless
+        EXPLAIN ANALYZE passed its own) and, when the caller passed
+        none, the statistics object, and appends the record in a
+        ``finally`` so failed queries are captured too.  With the
+        history off it allocates neither.
         """
-        capture = {}
-        if (
-            self.history.slow_ms is not None
-            and executor
-            and kind != "datalog"
-            and not (kind == "calculus" and via == "direct")
-        ):
-            # Run each kernel's instrumented variant so a slow query's
-            # OpReport exists without a re-run.  The tree walk and
-            # Datalog programs have no per-operator reports; they record
-            # wall time and counters only.
-            capture["analyze"] = True
-        own_stats = stats if stats is not None else EngineStatistics()
-        self._recording = True
+        executor = bool(_check_choice("executor", executor, EXECUTORS))
+        _check_choice("via", via, VIAS)
+        if kind is None:
+            kind = self._detect_kind(query)
+        _check_choice("query kind", kind, KINDS)
+        if not self.history.enabled:
+            return self._dispatch(
+                kind, query, executor, stats, via, capture, txn
+            )
+        if capture is None:
+            capture = {}
+            if (
+                self.history.slow_ms is not None
+                and executor
+                and kind != "datalog"
+                and via != "direct"
+            ):
+                # Run each kernel's instrumented variant so a slow
+                # query's OpReport exists without a re-run.  The tree
+                # walk and Datalog programs have no per-operator
+                # reports; they record wall time and counters only.
+                capture["analyze"] = True
+        if stats is None:
+            stats = EngineStatistics()
         start = time.perf_counter()
         error = None
         result = None
         try:
             result = self._dispatch(
-                kind, query, optimized, executor, own_stats, via, capture,
-                txn,
+                kind, query, executor, stats, via, capture, txn
             )
             return result
         except Exception as exc:
             error = exc
             raise
         finally:
-            self._recording = False
-            elapsed = time.perf_counter() - start
             self.history.add(
-                kind, query, elapsed, result=result, stats=own_stats,
-                capture=capture, error=error,
+                kind, query, time.perf_counter() - start, result=result,
+                stats=stats, capture=capture, error=error,
             )
 
-    def _dispatch(self, kind, query, optimized, executor, stats, via,
-                  capture, txn=None):
+    def _dispatch(self, kind, query, executor, stats, via, capture, txn):
+        """Run ``query`` on the front end ``kind`` names."""
         if kind == "sql":
-            return self._sql(
-                query, optimized, executor, stats, capture, txn=txn
+            expr = self._cached_parse("sql", query, parse_sql, capture)
+            if isinstance(expr, DMLStatement):
+                return self._dml(expr, executor, stats, capture, txn)
+            return self._run_pipeline(
+                expr, stats, capture, executor,
+                db=txn.view() if txn is not None else None, txn=txn,
             )
         if kind == "algebra":
-            return self._algebra(query, optimized, executor, stats, capture)
+            return self._run_pipeline(query, stats, capture, executor)
         if kind == "calculus":
-            return self._calculus(
-                query, via, optimized, executor, stats, capture
-            )
-        if kind == "datalog":
-            return self._datalog_eval(
-                query, optimized, executor, stats, capture
-            )
-        raise ValueError("unknown query kind %r" % (kind,))
+            if isinstance(query, str):
+                query = self._cached_parse(
+                    "calculus", query, parse_calculus, capture
+                )
+            if via == "direct":
+                if capture is not None:
+                    capture["route"] = "direct"
+                return evaluate_query(query, self.db)
+            expr = calculus_to_algebra(query, self.db.schema())
+            return self._run_pipeline(expr, stats, capture, executor)
+        program, _queries = self._cached_parse(
+            "datalog", query, parse_program, capture
+        )
+        return self._fixpoint(program, executor, stats, capture)
 
     def _detect_kind(self, query):
         from ..relational.algebra import AlgebraExpr
@@ -679,12 +629,13 @@ class MetatheoryWorkbench:
                 return "datalog"
             return "sql"
         raise TypeError(
-            "cannot explain %r; pass SQL/calculus/Datalog text, an "
+            "not a query: %r; pass SQL/calculus/Datalog text, an "
             "algebra expression, or a calculus Query" % (query,)
         )
 
-    def explain_analyze(self, query, kind=None, optimized=True, stats=None,
-                        tracer=None):
+    # -- observability ------------------------------------------------------------
+
+    def explain_analyze(self, query, kind=None, stats=None, tracer=None):
         """Run a query with per-operator instrumentation: EXPLAIN ANALYZE.
 
         Accepts the same inputs as the query methods — SQL text, an
@@ -695,17 +646,16 @@ class MetatheoryWorkbench:
         scan/probe/build/materialize counters, peak buffers per
         operator) and the plan/parse cache outcomes for this run.
 
-        The query runs through the same pipeline and cached kernel as
-        the plain call, on the kernel's instrumented variant, so the
-        result is identical; only the accounting differs.  DML executes:
-        the report covers its relational side, and ``result`` is the
-        :class:`~repro.relational.dml.DMLResult`.
+        The query runs through the same gateway, pipeline and cached
+        kernel as the plain call, on the kernel's instrumented variant,
+        so the result is identical; only the accounting differs.  DML
+        executes: the report covers its relational side, and ``result``
+        is the :class:`~repro.relational.dml.DMLResult`.
 
         Args:
             query: the query, in any front-end.
             kind: force the front-end ("sql", "algebra", "calculus",
                 "datalog") instead of auto-detecting from the input.
-            optimized: run the algebraic optimizer (relational kinds).
             stats: optional EngineStatistics; charged the same work an
                 uninstrumented run would charge.
             tracer: optional :class:`~repro.obs.trace.Tracer`; the
@@ -720,51 +670,23 @@ class MetatheoryWorkbench:
         summing all of that plan's runs (see
         :func:`~repro.plan.explain.explain_datalog`).
         """
-        tracer = ensure_tracer(tracer) if tracer is not None else self.tracer
         if kind is None:
             kind = self._detect_kind(query)
-        capture = {"analyze": True, "tracer": tracer, "kind": kind}
-        if kind == "datalog":
-            return self._explain_datalog(query, optimized, stats, capture)
-        result = self._dispatch(
-            kind, query, optimized, True, stats, "algebra", capture
-        )
+        capture = {
+            "analyze": True,
+            "tracer": (
+                ensure_tracer(tracer) if tracer is not None else self.tracer
+            ),
+            "kind": kind,
+        }
+        result = self._query(kind, query, stats=stats, capture=capture)
         explained = capture["explained"]
         explained.result = result
-        explained.plan_cache_hit = capture["plan_cache_hit"]
+        explained.plan_cache_hit = capture.get("plan_cache_hit")
         explained.parse_cache_hit = capture.get("parse_cache_hit")
-        annotate_estimates(explained.report, capture["plan"], self.db)
+        if "plan" in capture:  # one relational plan ran
+            annotate_estimates(explained.report, capture["plan"], self.db)
         return explained
-
-    def _explain_datalog(self, source, optimized, stats, capture):
-        """EXPLAIN ANALYZE for Datalog: the semi-naive driver over this
-        session's relations, each rule and variant plan resolved through
-        the plan cache on its kernel's instrumented variant."""
-        program, _queries = self._cached_parse(
-            "datalog", source, parse_program, capture
-        )
-        reject_system_heads(program)
-        self._sync_caches()
-        hits = []
-
-        def prepare(_predicate, expr, db, db_schema):
-            entry, hit, key, values = self._plan_for(expr, optimized, db=db)
-            hits.append(hit)
-            step = dict(capture)
-            run = self._route(entry, key, values, True, step, db, db_schema)
-
-            def explain(relations, run_stats):
-                run(relations, run_stats)
-                return step["explained"]
-
-            return explain
-
-        result = explain_datalog(
-            program, self.db, prepare, stats=stats, tracer=capture["tracer"]
-        )
-        result.plan_cache_hit = all(hits) if hits else None
-        result.parse_cache_hit = capture["parse_cache_hit"]
-        return result
 
     def codd_check(self, query):
         """Run :func:`~repro.relational.codd.check_codd_equivalence`.
@@ -825,7 +747,9 @@ class MetatheoryWorkbench:
 
     def full_join(self, method="yannakakis"):
         """Natural join of all relations (acyclic schemas only for
-        "yannakakis"; "naive" works on anything join-connected)."""
+        "yannakakis"; "naive" works on anything join-connected).  Any
+        other ``method`` raises ValueError."""
+        _check_choice("method", method, ("yannakakis", "naive"))
         hypergraph = self.schema_hypergraph()
         if method == "yannakakis":
             return yannakakis_join(hypergraph, self.db)

@@ -64,7 +64,7 @@ class QueryRecord:
             fact count); None when the query raised.
         tuples_materialized: executor buffer work charged to the run.
         rules_fired: ``{rule_name: count}`` from the optimizer (empty
-            when unoptimized or not applicable).
+            when no rule fired or not applicable).
         plan_cache_hit / parse_cache_hit: workbench cache outcomes
             (None where the cache does not apply).
         plan_fingerprint: short hash of the plan-cache key, joinable

@@ -20,9 +20,11 @@ The eight system relations:
 ``sys_spans``       the tracer's span forest, flattened with ids
 ``sys_query_log``   the flight recorder's ring buffer
                     (:mod:`repro.obs.history`)
-``sys_plan_cache``  one row per cached plan, with per-entry hit counts,
-                    the route that last served it, and the fingerprint
-                    of the kernel when that route was compiled
+``sys_plan_cache``  one row per cached plan template (keyed with the
+                    optimizer's configuration), with per-entry hit
+                    counts, the route that last served it, and the
+                    fingerprint of the kernel when that route was
+                    compiled
 ``sys_kernels``     one row per kernel-cache entry (status "compiled",
                     with its fused-pipeline count and hits)
 ``sys_catalog_stats``  the optimizer catalog's census, one row per
@@ -84,8 +86,7 @@ SYS_QUERY_LOG = RelationSchema(
 )
 SYS_PLAN_CACHE = RelationSchema(
     "sys_plan_cache",
-    ("entry", "plan_fingerprint", "optimized", "hits", "last_route",
-     "kernel_fingerprint"),
+    ("entry", "plan_fingerprint", "hits", "last_route", "kernel_fingerprint"),
 )
 SYS_KERNELS = RelationSchema(
     "sys_kernels", ("entry", "plan_fingerprint", "status", "pipelines",
@@ -217,20 +218,13 @@ class SystemRelations:
     def rows_plan_cache(self):
         """One row per cached plan entry, insertion order, with hits
         and the executor route that last served it."""
-        rows = []
-        for index, key, hits, route, kernel in (
-            self.wb.plan_cache.entries()
-        ):
-            optimized = None
-            if isinstance(key, tuple) and len(key) >= 2 and isinstance(
-                key[1], bool
-            ):
-                optimized = int(key[1])
-            rows.append(
-                (index, self.wb.plan_cache.fingerprint(key), optimized,
-                 hits, route, kernel)
+        fingerprint = self.wb.plan_cache.fingerprint
+        return [
+            (index, fingerprint(key), hits, route, kernel)
+            for index, key, hits, route, kernel in (
+                self.wb.plan_cache.entries()
             )
-        return rows
+        ]
 
     def rows_kernels(self):
         """One row per kernel-cache entry: its fingerprint, status

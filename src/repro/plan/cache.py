@@ -1,10 +1,11 @@
 """The workbench's plan cache.
 
 Keyed by :func:`~repro.plan.logical.plan_key` of the canonical logical
-plan (plus whatever discriminators the caller folds in, e.g. whether the
-optimizer ran), so the same query arriving through *different*
-front-ends — SQL text, a calculus formula, a hand-built algebra tree —
-hits the same cache entry whenever it canonicalizes to the same plan.
+plan (plus whatever discriminators the caller folds in: the workbench
+adds its optimizer's configuration), so the same query arriving through
+*different* front-ends — SQL text, a calculus formula, a hand-built
+algebra tree — hits the same cache entry whenever it canonicalizes to
+the same plan.
 
 Effectiveness is observable: the cache counts hits, misses, and
 evictions (:meth:`PlanCache.stats`), and :meth:`PlanCache.publish`
@@ -22,7 +23,7 @@ class CachedPlan(NamedTuple):
     """One entry of the workbench's plan cache.
 
     ``plan`` is the optimized template, ``info`` its
-    :class:`~repro.opt.OptimizationInfo` (None when unoptimized), and
+    :class:`~repro.opt.OptimizationInfo`, and
     ``kernel_lookup`` the template's
     :meth:`~repro.compile.KernelCache.lookup_for`, so a compiled run
     walks the plan once per entry, not once per statement.  All three go
@@ -96,10 +97,6 @@ class PlanCache:
             self._route_by_key[key] = route
             if kernel is not None:
                 self._kernel_by_key[key] = kernel
-
-    def route_for(self, key):
-        """The last recorded route for a key, or None."""
-        return self._route_by_key.get(key)
 
     @staticmethod
     def fingerprint(key):

@@ -118,7 +118,7 @@ class ExplainResult:
             algebra object needs no parse).
         optimizer: the :class:`~repro.opt.OptimizationInfo` of the plan
             that ran — which rules fired, the chosen join method and
-            order (None on unoptimized runs).
+            order (None for a Datalog program, which runs many plans).
         kernel: the workbench kernel that ran — a dict with its
             ``fingerprint``, ``status`` ("compiled"), ``pipelines`` and
             cache ``hits``; None outside the workbench (e.g. explained
@@ -353,8 +353,7 @@ def _emit(tracer, report):
         span.counters = counters
 
 
-def explain_datalog(program, db, prepare=None, stats=None,
-                    tracer=NULL_TRACER):
+def explain_datalog(program, db, prepare, stats=None, tracer=NULL_TRACER):
     """EXPLAIN ANALYZE a Datalog program on the semi-naive driver.
 
     Runs :func:`~repro.datalog.seminaive.seminaive_evaluate` over
@@ -373,8 +372,7 @@ def explain_datalog(program, db, prepare=None, stats=None,
             db_schema)``, the driver's hook, returning
             ``explain(relations, stats)``: one explained run of the
             plan, an :class:`ExplainResult` (the workbench resolves the
-            plan through its caches).  Defaults to the plan's one-shot
-            kernel.
+            plan through its caches).
         stats: optional EngineStatistics charged with the run's work.
         tracer: optional tracer for the driver's and operator spans.
 
@@ -382,14 +380,6 @@ def explain_datalog(program, db, prepare=None, stats=None,
         An :class:`ExplainResult` whose ``result`` is the model (a
         :class:`~repro.datalog.facts.FactStore`).
     """
-    if prepare is None:
-        def prepare(_predicate, expr, _planning, db_schema):
-            kernel, values = resolve_physical(expr, db_schema)
-            return lambda relations, run_stats: explain_kernel(
-                kernel, relations, values, stats=run_stats, tracer=tracer,
-                kind="datalog",
-            )
-
     nodes = {
         predicate: OpReport("Datalog(%s)" % predicate)
         for predicate in sorted(program.idb_predicates())

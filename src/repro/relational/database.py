@@ -421,18 +421,6 @@ class Database:
                 schema.add(self._virtual[name][0])
         return schema
 
-    def schema_token(self):
-        """A hashable fingerprint of the schema (names and attributes).
-
-        Caches keyed on compiled plans (e.g. the workbench's parse and
-        plan caches) use this to detect that relations were added,
-        removed, or re-shaped and their entries must be discarded.
-        """
-        return tuple(
-            (name, self._relations[name].schema.attributes)
-            for name in self.names()
-        )
-
     def version_id(self):
         """The store's global version id (0 for a never-mutated copy).
 

@@ -229,10 +229,10 @@ class TransactionManager:
         db: the live :class:`~repro.relational.database.Database`.
         workbench: optional owning workbench (enables ``txn.sql``).
         tracer / metrics: observability sinks (workbench defaults).
-        verify_on_commit: check every commit against conflict
-            serializability and strictness (the default; a violation
-            raises — it would mean the runtime broke the theory it
-            implements).
+
+    Every commit is checked against conflict serializability and
+    strictness (:meth:`verify`); a violation raises — it would mean the
+    runtime broke the theory it implements.
 
     ``ops`` and ``finished`` are rings: the last :attr:`HISTORY_OPS`
     recorded ops and the last :attr:`HISTORY_TXNS` finished
@@ -245,19 +245,16 @@ class TransactionManager:
     HISTORY_OPS = 1024
     HISTORY_TXNS = 256
 
-    __slots__ = ("db", "workbench", "tracer", "metrics", "locks",
-                 "verify_on_commit", "ops", "active", "finished",
-                 "certifier", "_next_id", "_read_ts", "_write_ts",
-                 "commits", "aborts", "conflicts", "last_report")
+    __slots__ = ("db", "workbench", "tracer", "metrics", "locks", "ops",
+                 "active", "finished", "certifier", "_next_id", "_read_ts",
+                 "_write_ts", "commits", "aborts", "conflicts", "last_report")
 
-    def __init__(self, db, workbench=None, tracer=None, metrics=None,
-                 verify_on_commit=True):
+    def __init__(self, db, workbench=None, tracer=None, metrics=None):
         self.db = db
         self.workbench = workbench
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics if metrics is not None else REGISTRY
         self.locks = LockTable()
-        self.verify_on_commit = verify_on_commit
         self.ops = deque(maxlen=self.HISTORY_OPS)
         self.active = {}
         self.finished = deque(maxlen=self.HISTORY_TXNS)
@@ -412,8 +409,7 @@ class TransactionManager:
             "txn_commit", txn=txn.txn_id, vid=vid,
             writes=sorted(txn.writes),
         )
-        if self.verify_on_commit:
-            self.verify()
+        self.verify()
         return vid
 
     def _abort(self, txn, reason=""):

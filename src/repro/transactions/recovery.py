@@ -20,10 +20,6 @@ from __future__ import annotations
 from .schedule import ABORT, COMMIT, READ, WRITE
 
 
-def _positions(schedule):
-    return {id(op): i for i, op in enumerate(schedule.ops)}
-
-
 def _terminal_position(schedule, txn, kind):
     for i, op in enumerate(schedule.ops):
         if op.txn == txn and op.kind == kind:

@@ -137,17 +137,23 @@ def test_corpus_replay_parity():
 
 
 def test_oracle_compiled_leg_counts_fallbacks():
-    """The conformance oracle resolves every case's template through
-    its kernel cache, and none falls back."""
-    from repro.conformance import oracles
+    """The conformance oracle runs every case's plan and its optimized
+    plan on one-shot kernels, resolving both templates in ``ONE_SHOT``,
+    whose counts a sweep reports as ``kernels.compiled``; none falls
+    back."""
+    from repro.compile import cache
+    from repro.conformance.oracles import kernel_leg_counts
 
-    before = oracles._KERNEL_CACHE.stats()
+    before = cache.ONE_SHOT.stats()
+    reported = kernel_leg_counts()["compiled"]
     oracle = RelationalDifferentialOracle()
     for seed in range(12):
         assert oracle.check(generate_case("relational-differential", seed)) == []
-    after = oracles._KERNEL_CACHE.stats()
+    after = cache.ONE_SHOT.stats()
     resolutions = (after["hits"] + after["misses"]) - (
         before["hits"] + before["misses"]
     )
-    assert resolutions == 12
+    assert resolutions == 2 * 12
     assert after["fallback_runs"] == 0
+    counts = kernel_leg_counts()["compiled"]
+    assert sum(counts.values()) - sum(reported.values()) == resolutions

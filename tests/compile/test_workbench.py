@@ -14,6 +14,7 @@ from repro.datalog.stats import EngineStatistics
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.obs.metrics import MetricsRegistry
+from repro.opt import Optimizer, rule_names
 from repro.plan import canonicalize
 from repro.plan.executor import execute_physical
 from repro.relational import algebra as ra
@@ -112,13 +113,14 @@ class TestFrontEnds:
         assert compiled == wb.run(source, executor=False)
 
     def test_optimized_and_unoptimized_compiled_agree(self):
-        wb = make_wb()
+        # Unoptimized: the plan as written, by a no-rule optimizer.
         expr = ra.Selection(
             ra.NaturalJoin(ra.RelationRef("person"), ra.RelationRef("likes")),
             ra.Comparison(ra.Attr("item"), "=", ra.Const("i3")),
         )
-        assert wb.run(expr, executor="compiled") == wb.run(
-            expr, executor="compiled", optimized=False
+        as_written = make_wb(optimizer=Optimizer(disable=rule_names()))
+        assert make_wb().run(expr, executor="compiled") == as_written.run(
+            expr, executor="compiled"
         )
 
 
@@ -235,13 +237,16 @@ class TestDefaultRoute:
         [(_i, _f, status, _p, hits)] = wb.db["sys_kernels"].tuples
         assert (status, hits) == ("compiled", 1)
         [row] = wb.db["sys_plan_cache"].tuples
-        assert row[4:] == ("treewalk", fingerprint)  # the last run
+        assert row[3:] == ("treewalk", fingerprint)  # the last run
         assert wb.kernel_cache.stats()["fallback_runs"] == 0
 
     def test_no_shared_semijoin_runs_on_its_kernel(self):
         # A semijoin with no shared attribute only asks whether its
         # right side is empty; it compiles like every canonical plan.
-        wb = make_wb(history=True)
+        # The no-rule optimizer keeps each plan as written.
+        wb = make_wb(
+            history=True, optimizer=Optimizer(disable=rule_names())
+        )
         expr = ra.Semijoin(
             ra.RelationRef("person"),
             ra.Rename(ra.RelationRef("likes"), {"pid": "p2", "item": "it2"}),
@@ -253,13 +258,9 @@ class TestDefaultRoute:
         for right in (expr.right, empty):
             for node in (ra.Semijoin, ra.Antijoin):
                 query = node(ra.RelationRef("person"), right)
-                _first, result, routes = twice(
-                    wb, lambda: wb.run(query, optimized=False)
-                )
+                _first, result, routes = twice(wb, lambda: wb.run(query))
                 assert routes == ("compiled", "compiled")
-                assert result == wb.run(
-                    query, optimized=False, executor=False
-                )
+                assert result == wb.run(query, executor=False)
         assert {row[2] for row in wb.db["sys_kernels"].tuples} == {
             "compiled"
         }

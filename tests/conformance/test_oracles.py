@@ -86,8 +86,8 @@ class TestFaultDetection:
         original = MetatheoryWorkbench._plan_for
         first = {}
 
-        def stale(self, canonical, optimized, capture=None):
-            *rest, key, values = original(self, canonical, optimized, capture)
+        def stale(self, canonical, capture=None, db=None):
+            *rest, key, values = original(self, canonical, capture, db)
             return (*rest, key, first.setdefault((id(self), key), values))
 
         monkeypatch.setattr(MetatheoryWorkbench, "_plan_for", stale)

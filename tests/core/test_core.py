@@ -116,6 +116,42 @@ class TestWorkbench:
         txn.rollback()
 
 
+class TestFrontDoor:
+    """Every query enters through one gateway; the session's optimizer
+    (``Optimizer(disable=...)``) is the one switch for which rewrites
+    run, and an unknown argument value fails loudly."""
+
+    REMOVED = {"optimized", "plan_cache_size", "verify_on_commit"}
+
+    def test_no_removed_knob_is_accepted(self):
+        import inspect
+
+        from repro.storage.txn import TransactionManager
+
+        callables = [
+            getattr(MetatheoryWorkbench, name)
+            for name in ("sql", "algebra", "calculus", "run",
+                         "explain_analyze")
+        ] + [MetatheoryWorkbench.__init__, TransactionManager.__init__]
+        for function in callables:
+            parameters = set(inspect.signature(function).parameters)
+            assert not parameters & self.REMOVED, function.__qualname__
+
+    def test_unknown_via_is_rejected(self, workbench):
+        with pytest.raises(ValueError, match="'algebra', 'direct'"):
+            workbench.calculus("{(p) | exists c . parent(p, c)}", via="drect")
+
+    def test_unknown_join_method_is_rejected(self, workbench):
+        with pytest.raises(ValueError, match="'yannakakis', 'naive'"):
+            workbench.full_join("yanakakis")
+
+    def test_a_non_query_names_no_other_call(self, workbench):
+        with pytest.raises(TypeError) as raised:
+            workbench.run(42)
+        assert "explain" not in str(raised.value)
+        assert "42" in str(raised.value)
+
+
 class TestPackageImport:
     def test_import_loads_no_process_pool(self):
         import os

@@ -8,8 +8,9 @@ the logic-database era had to preserve.  Naive evaluation runs on the
 in-order scan matcher; semi-naive rounds (and magic's rewritten
 programs) run as relational plans, and ``wb.run`` runs them through a
 workbench's caches on both executors: compiled kernels over optimized
-plans, and the tree walk over unoptimized ones.  So the naive oracle
-checks the plans, and the two executors check each other.
+plans, and the tree walk over plans as written (a workbench whose
+optimizer has no rule).  So the naive oracle checks the plans, and the
+two executors check each other.
 
 The fixed-program tests at the bottom pin two historical disagreement
 bugs: program-text facts of IDB predicates were dropped by magic and
@@ -31,9 +32,10 @@ from repro.datalog import (
     naive_evaluate,
     parse_program,
 )
+from repro.opt import Optimizer, rule_names
 
 #: (executor, optimized) routes of the ``wb.run`` leg: kernels over
-#: optimized plans, and the tree walk over unoptimized ones.
+#: optimized plans, and the tree walk over plans as written.
 ROUTES = [(True, True), (False, False)]
 
 #: Number of randomized programs per route (the acceptance criterion
@@ -66,11 +68,12 @@ def _case(seed):
 
 def session_model(program, edb, executor=True, optimized=True):
     """``wb.run`` of the program's text over a workbench storing the
-    EDB."""
-    wb = MetatheoryWorkbench(edb.to_database())
-    return wb.run(
-        str(program), kind="datalog", executor=executor, optimized=optimized
+    EDB; unoptimized, the workbench's optimizer has no rule."""
+    wb = MetatheoryWorkbench(
+        edb.to_database(),
+        optimizer=None if optimized else Optimizer(disable=rule_names()),
     )
+    return wb.run(str(program), kind="datalog", executor=executor)
 
 
 @functools.lru_cache(maxsize=None)

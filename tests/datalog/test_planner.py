@@ -25,6 +25,7 @@ from repro.datalog import (
 from repro.datalog.lowering import lower_rule
 from repro.datalog.matching import evaluate_rule
 from repro.datalog.seminaive import _round, _source, _variants
+from repro.opt import Optimizer, rule_names
 from repro.plan.logical import plan_key
 from repro.relational.relation import GrowingRelation, Relation
 from repro.relational.schema import RelationSchema
@@ -140,8 +141,12 @@ class TestEmptyPredicateSafetyRegression:
         edb = FactStore({"e": [(1,), (2,)]})  # g has no facts at all
         assert naive_evaluate(program, edb).get("p") == frozenset()
         assert seminaive_evaluate(program, edb).get("p") == frozenset()
-        wb = MetatheoryWorkbench(edb.to_database())
-        model = wb.run(source, executor=executor, optimized=optimized)
+        # Unoptimized: a workbench whose optimizer has no rule.
+        wb = MetatheoryWorkbench(
+            edb.to_database(),
+            optimizer=None if optimized else Optimizer(disable=rule_names()),
+        )
+        model = wb.run(source, executor=executor)
         assert model.get("p") == frozenset()
 
     def test_comparison_pending_when_bindings_die(self):

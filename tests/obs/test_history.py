@@ -82,6 +82,15 @@ class TestWorkbenchRecording:
         assert len(wb.history) == 1
         assert wb.history.last().kind == "sql"
 
+    def test_explain_analyze_leaves_one_record(self):
+        # EXPLAIN ANALYZE enters the same gateway as the query methods.
+        wb = make_wb(history=True)
+        explained = wb.explain_analyze("SELECT name FROM person")
+        [record] = wb.history.records()
+        assert (record.kind, record.route) == ("sql", "compiled")
+        assert record.instrumented
+        assert record.rows == len(explained.result)
+
     def test_every_front_end_is_recorded(self):
         from repro.relational.algebra import Projection, RelationRef
 
@@ -274,6 +283,8 @@ class TestZeroCostWhenOff:
     def test_no_records_and_no_record_allocations(self, monkeypatch):
         """The disabled recorder's pin: the hot path never builds a
         QueryRecord, a capture dict, or its own statistics object."""
+        from repro.datalog import EngineStatistics
+
         allocations = []
         original = QueryRecord.__init__
 
@@ -283,15 +294,20 @@ class TestZeroCostWhenOff:
 
         monkeypatch.setattr(QueryRecord, "__init__", counting)
 
-        recorded = []
-        original_dispatch = MetatheoryWorkbench._recorded
+        # What the gateway hands each front end: the statistics object
+        # and the capture dict.
+        handed = []
+        original_dispatch = MetatheoryWorkbench._dispatch
 
-        def counting_dispatch(self, *args, **kwargs):
-            recorded.append(args)
-            return original_dispatch(self, *args, **kwargs)
+        def spying_dispatch(self, kind, query, executor, stats, via,
+                            capture, txn):
+            handed.append((stats, capture))
+            return original_dispatch(
+                self, kind, query, executor, stats, via, capture, txn
+            )
 
         monkeypatch.setattr(
-            MetatheoryWorkbench, "_recorded", counting_dispatch
+            MetatheoryWorkbench, "_dispatch", spying_dispatch
         )
 
         wb = make_wb()
@@ -299,10 +315,12 @@ class TestZeroCostWhenOff:
         wb.run("p(X) :- person(X, N).")
         wb.calculus("{(x, y) | person(x, y)}")
         assert allocations == []
-        assert recorded == []
+        assert handed == [(None, None)] * 3
 
         # Sanity: the counters fire once recording is on.
         wb.history.enable()
         wb.sql("SELECT name FROM person")
         assert len(allocations) == 1
-        assert len(recorded) == 1
+        stats, capture = handed[-1]
+        assert isinstance(stats, EngineStatistics)
+        assert isinstance(capture, dict)

@@ -308,17 +308,15 @@ class TestSystemTables:
         wb.sql("SELECT what FROM likes")
         rows = sorted(wb.db["sys_plan_cache"].tuples)
         assert [
-            (entry, hits)
-            for entry, _fp, _opt, hits, _route, _kernel in rows
+            (entry, hits) for entry, _fp, hits, _route, _kernel in rows
         ] == [(0, 1), (1, 0)]
-        assert all(opt == 1 for _e, _fp, opt, _h, _r, _k in rows)
         # The default route compiles a plan on its first run and names
         # the kernel.
-        assert [(row[4], row[5] is None) for row in rows] == [
+        assert [(row[3], row[4] is None) for row in rows] == [
             ("compiled", False), ("compiled", False),
         ]
         kernels = sorted(wb.db["sys_kernels"].tuples)
-        assert [row[5] for row in rows] == [k[1] for k in kernels]
+        assert [row[4] for row in rows] == [k[1] for k in kernels]
 
     def test_sys_catalog_stats_census_user_relations_only(self):
         wb = make_wb()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.workbench import MetatheoryWorkbench
+from repro.opt import Optimizer, rule_names
 from repro.relational import (
     Database,
     NaturalJoin,
@@ -69,9 +70,14 @@ class TestEstimateAnnotations:
         )
 
     def test_unoptimized_run_has_no_optimizer_info(self, wb):
-        explained = wb.explain_analyze(chain(), optimized=False)
-        assert explained.optimizer is None
-        assert "Optimizer:" not in explained.render()
+        # The plan as written: a workbench whose optimizer has no rule.
+        wb = MetatheoryWorkbench(
+            wb.db, optimizer=Optimizer(disable=rule_names())
+        )
+        explained = wb.explain_analyze(chain())
+        assert explained.optimizer.fired == {}
+        assert explained.optimizer.join_method is None
+        assert "Optimizer: no rules fired" in explained.render()
         # Estimates still annotate the raw plan — the cost surface does
         # not depend on the rewrite pipeline having run.
         assert any(

@@ -82,9 +82,12 @@ class TestWorkbenchIntegration:
         assert stats["misses"] > first["misses"]
 
     def test_optimized_and_unoptimized_agree(self, db):
-        wb = MetatheoryWorkbench(db)
+        # Unoptimized: the plan as written, by a no-rule optimizer.
         expr = Selection(acyclic_chain(), eq("d", 1))
-        assert wb.run(expr) == wb.run(expr, optimized=False)
+        as_written = Optimizer(disable=rule_names())
+        assert MetatheoryWorkbench(db).run(expr) == MetatheoryWorkbench(
+            db, optimizer=as_written
+        ).run(expr)
 
 
 class TestSingleCostSurface:

@@ -62,10 +62,10 @@ def test_treewalk_route_runs_the_cached_plan(db_seed, expr_seed, size):
     expr = random_algebra_expression(db, seed=expr_seed, size=size)
     raw = evaluate(expr, db)
     wb = MetatheoryWorkbench(db, metrics=MetricsRegistry())
-    walked = wb.algebra(expr, optimized=True, executor=False)
+    walked = wb.algebra(expr, executor=False)
     assert walked == raw, expr
     assert walked.schema.attributes == raw.schema.attributes
-    assert wb.algebra(expr, optimized=True) == walked
+    assert wb.algebra(expr) == walked
     assert wb.plan_cache.stats()["hits"] == 1
 
 

@@ -24,7 +24,8 @@ from repro.core.workbench import MetatheoryWorkbench
 from repro.datalog import EngineStatistics, FactStore, parse_program
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.obs import NULL_TRACER, Tracer
-from repro.plan import canonicalize, execute, explain_datalog, run_explained
+from repro.opt import Optimizer, rule_names
+from repro.plan import canonicalize, execute, run_explained
 from repro.relational import Projection, RelationRef
 
 THREE_TABLE_SQL = (
@@ -247,9 +248,11 @@ class TestExplainDatalog:
         for child in explained.report.children:
             assert child.rows == len(plain.get(child.label[8:-1]))
         assert explained.report.elapsed >= 0.0
-        # Standalone, on the plans' one-shot kernels: the same model and
+        # Planned as written (no rewrite rule): the same model and
         # predicate nodes.
-        alone = explain_datalog(program, edb.to_database())
+        alone = MetatheoryWorkbench(
+            edb.to_database(), optimizer=Optimizer(disable=rule_names())
+        ).explain_analyze(source)
         assert alone.result == plain
         assert [
             (child.label, child.rows) for child in alone.report.children

@@ -21,6 +21,7 @@ from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.stats import EngineStatistics
 from repro.errors import DatalogError, PlanError
+from repro.opt import Optimizer, rule_names
 from repro.plan import canonicalize, is_canonical, plan_key
 from repro.relational import algebra as ra
 from repro.relational.codd import calculus_to_algebra
@@ -30,14 +31,17 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.sql_frontend import parse_sql
 
 
-def company_workbench():
-    return MetatheoryWorkbench.from_dict({
-        "works": (
-            ("emp", "dept"),
-            [("ann", "toys"), ("bob", "shoes"), ("cal", "toys")],
-        ),
-        "located": (("dept", "city"), [("toys", "sd"), ("shoes", "la")]),
-    })
+def company_workbench(optimizer=None):
+    return MetatheoryWorkbench(
+        Database.from_dict({
+            "works": (
+                ("emp", "dept"),
+                [("ann", "toys"), ("bob", "shoes"), ("cal", "toys")],
+            ),
+            "located": (("dept", "city"), [("toys", "sd"), ("shoes", "la")]),
+        }),
+        optimizer=optimizer,
+    )
 
 
 class TestCanonicalization:
@@ -141,10 +145,13 @@ class TestPlanCache:
         assert wb.plan_cache.stats()["size"] == 1
 
     def test_optimized_and_unoptimized_are_distinct_entries(self):
+        # The key holds the optimizer's configuration: the plan as
+        # written (a no-rule optimizer) never serves the default's.
         wb = company_workbench()
         q = "SELECT w.emp FROM works w"
-        wb.sql(q, optimized=True)
-        wb.sql(q, optimized=False)
+        wb.sql(q)
+        wb.optimizer = Optimizer(disable=rule_names())
+        wb.sql(q)
         assert wb.plan_cache.stats()["size"] == 2
 
     def test_unrelated_change_keeps_plan_cached(self):
@@ -184,17 +191,19 @@ class TestLegacyEquality:
     """executor=False reproduces the legacy paths bit for bit."""
 
     def test_sql(self):
-        wb = company_workbench()
+        # Optimized, and as written (a no-rule optimizer).
+        sessions = (
+            company_workbench(),
+            company_workbench(Optimizer(disable=rule_names())),
+        )
         for q in (
             "SELECT w.emp FROM works w",
             "SELECT w.emp, l.city FROM works w, located l "
             "WHERE w.dept = l.dept",
             "SELECT * FROM works w WHERE w.dept = 'toys'",
         ):
-            for optimized in (True, False):
-                fast = wb.sql(q, optimized=optimized)
-                legacy = wb.sql(q, optimized=optimized, executor=False)
-                assert fast == legacy
+            for wb in sessions:
+                assert wb.sql(q) == wb.sql(q, executor=False)
 
     def test_calculus(self):
         wb = company_workbench()
@@ -390,7 +399,7 @@ class TestSessionDatalog:
     def test_sys_predicate_in_a_body(self):
         wb = session_workbench()
         wb.sql("SELECT src FROM edge")
-        source = "cached(F) :- sys_plan_cache(I, F, H, R, K, T)."
+        source = "cached(F) :- sys_plan_cache(I, F, H, R, K)."
         model = wb.run(source)
         assert model.get("cached")
         assert model.get("sys_plan_cache")

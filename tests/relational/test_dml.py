@@ -15,6 +15,7 @@ from repro.core.workbench import MetatheoryWorkbench
 from repro.errors import ParseError, SchemaError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.opt import Optimizer, rule_names
 from repro.opt.catalog import TableStats
 from repro.relational.database import Database
 from repro.relational.dml import (
@@ -181,17 +182,23 @@ class TestSemantics:
 
 
 class TestExecutorRoutes:
+    #: ``as_written`` runs the plan as written: the workbench's
+    #: optimizer has no rule.
     ROUTES = [
         {"executor": True},
         {"executor": False},
-        {"executor": True, "optimized": False},
+        {"executor": True, "as_written": True},
         {"executor": "compiled"},
-        {"executor": "compiled", "optimized": False},
+        {"executor": "compiled", "as_written": True},
     ]
 
     @pytest.mark.parametrize("kwargs", ROUTES)
     def test_all_routes_produce_the_same_delta(self, kwargs):
-        wb = make_wb()
+        kwargs = dict(kwargs)
+        as_written = kwargs.pop("as_written", False)
+        wb = make_wb(
+            optimizer=Optimizer(disable=rule_names()) if as_written else None
+        )
         result = wb.sql("DELETE FROM emp WHERE salary > 75", **kwargs)
         assert result.rows_deleted == 2
         assert wb.db["emp"].tuples == {("cal", "it", 70)}
