@@ -3,7 +3,8 @@
 The paper's §2(b)/§3 thesis, applied to its own favourite theorem: we
 *run the experiment*.  Random safe calculus queries over random databases
 are evaluated two ways — the active-domain semantics oracle and the
-translated algebra — and timed.
+translated algebra — and timed.  The agreement trials are the
+conformance kit's ``calculus-differential`` cases.
 
 Paper claim (shape): the two agree everywhere (that is the theorem), and
 the algebra path is the implementable one — it scales with the database
@@ -14,8 +15,8 @@ while the naive semantics enumerates |adom|^k assignments.  Measured:
 
 import time
 
-from repro.core.equivalence import codd_experiment, random_safe_query
-from repro.core.random_instances import random_database
+from repro.conformance import run_conformance
+from repro.core.random_instances import random_database, random_safe_query
 from repro.relational import calculus_to_algebra, evaluate, evaluate_query
 
 from .conftest import format_table, write_artifact
@@ -55,10 +56,17 @@ def scaling_rows():
 
 def test_codd_theorem_experiment(benchmark):
     report = benchmark.pedantic(
-        codd_experiment, kwargs={"trials": 30, "seed": 0},
+        run_conformance,
+        kwargs={
+            "seconds": None,
+            "max_cases": 30,
+            "families": ["calculus-differential"],
+        },
         rounds=1, iterations=1,
     )
-    assert report.confirmed, report.failures
+    trials = report["families"]["calculus-differential"]["cases"]
+    assert trials == 30
+    assert not report["divergences"], report["divergences"]
 
     rows = scaling_rows()
     assert all(row[-1] for row in rows)  # agreement everywhere
@@ -79,7 +87,7 @@ def test_codd_theorem_experiment(benchmark):
         rows,
     )
     header = "codd equivalence: %d random trials, %d failures\n\n" % (
-        report.trials,
-        len(report.failures),
+        trials,
+        len(report["divergences"]),
     )
     write_artifact("codd_theorem.txt", header + table)

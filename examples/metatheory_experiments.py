@@ -2,9 +2,13 @@
 
 §3's thesis applied to this library itself: every positive theorem we
 implement is validated empirically, on randomized instances, against an
-independent semantics — Codd's Theorem against the active-domain oracle,
-the four Datalog engines against each other, the optimizer against the
-unoptimized evaluator, the chase against Armstrong closure.
+independent semantics.  The conformance kit (:mod:`repro.conformance`)
+holds these experiments as oracle families: Codd's Theorem against the
+active-domain semantics (``calculus-differential``), the four Datalog
+engines against each other (``datalog-differential``), the kernels and
+the optimizer against the tree walk (``relational-differential``), the
+serializability theorems against replay, and the metamorphic rewrites.
+This script runs a fixed number of cases of each family.
 
 The paper: "I am aware that not all positive results are followed up by
 such experimental validation, but I think that such absence should be
@@ -16,24 +20,32 @@ Run:  python examples/metatheory_experiments.py
 
 import time
 
-from repro.core import run_all
+from repro.conformance import ORACLE_FAMILIES, run_conformance
 from repro.metascience import KuhnProcess, figure2_comparison
+
+#: Randomized cases per oracle family.
+CASES = 25
 
 
 def main():
     print("=== The library's own Berkeley-IBM moment ===\n")
     start = time.perf_counter()
-    reports = run_all(seed=2026)
-    elapsed = time.perf_counter() - start
-    for report in reports:
-        status = "CONFIRMED" if report.confirmed else "FALSIFIED"
-        print(
-            "%-20s %3d randomized trials  ->  %s"
-            % (report.name, report.trials, status)
+    for family in ORACLE_FAMILIES:
+        report = run_conformance(
+            seconds=None, seed=2026, families=[family], max_cases=CASES
         )
-        for failure in report.failures:
-            print("    counterexample:", failure)
-    print("\n(%d experiments in %.2f s)" % (len(reports), elapsed))
+        counts = report["families"][family]
+        status = "FALSIFIED" if counts["divergences"] else "CONFIRMED"
+        print(
+            "%-26s %3d randomized cases  ->  %s"
+            % (family, counts["cases"], status)
+        )
+        for divergence in report["divergences"]:
+            print("    counterexample:", divergence["messages"])
+    elapsed = time.perf_counter() - start
+    print(
+        "\n(%d oracle families in %.2f s)" % (len(ORACLE_FAMILIES), elapsed)
+    )
 
     print("\n=== And the metascience, on ourselves ===")
     print(

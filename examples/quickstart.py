@@ -20,6 +20,7 @@ from repro.relational import (
     Rename,
     Var,
 )
+from repro.relational.sql_frontend import run_sql
 
 
 def main():
@@ -62,10 +63,11 @@ def main():
         "SELECT p1.parent AS grandparent, p2.child AS grandchild "
         "FROM parent p1, parent p2 WHERE p1.child = p2.parent"
     )
-    walked = workbench.sql(
+    # The tree walk (the oracle) evaluates the same text directly.
+    walked = run_sql(
         "SELECT p1.parent AS grandparent, p2.child AS grandchild "
         "FROM parent p1, parent p2 WHERE p1.child = p2.parent",
-        executor=False,
+        workbench.db,
     )
     print("compiled kernel agrees with the tree walk:", compiled == walked)
     print("kernel cache:", workbench.kernel_cache.stats())

@@ -5,7 +5,7 @@ logical plan into one specialized Python function — pipelines fused
 into plain loops, conditions and projections inlined, work counters
 batched — and the :class:`KernelCache` (:mod:`.cache`) compiles each
 (plan, schema) pair exactly once, on its first run.  Kernels are the
-workbench's one executor (``executor=True``) on every front-end;
+workbench's one executor on every front-end;
 EXPLAIN ANALYZE and the armed flight recorder run a kernel's
 instrumented variant, which reports rows and counters per operator and
 wall time per pipeline.

@@ -22,12 +22,12 @@ from __future__ import annotations
 import random
 import zlib
 
-from ..core.equivalence import random_safe_query
 from ..core.random_instances import (
     random_algebra_expression,
     random_database,
     random_edb,
     random_positive_program,
+    random_safe_query,
 )
 from ..datalog.ast import Atom, Literal, Rule, Variable
 from ..plan import canonicalize, parameterize

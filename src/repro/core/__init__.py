@@ -1,15 +1,5 @@
-"""The unified workbench and the empirical-equivalence harness."""
+"""The unified workbench and the seeded random-instance generators."""
 
-from .equivalence import (
-    ExperimentReport,
-    chase_vs_armstrong,
-    codd_experiment,
-    datalog_experiment,
-    executor_experiment,
-    optimizer_experiment,
-    random_safe_query,
-    run_all,
-)
 from .random_instances import (
     chain_edges,
     cycle_edges,
@@ -21,6 +11,7 @@ from .random_instances import (
     random_fds,
     random_graph_edges,
     random_positive_program,
+    random_safe_query,
     same_generation_program,
     same_generation_store,
     transitive_closure_program,
@@ -29,17 +20,11 @@ from .random_instances import (
 from .workbench import MetatheoryWorkbench
 
 __all__ = [
-    "ExperimentReport",
     "MetatheoryWorkbench",
     "chain_edges",
-    "chase_vs_armstrong",
-    "codd_experiment",
     "cycle_edges",
-    "datalog_experiment",
     "edge_database",
     "edge_store",
-    "executor_experiment",
-    "optimizer_experiment",
     "random_algebra_expression",
     "random_database",
     "random_edb",
@@ -47,7 +32,6 @@ __all__ = [
     "random_graph_edges",
     "random_positive_program",
     "random_safe_query",
-    "run_all",
     "same_generation_program",
     "same_generation_store",
     "transitive_closure_program",

@@ -13,6 +13,7 @@ from ..datalog.ast import Atom, Literal, Program, Rule
 from ..datalog.facts import FactStore
 from ..dependencies.fd import FD
 from ..relational import algebra as ra
+from ..relational.calculus import AndF, Exists, NotF, Query, RelAtom, Var
 from ..relational.database import Database
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
@@ -371,6 +372,48 @@ def random_algebra_expression(db, seed=0, size=4):
             )
             expr = ra.Division(expr, ra.ConstantRelation(divisor))
     return expr
+
+
+def random_safe_query(db, seed=0, allow_negation=True):
+    """A random safe-range calculus query over the database's relations.
+
+    Built as a join of 1-3 atoms over shared variables, optionally with a
+    negated atom over already-bound variables, then existentially closing
+    a random subset of variables.
+    """
+    rng = random.Random(seed)
+    names = db.names()
+    variables = ["x", "y", "z", "w"]
+    atoms = []
+    bound = []
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(names)
+        arity = db[name].schema.arity
+        args = []
+        for _ in range(arity):
+            if bound and rng.random() < 0.5:
+                args.append(Var(rng.choice(bound)))
+            else:
+                var = rng.choice(variables)
+                args.append(Var(var))
+                if var not in bound:
+                    bound.append(var)
+        atoms.append(RelAtom(name, args))
+    formula_parts = list(atoms)
+    if allow_negation and rng.random() < 0.4 and bound:
+        name = rng.choice(names)
+        arity = db[name].schema.arity
+        args = [Var(rng.choice(bound)) for _ in range(arity)]
+        formula_parts.append(NotF(RelAtom(name, args)))
+    formula = (
+        AndF(*formula_parts) if len(formula_parts) > 1 else formula_parts[0]
+    )
+    free = sorted(formula.free_variables())
+    to_close = [v for v in free if rng.random() < 0.4]
+    if to_close and len(to_close) < len(free):
+        formula = Exists(to_close, formula)
+    head = sorted(formula.free_variables())
+    return Query(head, formula)
 
 
 def random_fds(attributes, count=4, max_side=2, seed=0):

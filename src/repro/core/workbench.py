@@ -44,9 +44,8 @@ from ..plan.explain import (
     explain_kernel,
     kernel_status,
 )
-from ..plan.logical import bind, canonicalize, parameterize, plan_key
-from ..relational.algebra import evaluate, relation_names
-from ..relational.calculus import evaluate_query
+from ..plan.logical import canonicalize, parameterize, plan_key
+from ..relational.algebra import relation_names
 from ..relational.calculus_parser import parse_calculus
 from ..relational.codd import (
     algebra_to_calculus,
@@ -58,18 +57,14 @@ from ..relational.dml import DMLResult, DMLStatement
 from ..relational.sql_frontend import parse_sql
 from ..storage.txn import TransactionManager
 
-#: The accepted ``executor=`` values.  True, the default, runs each
-#: cached plan's compiled kernel.  False walks the same plan as a
-#: materializing tree (the differential oracle).  ``"compiled"`` is a
-#: synonym of True, accepted only because the end-to-end benchmark
-#: (``benchmarks/e2e``) passes it; it goes with that benchmark's next
-#: change.
-EXECUTORS = (True, False, "compiled")
+#: The accepted ``executor=`` values of :meth:`MetatheoryWorkbench.run`:
+#: two spellings of the one route, each cached plan's compiled kernel.
+#: The end-to-end benchmark (``benchmarks/e2e``) passes both; the
+#: parameter goes with that benchmark's next change.
+EXECUTORS = (True, "compiled")
 
-#: The query front ends (``kind=``), and the calculus routes (``via=``):
-#: Codd's translation to algebra or active-domain enumeration.
+#: The query front ends (``kind=``).
 KINDS = ("sql", "algebra", "calculus", "datalog")
-VIAS = ("algebra", "direct")
 
 #: Plan templates the plan cache keeps, and statement texts the parse
 #: cache keeps; both evict first in, first out like the kernel cache.
@@ -79,9 +74,9 @@ PARSE_CACHE_SIZE = 1024
 
 def _check_choice(name, value, accepted):
     """``value`` when it is one of ``accepted``; else ValueError naming
-    the accepted values.  A typo must fail loudly: any truthy
-    ``executor=`` would otherwise select the kernels, and any ``via=``
-    or ``method=`` the default."""
+    the accepted values.  A typo must fail loudly: an unchecked
+    ``method=`` would select the default, and an unchecked
+    ``executor=`` would be ignored."""
     if value not in accepted:
         raise ValueError(
             "unknown %s %r (use %s)"
@@ -146,9 +141,10 @@ class MetatheoryWorkbench:
     # Every query method enters through one gateway (:meth:`_query`) and
     # compiles into one pipeline: front-end -> canonical logical plan ->
     # the session's optimizer -> cached plan -> compiled kernel.
-    # ``executor=False`` runs the same cached plan on the
-    # materialize-everything tree walk (the differential oracle);
-    # Datalog's rule plans follow the same two routes.
+    # Datalog's rule plans take the same route.  The oracles
+    # (:func:`~repro.relational.algebra.evaluate`,
+    # :func:`~repro.relational.calculus.evaluate_query`, naive Datalog)
+    # are called directly by the tests and the conformance kit.
 
     def _sync_caches(self):
         """Surgically invalidate caches for relations that changed.
@@ -226,17 +222,16 @@ class MetatheoryWorkbench:
             capture["rules"] = entry.info.fired
         return entry, hit, key, values
 
-    def _run_pipeline(self, expr, stats, capture=None, executor=True,
-                      db=None, txn=None):
+    def _run_pipeline(self, expr, stats, capture=None, db=None, txn=None):
         """Plan ``expr`` through the caches and run it on ``db`` (the
-        session's database by default) on the route ``executor`` names.
+        session's database by default) on the plan's kernel, compiled
+        on the plan's first run.
 
-        ``executor=True`` runs the plan's kernel, compiled on the plan's
-        first run; ``executor=False`` walks the plan.  A ``capture``
-        marked ``analyze`` (EXPLAIN ANALYZE, the armed flight
-        recorder) runs the kernel's instrumented variant and receives
-        its :class:`~repro.plan.explain.ExplainResult` as ``explained``,
-        its report as ``report`` and the plan as ``plan``.
+        A ``capture`` marked ``analyze`` (EXPLAIN ANALYZE, the armed
+        flight recorder) runs the kernel's instrumented variant and
+        receives its :class:`~repro.plan.explain.ExplainResult` as
+        ``explained``, its report as ``report`` and the plan as
+        ``plan``.
         """
         self._sync_caches()
         base = self.db if db is None else db
@@ -250,28 +245,27 @@ class MetatheoryWorkbench:
                 if not is_system_name(name):
                     txn.read(name)
         entry, _hit, key, values = self._plan_for(canonical, capture)
-        return self._route(
-            entry, key, values, executor, capture, base, schema
-        )(base, stats)
+        return self._route(entry, key, values, capture, base, schema)(
+            base, stats
+        )
 
-    def _route(self, entry, key, values, executor, capture, db, schema):
-        """Resolve a cached plan (:meth:`_plan_for`'s ``entry``, ``key``
-        and ``values``) on the route ``executor`` names, for relations
-        of ``db``'s ``schema``.
+    def _route(self, entry, key, values, capture, db, schema):
+        """Resolve a cached plan's kernel (:meth:`_plan_for`'s
+        ``entry``, ``key`` and ``values``) for relations of ``db``'s
+        ``schema``, and note it on the entry
+        (``sys_plan_cache.kernel_fingerprint``) and in ``capture``.
 
         Returns ``run(relations, stats)``, which runs the plan over
         ``relations`` (a database or a ``{name: Relation}`` mapping) and
-        returns its Relation: the kernel, its instrumented variant when
-        ``capture`` is marked ``analyze``, or the tree walk.
+        returns its Relation: the kernel, or its instrumented variant
+        when ``capture`` is marked ``analyze``.
         """
-        if not executor:
-            self._note_route(key, "treewalk", capture)
-            plan = bind(entry.plan, values)
-            return lambda relations, _stats: evaluate(plan, relations)
         kernel = self.kernel_cache.resolve(
             entry.plan, db, schema, entry.kernel_lookup
         )
-        self._note_route(key, "compiled", capture, kernel=kernel.fingerprint)
+        self.plan_cache.note_kernel(key, kernel.fingerprint)
+        if capture is not None:
+            capture["route"] = "compiled"
         if capture is not None and capture.get("analyze"):
 
             def analyzed(relations, stats):
@@ -295,15 +289,6 @@ class MetatheoryWorkbench:
 
         return run
 
-    def _note_route(self, key, route, capture, kernel=None):
-        """Record the route that served a plan-cache entry, on the entry
-        (``sys_plan_cache.last_route``) and in the recorder's capture."""
-        self.plan_cache.note_route(key, route, kernel=kernel)
-        if capture is not None:
-            capture["route"] = route
-            if kernel is not None:
-                capture["kernel"] = kernel
-
     def _cached_parse(self, kind, text, parse, capture=None):
         key = (kind, text)
         expr = self._parse_cache.get(key)
@@ -314,7 +299,7 @@ class MetatheoryWorkbench:
             self._parse_cache.put(key, expr)
         return expr
 
-    def sql(self, text, executor=True, stats=None, txn=None):
+    def sql(self, text, stats=None, txn=None):
         """Run a SQL statement; returns a Relation (or a DMLResult).
 
         ``INSERT``/``DELETE``/``UPDATE`` statements run their relational
@@ -325,12 +310,6 @@ class MetatheoryWorkbench:
 
         Args:
             text: the SQL text.
-            executor: True (default) runs the cached plan's fused
-                Python kernel, compiled on the plan shape's first run
-                and cached per shape.  ``"compiled"`` is a synonym of
-                True.  False runs the same cached plan on the
-                materializing tree walk (the differential oracle).  Any
-                other value raises ValueError.
             stats: optional
                 :class:`~repro.datalog.stats.EngineStatistics` charged
                 with the executor's work.
@@ -341,11 +320,13 @@ class MetatheoryWorkbench:
 
         Every statement is planned by the session's optimizer
         (``wb.optimizer``); a workbench built with
-        ``Optimizer(disable=rule_names())`` runs plans as written.
+        ``Optimizer(disable=rule_names())`` runs plans as written.  The
+        plan runs on its fused Python kernel, compiled on the plan
+        shape's first run and cached per shape.
         """
-        return self._query("sql", text, executor, stats, txn=txn)
+        return self._query("sql", text, stats, txn=txn)
 
-    def _dml(self, stmt, executor, stats, capture=None, txn=None):
+    def _dml(self, stmt, stats, capture=None, txn=None):
         """Run a DML statement: its relational side (the INSERT source,
         the matched-row scan of a WHERE) through the pipeline, then its
         delta.
@@ -366,8 +347,7 @@ class MetatheoryWorkbench:
         target = stmt.target
         with tracer.span("dml", kind=stmt.kind, target=target) as span:
             executed = self._run_pipeline(
-                stmt.source_expr(), stats, capture, executor, db=db,
-                txn=txn,
+                stmt.source_expr(), stats, capture, db=db, txn=txn
             )
             if txn is not None:
                 # The delta is computed against the target's current
@@ -435,25 +415,22 @@ class MetatheoryWorkbench:
         """
         return self.db.snapshot()
 
-    def algebra(self, expr, executor=True, stats=None):
-        """Evaluate a relational-algebra expression (``executor`` and
-        ``stats`` as in :meth:`sql`)."""
-        return self._query("algebra", expr, executor, stats)
+    def algebra(self, expr, stats=None):
+        """Evaluate a relational-algebra expression (``stats`` as in
+        :meth:`sql`)."""
+        return self._query("algebra", expr, stats)
 
-    def calculus(self, query, via="algebra", executor=True, stats=None):
-        """Evaluate a safe calculus query.
+    def calculus(self, query, stats=None):
+        """Evaluate a safe calculus query through Codd's translation to
+        algebra (:meth:`codd_check` compares it with the active-domain
+        semantics).
 
         Args:
             query: a :class:`~repro.relational.calculus.Query` or query
                 text like ``"{(x) | person(x)}"``.
-            via: "algebra" compiles through Codd's translation (the
-                production path); "direct" uses active-domain enumeration
-                (the semantics oracle).  Any other value raises
-                ValueError.
-            executor: as in :meth:`sql`.
             stats: optional EngineStatistics charged with executor work.
         """
-        return self._query("calculus", query, executor, stats, via=via)
+        return self._query("calculus", query, stats)
 
     def run(self, query, kind=None, executor=True, stats=None):
         """Run a query in any front-end language; auto-detects the kind.
@@ -464,8 +441,7 @@ class MetatheoryWorkbench:
         :class:`~repro.datalog.facts.FactStore`, computed over this
         session's relations by the semi-naive driver, one strongly
         connected component at a time: each rule and differential
-        variant is a cached plan run on its kernel
-        (``executor=False``: on the tree walk), and a non-recursive
+        variant is a cached plan run on its kernel, and a non-recursive
         component runs each of its rules once.
 
         Args:
@@ -473,17 +449,19 @@ class MetatheoryWorkbench:
                 (object or ``{...}`` text), or Datalog source.
             kind: force the front-end ("sql", "algebra", "calculus",
                 "datalog") instead of auto-detecting.
-            executor: as in :meth:`sql`.
+            executor: True or ``"compiled"``, two spellings of the one
+                route (the end-to-end benchmark passes both); any other
+                value raises ValueError.
             stats: optional EngineStatistics.
         """
-        return self._query(kind, query, executor, stats)
+        _check_choice("executor", executor, EXECUTORS)
+        return self._query(kind, query, stats)
 
-    def _fixpoint(self, program, executor, stats, capture=None):
+    def _fixpoint(self, program, stats, capture=None):
         """The model of a program by semi-naive rounds over this
         session's relations: each lowered rule and differential variant
         is planned through the plan cache and the optimizer, resolved
-        once, and run on its kernel (or, with ``executor`` False, on the
-        tree walk) every round.
+        once, and run on its kernel every round.
 
         A ``capture`` marked ``analyze`` (EXPLAIN ANALYZE) runs every
         plan on its kernel's instrumented variant and receives the
@@ -499,9 +477,7 @@ class MetatheoryWorkbench:
             entry, hit, key, values = self._plan_for(expr, db=db)
             hits.append(hit)
             step = dict(capture) if analyze else None
-            run = self._route(
-                entry, key, values, executor, step, db, db_schema
-            )
+            run = self._route(entry, key, values, step, db, db_schema)
             if step is None:
                 return run
 
@@ -531,40 +507,28 @@ class MetatheoryWorkbench:
 
     # -- the gateway -------------------------------------------------------------
 
-    def _query(self, kind, query, executor=True, stats=None, via="algebra",
-               txn=None, capture=None):
+    def _query(self, kind, query, stats=None, txn=None, capture=None):
         """The one gateway of every query method.
 
-        Checks ``executor``, ``via`` and ``kind`` (detected from the
-        query when None) and runs the query on its front end
-        (:meth:`_dispatch`).  While the history records, the call runs
-        under the flight recorder: it allocates a capture dict (unless
-        EXPLAIN ANALYZE passed its own) and, when the caller passed
-        none, the statistics object, and appends the record in a
-        ``finally`` so failed queries are captured too.  With the
-        history off it allocates neither.
+        Checks ``kind`` (detected from the query when None) and runs the
+        query on its front end (:meth:`_dispatch`).  While the history
+        records, the call runs under the flight recorder: it allocates
+        a capture dict (unless EXPLAIN ANALYZE passed its own) and,
+        when the caller passed none, the statistics object, and appends
+        the record in a ``finally`` so failed queries are captured too.
+        With the history off it allocates neither.
         """
-        executor = bool(_check_choice("executor", executor, EXECUTORS))
-        _check_choice("via", via, VIAS)
         if kind is None:
             kind = self._detect_kind(query)
         _check_choice("query kind", kind, KINDS)
         if not self.history.enabled:
-            return self._dispatch(
-                kind, query, executor, stats, via, capture, txn
-            )
+            return self._dispatch(kind, query, stats, capture, txn)
         if capture is None:
             capture = {}
-            if (
-                self.history.slow_ms is not None
-                and executor
-                and kind != "datalog"
-                and via != "direct"
-            ):
+            if self.history.slow_ms is not None and kind != "datalog":
                 # Run each kernel's instrumented variant so a slow
-                # query's OpReport exists without a re-run.  The tree
-                # walk and Datalog programs have no per-operator
-                # reports; they record wall time and counters only.
+                # query's OpReport exists without a re-run.  Datalog
+                # programs record wall time and counters only.
                 capture["analyze"] = True
         if stats is None:
             stats = EngineStatistics()
@@ -572,9 +536,7 @@ class MetatheoryWorkbench:
         error = None
         result = None
         try:
-            result = self._dispatch(
-                kind, query, executor, stats, via, capture, txn
-            )
+            result = self._dispatch(kind, query, stats, capture, txn)
             return result
         except Exception as exc:
             error = exc
@@ -585,33 +547,29 @@ class MetatheoryWorkbench:
                 stats=stats, capture=capture, error=error,
             )
 
-    def _dispatch(self, kind, query, executor, stats, via, capture, txn):
+    def _dispatch(self, kind, query, stats, capture, txn):
         """Run ``query`` on the front end ``kind`` names."""
         if kind == "sql":
             expr = self._cached_parse("sql", query, parse_sql, capture)
             if isinstance(expr, DMLStatement):
-                return self._dml(expr, executor, stats, capture, txn)
+                return self._dml(expr, stats, capture, txn)
             return self._run_pipeline(
-                expr, stats, capture, executor,
+                expr, stats, capture,
                 db=txn.view() if txn is not None else None, txn=txn,
             )
         if kind == "algebra":
-            return self._run_pipeline(query, stats, capture, executor)
+            return self._run_pipeline(query, stats, capture)
         if kind == "calculus":
             if isinstance(query, str):
                 query = self._cached_parse(
                     "calculus", query, parse_calculus, capture
                 )
-            if via == "direct":
-                if capture is not None:
-                    capture["route"] = "direct"
-                return evaluate_query(query, self.db)
             expr = calculus_to_algebra(query, self.db.schema())
-            return self._run_pipeline(expr, stats, capture, executor)
+            return self._run_pipeline(expr, stats, capture)
         program, _queries = self._cached_parse(
             "datalog", query, parse_program, capture
         )
-        return self._fixpoint(program, executor, stats, capture)
+        return self._fixpoint(program, stats, capture)
 
     def _detect_kind(self, query):
         from ..relational.algebra import AlgebraExpr
@@ -679,7 +637,7 @@ class MetatheoryWorkbench:
             ),
             "kind": kind,
         }
-        result = self._query(kind, query, stats=stats, capture=capture)
+        result = self._query(kind, query, stats, capture=capture)
         explained = capture["explained"]
         explained.result = result
         explained.plan_cache_hit = capture.get("plan_cache_hit")

@@ -112,8 +112,9 @@ def seminaive_iterations(program, edb=None, stats=None, tracer=NULL_TRACER,
             a ``{name: Relation}`` mapping and returns its Relation.
             It is called once per plan and evaluation, before the
             plan's component runs.  The workbench passes its pipeline
-            (plan cache, optimizer, kernel cache or tree walk; EXPLAIN
-            ANALYZE the instrumented kernels).  Defaults to the plan's
+            (plan cache, optimizer, kernel cache; EXPLAIN ANALYZE the
+            instrumented kernels); tests pass a tree walk of the same
+            plans as the oracle.  Defaults to the plan's
             one-shot kernel, resolved once per program and layout.
 
     Returns:

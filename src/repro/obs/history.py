@@ -4,7 +4,7 @@ Every query that enters a recording :class:`~repro.core.workbench
 .MetatheoryWorkbench` — through any front-end, succeeding or raising —
 leaves one :class:`QueryRecord` in a ring buffer: kind, text hash, wall
 time, rows out, tuples materialized, optimizer rules fired, cache
-outcomes, executor route, and the error if one was raised.  Like its
+outcomes, route, and the error if one was raised.  Like its
 aviation namesake the recorder captures *continuously* and keeps a
 bounded window (``capacity`` most recent queries); a crash is exactly
 when the tape matters most, so recording happens in a ``finally`` and a
@@ -70,9 +70,8 @@ class QueryRecord:
         plan_fingerprint: short hash of the plan-cache key, joinable
             against ``sys_plan_cache``; None off the pipeline path.
         route: how the query executed ("compiled" for a kernel,
-            instrumented or not; "treewalk", "direct",
-            "datalog:fixpoint" for every Datalog program, and
-            "dml:<kind>:<route>" for DML).
+            instrumented or not; "datalog:fixpoint" for every Datalog
+            program, and "dml:<kind>:compiled" for DML).
         slow: True when ``wall_ms`` crossed the armed threshold.
         instrumented: True when the run used the instrumented executor.
         report: the :class:`~repro.plan.explain.OpReport` tree attached

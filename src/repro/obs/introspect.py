@@ -22,9 +22,8 @@ The eight system relations:
                     (:mod:`repro.obs.history`)
 ``sys_plan_cache``  one row per cached plan template (keyed with the
                     optimizer's configuration), with per-entry hit
-                    counts, the route that last served it, and the
-                    fingerprint of the kernel when that route was
-                    compiled
+                    counts and the fingerprint of the kernel that last
+                    served it
 ``sys_kernels``     one row per kernel-cache entry (status "compiled",
                     with its fused-pipeline count and hits)
 ``sys_catalog_stats``  the optimizer catalog's census, one row per
@@ -86,7 +85,7 @@ SYS_QUERY_LOG = RelationSchema(
 )
 SYS_PLAN_CACHE = RelationSchema(
     "sys_plan_cache",
-    ("entry", "plan_fingerprint", "hits", "last_route", "kernel_fingerprint"),
+    ("entry", "plan_fingerprint", "hits", "kernel_fingerprint"),
 )
 SYS_KERNELS = RelationSchema(
     "sys_kernels", ("entry", "plan_fingerprint", "status", "pipelines",
@@ -217,13 +216,11 @@ class SystemRelations:
 
     def rows_plan_cache(self):
         """One row per cached plan entry, insertion order, with hits
-        and the executor route that last served it."""
+        and the fingerprint of the kernel that last served it."""
         fingerprint = self.wb.plan_cache.fingerprint
         return [
-            (index, fingerprint(key), hits, route, kernel)
-            for index, key, hits, route, kernel in (
-                self.wb.plan_cache.entries()
-            )
+            (index, fingerprint(key), hits, kernel)
+            for index, key, hits, kernel in self.wb.plan_cache.entries()
         ]
 
     def rows_kernels(self):

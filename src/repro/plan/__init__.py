@@ -38,10 +38,10 @@ Kernels are the one executor; the tree walk is the differential oracle.
   a :class:`~repro.obs.trace.Tracer`.
 
 The materialize-everything tree walk
-(:func:`~repro.relational.algebra.evaluate`) stays available behind
-``executor=False`` on every workbench entry point, where it runs the
-same cached plan as the kernel — for Datalog, every semi-naive rule
-and differential variant plan.
+(:func:`~repro.relational.algebra.evaluate`) is the oracle: the tests
+and the conformance kit call it directly, on the bound plan a session
+cached or on the raw expression, and compare its answer with the
+kernel's.  No workbench entry point runs it.
 """
 
 from .cache import PlanCache

@@ -45,7 +45,7 @@ class PlanCache:
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_entries",
-                 "_hits_by_key", "_route_by_key", "_kernel_by_key")
+                 "_hits_by_key", "_kernel_by_key")
 
     def __init__(self, capacity=128):
         self.capacity = capacity
@@ -54,7 +54,6 @@ class PlanCache:
         self.evictions = 0
         self._entries = {}
         self._hits_by_key = {}
-        self._route_by_key = {}
         self._kernel_by_key = {}
 
     def __len__(self):
@@ -78,25 +77,19 @@ class PlanCache:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
             del self._hits_by_key[oldest]
-            self._route_by_key.pop(oldest, None)
             self._kernel_by_key.pop(oldest, None)
             self.evictions += 1
         self._entries[key] = value
         self._hits_by_key.setdefault(key, 0)
 
-    def note_route(self, key, route, kernel=None):
-        """Record which executor route last served this entry.
-
-        ``sys_plan_cache`` exposes it as ``last_route`` ("compiled"
-        for a kernel, "treewalk" for the oracle); ``kernel`` is the
-        serving kernel's fingerprint when the route was compiled,
-        joinable against ``sys_kernels``.  Unknown keys are ignored
-        (the entry may have been evicted between resolve and run).
+    def note_kernel(self, key, kernel):
+        """Record the fingerprint of the kernel that last served this
+        entry (``sys_plan_cache.kernel_fingerprint``, joinable against
+        ``sys_kernels``).  Unknown keys are ignored (the entry may have
+        been evicted between resolve and run).
         """
         if key in self._entries:
-            self._route_by_key[key] = route
-            if kernel is not None:
-                self._kernel_by_key[key] = kernel
+            self._kernel_by_key[key] = kernel
 
     @staticmethod
     def fingerprint(key):
@@ -108,12 +101,11 @@ class PlanCache:
         return "%012x" % (hash(key) & 0xFFFFFFFFFFFF)
 
     def entries(self):
-        """``(index, key, hits, last_route, kernel_fingerprint)`` per
-        live entry, in insertion order.  ``last_route`` is None until a
-        run completes; ``kernel_fingerprint`` until a compiled one does."""
+        """``(index, key, hits, kernel_fingerprint)`` per live entry, in
+        insertion order.  ``kernel_fingerprint`` is None until a run
+        resolves the entry's kernel."""
         return [
-            (index, key, self._hits_by_key[key],
-             self._route_by_key.get(key), self._kernel_by_key.get(key))
+            (index, key, self._hits_by_key[key], self._kernel_by_key.get(key))
             for index, key in enumerate(self._entries)
         ]
 
@@ -151,7 +143,6 @@ class PlanCache:
             if _references(key, names):
                 del self._entries[key]
                 del self._hits_by_key[key]
-                self._route_by_key.pop(key, None)
                 self._kernel_by_key.pop(key, None)
                 dropped += 1
         return dropped
@@ -160,7 +151,6 @@ class PlanCache:
         """Drop all entries and reset every counter (schema changed)."""
         self._entries.clear()
         self._hits_by_key.clear()
-        self._route_by_key.clear()
         self._kernel_by_key.clear()
         self.hits = 0
         self.misses = 0

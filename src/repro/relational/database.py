@@ -108,7 +108,7 @@ class Database:
         """The database's :class:`~repro.storage.mvcc.MVCCStore`.
 
         Created lazily (a read-only database pays nothing); every
-        committed mutation registers its new bindings here.
+        committed mutation takes its version id here.
         """
         if self._store is None:
             from ..storage.mvcc import MVCCStore
@@ -148,12 +148,12 @@ class Database:
         self._relations = bindings
         # Index lifetime: indexes live on the current binding only (the
         # next version inherits them through Relation.with_delta), so
-        # undo images and retained versions never pin a superseded copy.
+        # undo images never pin a superseded copy.
         for name, old in undo.items():
             if old is not ABSENT and old is not bindings.get(name):
                 old.drop_indexes()
         changed = list(changes) + [n for n in removed if n not in changes]
-        vid = store.commit(bindings, changed)
+        vid = store.commit(changed)
         if journal:
             for name in changed:
                 inserted, deleted = (counts or {}).get(name, (0, 0))

@@ -77,7 +77,7 @@ class Relation:
         """Forget every cached index (the tuples are untouched).
 
         The database calls this on a binding it supersedes, so undo
-        images and retained versions hold tuples only.
+        images hold tuples only.
         """
         self._indexes = None
 

@@ -2,8 +2,8 @@
 
 Relations are already immutable; this module makes the *bindings map*
 immutable too.  Every committed mutation builds a **new** ``{name:
-Relation}`` dict (sharing every unchanged Relation by reference) and
-registers it here under a fresh version id.  A snapshot is therefore
+Relation}`` dict (sharing every unchanged Relation by reference), and
+this store gives the change a fresh version id.  A snapshot is therefore
 just a pinned dict reference — O(1) to take, never copied, and
 impervious to later writers — which is what gives readers repeatable
 reads while concurrent transactions commit.
@@ -16,29 +16,13 @@ version ids:
   clearing whole caches;
 * the last-writer version per relation (``last_writer``) — the
   timestamp concurrency control validates read/write sets against it;
-* the :class:`~repro.storage.journal.WriteJournal` and a bounded tail of
-  retained :class:`Version` records (the ``sys_versions`` feed).
+* the :class:`~repro.storage.journal.WriteJournal` (the ``sys_versions``
+  feed, and the rollback's before-images).
+
+The store keeps no superseded bindings dict: a snapshot pins its own.
 """
 
 from __future__ import annotations
-
-from collections import deque
-
-
-class Version:
-    """One committed version: id plus the bindings dict it pinned."""
-
-    __slots__ = ("vid", "bindings", "changed")
-
-    def __init__(self, vid, bindings, changed=()):
-        self.vid = vid
-        self.bindings = bindings
-        self.changed = tuple(changed)
-
-    def __repr__(self):
-        return "Version(v%d, %d relations, changed=%r)" % (
-            self.vid, len(self.bindings), list(self.changed)
-        )
 
 
 class Snapshot:
@@ -65,24 +49,19 @@ class MVCCStore:
     """Version bookkeeping for one database's copy-on-write bindings."""
 
     __slots__ = ("vid", "relation_versions", "last_writer", "journal",
-                 "_versions", "commits")
+                 "commits")
 
-    #: Retained committed versions (observability tail; snapshots pin
-    #: their own bindings dicts, so eviction never invalidates one).
-    RETAIN = 64
-
-    def __init__(self, journal=None, retain=None):
+    def __init__(self):
         from .journal import WriteJournal
 
         self.vid = 0
         self.relation_versions = {}
         self.last_writer = {}
-        self.journal = journal if journal is not None else WriteJournal()
-        self._versions = deque(maxlen=retain or self.RETAIN)
+        self.journal = WriteJournal()
         self.commits = 0
 
-    def commit(self, bindings, changed):
-        """Register a new bindings dict; returns the fresh version id.
+    def commit(self, changed):
+        """Register a new version; returns its fresh id.
 
         ``changed`` names the relations whose bindings differ from the
         previous version (added, rebound, or removed).
@@ -94,7 +73,6 @@ class MVCCStore:
                 self.relation_versions.get(name, 0) + 1
             )
             self.last_writer[name] = self.vid
-        self._versions.append(Version(self.vid, bindings, changed))
         return self.vid
 
     def version_of(self, name):
@@ -105,10 +83,6 @@ class MVCCStore:
         """Store version of the last commit that changed ``name`` (0 if
         never written since the store existed)."""
         return self.last_writer.get(name, 0)
-
-    def versions(self):
-        """Retained :class:`Version` records, oldest first."""
-        return list(self._versions)
 
     def __repr__(self):
         return "MVCCStore(v%d, %d relations versioned)" % (

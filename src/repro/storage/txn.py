@@ -170,8 +170,10 @@ class Transaction:
         self.rows_deleted += deleted
         return relation
 
-    def sql(self, text, **kwargs):
-        """Run a SQL statement (query or DML) inside this transaction.
+    def sql(self, text, stats=None):
+        """Run a SQL statement (query or DML) inside this transaction
+        (``stats`` as in :meth:`MetatheoryWorkbench.sql
+        <repro.core.workbench.MetatheoryWorkbench.sql>`).
 
         Requires the manager to be bound to a workbench (``wb.begin()``
         hands out bound transactions).
@@ -184,7 +186,7 @@ class Transaction:
                 "use MetatheoryWorkbench.begin()"
             )
         self.statements += 1
-        return wb.sql(text, txn=self, **kwargs)
+        return wb.sql(text, stats=stats, txn=self)
 
     def commit(self):
         """Atomically apply the overlay; returns the commit version id.

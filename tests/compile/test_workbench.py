@@ -1,12 +1,13 @@
 """Compiled kernels end to end: every front-end, observably.
 
-The workbench contract for compiled execution, the default route
-(``executor=True``, spelled ``"compiled"`` too): a plan shape compiles
-on its first run and every later run reuses the kernel; identical
-results to the tree walk and to a one-shot kernel on every front-end,
-``"compiled"`` visible as the route in the query history and
-``sys_plan_cache``, kernel status in EXPLAIN ANALYZE and
-``sys_kernels``, and zero code generation on a repeated query.
+The workbench contract for compiled execution, its one route
+(``wb.run``'s ``executor=True``, spelled ``"compiled"`` too): a plan
+shape compiles on its first run and every later run reuses the kernel;
+identical results to the tree walk of the same cached plan
+(:mod:`tests.treewalk`) and to a one-shot kernel on every front-end,
+``"compiled"`` visible as the route in the query history, the kernel's
+fingerprint in ``sys_plan_cache``, kernel status in EXPLAIN ANALYZE
+and ``sys_kernels``, and zero code generation on a repeated query.
 """
 
 from repro.core.workbench import MetatheoryWorkbench
@@ -21,7 +22,11 @@ from repro.relational import algebra as ra
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.relational.calculus import evaluate_query
+from repro.relational.calculus_parser import parse_calculus
 from repro.relational.sql_frontend import parse_sql
+
+from ..treewalk import walk, walk_datalog
 
 
 def make_wb(**kwargs):
@@ -70,10 +75,10 @@ class TestFrontEnds:
     def test_sql_compiled_matches_streaming(self):
         wb = make_wb(history=True)
         cold, compiled, routes = twice(
-            wb, lambda: wb.sql(SQL, executor="compiled")
+            wb, lambda: wb.run(SQL, executor="compiled")
         )
         assert routes == ("compiled", "compiled")
-        assert compiled == cold == wb.sql(SQL, executor=False)
+        assert compiled == cold == walk(wb, SQL)
         assert compiled == streamed(wb, parse_sql(SQL))
 
     def test_algebra_compiled_matches_streaming(self):
@@ -86,18 +91,18 @@ class TestFrontEnds:
             wb, lambda: wb.run(expr, executor="compiled")
         )
         assert routes == ("compiled", "compiled")
-        assert compiled == cold == wb.run(expr, executor=False)
+        assert compiled == cold == walk(wb, expr)
         assert compiled == streamed(wb, expr)
 
     def test_calculus_compiled_matches_streaming(self):
         wb = make_wb(history=True)
         query = "{(n) | exists p . person(p, n)}"
         cold, compiled, routes = twice(
-            wb, lambda: wb.calculus(query, executor="compiled")
+            wb, lambda: wb.run(query, executor="compiled")
         )
         assert routes == ("compiled", "compiled")
-        assert compiled == cold == wb.calculus(query, executor=False)
-        assert compiled == wb.calculus(query, via="direct")
+        assert compiled == cold == walk(wb, query)
+        assert compiled == evaluate_query(parse_calculus(query), wb.db)
 
     def test_datalog_compiled_matches_lowered(self):
         wb = make_wb(history=True)
@@ -110,7 +115,7 @@ class TestFrontEnds:
         # The standalone driver runs the same lowered rule plans on
         # one-shot kernels.
         assert compiled == seminaive_evaluate(program, db=make_wb().db)
-        assert compiled == wb.run(source, executor=False)
+        assert compiled == walk_datalog(wb, source)
 
     def test_optimized_and_unoptimized_compiled_agree(self):
         # Unoptimized: the plan as written, by a no-rule optimizer.
@@ -127,10 +132,10 @@ class TestFrontEnds:
 class TestKernelReuse:
     def test_repeat_query_does_zero_codegen(self):
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         codegens = wb.kernel_cache.stats()["codegens"]
         assert codegens == 1  # compiled on the first run
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         stats = wb.kernel_cache.stats()
         assert stats["codegens"] == codegens
         assert stats["hits"] >= 1
@@ -139,11 +144,11 @@ class TestKernelReuse:
         # Surgical coherence: adding a relation the query never reads
         # leaves its compiled kernel hot.
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         codegens = wb.kernel_cache.stats()["codegens"]
         assert len(wb.kernel_cache) >= 1
         wb.db.add(Relation(RelationSchema("extra", ("x",)), [(1,)]))
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         stats = wb.kernel_cache.stats()
         assert stats["codegens"] == codegens
         assert stats["hits"] >= 1
@@ -152,7 +157,7 @@ class TestKernelReuse:
         # ... but reshaping a relation the query reads drops the kernel
         # (attribute positions were compiled in) and recompiles.
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         codegens = wb.kernel_cache.stats()["codegens"]
         wb.db.remove("likes")
         wb.db.add(
@@ -161,7 +166,7 @@ class TestKernelReuse:
                 [(i % 30, "i%d" % (i % 7), i) for i in range(60)],
             )
         )
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         assert wb.kernel_cache.stats()["codegens"] > codegens
 
 
@@ -181,7 +186,7 @@ class TestObservability:
         )
         assert explained.as_dict()["kernel"]["status"] == "compiled"
 
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         again = wb.explain_analyze(SQL).kernel
         assert again["fingerprint"] == kernel["fingerprint"]
         assert again["hits"] == 2
@@ -189,17 +194,17 @@ class TestObservability:
 
     def test_sys_kernels_joins_sys_plan_cache(self):
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         joined = wb.sql(
-            "SELECT kernels.status, cache.last_route FROM sys_kernels"
-            " kernels, sys_plan_cache cache WHERE"
+            "SELECT kernels.status, cache.entry, cache.hits FROM"
+            " sys_kernels kernels, sys_plan_cache cache WHERE"
             " kernels.plan_fingerprint = cache.kernel_fingerprint"
         )
-        assert ("compiled", "compiled") in joined.tuples
+        assert ("compiled", 0, 0) in joined.tuples  # SQL's entry
 
     def test_sys_metrics_publishes_kernel_cache(self):
         wb = make_wb()
-        wb.sql(SQL, executor="compiled")
+        wb.sql(SQL)
         rows = wb.sql(
             "SELECT name, value FROM sys_metrics"
             " WHERE stat = 'value' AND name = 'kernel_cache_codegens'"
@@ -217,9 +222,9 @@ def refuse_one_shot(monkeypatch):
 
 
 class TestDefaultRoute:
-    """``executor=True`` runs the cached plan's kernel, compiled on the
-    plan shape's first run; the armed flight recorder runs the same
-    kernel's instrumented variant."""
+    """Every query runs the cached plan's kernel, compiled on the plan
+    shape's first run; the armed flight recorder runs the same kernel's
+    instrumented variant."""
 
     def test_default_route_compiles_on_the_first_run(self, monkeypatch):
         wb = make_wb(history=True)
@@ -232,12 +237,12 @@ class TestDefaultRoute:
         assert (status, hits) == ("compiled", 0)
         second = wb.sql(SQL)
         assert wb.history.last().route == "compiled"
-        assert second == first == wb.sql(SQL, executor=False)
+        assert second == first == walk(wb, SQL)
         assert wb.kernel_cache.stats()["codegens"] == 1
         [(_i, _f, status, _p, hits)] = wb.db["sys_kernels"].tuples
         assert (status, hits) == ("compiled", 1)
         [row] = wb.db["sys_plan_cache"].tuples
-        assert row[3:] == ("treewalk", fingerprint)  # the last run
+        assert row[3] == fingerprint
         assert wb.kernel_cache.stats()["fallback_runs"] == 0
 
     def test_no_shared_semijoin_runs_on_its_kernel(self):
@@ -260,7 +265,7 @@ class TestDefaultRoute:
                 query = node(ra.RelationRef("person"), right)
                 _first, result, routes = twice(wb, lambda: wb.run(query))
                 assert routes == ("compiled", "compiled")
-                assert result == wb.run(query, executor=False)
+                assert result == walk(wb, query)
         assert {row[2] for row in wb.db["sys_kernels"].tuples} == {
             "compiled"
         }
@@ -275,7 +280,7 @@ class TestDefaultRoute:
             assert record.instrumented and record.slow
             assert record.report is not None
             assert record.report.rows == len(result)
-        assert result == wb.sql(SQL, executor=False)
+        assert result == walk(wb, SQL)
         # The variant hangs off the one cached kernel.
         stats = wb.kernel_cache.stats()
         assert (stats["codegens"], len(wb.kernel_cache)) == (1, 1)

@@ -1,17 +1,13 @@
-"""Tests for the workbench facade, equivalence harness, and generators."""
+"""Tests for the workbench facade and the random-instance generators."""
 
 import pytest
 
 from repro import MetatheoryWorkbench
 from repro.core import (
     chain_edges,
-    chase_vs_armstrong,
-    codd_experiment,
     cycle_edges,
-    datalog_experiment,
     edge_database,
     edge_store,
-    optimizer_experiment,
     random_database,
     random_edb,
     random_fds,
@@ -24,6 +20,7 @@ from repro.core import (
     tree_edges,
 )
 from repro.relational import Query, RelAtom, Var, is_safe_range
+from repro.relational.calculus import evaluate_query
 
 
 @pytest.fixture
@@ -51,9 +48,11 @@ class TestWorkbench:
         assert len(workbench.algebra(RelationRef("parent"))) == 3
 
     def test_calculus_both_paths_agree(self, workbench):
+        # Codd's translation (the one route) against the active-domain
+        # semantics (the oracle, called directly).
         q = Query(["p", "c"], RelAtom("parent", [Var("p"), Var("c")]))
         via_algebra = workbench.calculus(q)
-        direct = workbench.calculus(q, via="direct")
+        direct = evaluate_query(q, workbench.db)
         assert set(via_algebra.tuples) == set(direct.tuples)
 
     def test_codd_check(self, workbench):
@@ -91,10 +90,15 @@ class TestWorkbench:
         assert wb.is_acyclic()
         assert wb.full_join() == wb.full_join(method="naive")
 
-    @pytest.mark.parametrize("executor", ["parallel", "complied"])
+    @pytest.mark.parametrize("executor", ["parallel", "complied", False])
     def test_unknown_executor_rejected_everywhere(self, workbench, executor):
+        # ``run`` takes only the one route's two spellings; no other
+        # query method takes the keyword at all.
         from repro.relational import RelationRef
 
+        for query in ("SELECT p FROM parent", "anc(X,Y) :- parent(X,Y)."):
+            with pytest.raises(ValueError, match="True, 'compiled'"):
+                workbench.run(query, executor=executor)
         txn = workbench.begin()
         calls = [
             lambda: workbench.sql("SELECT p FROM parent", executor=executor),
@@ -104,42 +108,51 @@ class TestWorkbench:
             lambda: workbench.calculus(
                 "{(p) | exists c . parent(p, c)}", executor=executor
             ),
-            lambda: workbench.run("SELECT p FROM parent", executor=executor),
-            lambda: workbench.run(
-                "anc(X,Y) :- parent(X,Y).", executor=executor
-            ),
             lambda: txn.sql("SELECT p FROM parent", executor=executor),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match="'compiled'"):
+            with pytest.raises(TypeError, match="executor"):
                 call()
+        assert txn.statements == 0
         txn.rollback()
 
 
 class TestFrontDoor:
-    """Every query enters through one gateway; the session's optimizer
-    (``Optimizer(disable=...)``) is the one switch for which rewrites
-    run, and an unknown argument value fails loudly."""
+    """Every query enters through one gateway and runs one route; the
+    session's optimizer (``Optimizer(disable=...)``) is the one switch
+    for which rewrites run, and an unknown argument value fails
+    loudly."""
 
     REMOVED = {"optimized", "plan_cache_size", "verify_on_commit"}
 
     def test_no_removed_knob_is_accepted(self):
         import inspect
 
-        from repro.storage.txn import TransactionManager
+        from repro.storage.mvcc import MVCCStore
+        from repro.storage.txn import Transaction, TransactionManager
 
-        callables = [
-            getattr(MetatheoryWorkbench, name)
-            for name in ("sql", "algebra", "calculus", "run",
-                         "explain_analyze")
-        ] + [MetatheoryWorkbench.__init__, TransactionManager.__init__]
-        for function in callables:
+        removed = {
+            MetatheoryWorkbench.sql: {"executor"},
+            MetatheoryWorkbench.algebra: {"executor"},
+            MetatheoryWorkbench.calculus: {"executor", "via"},
+            MetatheoryWorkbench.run: set(),
+            MetatheoryWorkbench.explain_analyze: {"executor"},
+            MetatheoryWorkbench.__init__: set(),
+            TransactionManager.__init__: set(),
+            Transaction.sql: {"executor"},
+            MVCCStore.__init__: {"journal", "retain"},
+        }
+        for function, knobs in removed.items():
             parameters = set(inspect.signature(function).parameters)
-            assert not parameters & self.REMOVED, function.__qualname__
+            assert not parameters & (self.REMOVED | knobs), (
+                function.__qualname__
+            )
 
-    def test_unknown_via_is_rejected(self, workbench):
-        with pytest.raises(ValueError, match="'algebra', 'direct'"):
-            workbench.calculus("{(p) | exists c . parent(p, c)}", via="drect")
+    def test_one_route_is_left(self):
+        import repro.core.workbench as workbench_module
+
+        assert workbench_module.EXECUTORS == (True, "compiled")
+        assert not hasattr(workbench_module, "VIAS")
 
     def test_unknown_join_method_is_rejected(self, workbench):
         with pytest.raises(ValueError, match="'yannakakis', 'naive'"):
@@ -175,21 +188,10 @@ class TestPackageImport:
 
 
 class TestEquivalenceHarness:
-    def test_codd_experiment_confirms(self):
-        report = codd_experiment(trials=15, seed=3)
-        assert report.confirmed, report.failures
-
-    def test_datalog_experiment_confirms(self):
-        report = datalog_experiment(trials=8, seed=3)
-        assert report.confirmed, report.failures
-
-    def test_optimizer_experiment_confirms(self):
-        report = optimizer_experiment(trials=15, seed=3)
-        assert report.confirmed, report.failures
-
-    def test_chase_experiment_confirms(self):
-        report = chase_vs_armstrong(trials=20, seed=3)
-        assert report.confirmed, report.failures
+    """What the equivalence harness left behind: its safe-query
+    generator, which the ``calculus-differential`` conformance family
+    draws from.  Its experiments are the conformance families' and
+    ``TestChaseAgreesWithClosure``'s checks."""
 
     def test_random_safe_queries_are_safe(self):
         db = random_database(seed=5)

@@ -9,7 +9,6 @@ case).
 
 import pytest
 
-from repro.core.equivalence import random_safe_query
 from repro.core.random_instances import (
     random_algebra_expression,
     random_database,
@@ -17,6 +16,7 @@ from repro.core.random_instances import (
     random_fds,
     random_graph_edges,
     random_positive_program,
+    random_safe_query,
     same_generation_store,
 )
 

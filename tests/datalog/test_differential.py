@@ -7,10 +7,11 @@ every query.  Engine-equivalence is the one theorem every optimization in
 the logic-database era had to preserve.  Naive evaluation runs on the
 in-order scan matcher; semi-naive rounds (and magic's rewritten
 programs) run as relational plans, and ``wb.run`` runs them through a
-workbench's caches on both executors: compiled kernels over optimized
-plans, and the tree walk over plans as written (a workbench whose
-optimizer has no rule).  So the naive oracle checks the plans, and the
-two executors check each other.
+workbench's caches on compiled kernels over optimized plans, while the
+tree-walk oracle (:func:`tests.treewalk.walk_datalog`) runs the same
+driver's plans as written (cached by a workbench whose optimizer has no
+rule).  So the naive oracle checks the plans, and the kernels and the
+tree walk check each other.
 
 The fixed-program tests at the bottom pin two historical disagreement
 bugs: program-text facts of IDB predicates were dropped by magic and
@@ -34,8 +35,10 @@ from repro.datalog import (
 )
 from repro.opt import Optimizer, rule_names
 
-#: (executor, optimized) routes of the ``wb.run`` leg: kernels over
-#: optimized plans, and the tree walk over plans as written.
+from ..treewalk import walk_datalog
+
+#: (executor, optimized) routes of the session leg: ``wb.run``'s kernels
+#: over optimized plans, and the tree-walk oracle over plans as written.
 ROUTES = [(True, True), (False, False)]
 
 #: Number of randomized programs per route (the acceptance criterion
@@ -67,13 +70,17 @@ def _case(seed):
 
 
 def session_model(program, edb, executor=True, optimized=True):
-    """``wb.run`` of the program's text over a workbench storing the
-    EDB; unoptimized, the workbench's optimizer has no rule."""
+    """The model of the program's text over a workbench storing the
+    EDB: ``wb.run`` (``executor`` True), or the tree walk of the same
+    rule plans (False); unoptimized, the workbench's optimizer has no
+    rule."""
     wb = MetatheoryWorkbench(
         edb.to_database(),
         optimizer=None if optimized else Optimizer(disable=rule_names()),
     )
-    return wb.run(str(program), kind="datalog", executor=executor)
+    if not executor:
+        return walk_datalog(wb, str(program))
+    return wb.run(str(program), kind="datalog")
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,7 +115,8 @@ def test_engines_agree_on_random_programs(seed, executor, optimized):
 @pytest.mark.parametrize("seed", range(0, NUM_SEEDS, 7))
 def test_physical_configs_agree_with_each_other(seed):
     """Neither the executor nor the optimizer may change a session's
-    answers: every (executor, optimized) route gives one model."""
+    answers: the kernels and the tree walk, each over optimized plans
+    and plans as written, give one model."""
     program, edb, _queries = _case(seed)
     models = [
         session_model(program, edb, executor, optimized)

@@ -5,11 +5,14 @@ differential round's work follows that round's delta and builds no
 index again; a session's repeated recursive ``wb.run`` plans, optimizes
 and compiles nothing new, while DML on an EDB relation drops exactly
 the plans that read it; one program exercising every lowering edge case
-matches the naive oracle on both executors; the driver's delta
+matches the naive oracle on the kernels and on the tree walk of the
+same plans (:mod:`tests.treewalk`); the driver's delta
 relations cannot collide with a stored relation; every engine and route
 keeps the NaN rule; and a standalone repeat lowers, rewrites and
 indexes nothing again.
 """
+
+from functools import partial
 
 import pytest
 
@@ -30,6 +33,8 @@ from repro.obs import Tracer
 from repro.obs.introspect import materialize_system_facts
 from repro.opt import Optimizer
 from repro.relational.database import Database
+
+from ..treewalk import run_or_walk, walk_datalog
 
 TC = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z)."
 
@@ -180,7 +185,7 @@ class TestLoweringEdgeCases:
         }
         assert expected.get("touched") == {("edge",), ("reach",)}
         for _run in range(2):
-            assert wb.run(EDGE_CASES, executor=executor) == expected
+            assert run_or_walk(wb, EDGE_CASES, executor) == expected
         assert wb.db["reach"].tuples == {(10,)}  # the stored rows stay
 
     def test_standalone_engine_matches_naive(self):
@@ -215,8 +220,8 @@ class TestDeltaNames:
         )
         assert delta_name(wb.db, TC) == "tc~delta~"
         expected = reference(wb, TC)
-        for executor in (True, False):
-            model = wb.run(TC, executor=executor)
+        for run in (wb.run, partial(walk_datalog, wb)):
+            model = run(TC)
             assert model == expected
             assert model.get("tc~delta") == self.STORED
         program, _ = parse_program(TC)
@@ -255,10 +260,8 @@ class TestNaNKeys:
                 "blocked": (("src", "dst"), blocked),
             })
         )
-        for executor in (True, False):
-            assert set(wb.run(self.PROGRAM, executor=executor).get(
-                "reach"
-            )) == expected
+        for run in (wb.run, partial(walk_datalog, wb)):
+            assert set(run(self.PROGRAM).get("reach")) == expected
 
 
 class TestStandaloneReuse:

@@ -30,6 +30,8 @@ from repro.plan.logical import plan_key
 from repro.relational.relation import GrowingRelation, Relation
 from repro.relational.schema import RelationSchema
 
+from ..treewalk import run_or_walk
+
 
 def fire(rule_text, facts, through_plans):
     """One rule's head tuples: on the driver's plans (a one-rule
@@ -141,12 +143,13 @@ class TestEmptyPredicateSafetyRegression:
         edb = FactStore({"e": [(1,), (2,)]})  # g has no facts at all
         assert naive_evaluate(program, edb).get("p") == frozenset()
         assert seminaive_evaluate(program, edb).get("p") == frozenset()
-        # Unoptimized: a workbench whose optimizer has no rule.
+        # Unoptimized: a workbench whose optimizer has no rule; its
+        # plans run on the tree walk (``executor`` False).
         wb = MetatheoryWorkbench(
             edb.to_database(),
             optimizer=None if optimized else Optimizer(disable=rule_names()),
         )
-        model = wb.run(source, executor=executor)
+        model = run_or_walk(wb, source, executor)
         assert model.get("p") == frozenset()
 
     def test_comparison_pending_when_bindings_die(self):

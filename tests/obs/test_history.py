@@ -9,7 +9,13 @@ from repro.errors import SchemaError
 from repro.obs import QueryHistory, QueryRecord
 from repro.obs.history import make_history, query_hash, query_text
 from repro.obs.metrics import MetricsRegistry
+from repro.plan.cache import PlanCache
+from repro.relational.algebra import evaluate
+from repro.relational.calculus import evaluate_query
+from repro.relational.calculus_parser import parse_calculus
 from repro.relational.database import Database
+
+from ..treewalk import cached_plan, walk
 
 
 def make_wb(**kwargs):
@@ -122,22 +128,30 @@ class TestWorkbenchRecording:
         assert first.plan_fingerprint == second.plan_fingerprint
 
     def test_treewalk_and_direct_routes(self):
+        # The tree walk and the active-domain semantics are oracles a
+        # test calls directly: they agree with the one route, which
+        # every relational query records, and they leave no record.
         wb = make_wb(history=True)
-        wb.sql("SELECT name FROM person", executor=False)
-        wb.calculus("{(x, y) | person(x, y)}", via="direct")
-        treewalk, direct = wb.history.records()
-        assert treewalk.route == "treewalk"
-        assert direct.route == "direct"
+        text = "{(x, y) | person(x, y)}"
+        assert wb.sql("SELECT name FROM person") == walk(
+            wb, "SELECT name FROM person"
+        )
+        assert wb.calculus(text) == evaluate_query(
+            parse_calculus(text), wb.db
+        )
+        assert [r.route for r in wb.history.records()] == [
+            "compiled", "compiled",
+        ]
 
     def test_treewalk_runs_the_cached_plan(self):
         wb = make_wb(history=True)
         query = "SELECT name FROM person WHERE pid > 1"
-        assert wb.sql(query) == wb.sql(query, executor=False)
-        first, treewalk = wb.history.records()
-        assert treewalk.route == "treewalk"
-        assert treewalk.plan_cache_hit == 1
-        assert treewalk.parse_cache_hit == 1
-        assert treewalk.plan_fingerprint == first.plan_fingerprint
+        answer = wb.sql(query)
+        plan, key = cached_plan(wb, query)
+        assert answer == evaluate(plan, wb.db)
+        [first] = wb.history.records()
+        assert wb.plan_cache.stats()["hits"] == 1
+        assert PlanCache.fingerprint(key) == first.plan_fingerprint
 
     def test_enable_disable_toggle(self):
         wb = make_wb()
@@ -299,12 +313,9 @@ class TestZeroCostWhenOff:
         handed = []
         original_dispatch = MetatheoryWorkbench._dispatch
 
-        def spying_dispatch(self, kind, query, executor, stats, via,
-                            capture, txn):
+        def spying_dispatch(self, kind, query, stats, capture, txn):
             handed.append((stats, capture))
-            return original_dispatch(
-                self, kind, query, executor, stats, via, capture, txn
-            )
+            return original_dispatch(self, kind, query, stats, capture, txn)
 
         monkeypatch.setattr(
             MetatheoryWorkbench, "_dispatch", spying_dispatch

@@ -16,6 +16,8 @@ key index.  The contract has three parts, each pinned here:
   mutated.
 """
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,8 @@ from repro.relational import algebra as ra
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+
+from ..treewalk import walk
 
 NAN = float("nan")
 
@@ -342,9 +346,9 @@ def test_carried_forward_index_equals_fresh_build(initial, deltas, warm):
 class TestNaNJoinKeys:
     """Equality never pairs NaN: not in a theta join's ``==``, and not
     in a hash index, where a dict would find the same NaN object by
-    identity.  Both executors follow the rule on every join kind, with
-    the right side a stored relation (its cached index) or not (a table
-    the kernel builds)."""
+    identity.  The kernel and the tree walk of its cached plan follow
+    the rule on every join kind, with the right side a stored relation
+    (its cached index) or not (a table the kernel builds)."""
 
     def workbench(self):
         return MetatheoryWorkbench.from_dict(
@@ -357,8 +361,8 @@ class TestNaNJoinKeys:
     def test_sql_equi_join(self):
         wb = self.workbench()
         text = "SELECT r.x, s.y FROM r, s WHERE r.a = s.b"
-        for executor in (True, False):
-            assert wb.sql(text, executor=executor).tuples == {(2, 20)}
+        assert wb.sql(text).tuples == {(2, 20)}
+        assert walk(wb, text).tuples == {(2, 20)}
 
     def test_natural_semi_and_antijoins(self):
         wb = self.workbench()
@@ -373,6 +377,6 @@ class TestNaNJoinKeys:
                 (ra.Antijoin, {(NAN, 1)}),
             ):
                 expr = node(ra.RelationRef("r"), right)
-                for executor in (True, False):
-                    answer = wb.algebra(expr, executor=executor).tuples
-                    assert answer == expected, (expr, executor)
+                for run in (wb.algebra, partial(walk, wb)):
+                    answer = run(expr).tuples
+                    assert answer == expected, (expr, run)

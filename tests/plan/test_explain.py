@@ -28,6 +28,8 @@ from repro.opt import Optimizer, rule_names
 from repro.plan import canonicalize, execute, run_explained
 from repro.relational import Projection, RelationRef
 
+from ..treewalk import walk
+
 THREE_TABLE_SQL = (
     "SELECT emp.eid, loc.name FROM emp, dept, loc "
     "WHERE emp.dept = dept.dept AND dept.loc = loc.loc"
@@ -112,7 +114,7 @@ class TestShape:
         wb = three_table_workbench()
         text = "SELECT e.eid FROM emp e WHERE e.dept = 10 AND e.eid > 1"
         result = wb.explain_analyze(text)
-        assert result.result == wb.sql(text, executor=False)
+        assert result.result == walk(wb, text)
         (lookup,) = result.find("IndexLookup(")
         assert lookup.label == "IndexLookup(emp)[eid > 1 AND dept = 10]"
         assert lookup.children == []

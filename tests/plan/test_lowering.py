@@ -3,10 +3,10 @@
 These tests pin the lowering contracts: SQL text, calculus via Codd, and
 Datalog rules all canonicalize to core-operator-only trees; the same
 logical query arriving through different front-ends hits the same
-plan-cache entry; ``executor=False`` reproduces the legacy paths bit
-for bit; and a workbench runs every Datalog program's lowered rule
-plans on its own pipeline, with the same rounds on the tree walk as the
-oracle.
+plan-cache entry; the tree walk of a session's cached plan (the
+oracle, :mod:`tests.treewalk`) reproduces the kernel's answer bit for
+bit; and a workbench runs every Datalog program's lowered rule plans on
+its own pipeline, with the same rounds on the tree walk as the oracle.
 """
 
 import pytest
@@ -24,11 +24,14 @@ from repro.errors import DatalogError, PlanError
 from repro.opt import Optimizer, rule_names
 from repro.plan import canonicalize, is_canonical, plan_key
 from repro.relational import algebra as ra
+from repro.relational.calculus import evaluate_query
 from repro.relational.codd import calculus_to_algebra
 from repro.relational.calculus_parser import parse_calculus
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.sql_frontend import parse_sql
+
+from ..treewalk import run_or_walk, walk, walk_datalog
 
 
 def company_workbench(optimizer=None):
@@ -188,7 +191,8 @@ class TestPlanCache:
 
 
 class TestLegacyEquality:
-    """executor=False reproduces the legacy paths bit for bit."""
+    """The tree walk of the plan a session cached reproduces the
+    kernel's answer bit for bit."""
 
     def test_sql(self):
         # Optimized, and as written (a no-rule optimizer).
@@ -203,13 +207,13 @@ class TestLegacyEquality:
             "SELECT * FROM works w WHERE w.dept = 'toys'",
         ):
             for wb in sessions:
-                assert wb.sql(q) == wb.sql(q, executor=False)
+                assert wb.sql(q) == walk(wb, q)
 
     def test_calculus(self):
         wb = company_workbench()
         q = "{(x) | exists d. (works(x, d) and located(d, 'sd'))}"
-        assert wb.calculus(q) == wb.calculus(q, executor=False)
-        assert wb.calculus(q) == wb.calculus(q, via="direct")
+        assert wb.calculus(q) == walk(wb, q)
+        assert wb.calculus(q) == evaluate_query(parse_calculus(q), wb.db)
 
     def test_algebra(self):
         wb = company_workbench()
@@ -220,7 +224,7 @@ class TestLegacyEquality:
                 ra.Comparison(ra.Attr("city"), "=", ra.Const("sd")),
             ),
         )
-        assert wb.algebra(expr) == wb.algebra(expr, executor=False)
+        assert wb.algebra(expr) == walk(wb, expr)
 
 
 #: A session schema whose attribute names are not positional.
@@ -348,12 +352,6 @@ def session_workbench():
     })
 
 
-def fixpoint_model(wb, source):
-    """The oracle: the same text by semi-naive rounds on the tree
-    walk."""
-    return wb.run(source, executor=False)
-
-
 class TestSessionDatalog:
     """wb.run runs every program's rule plans over the session's
     relations; every answer must equal the same rounds on the tree
@@ -384,22 +382,25 @@ class TestSessionDatalog:
         program, _ = parse_program(source)
         assert not is_recursive(program)
         model = wb.run(source, executor=executor)
-        assert model == fixpoint_model(wb, source)
+        assert model == walk_datalog(wb, source)
         assert model == naive_evaluate(
             program, FactStore.from_database(wb.db)
         )
 
     def test_routes_are_recorded(self):
-        # Every program, on every executor, runs the one driver route.
+        # Every program, on either spelling, runs the one driver route;
+        # the tree-walk oracle leaves no record.
         wb = MetatheoryWorkbench(session_workbench().db, history=True)
-        for executor in (True, "compiled", True, False):
+        for executor in (True, "compiled", True):
             wb.run("out(X) :- edge(X, Y).", executor=executor)
             assert wb.history.last().route == "datalog:fixpoint"
+        walk_datalog(wb, "out(X) :- edge(X, Y).")
+        assert len(wb.history) == 3
 
     def test_sys_predicate_in_a_body(self):
         wb = session_workbench()
         wb.sql("SELECT src FROM edge")
-        source = "cached(F) :- sys_plan_cache(I, F, H, R, K)."
+        source = "cached(F) :- sys_plan_cache(I, F, H, K)."
         model = wb.run(source)
         assert model.get("cached")
         assert model.get("sys_plan_cache")
@@ -589,7 +590,7 @@ class TestArityMismatch:
     def test_workbench_routes_raise(self, executor, source):
         wb = MetatheoryWorkbench.from_dict(self.DATA)
         with pytest.raises(DatalogError, match="'fact'.* 2 .* 3"):
-            wb.run(source, executor=executor)
+            run_or_walk(wb, source, executor)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_standalone_strategies_raise(self, strategy):
@@ -604,7 +605,7 @@ class TestArityMismatch:
     def test_empty_stored_relation_raises_too(self, executor):
         wb = MetatheoryWorkbench.from_dict({"e": (("a", "b"), [])})
         with pytest.raises(DatalogError, match="'e'.* 1 .* 2"):
-            wb.run("q(X) :- e(X).", executor=executor)
+            run_or_walk(wb, "q(X) :- e(X).", executor)
 
     def test_rule_head_over_a_stored_relation_raises(self):
         wb = MetatheoryWorkbench.from_dict(self.DATA)

@@ -46,6 +46,8 @@ from repro.relational.schema import RelationSchema
 from repro.relational.sql_frontend import parse_sql
 from repro.relational.types import INTEGER, STRING
 
+from ..treewalk import dml_delta
+
 NAN = float("nan")
 
 
@@ -236,9 +238,9 @@ class TestTypeExactKeys:
         # ever invalidates its plan: only a type-exact key keeps the
         # second INSERT off the first one's plan (and its integer row).
         wb = MetatheoryWorkbench.from_dict({"t": (("a", "b"), [])})
-        wb.sql("INSERT INTO t VALUES (1, 'p')", executor=executor)
-        wb.sql("DELETE FROM t WHERE a = 1", executor=executor)
-        wb.sql("INSERT INTO t VALUES (1.0, 'p')", executor=executor)
+        wb.run("INSERT INTO t VALUES (1, 'p')", executor=executor)
+        wb.run("DELETE FROM t WHERE a = 1", executor=executor)
+        wb.run("INSERT INTO t VALUES (1.0, 'p')", executor=executor)
         [(a, b)] = wb.db["t"].tuples
         assert (type(a), a, b) == (float, 1.0, "p")
 
@@ -393,13 +395,13 @@ class TestWorkbenchSurfaces:
         assert wb.sql(point(41)).tuples == {("c41",)}
         assert wb.sql(point(42)).tuples == {("c42",)}
         [row] = wb.db["sys_plan_cache"].tuples
-        _entry, _fp, hits, _route, _kernel = row
+        _entry, _fp, hits, _kernel = row
         assert hits == 1
 
     def test_one_kernel_after_two_compiled_runs(self):
         wb = customers()
-        assert wb.sql(point(41), executor="compiled").tuples == {("c41",)}
-        assert wb.sql(point(42), executor="compiled").tuples == {("c42",)}
+        assert wb.run(point(41), executor="compiled").tuples == {("c41",)}
+        assert wb.run(point(42), executor="compiled").tuples == {("c42",)}
         assert len(wb.db["sys_kernels"].tuples) == 1
         assert wb.kernel_cache.stats()["codegens"] == 1
 
@@ -436,10 +438,10 @@ class TestWorkbenchSurfaces:
         wb = customers()
         for executor in (True, "compiled"):
             for key in (3, 4):
-                assert wb.calculus(
+                assert wb.run(
                     "{(n) | customer(%d, n)}" % key, executor=executor
                 ).tuples == {("c%d" % key,)}
-                assert wb.algebra(
+                assert wb.run(
                     ra.Projection(select("orders", eq("ocid", key)),
                                   ("oid",)),
                     executor=executor,
@@ -451,8 +453,7 @@ class TestWorkbenchSurfaces:
         for key in (5, 6):
             wb.sql(
                 "INSERT INTO vip SELECT cid, cname FROM customer"
-                " WHERE cid = %d" % key,
-                executor="compiled",
+                " WHERE cid = %d" % key
             )
         assert wb.db["vip"].tuples == {(5, "c5"), (6, "c6")}
         # The source reads customer only, so the write to vip keeps its
@@ -548,14 +549,26 @@ class TestValuesTemplates:
 
     @pytest.mark.parametrize("executor", [True, False])
     def test_a_row_outside_the_domain_still_raises(self, executor):
+        # ``False``: the delta the tree walk of the same cached plan
+        # computes meets the same validation, applied and staged.
         wb = targets()
-        wb.sql("INSERT INTO t VALUES (1, 'a')", executor=executor)
+        wb.sql("INSERT INTO t VALUES (1, 'a')")
         bad = "INSERT INTO t VALUES ('x', 'b')"
-        with pytest.raises(SchemaError):
-            wb.sql(bad, executor=executor)
-        with pytest.raises(SchemaError):
-            with wb.begin() as txn:
-                txn.sql(bad, executor=executor)
+        if executor:
+            with pytest.raises(SchemaError):
+                wb.sql(bad)
+            with pytest.raises(SchemaError):
+                with wb.begin() as txn:
+                    txn.sql(bad)
+        else:
+            inserted, deleted, _matched = dml_delta(wb, bad)
+            assert inserted
+            with pytest.raises(SchemaError):
+                wb.db.apply_delta(
+                    "t", insert_rows=inserted, delete_rows=deleted
+                )
+            with pytest.raises(SchemaError):
+                wb.db["t"].with_delta(inserted, deleted)
         assert wb.db["t"].tuples == {(1, "a")}
 
     def test_template_leg_covers_a_values_source(self):

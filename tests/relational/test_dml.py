@@ -1,7 +1,8 @@
 """DML through the shared plan pipeline: semantics and plumbing.
 
 INSERT/DELETE/UPDATE are planned, optimized, cached, and executed like
-queries — every executor route produces the same delta — and the
+queries — every spelling of the one route, and the tree walk of the
+cached plan, produce the same delta — and the
 mutation side keeps the rest of the stack honest: cached key indexes
 are carried forward to the new binding (and dropped from the old one),
 only inserted rows are validated, catalog statistics are maintained
@@ -26,6 +27,8 @@ from repro.relational.dml import (
 )
 from repro.relational.relation import Relation
 from repro.relational.sql_frontend import parse_sql
+
+from ..treewalk import dml_delta
 
 
 def make_wb(**kwargs):
@@ -181,12 +184,25 @@ class TestSemantics:
         assert before.cached_index_patterns() == [(0,)]
 
 
+def apply_walked(wb, text):
+    """Apply the delta the tree walk of ``text``'s cached plan computes
+    (the oracle of the kernel route); returns ``(added, removed)``."""
+    stmt = parse_sql(text)
+    inserted, deleted, _matched = dml_delta(wb, text)
+    _relation, added, removed = wb.db.apply_delta(
+        stmt.target, insert_rows=inserted, delete_rows=deleted
+    )
+    return added, removed
+
+
 class TestExecutorRoutes:
-    #: ``as_written`` runs the plan as written: the workbench's
-    #: optimizer has no rule.
+    #: ``wb.run``'s two spellings of the one route, each also with
+    #: ``as_written`` (the workbench's optimizer has no rule, so the
+    #: plan runs as written), and ``oracle``: the tree walk of the
+    #: cached plan, its delta applied by :func:`apply_walked`.
     ROUTES = [
         {"executor": True},
-        {"executor": False},
+        {"oracle": True},
         {"executor": True, "as_written": True},
         {"executor": "compiled"},
         {"executor": "compiled", "as_written": True},
@@ -199,22 +215,26 @@ class TestExecutorRoutes:
         wb = make_wb(
             optimizer=Optimizer(disable=rule_names()) if as_written else None
         )
-        result = wb.sql("DELETE FROM emp WHERE salary > 75", **kwargs)
-        assert result.rows_deleted == 2
+        text = "DELETE FROM emp WHERE salary > 75"
+        if kwargs.pop("oracle", False):
+            _added, removed = apply_walked(wb, text)
+            assert len(removed) == 2
+        else:
+            assert wb.run(text, **kwargs).rows_deleted == 2
         assert wb.db["emp"].tuples == {("cal", "it", 70)}
 
     def test_compiled_insert_select_matches_streaming(self):
-        # The tree walk is the oracle of the default (compiled) route.
+        # The tree walk of the cached plan is the oracle of the kernel.
         streaming, compiled = make_wb(), make_wb()
         text = (
             "INSERT INTO dept SELECT name, dept FROM emp WHERE salary > 75"
         )
-        a = streaming.sql(text, executor=False)
+        added, removed = apply_walked(streaming, text)
         # The template compiles on its first run (no salary is over
         # 1000); the second runs the same kernel.
-        compiled.sql(text.replace("75", "1000"), executor="compiled")
-        b = compiled.sql(text, executor="compiled")
-        assert (a.rows_inserted, a.rows_deleted) == (
+        compiled.sql(text.replace("75", "1000"))
+        b = compiled.sql(text)
+        assert (len(added), len(removed)) == (
             b.rows_inserted, b.rows_deleted,
         )
         assert streaming.db["dept"].tuples == compiled.db["dept"].tuples
@@ -230,7 +250,7 @@ class TestLazyIndexes:
     first use by a read; a write carries every cached index forward to
     the new binding by patching only the changed keys
     (``Relation.with_delta``); and the superseded binding drops its
-    indexes, so undo images and retained versions hold tuples only."""
+    indexes, so undo images hold tuples only."""
 
     def test_insert_carries_key_indexes_forward(self):
         wb = make_wb()
@@ -298,8 +318,8 @@ class TestLazyIndexes:
     def test_lifetime_bound_after_many_statements(self):
         # Only the live binding may hold indexes: after 500 DML
         # statements (autocommit and transactional, reads in between
-        # warming lookups and joins) no journal undo image and no
-        # retained version pins a superseded binding's indexes.
+        # warming lookups and joins) no journal undo image pins a
+        # superseded binding's indexes.
         from repro.storage.journal import ABSENT
 
         wb = make_wb()
@@ -327,14 +347,6 @@ class TestLazyIndexes:
         ]
         assert undo_images
         assert all(rel._indexes is None for rel in undo_images)
-        retained = [
-            relation
-            for version in store.versions()
-            for relation in version.bindings.values()
-            if relation is not wb.db[relation.schema.name]
-        ]
-        assert retained
-        assert all(rel._indexes is None for rel in retained)
 
 
 class TestCatalogMaintenance:
@@ -382,12 +394,10 @@ class TestCacheCoherence:
 
     def test_same_shape_dml_keeps_compiled_kernels(self):
         wb = make_wb()
-        wb.sql("SELECT name FROM emp WHERE salary > 75",
-               executor="compiled")
+        wb.sql("SELECT name FROM emp WHERE salary > 75")
         wb.sql("INSERT INTO emp VALUES ('dee', 'it', 99)")
         codegens = wb.kernel_cache.stats()["codegens"]
-        out = wb.sql("SELECT name FROM emp WHERE salary > 75",
-                     executor="compiled")
+        out = wb.sql("SELECT name FROM emp WHERE salary > 75")
         assert ("dee",) in out.tuples
         # The insert changed data, not shape: the kernel is reused.
         assert wb.kernel_cache.stats()["codegens"] == codegens
@@ -412,9 +422,9 @@ class TestObservability:
         assert record.route == "dml:insert:compiled"
         assert record.plan_fingerprint
         assert record.rows == 1  # rows_affected is the cardinality
-        wb.sql("DELETE FROM emp WHERE dept = 'it'", executor="compiled")
+        wb.run("DELETE FROM emp WHERE dept = 'it'", executor="compiled")
         assert wb.history.last().route == "dml:delete:compiled"
-        wb.sql("DELETE FROM emp WHERE dept = 'hr'", executor="compiled")
+        wb.run("DELETE FROM emp WHERE dept = 'hr'", executor="compiled")
         assert wb.history.last().route == "dml:delete:compiled"
 
     def test_metrics_count_statements_and_rows(self):
@@ -468,7 +478,7 @@ class TestObservability:
 
     def test_explain_analyze_sees_warm_caches(self):
         wb = make_wb()
-        wb.sql("DELETE FROM emp WHERE name = 'nobody'", executor="compiled")
+        wb.sql("DELETE FROM emp WHERE name = 'nobody'")
         explained = wb.explain_analyze(
             "DELETE FROM emp WHERE name = 'nobody'"
         )

@@ -30,24 +30,16 @@ class TestMVCCStore:
     def test_commit_bumps_version_and_counters(self):
         store = MVCCStore()
         assert store.vid == 0
-        vid = store.commit({"r": object()}, ["r"])
+        vid = store.commit(["r"])
         assert vid == 1
         assert store.version_of("r") == 1
         assert store.last_writer_vid("r") == 1
         assert store.version_of("s") == 0
         assert store.last_writer_vid("s") == 0
-        store.commit({"r": object(), "s": object()}, ["s"])
+        store.commit(["s"])
         assert store.vid == 2
         assert store.version_of("r") == 1  # unchanged binding, no bump
         assert store.last_writer_vid("s") == 2
-
-    def test_retained_versions_are_a_bounded_tail(self):
-        store = MVCCStore(retain=3)
-        for i in range(6):
-            store.commit({}, ["r"])
-        versions = store.versions()
-        assert [v.vid for v in versions] == [4, 5, 6]
-        assert store.vid == 6  # eviction never rewinds the counter
 
     def test_database_store_is_lazy_and_sticky(self):
         db = Database()

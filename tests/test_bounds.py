@@ -18,13 +18,11 @@ from repro.datalog import seminaive
 from repro.obs.metrics import MetricsRegistry
 from repro.plan import execute
 from repro.relational import algebra as ra
-from repro.storage.mvcc import MVCCStore
 
 PLAN_CACHE_SIZE = 128
 KERNEL_CACHE_SIZE = 256
 HISTORY_SIZE = 256
 JOURNAL_SIZE = 1024
-VERSIONS_RETAINED = 64
 ONE_SHOT_KERNELS = 256
 LOWERED_PROGRAMS = 64
 REWRITES = 64
@@ -91,8 +89,6 @@ def test_every_cache_stays_within_its_bound():
     assert len(journal) == journal.capacity == JOURNAL_SIZE
     assert journal.appended > JOURNAL_SIZE
     assert texts == 1064  # journaled writes, one version each
-    versions = wb.db.store().versions()
-    assert len(versions) == MVCCStore.RETAIN == VERSIONS_RETAINED
     one_shot = cache.ONE_SHOT
     assert len(one_shot) <= one_shot.capacity == ONE_SHOT_KERNELS
     assert len(seminaive._PLANS) <= seminaive.PLAN_CAPACITY

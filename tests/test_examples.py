@@ -31,7 +31,11 @@ LANDMARKS = {
     ],
     "recursive_queries.py": ["magic", "seminaive", "m~reachable"],
     "transaction_lab.py": ["CSR", "2PL", "recovery"],
-    "metatheory_experiments.py": ["CONFIRMED", "randomized trials"],
+    "metatheory_experiments.py": [
+        "calculus-differential",
+        "CONFIRMED",
+        "randomized cases",
+    ],
     "observability.py": [
         "EXPLAIN ANALYZE",
         "plan_cache=hit",
